@@ -157,7 +157,7 @@ def run_audit(
     config = config or AuditConfig()
     findings: list[AnomalyFinding] = []
     is_release = snapshot.label in config.release_labels
-    tus = snapshot.tu_by_source()
+    tus = snapshot.by_subject("tu")
     enabled = set(config.rules)
 
     def add(rule: str, subject: str, evidence, message: str) -> None:
@@ -244,7 +244,7 @@ def run_audit(
             add("R7", snapshot.build_id, [(snapshot.build_id, "no link evidence")],
                 "inconclusive: missing link-target evidence in one of the builds")
         else:
-            prev_targets = previous.target_by_output()
+            prev_targets = previous.by_subject("target")
             for target in snapshot.targets:
                 before = prev_targets.get(target.output)
                 if before is None:

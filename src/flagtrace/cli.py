@@ -164,24 +164,13 @@ def _cmd_lint(args) -> int:
     return EXIT_WARNINGS if findings else EXIT_OK
 
 
-def _lookup_effective(snap, subject: str):
-    for tu in snap.tus:
-        if tu.source_file == subject:
-            return tu.effective
-    for t in snap.targets:
-        if t.output == subject:
-            return t.effective
-    return None
-
-
 def _cmd_stamp(args) -> int:
     store = Store(args.store)
-    snap = store.get(args.build_id)
-    effective = _lookup_effective(snap, args.subject)
-    if effective is None:
+    rec = store.get(args.build_id).record(args.subject)
+    if rec is None:
         sys.stderr.write(f"error: no TU or target '{args.subject}' in build {args.build_id}\n")
         return EXIT_IO
-    text = canonical_serialize(effective)
+    text = canonical_serialize(rec.effective)
     payload = elfnote.NotePayload(
         build_id=args.build_id,
         subject=args.subject,
@@ -231,12 +220,11 @@ def _cmd_query(args) -> int:
               [f"{e.created}  {e.build_id}  {e.label}  {e.content_hash}" for e in entries])
         return EXIT_OK
     if args.query_kind == "effective":
-        snap = store.get(args.build)
-        effective = _lookup_effective(snap, args.subject)
-        if effective is None:
+        rec = store.get(args.build).record(args.subject)
+        if rec is None:
             sys.stderr.write(f"error: no TU or target '{args.subject}' in build {args.build}\n")
             return EXIT_IO
-        text = canonical_serialize(effective).decode("utf-8")
+        text = canonical_serialize(rec.effective).decode("utf-8")
         _emit({"build_id": args.build, "subject": args.subject, "effective": text},
               args.format, text.splitlines())
         return EXIT_OK

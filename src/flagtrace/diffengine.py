@@ -155,7 +155,7 @@ def _drive_note(paths_a: set[str], paths_b: set[str], notes: list[str]) -> None:
 
 def diff(a: BuildSnapshot, b: BuildSnapshot) -> DiffReport:
     report = DiffReport()
-    tus_a, tus_b = a.tu_by_source(), b.tu_by_source()
+    tus_a, tus_b = a.by_subject("tu"), b.by_subject("tu")
     report.removed_tus = sorted(set(tus_a) - set(tus_b))
     report.added_tus = sorted(set(tus_b) - set(tus_a))
     _drive_note(set(tus_a), set(tus_b), report.notes)
@@ -164,7 +164,7 @@ def diff(a: BuildSnapshot, b: BuildSnapshot) -> DiffReport:
         if deltas:
             report.per_tu_changes[src] = deltas
 
-    tg_a, tg_b = a.target_by_output(), b.target_by_output()
+    tg_a, tg_b = a.by_subject("target"), b.by_subject("target")
     report.removed_targets = sorted(set(tg_a) - set(tg_b))
     report.added_targets = sorted(set(tg_b) - set(tg_a))
     for out in sorted(set(tg_a) & set(tg_b)):

@@ -64,8 +64,8 @@ class NotFound(FlagtraceError):
 
 
 class CorruptSnapshot(FlagtraceError):
-    def __init__(self, expected: str, actual: str):
-        super().__init__(f"snapshot hash mismatch: expected {expected}, got {actual}")
+    def __init__(self, expected: str, actual: str, reason: str = "snapshot hash mismatch"):
+        super().__init__(f"{reason}: expected {expected}, got {actual}")
         self.expected = expected
         self.actual = actual
 

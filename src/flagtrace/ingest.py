@@ -50,7 +50,7 @@ class EvidenceSource:
     build_id: str
 
 
-def _logical_lines(text: str):
+def logical_lines(text: str):
     """Yield (first_line_number, joined_line) with backslash continuations merged."""
     pending = ""
     start = None
@@ -67,7 +67,7 @@ def _logical_lines(text: str):
         yield start, pending.rstrip()
 
 
-def parse_raw_log(path: str, source: EvidenceSource) -> list[RawInvocation]:
+def parse_raw_log(path: str) -> list[RawInvocation]:
     """Extract compiler/linker invocations from a plain-text build log.
 
     A line counts as an invocation iff its first word's dialect has a
@@ -77,7 +77,7 @@ def parse_raw_log(path: str, source: EvidenceSource) -> list[RawInvocation]:
         text = fh.read()
     cwd = os.path.dirname(os.path.abspath(path))
     out: list[RawInvocation] = []
-    for lineno, line in _logical_lines(text):
+    for lineno, line in logical_lines(text):
         stripped = line.strip()
         if not stripped:
             continue
@@ -101,7 +101,7 @@ def parse_raw_log(path: str, source: EvidenceSource) -> list[RawInvocation]:
     return out
 
 
-def parse_compilation_db(path: str, source: EvidenceSource) -> list[RawInvocation]:
+def parse_compilation_db(path: str) -> list[RawInvocation]:
     """Read a JSON compilation database (command or arguments form)."""
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         try:
@@ -146,7 +146,7 @@ def parse_compilation_db(path: str, source: EvidenceSource) -> list[RawInvocatio
     return out
 
 
-def parse_wrapper_spool(dirpath: str, source: EvidenceSource) -> list[RawInvocation]:
+def parse_wrapper_spool(dirpath: str) -> list[RawInvocation]:
     """Read a directory of line-delimited wrapper interception records.
 
     Each record: {"v": 1, "argv": [...], "cwd": str, "ts": RFC3339, "tool": str}.
@@ -184,10 +184,10 @@ def parse_wrapper_spool(dirpath: str, source: EvidenceSource) -> list[RawInvocat
 
 def parse_evidence(source: EvidenceSource) -> list[RawInvocation]:
     if source.kind is EvidenceKind.RAW_LOG:
-        return parse_raw_log(source.path, source)
+        return parse_raw_log(source.path)
     if source.kind is EvidenceKind.COMPILATION_DB:
-        return parse_compilation_db(source.path, source)
-    return parse_wrapper_spool(source.path, source)
+        return parse_compilation_db(source.path)
+    return parse_wrapper_spool(source.path)
 
 
 def _default_object_name(src: str, family: Family) -> str:

@@ -15,6 +15,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .ingest import logical_lines
+
 BUILTIN_VOCABULARY = frozenset({
     "CFLAGS", "CXXFLAGS", "CPPFLAGS", "LDFLAGS", "LDLIBS",
     "ASFLAGS", "ARFLAGS", "YFLAGS", "LFLAGS",
@@ -66,22 +68,6 @@ def levenshtein(a: str, b: str) -> int:
     return prev[-1]
 
 
-def _logical_lines(text: str):
-    pending = ""
-    start = None
-    for idx, line in enumerate(text.splitlines(), start=1):
-        if start is None:
-            start = idx
-        if line.endswith("\\"):
-            pending += line[:-1] + " "
-            continue
-        yield start, pending + line
-        pending = ""
-        start = None
-    if pending:
-        yield start, pending
-
-
 def scan_makefile(path: str, _depth: int = 0) -> tuple[list[MacroAssignment], set[str]]:
     """Lexically scan one makefile (plus one level of includes).
 
@@ -93,7 +79,7 @@ def scan_makefile(path: str, _depth: int = 0) -> tuple[list[MacroAssignment], se
         text = fh.read()
     assignments: list[MacroAssignment] = []
     expansions: set[str] = set()
-    for lineno, line in _logical_lines(text):
+    for lineno, line in logical_lines(text):
         expansions.update(_EXPANSION.findall(line))
         if line.startswith("\t"):
             continue  # recipe line: shell territory, not make macros

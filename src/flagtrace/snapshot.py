@@ -5,8 +5,10 @@ one build of one configuration. Records serialize to line-delimited
 canonical JSON (UTF-8, LF) so stored snapshots stay diffable with plain
 text tools; the content hash is SHA-256 over those record lines.
 
-Effective flag sets are stored denormalized for query speed and
-revalidated on load by re-resolving the stored invocation.
+On load the hash is checked over the record lines as stored, without
+re-serializing them. Effective flag sets are stored denormalized for
+query speed and still revalidated on load by re-resolving the stored
+invocation.
 """
 
 from __future__ import annotations
@@ -26,42 +28,26 @@ def _canon(obj) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
-def _effective_of(invocation: RawInvocation) -> flagmodel.EffectiveFlagSet:
-    entries = flagmodel.classify_all(list(invocation.tokens), invocation.dialect)
-    return flagmodel.resolve(entries)
-
-
 @dataclass
 class TranslationUnitRecord:
+    KIND = "tu"
+    FIELDS = ("source_file", "output_file")
+
     source_file: str
     output_file: str | None
     invocation: RawInvocation
     effective: flagmodel.EffectiveFlagSet
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "tu",
-            "source_file": self.source_file,
-            "output_file": self.output_file,
-            "invocation": self.invocation.to_dict(),
-            "effective": flagmodel.canonical_serialize(self.effective).decode("utf-8"),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TranslationUnitRecord":
-        inv = RawInvocation.from_dict(d["invocation"])
-        eff = _effective_of(inv)
-        stored = d["effective"].encode("utf-8")
-        actual = flagmodel.canonical_serialize(eff)
-        if stored != actual:
-            raise CorruptSnapshot(
-                hashlib.sha256(stored).hexdigest(), hashlib.sha256(actual).hexdigest()
-            )
-        return cls(d["source_file"], d["output_file"], inv, eff)
+    @property
+    def subject(self) -> str:
+        return self.source_file
 
 
 @dataclass
 class LinkTargetRecord:
+    KIND = "target"
+    FIELDS = ("output", "inputs", "member_tus", "external_inputs")
+
     output: str
     inputs: list[str]  # normalized paths / library names, command order
     member_tus: list[str]  # source files of TUs matched by output object path
@@ -69,29 +55,37 @@ class LinkTargetRecord:
     invocation: RawInvocation
     effective: flagmodel.EffectiveFlagSet
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "target",
-            "output": self.output,
-            "inputs": list(self.inputs),
-            "member_tus": list(self.member_tus),
-            "external_inputs": list(self.external_inputs),
-            "invocation": self.invocation.to_dict(),
-            "effective": flagmodel.canonical_serialize(self.effective).decode("utf-8"),
-        }
+    @property
+    def subject(self) -> str:
+        return self.output
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "LinkTargetRecord":
-        inv = RawInvocation.from_dict(d["invocation"])
-        eff = _effective_of(inv)
-        stored = d["effective"].encode("utf-8")
-        actual = flagmodel.canonical_serialize(eff)
-        if stored != actual:
-            raise CorruptSnapshot(
-                hashlib.sha256(stored).hexdigest(), hashlib.sha256(actual).hexdigest()
-            )
-        return cls(d["output"], list(d["inputs"]), list(d["member_tus"]),
-                   list(d["external_inputs"]), inv, eff)
+
+# Both kinds share one codec: a record line holds "kind", the record's own
+# FIELDS under their names, the invocation and the canonical effective text.
+Record = TranslationUnitRecord | LinkTargetRecord
+
+_RECORD_TYPES = {cls.KIND: cls for cls in (TranslationUnitRecord, LinkTargetRecord)}
+
+
+def _encode_record(rec: Record) -> str:
+    d = {name: getattr(rec, name) for name in rec.FIELDS}
+    d["kind"] = rec.KIND
+    d["invocation"] = rec.invocation.to_dict()
+    d["effective"] = flagmodel.canonical_serialize(rec.effective).decode("utf-8")
+    return _canon(d)
+
+
+def _decode_record(cls: type[Record], d: dict) -> Record:
+    """Rebuild a record, re-resolving its invocation to check the stored effective set."""
+    inv = RawInvocation.from_dict(d["invocation"])
+    eff = flagmodel.resolve(flagmodel.classify_all(list(inv.tokens), inv.dialect))
+    stored = d["effective"].encode("utf-8")
+    actual = flagmodel.canonical_serialize(eff)
+    if stored != actual:
+        raise CorruptSnapshot(
+            hashlib.sha256(stored).hexdigest(), hashlib.sha256(actual).hexdigest()
+        )
+    return cls(*(d[name] for name in cls.FIELDS), inv, eff)
 
 
 @dataclass
@@ -105,9 +99,7 @@ class BuildSnapshot:
     content_hash: str = ""
 
     def record_lines(self) -> list[str]:
-        lines = [_canon(t.to_dict()) for t in self.tus]
-        lines.extend(_canon(t.to_dict()) for t in self.targets)
-        return lines
+        return [_encode_record(r) for r in (*self.tus, *self.targets)]
 
     def compute_hash(self) -> str:
         h = hashlib.sha256()
@@ -120,19 +112,13 @@ class BuildSnapshot:
         self.content_hash = self.compute_hash()
         return self
 
-    def tu_by_source(self) -> dict[str, TranslationUnitRecord]:
-        return {t.source_file: t for t in self.tus}
+    def by_subject(self, scope: str) -> dict[str, Record]:
+        """Records of one scope, "tu" or "target", keyed by subject; a later duplicate wins."""
+        return {r.subject: r for r in (self.targets if scope == "target" else self.tus)}
 
-    def target_by_output(self) -> dict[str, LinkTargetRecord]:
-        return {t.output: t for t in self.targets}
-
-    def value_equal(self, other: "BuildSnapshot") -> bool:
-        return (
-            self.build_id == other.build_id
-            and self.label == other.label
-            and self.created == other.created
-            and self.record_lines() == other.record_lines()
-        )
+    def record(self, subject: str) -> Record | None:
+        """The TU with this subject, else the link target with it, else None."""
+        return self.by_subject("tu").get(subject) or self.by_subject("target").get(subject)
 
     def serialize(self) -> bytes:
         header = _canon({
@@ -149,20 +135,32 @@ class BuildSnapshot:
 
     @classmethod
     def deserialize(cls, data: bytes) -> "BuildSnapshot":
-        lines = data.decode("utf-8").splitlines()
-        header = json.loads(lines[0])
-        snap = cls(header["build_id"], header["label"], header["created"],
-                   content_hash=header["content_hash"])
-        for line in lines[1:]:
-            d = json.loads(line)
-            if d["kind"] == "tu":
-                snap.tus.append(TranslationUnitRecord.from_dict(d))
-            elif d["kind"] == "target":
-                snap.targets.append(LinkTargetRecord.from_dict(d))
-            else:
-                d.pop("kind")
-                snap.diagnostics.append(d)
-        actual = snap.compute_hash()
+        """Decode stored bytes, hashing each record line as read.
+
+        Lines split on LF only: paths may hold U+0085 or U+2028, which
+        canonical JSON leaves unescaped.
+        """
+        lines = data.removesuffix(b"\n").split(b"\n")
+        h = hashlib.sha256()
+        lineno = 1
+        try:
+            header = json.loads(lines[0].decode("utf-8"))
+            snap = cls(header["build_id"], header["label"], header["created"],
+                       content_hash=header["content_hash"])
+            for lineno, line in enumerate(lines[1:], start=2):
+                d = json.loads(line.decode("utf-8"))
+                kind = d.pop("kind")
+                if kind not in _RECORD_TYPES:
+                    snap.diagnostics.append(d)
+                    continue
+                h.update(line)
+                h.update(b"\n")
+                rec = _decode_record(_RECORD_TYPES[kind], d)
+                (snap.tus if kind == "tu" else snap.targets).append(rec)
+        except (AttributeError, LookupError, TypeError, ValueError) as exc:
+            raise CorruptSnapshot("a snapshot line", f"{type(exc).__name__}: {exc}",
+                                  f"unreadable snapshot line {lineno}") from None
+        actual = h.hexdigest()
         if actual != snap.content_hash:
             raise CorruptSnapshot(snap.content_hash, actual)
         return snap

@@ -121,10 +121,7 @@ class Store:
             summary: dict[str, str] = {}
             if flag_query is not None:
                 scope, key = flag_query
-                snap = self.get(e.build_id)
-                records = snap.targets if scope == "target" else snap.tus
-                for rec in records:
-                    subject = rec.output if scope == "target" else rec.source_file
+                for subject, rec in self.get(e.build_id).by_subject(scope).items():
                     winner = rec.effective.group_value(key)
                     if winner is not None:
                         summary[subject] = winner.value if winner.value is not None else winner.spelling

@@ -94,7 +94,7 @@ class TestDiffProperties:
                 assert {(d.scope, d.name) for d in swapped} == \
                     {(d.scope, d.name) for d in rev.per_tu_changes[src]}
             # composability: forward deltas take a's effective sets to b's
-            tus_a, tus_b = a.tu_by_source(), b.tu_by_source()
+            tus_a, tus_b = a.by_subject("tu"), b.by_subject("tu")
             for src in set(tus_a) & set(tus_b):
                 rebuilt = apply_deltas(tus_a[src].effective,
                                        fwd.per_tu_changes.get(src, []))

@@ -22,8 +22,7 @@ class TestParseRawLog:
     def test_single_invocation_among_noise(self, tmp_path):
         log = tmp_path / "build.log"
         log.write_text("gcc -O2 -c a.c\necho done\n")
-        source = src_for(EvidenceKind.RAW_LOG, log)
-        invs = parse_raw_log(str(log), source)
+        invs = parse_raw_log(str(log))
         assert len(invs) == 1
         assert invs[0].program == "gcc"
         assert [t.text for t in invs[0].tokens] == ["-O2", "-c", "a.c"]
@@ -32,21 +31,21 @@ class TestParseRawLog:
     def test_backslash_continuation(self, tmp_path):
         log = tmp_path / "build.log"
         log.write_text("gcc -c a.c \\\n-O2\n")
-        invs = parse_raw_log(str(log), src_for(EvidenceKind.RAW_LOG, log))
+        invs = parse_raw_log(str(log))
         assert len(invs) == 1
         assert len(invs[0].tokens) == 3  # -c a.c -O2; four tokens incl. program
 
     def test_msvc_line(self, tmp_path):
         log = tmp_path / "build.log"
         log.write_text("cl /GS /O2 foo.cxx\n")
-        invs = parse_raw_log(str(log), src_for(EvidenceKind.RAW_LOG, log))
+        invs = parse_raw_log(str(log))
         assert len(invs) == 1
         assert invs[0].dialect.family is Family.MSVC
 
     def test_empty_log_is_not_an_error(self, tmp_path):
         log = tmp_path / "build.log"
         log.write_text("make: nothing to do\n")
-        assert parse_raw_log(str(log), src_for(EvidenceKind.RAW_LOG, log)) == []
+        assert parse_raw_log(str(log)) == []
 
 
 class TestParseCompilationDb:
@@ -55,7 +54,7 @@ class TestParseCompilationDb:
         db.write_text(json.dumps([
             {"directory": "/src", "file": "a.c", "arguments": ["gcc", "-c", "a.c"]},
         ]))
-        invs = parse_compilation_db(str(db), src_for(EvidenceKind.COMPILATION_DB, db))
+        invs = parse_compilation_db(str(db))
         assert len(invs) == 1
         assert invs[0].cwd == "/src"
         assert [t.text for t in invs[0].tokens] == ["-c", "a.c"]
@@ -65,19 +64,19 @@ class TestParseCompilationDb:
         db.write_text(json.dumps([
             {"directory": "/src", "file": "a.c", "command": 'gcc -DMSG="a b" -c a.c'},
         ]))
-        invs = parse_compilation_db(str(db), src_for(EvidenceKind.COMPILATION_DB, db))
+        invs = parse_compilation_db(str(db))
         assert [t.text for t in invs[0].tokens] == ["-DMSG=a b", "-c", "a.c"]
 
     def test_empty_array(self, tmp_path):
         db = tmp_path / "cc.json"
         db.write_text("[]")
-        assert parse_compilation_db(str(db), src_for(EvidenceKind.COMPILATION_DB, db)) == []
+        assert parse_compilation_db(str(db)) == []
 
     def test_rejects_entry_without_command_or_arguments(self, tmp_path):
         db = tmp_path / "cc.json"
         db.write_text(json.dumps([{"directory": "/src", "file": "a.c"}]))
         with pytest.raises(MalformedDb) as exc:
-            parse_compilation_db(str(db), src_for(EvidenceKind.COMPILATION_DB, db))
+            parse_compilation_db(str(db))
         assert exc.value.index == 0
 
 
@@ -88,7 +87,7 @@ class TestParseWrapperSpool:
         (spool / "rec.jsonl").write_text(json.dumps(
             {"v": 1, "argv": ["cl", "/O2", "a.cxx"], "cwd": "C:\\src",
              "ts": "2026-01-01T00:00:00Z", "tool": "cl"}) + "\n")
-        invs = parse_wrapper_spool(str(spool), src_for(EvidenceKind.WRAPPER_SPOOL, spool))
+        invs = parse_wrapper_spool(str(spool))
         assert len(invs) == 1
         assert invs[0].dialect.family is Family.MSVC
 
@@ -101,28 +100,28 @@ class TestParseWrapperSpool:
         (spool / "a.jsonl").write_text(json.dumps(
             {"v": 1, "argv": ["gcc", "-c", "second.c"], "cwd": "/s",
              "ts": "2026-01-01T00:00:02Z", "tool": "gcc"}) + "\n")
-        invs = parse_wrapper_spool(str(spool), src_for(EvidenceKind.WRAPPER_SPOOL, spool))
+        invs = parse_wrapper_spool(str(spool))
         got = [t.text for inv in invs for t in inv.tokens if t.text.endswith(".c")]
         assert got == ["first.c", "second.c"]
 
     def test_empty_dir(self, tmp_path):
         spool = tmp_path / "spool"
         spool.mkdir()
-        assert parse_wrapper_spool(str(spool), src_for(EvidenceKind.WRAPPER_SPOOL, spool)) == []
+        assert parse_wrapper_spool(str(spool)) == []
 
     def test_malformed_record(self, tmp_path):
         spool = tmp_path / "spool"
         spool.mkdir()
         (spool / "bad.jsonl").write_text("{not json\n")
         with pytest.raises(MalformedRecord):
-            parse_wrapper_spool(str(spool), src_for(EvidenceKind.WRAPPER_SPOOL, spool))
+            parse_wrapper_spool(str(spool))
 
 
 def log_snapshot(tmp_path, text, build_id="b1", label="dev", created="2026-01-01T00:00:00Z"):
     log = tmp_path / f"{build_id}.log"
     log.write_text(text)
     source = src_for(EvidenceKind.RAW_LOG, log, build_id, label)
-    return assemble_snapshot(parse_raw_log(str(log), source), source, created=created)
+    return assemble_snapshot(parse_raw_log(str(log)), source, created=created)
 
 
 class TestAssembleSnapshot:
@@ -155,7 +154,7 @@ class TestAssembleSnapshot:
         log = tmp_path / "b.log"
         log.write_text("gcc -c a.c\ngcc a.o -o app\nar rcs libx.a a.o\n")
         source = src_for(EvidenceKind.RAW_LOG, log)
-        invs = parse_raw_log(str(log), source)
+        invs = parse_raw_log(str(log))
         snap = assemble_snapshot(invs, source)
         assert len(invs) == len(snap.tus) + len(snap.targets) + len(snap.diagnostics)
 
@@ -163,4 +162,4 @@ class TestAssembleSnapshot:
         from flagtrace.snapshot import BuildSnapshot
         snap = log_snapshot(tmp_path, "gcc -O2 -c a.c -o a.o\ngcc a.o -o app\n")
         again = BuildSnapshot.deserialize(snap.serialize())
-        assert again.value_equal(snap)
+        assert again.serialize() == snap.serialize()

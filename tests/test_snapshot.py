@@ -1,9 +1,19 @@
-"""Snapshot line format: a stored v1 file must read back byte for byte."""
+"""Snapshot codec: stored bytes read back exactly, and damage is caught."""
 
+import hashlib
+import json
 from pathlib import Path
 
+import pytest
+from hypothesis import example, given, strategies as st
+
+from flagtrace.cli import run
+from flagtrace.cmdline import RawInvocation, Token, detect_dialect
+from flagtrace.errors import CorruptSnapshot
+from flagtrace.ingest import EvidenceKind, EvidenceSource, assemble_snapshot
 from flagtrace.snapshot import BuildSnapshot
 from flagtrace.store import Store
+from tests.test_ingest import log_snapshot
 
 # One build in the v1 line format: a gcc TU, an MSVC TU whose path is not
 # ASCII, a gcc link target and one skipped `ar` invocation (a diagnostic).
@@ -35,3 +45,64 @@ class TestV1Fixture:
         assert snap.targets[0].member_tus == ["/work/proj/src/core.c"]
         assert [d["program"] for d in snap.diagnostics] == ["ar"]
         assert snap.serialize() == FIXTURE.read_bytes()
+
+
+def _canon_line(d) -> bytes:
+    return json.dumps(d, ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode()
+
+
+def test_stored_effective_is_revalidated(tmp_path):
+    """A rewritten effective set is caught even when every hash is recomputed."""
+    store = install_fixture(tmp_path / "store")
+    snap_file = Path(store.snap_dir) / "fixture.fts"
+    header, *rest = snap_file.read_bytes().removesuffix(b"\n").split(b"\n")
+    tu = json.loads(rest[0])
+    tu["effective"] = tu["effective"].replace('"-O2"', '"-O0"')
+    rest[0] = _canon_line(tu)
+    h = hashlib.sha256()
+    for line in rest:
+        if json.loads(line)["kind"] != "diagnostic":
+            h.update(line + b"\n")
+    head = json.loads(header)
+    head["content_hash"] = h.hexdigest()
+    snap_file.write_bytes(b"\n".join([_canon_line(head), *rest]) + b"\n")
+    index = Path(store.index_path)
+    fields = index.read_text(encoding="utf-8").rstrip("\n").split("\t")
+    fields[3] = h.hexdigest()
+    index.write_text("\t".join(fields) + "\n", encoding="utf-8")
+
+    with pytest.raises(CorruptSnapshot, match="snapshot hash mismatch") as exc:
+        store.get("fixture-v1")
+    assert exc.value.expected == hashlib.sha256(tu["effective"].encode()).hexdigest()
+
+
+@given(st.text(st.characters(blacklist_categories=("Cs",)), min_size=1))
+@example("c\u0085d")
+@example("c\u2028d")
+def test_any_source_path_round_trips(name):
+    inv = RawInvocation("gcc", (Token("-c"), Token(f"src/{name}.c")), "/w",
+                        "compdb:compile_commands.json#0", detect_dialect("gcc"))
+    source = EvidenceSource(EvidenceKind.COMPILATION_DB, "compile_commands.json", "dev", "b1")
+    data = assemble_snapshot([inv], source, created="2026-01-01T00:00:00Z").serialize()
+    assert BuildSnapshot.deserialize(data).serialize() == data
+
+
+@pytest.mark.parametrize("char", ["\u0085", "\u2028"], ids=["U+0085", "U+2028"])
+def test_ingested_line_break_path_reads_back(tmp_path, capsys, char):
+    db = tmp_path / "compile_commands.json"
+    db.write_text(json.dumps([{"directory": "/w", "file": f"src/c{char}d.c",
+                               "arguments": ["gcc", "-O2", "-c", f"src/c{char}d.c"]}]),
+                  encoding="utf-8")
+    store = str(tmp_path / "store")
+    assert run(["--store", store, "ingest", str(db), "--kind", "compdb",
+                "--label", "dev", "--build-id", "b1"]) == 0
+    assert run(["--store", store, "--format", "json", "query", "effective",
+                "--build", "b1", "--subject", f"/w/src/c{char}d.c"]) == 0
+    assert '\\"-O2\\"' in capsys.readouterr().out
+
+
+def test_subject_lookup_is_shared(tmp_path):
+    """A source compiled twice: record() returns the TU by_subject() keeps, the last."""
+    snap = log_snapshot(tmp_path, "gcc -O1 -c a.c -o a1.o\ngcc -O3 -c a.c -o a3.o\n")
+    subject = snap.tus[1].subject
+    assert snap.record(subject) is snap.by_subject("tu")[subject] is snap.tus[1]

@@ -24,7 +24,7 @@ class TestPutGet:
         snap = log_snapshot(tmp_path, "gcc -O2 -c a.c -o a.o\ngcc a.o -o app\n")
         returned = store.put(snap)
         got = store.get("b1")
-        assert got.value_equal(snap)
+        assert got.serialize() == snap.serialize()
         assert returned == got.compute_hash() == snap.content_hash
 
     def test_duplicate_id(self, tmp_path):
@@ -37,13 +37,19 @@ class TestPutGet:
         with pytest.raises(NotFound):
             Store(str(tmp_path / "store")).get("nope")
 
-    def test_corruption_detected(self, tmp_path):
+    @pytest.mark.parametrize("old, new", [
+        pytest.param(b"-O2", b"-O0", id="flipped-byte"),
+        pytest.param(b'"kind":"tu"', b'"kynd":"tu"', id="renamed-kind-key"),
+        pytest.param(b"-O2", b"-\xff2", id="invalid-utf8"),
+        pytest.param(b'"content_hash"', b'"content_hasx"', id="header-without-hash"),
+    ])
+    def test_corruption_detected(self, tmp_path, old, new):
         store = Store(str(tmp_path / "store"))
         store.put(log_snapshot(tmp_path, "gcc -O2 -c a.c -o a.o\n"))
         snap_file = next((tmp_path / "store" / "snapshots").glob("*.fts"))
         data = bytearray(snap_file.read_bytes())
-        pos = data.find(b"-O2")
-        data[pos:pos + 3] = b"-O0"
+        pos = data.find(old)
+        data[pos:pos + len(old)] = new
         snap_file.write_bytes(bytes(data))
         with pytest.raises(CorruptSnapshot):
             store.get("b1")
