@@ -16,7 +16,7 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from .cmdline import RawInvocation
+from .cmdline import RawInvocation, Token
 from .errors import ConfigError
 from .flagmodel import NEGATIVE, FlagEntry
 from .snapshot import BuildSnapshot, LinkTargetRecord, TranslationUnitRecord
@@ -121,9 +121,9 @@ class AnomalyFinding:
         }
 
 
-def _prov(inv: RawInvocation, entry: FlagEntry | None = None) -> str:
-    if entry is not None and entry.origin.kind == "response-file":
-        return f"{inv.source} via {entry.origin}"
+def _prov(inv: RawInvocation, item: FlagEntry | Token | None = None) -> str:
+    if item is not None and item.origin.kind == "response-file":
+        return f"{inv.source} via {item.origin}"
     return inv.source
 
 
@@ -260,7 +260,7 @@ def run_audit(
             hits = [t for t in tu.invocation.tokens if _UNRESOLVED.search(t.text)]
             if hits:
                 add("R8", tu.source_file,
-                    [(_prov(tu.invocation), t.text) for t in hits],
+                    [(_prov(tu.invocation, t), t.text) for t in hits],
                     "unexpanded variable token in compiler command")
 
     findings.sort(key=lambda f: (f.rule, f.subject))

@@ -29,6 +29,13 @@ EXIT_IO = 3
 EXIT_WARNINGS = 4
 
 
+def _index_field(value: str) -> str:
+    """A build id or label: one tab-separated field of the store index."""
+    if any(c in value for c in "\t\r\n"):
+        raise argparse.ArgumentTypeError("must not contain a tab, CR or LF")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="flagtrace",
                                 description="compiler flag provenance toolkit")
@@ -41,8 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("ingest", help="parse build evidence into a stored snapshot")
     sp.add_argument("path")
     sp.add_argument("--kind", choices=[k.value for k in EvidenceKind], default="raw-log")
-    sp.add_argument("--label", required=True)
-    sp.add_argument("--build-id", required=True)
+    sp.add_argument("--label", required=True, type=_index_field)
+    sp.add_argument("--build-id", required=True, type=_index_field)
     sp.add_argument("--created", help="override the RFC3339 creation timestamp")
 
     sp = sub.add_parser("diff", help="structured delta between two snapshots")

@@ -63,6 +63,8 @@ class Origin:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Origin":
+        if d["kind"] == "command-line":
+            return COMMAND_LINE
         return cls(d["kind"], d.get("path"), d.get("index"))
 
     def __str__(self) -> str:

@@ -30,9 +30,6 @@ class FlagDelta:
     before: object  # entry dict, list, or None (absent)
     after: object
 
-    def swapped(self) -> "FlagDelta":
-        return FlagDelta(self.scope, self.name, self.after, self.before)
-
     def to_dict(self) -> dict:
         return {"scope": self.scope, "name": self.name, "before": self.before, "after": self.after}
 
@@ -104,34 +101,6 @@ def _diff_effective(a: EffectiveFlagSet, b: EffectiveFlagSet) -> list[FlagDelta]
     if op_a != op_b:
         deltas.append(FlagDelta(OPAQUE, None, op_a, op_b))
     return deltas
-
-
-def apply_deltas(base: EffectiveFlagSet, deltas: list[FlagDelta]) -> EffectiveFlagSet:
-    """Apply a forward delta list to a base set; inverse check for diff."""
-    out = EffectiveFlagSet(
-        dict(base.scalar_groups), dict(base.defines),
-        list(base.include_dirs), list(base.link_inputs),
-        list(base.sources), list(base.opaque),
-    )
-    for d in deltas:
-        if d.scope == GROUP:
-            if d.after is None:
-                out.scalar_groups.pop(d.name, None)
-            else:
-                out.scalar_groups[d.name] = FlagEntry.from_dict(d.after)
-        elif d.scope == DEFINE:
-            if d.after is None:
-                out.defines.pop(d.name, None)
-            else:
-                out.defines.pop(d.name, None)
-                out.defines[d.name] = FlagEntry.from_dict(d.after)
-        elif d.scope == INCLUDE_ORDER:
-            out.include_dirs = [FlagEntry.from_dict(x) for x in d.after]
-        elif d.scope == LINK_ORDER:
-            out.link_inputs = [FlagEntry.from_dict(x) for x in d.after]
-        elif d.scope == OPAQUE:
-            out.opaque = [FlagEntry.from_dict(x) for x in d.after]
-    return out
 
 
 def _drive_note(paths_a: set[str], paths_b: set[str], notes: list[str]) -> None:

@@ -109,10 +109,14 @@ def _parse(path: str, data: bytes) -> _Elf:
     (_, _, _, _, _, _, e_shoff, _, _, _, _, e_shentsize, e_shnum, e_shstrndx) = ehdr
     if e_shoff == 0 or e_shnum == 0:
         raise MalformedNote(0, "no section header table")
+    if e_shentsize < _SHDR.size or e_shoff + e_shnum * e_shentsize > len(data):
+        raise MalformedNote(e_shoff, "section header table exceeds the file")
     shdrs = [list(_SHDR.unpack_from(data, e_shoff + i * e_shentsize)) for i in range(e_shnum)]
     if e_shstrndx >= e_shnum:
         raise MalformedNote(e_shoff, "bad section name table index")
     st = shdrs[e_shstrndx]
+    if st[4] + st[5] > len(data):
+        raise MalformedNote(st[4], "section name table exceeds the file")
     shstrtab = bytes(data[st[4] : st[4] + st[5]])
     return _Elf(bytearray(data), ehdr, shdrs, shstrtab)
 
@@ -152,7 +156,7 @@ def read_stamp(elf_path: str) -> NotePayload | None:
         raise MalformedNote(shdr[4], "unexpected note name or type")
     try:
         return NotePayload.from_bytes(desc)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise MalformedNote(shdr[4], str(exc)) from None
 
 

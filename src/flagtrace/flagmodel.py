@@ -50,10 +50,6 @@ class FlagEntry:
             "spelling": self.spelling,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict, origin: Origin = COMMAND_LINE) -> "FlagEntry":
-        return cls(d["key"], d["value"], d["polarity"], d["spelling"], origin, d["group"])
-
 
 @dataclass(frozen=True)
 class _VocabRow:

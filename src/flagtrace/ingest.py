@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from enum import Enum
 
@@ -149,7 +149,8 @@ def parse_compilation_db(path: str) -> list[RawInvocation]:
 def parse_wrapper_spool(dirpath: str) -> list[RawInvocation]:
     """Read a directory of line-delimited wrapper interception records.
 
-    Each record: {"v": 1, "argv": [...], "cwd": str, "ts": RFC3339, "tool": str}.
+    Each record: {"v": 1, "argv": [...], "cwd": str, "ts": RFC3339, "tool": str};
+    a record without "v" equal to SPOOL_SCHEMA_VERSION is malformed.
     Output is ordered by (ts, filename); argv is taken verbatim.
     """
     keyed: list[tuple[tuple, RawInvocation]] = []
@@ -168,6 +169,9 @@ def parse_wrapper_spool(dirpath: str) -> list[RawInvocation]:
                     raise MalformedRecord(fpath, lineno, "invalid JSON") from None
                 if not isinstance(rec, dict) or "argv" not in rec or not rec["argv"]:
                     raise MalformedRecord(fpath, lineno, "missing argv")
+                version = rec.get("v")
+                if type(version) is not int or version != SPOOL_SCHEMA_VERSION:
+                    raise MalformedRecord(fpath, lineno, f"unsupported version {version!r}")
                 argv = rec["argv"]
                 program = argv[0]
                 inv = RawInvocation(
@@ -201,7 +205,7 @@ def assemble_snapshot(
     source: EvidenceSource,
     created: str | None = None,
 ) -> BuildSnapshot:
-    """Fold an invocation list into a sealed BuildSnapshot.
+    """Fold an invocation list into a BuildSnapshot.
 
     Compiler invocations with recognized source inputs become TU
     records; linker invocations (and source-less compiler-driver link
@@ -209,7 +213,8 @@ def assemble_snapshot(
     cwd-normalized object path; unmatched link inputs are retained as
     external inputs, since third-party binaries arrive without TU
     evidence. Nothing is dropped silently: skipped invocations become
-    diagnostics.
+    diagnostics. Each record keeps the tokens after `@file` expansion,
+    the ones its effective set was resolved from.
     """
     if created is None:
         created = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
@@ -221,6 +226,7 @@ def assemble_snapshot(
         tokens = expand_response_files(list(inv.tokens), inv.cwd, inv.dialect)
         entries = flagmodel.classify_all(tokens, inv.dialect)
         effective = flagmodel.resolve(entries)
+        inv = replace(inv, tokens=tuple(tokens))
         is_compiler = inv.dialect.tool_kind is ToolKind.COMPILER
         is_linker = inv.dialect.tool_kind is ToolKind.LINKER
 
@@ -263,4 +269,4 @@ def assemble_snapshot(
                 external.append(p)
         snap.targets.append(LinkTargetRecord(output, inputs, members, external, inv, effective))
 
-    return snap.seal()
+    return snap

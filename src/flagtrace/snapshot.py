@@ -3,12 +3,15 @@
 A snapshot captures every translation unit and link target observed in
 one build of one configuration. Records serialize to line-delimited
 canonical JSON (UTF-8, LF) so stored snapshots stay diffable with plain
-text tools; the content hash is SHA-256 over those record lines.
+text tools. A record holds the tokens its effective flag set was
+resolved from: its invocation's tokens after `@file` expansion, each
+with its origin. `serialize()` encodes each record once and sets the
+content hash, SHA-256 over the record lines it writes.
 
 On load the hash is checked over the record lines as stored, without
 re-serializing them. Effective flag sets are stored denormalized for
 query speed and still revalidated on load by re-resolving the stored
-invocation.
+tokens.
 """
 
 from __future__ import annotations
@@ -98,20 +101,6 @@ class BuildSnapshot:
     diagnostics: list[dict] = field(default_factory=list)
     content_hash: str = ""
 
-    def record_lines(self) -> list[str]:
-        return [_encode_record(r) for r in (*self.tus, *self.targets)]
-
-    def compute_hash(self) -> str:
-        h = hashlib.sha256()
-        for line in self.record_lines():
-            h.update(line.encode("utf-8"))
-            h.update(b"\n")
-        return h.hexdigest()
-
-    def seal(self) -> "BuildSnapshot":
-        self.content_hash = self.compute_hash()
-        return self
-
     def by_subject(self, scope: str) -> dict[str, Record]:
         """Records of one scope, "tu" or "target", keyed by subject; a later duplicate wins."""
         return {r.subject: r for r in (self.targets if scope == "target" else self.tus)}
@@ -121,17 +110,23 @@ class BuildSnapshot:
         return self.by_subject("tu").get(subject) or self.by_subject("target").get(subject)
 
     def serialize(self) -> bytes:
-        header = _canon({
+        """Encode each record once, set content_hash over those lines and return the file."""
+        lines = [_encode_record(r).encode("utf-8") for r in (*self.tus, *self.targets)]
+        h = hashlib.sha256()
+        for line in lines:
+            h.update(line)
+            h.update(b"\n")
+        self.content_hash = h.hexdigest()
+        lines.insert(0, _canon({
             "snapshot_version": SNAPSHOT_VERSION,
             "build_id": self.build_id,
             "label": self.label,
             "created": self.created,
             "content_hash": self.content_hash,
-        })
-        lines = [header]
-        lines.extend(self.record_lines())
-        lines.extend(_canon({"kind": "diagnostic", **d}) for d in self.diagnostics)
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        }).encode("utf-8"))
+        lines.extend(_canon({"kind": "diagnostic", **d}).encode("utf-8") for d in self.diagnostics)
+        lines.append(b"")
+        return b"\n".join(lines)
 
     @classmethod
     def deserialize(cls, data: bytes) -> "BuildSnapshot":

@@ -71,7 +71,7 @@ class Store:
             relpath = os.path.join("snapshots", name)
             final = os.path.join(self.root, relpath)
             tmp = final + ".tmp"
-            data = snapshot.serialize()
+            data = snapshot.serialize()  # sets snapshot.content_hash over these bytes
             with open(tmp, "wb") as fh:
                 fh.write(data)
                 fh.flush()

@@ -20,6 +20,7 @@ from flagtrace.store import Store
 
 import elf_reader
 from conftest import build_minimal_elf
+from delta_oracle import apply_deltas
 from test_ingest import log_snapshot
 from test_mklint import brute_levenshtein
 
@@ -171,7 +172,7 @@ def test_criterion_4_diff_properties(tmp_path):
                     (d.scope, str(d.name)) for d in rev.per_tu_changes[src])
             tus_a, tus_b = a.by_subject("tu"), b.by_subject("tu")
             for src in set(tus_a) & set(tus_b):
-                rebuilt = diffengine.apply_deltas(
+                rebuilt = apply_deltas(
                     tus_a[src].effective, fwd.per_tu_changes.get(src, []))
                 assert rebuilt == tus_b[src].effective
 

@@ -74,6 +74,23 @@ class TestAudit:
         assert "R1" in out and "R4" in out
 
 
+class TestResponseFiles:
+    def test_audit_cites_response_file_tokens(self, tmp_path, capsys):
+        (tmp_path / "opts.rsp").write_text("-fno-stack-protector -DV=$(VERSION)\n")
+        log = tmp_path / "rel.log"
+        log.write_text("gcc @opts.rsp -O2 -DNDEBUG -c a.c -o a.o\n")
+        store = str(tmp_path / "store")
+        assert run(["--store", store, "ingest", str(log), "--label", "release",
+                    "--build-id", "r1"]) == 0
+        capsys.readouterr()
+        assert run(["--store", store, "--format", "json", "audit", "r1"]) == 1
+        findings = json.loads(capsys.readouterr().out)["findings"]
+        evidence = {f["rule"]: f["evidence"] for f in findings}
+        rsp = tmp_path / "opts.rsp"
+        assert evidence["R4"] == [[f"log:{log}:1 via {rsp}#0", "-fno-stack-protector"]]
+        assert evidence["R8"] == [[f"log:{log}:1 via {rsp}#1", "-DV=$(VERSION)"]]
+
+
 class TestHistoryAndQuery:
     def test_history_text(self, seeded_store, capsys):
         assert run(["--store", seeded_store, "history", "official",
@@ -147,6 +164,19 @@ class TestStampCli:
 class TestUsage:
     def test_usage_error_exit_2(self):
         assert run(["no-such-command"]) == 2
+
+    @pytest.mark.parametrize("option", ["--label", "--build-id"])
+    @pytest.mark.parametrize("char", ["\t", "\r", "\n"], ids=["tab", "CR", "LF"])
+    def test_index_field_control_char_exit_2(self, tmp_path, capsys, option, char):
+        log = tmp_path / "b.log"
+        log.write_text("gcc -c a.c\n")
+        store = tmp_path / "store"
+        args = {"--label": "rel", "--build-id": "b1"}
+        args[option] = f"rel{char}x"
+        assert run(["--store", str(store), "ingest", str(log),
+                    "--label", args["--label"], "--build-id", args["--build-id"]]) == 2
+        assert "must not contain a tab, CR or LF" in capsys.readouterr().err
+        assert not store.exists()
 
     def test_only_ingest_writes(self, seeded_store, tmp_path):
         import hashlib

@@ -1,7 +1,8 @@
 import json
 import random
 
-from flagtrace.diffengine import GROUP, DEFINE, apply_deltas, diff, render_report
+from flagtrace.diffengine import GROUP, DEFINE, diff, render_report
+from delta_oracle import apply_deltas, swapped
 from tests.test_ingest import log_snapshot
 
 
@@ -90,8 +91,8 @@ class TestDiffProperties:
             assert sorted(fwd.added_tus) == sorted(rev.removed_tus)
             assert sorted(fwd.removed_tus) == sorted(rev.added_tus)
             for src, deltas in fwd.per_tu_changes.items():
-                swapped = [d.swapped() for d in deltas]
-                assert {(d.scope, d.name) for d in swapped} == \
+                reversed_deltas = [swapped(d) for d in deltas]
+                assert {(d.scope, d.name) for d in reversed_deltas} == \
                     {(d.scope, d.name) for d in rev.per_tu_changes[src]}
             # composability: forward deltas take a's effective sets to b's
             tus_a, tus_b = a.by_subject("tu"), b.by_subject("tu")

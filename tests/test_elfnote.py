@@ -15,6 +15,7 @@ from flagtrace.elfnote import (
     read_stamp,
     stamp,
 )
+from flagtrace.cli import run
 from flagtrace.errors import MalformedNote, NotElf, UnsupportedClass
 
 import elf_reader
@@ -158,3 +159,73 @@ class TestReadComment:
         stamp(str(obj), p)
         assert read_stamp(str(obj)) == p
         assert elf_reader.read_notes(str(obj), NOTE_SECTION)[0][0] == "FLAGTRACE"
+
+
+def _header_only(path):
+    """A bare 64-byte ELF64 header that claims 3 section headers at offset 4096."""
+    ident = b"\x7fELF" + bytes([2, 1, 1, 0]) + b"\x00" * 8
+    path.write_bytes(struct.pack("<16sHHIQQQIHHHHHH", ident, 1, 0x3E, 1, 0, 0,
+                                 4096, 0, 64, 0, 0, 64, 3, 2))
+
+
+def _patch_fixture(offset, fmt, value):
+    def patch(path):
+        data = bytearray(open(build_minimal_elf(path), "rb").read())
+        struct.pack_into(fmt, data, offset, value)
+        path.write_bytes(bytes(data))
+    return patch
+
+
+def _truncated_table(path):
+    data = open(build_minimal_elf(path), "rb").read()
+    path.write_bytes(data[:-10])
+
+
+def _shstrtab_offset(path):
+    # section 3 of the fixture is .shstrtab; point its sh_offset past the end
+    data = bytearray(open(build_minimal_elf(path), "rb").read())
+    (shoff,) = struct.unpack_from("<Q", data, 40)
+    struct.pack_into("<Q", data, shoff + 3 * 64 + 24, 1 << 20)
+    path.write_bytes(bytes(data))
+
+
+LYING_ELFS = [
+    pytest.param(_header_only, id="header-only"),
+    pytest.param(_truncated_table, id="truncated-table"),
+    pytest.param(_patch_fixture(58, "<H", 32), id="short-shentsize"),
+    pytest.param(_patch_fixture(60, "<H", 0xFFFF), id="huge-shnum"),
+    pytest.param(_shstrtab_offset, id="shstrtab-past-end"),
+]
+
+
+class TestLyingElf:
+    @pytest.mark.parametrize("make", LYING_ELFS)
+    @pytest.mark.parametrize("comment", [[], ["--comment"]], ids=["plain", "comment"])
+    def test_read_stamp_exit_3(self, tmp_path, capsys, make, comment):
+        elf = tmp_path / "bad.o"
+        make(elf)
+        assert run(["read-stamp", str(elf), *comment]) == 3
+        assert "malformed note" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("make", LYING_ELFS)
+    def test_stamp_exit_3_and_file_untouched(self, tmp_path, capsys, make):
+        log = tmp_path / "b.log"
+        log.write_text("gcc -c a.c -o a.o\n")
+        store = str(tmp_path / "store")
+        assert run(["--store", store, "ingest", str(log), "--label", "dev",
+                    "--build-id", "b1"]) == 0
+        elf = tmp_path / "bad.o"
+        make(elf)
+        before = elf.read_bytes()
+        assert run(["--store", store, "stamp", str(elf), "b1", str(tmp_path / "a.c")]) == 3
+        assert "malformed note" in capsys.readouterr().err
+        assert elf.read_bytes() == before
+
+    def test_non_object_payload_is_malformed(self, minimal_elf):
+        p = payload_for()
+        stamp(minimal_elf, p)
+        desc = p.to_bytes()
+        data = open(minimal_elf, "rb").read()
+        open(minimal_elf, "wb").write(data.replace(desc, b"[" + b" " * (len(desc) - 2) + b"]"))
+        with pytest.raises(MalformedNote):
+            read_stamp(minimal_elf)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -116,6 +117,18 @@ class TestParseWrapperSpool:
         with pytest.raises(MalformedRecord):
             parse_wrapper_spool(str(spool))
 
+    @pytest.mark.parametrize("version", [None, 99, 0, "1", 1.0, True],
+                             ids=["missing", "99", "0", "string", "float", "bool"])
+    def test_schema_version_checked(self, tmp_path, version):
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        rec = {"argv": ["gcc", "-c", "a.c"], "cwd": "/s", "ts": "2026-01-01T00:00:00Z"}
+        if version is not None:
+            rec["v"] = version
+        (spool / "rec.jsonl").write_text(json.dumps(rec) + "\n")
+        with pytest.raises(MalformedRecord, match="unsupported version"):
+            parse_wrapper_spool(str(spool))
+
 
 def log_snapshot(tmp_path, text, build_id="b1", label="dev", created="2026-01-01T00:00:00Z"):
     log = tmp_path / f"{build_id}.log"
@@ -134,12 +147,15 @@ class TestAssembleSnapshot:
     def test_empty(self, tmp_path):
         snap = log_snapshot(tmp_path, "echo hi\n")
         assert snap.tus == [] and snap.targets == []
-        assert snap.content_hash == log_snapshot(tmp_path, "echo nothing\n", "b2").content_hash
+        other = log_snapshot(tmp_path, "echo nothing\n", "b2")
+        assert snap.serialize().split(b"\n")[1:] == other.serialize().split(b"\n")[1:]
+        assert snap.content_hash == other.content_hash == hashlib.sha256(b"").hexdigest()
 
     def test_deterministic_hash(self, tmp_path):
         text = "gcc -c a.c -o a.o\ngcc -c b.c -o b.o\ngcc a.o b.o -o app -lm\n"
         s1 = log_snapshot(tmp_path, text, "x1")
         s2 = log_snapshot(tmp_path, text, "x1")
+        assert s1.serialize() == s2.serialize()
         assert s1.content_hash == s2.content_hash
 
     def test_duplicate_output(self, tmp_path):

@@ -1,11 +1,15 @@
 """Snapshot codec: stored bytes read back exactly, and damage is caught."""
 
 import hashlib
+import io
 import json
+import shlex
+import tempfile
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flagtrace.cli import run
 from flagtrace.cmdline import RawInvocation, Token, detect_dialect
@@ -106,3 +110,73 @@ def test_subject_lookup_is_shared(tmp_path):
     snap = log_snapshot(tmp_path, "gcc -O1 -c a.c -o a1.o\ngcc -O3 -c a.c -o a3.o\n")
     subject = snap.tus[1].subject
     assert snap.record(subject) is snap.by_subject("tu")[subject] is snap.tus[1]
+
+
+# Arguments of a GNU compile line; "-o a.o" and "-I inc" are one argument
+# of two words. One is quoted, one holds an unexpanded make variable.
+_GNU_ARGS = ["-O0", "-O2", "-O3", "-g", "-DFOO", "-DBAR=1", "-UFOO", "-DMSG=a b",
+             "-DV=$(VERSION)", "-Iinc", "-I inc", "-Wall", "-fPIC", "-std=c11",
+             "-fstack-protector", "-fno-stack-protector", "-fexceptions", "-o a.o"]
+
+
+def _words(arg: str) -> list[str]:
+    return [arg] if arg.startswith("-D") else arg.split(" ")
+
+
+def _line(words: list[str]) -> str:
+    return " ".join(shlex.quote(w) for w in words) + "\n"
+
+
+@st.composite
+def rsp_builds(draw):
+    """(command words, response files by name): each argument stays on the
+    command line, moves to outer.rsp or moves to inner.rsp inside outer.rsp."""
+    args = draw(st.permutations(draw(st.lists(st.sampled_from(_GNU_ARGS), max_size=10))
+                                + ["-c a.c"]))
+    command, files = [], {"outer.rsp": [], "inner.rsp": []}
+    for arg in args:
+        place = draw(st.sampled_from(["command", "outer.rsp", "inner.rsp"]))
+        if place == "command":
+            command += _words(arg)
+            continue
+        if "@outer.rsp" not in command:
+            command.append("@outer.rsp")
+        if place == "inner.rsp" and "@inner.rsp" not in files["outer.rsp"]:
+            files["outer.rsp"].append("@inner.rsp")
+        files[place] += _words(arg)
+    return command, files
+
+
+def _query_effective(store: str, build_id: str, subject: str) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert run(["--store", store, "query", "effective", "--build", build_id,
+                    "--subject", subject]) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(rsp_builds())
+def test_response_file_builds_read_back(build):
+    """A build that used @file reads back, with the flags of the inlined command."""
+    command, files = build
+
+    def inline(words):
+        return [x for w in words for x in (inline(files[w[1:]]) if w[0] == "@" else [w])]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, words in files.items():
+            (root / name).write_text(_line(words))
+        (root / "rsp.log").write_text("gcc " + _line(command))
+        (root / "flat.log").write_text("gcc " + _line(inline(command)))
+        store = str(root / "store")
+        with redirect_stdout(io.StringIO()):
+            for bid in ("rsp", "flat"):
+                assert run(["--store", store, "ingest", str(root / f"{bid}.log"),
+                            "--label", "dev", "--build-id", bid]) == 0
+        subject = str(root / "a.c")
+        assert _query_effective(store, "rsp", subject) == _query_effective(store, "flat", subject)
+        for entry in Store(store).list_builds():
+            written = (Path(store) / entry.relpath).read_bytes()
+            assert Store(store).get(entry.build_id).serialize() == written
