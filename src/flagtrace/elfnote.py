@@ -236,6 +236,7 @@ def stamp(elf_path: str, payload: NotePayload) -> None:
 
         ehdr = list(elf.ehdr)
         ehdr[6] = shoff  # e_shoff
+        ehdr[11] = _SHDR.size  # e_shentsize: the table is rewritten with 64-byte entries
         ehdr[12] = len(shdrs)  # e_shnum
         _EHDR.pack_into(out, 0, *ehdr)
 

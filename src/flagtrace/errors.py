@@ -63,6 +63,13 @@ class NotFound(FlagtraceError):
         self.build_id = build_id
 
 
+class MalformedIndex(FlagtraceError):
+    def __init__(self, path: str, line: int):
+        super().__init__(f"malformed store index {path} line {line}: expected 5 tab-separated fields")
+        self.path = path
+        self.line = line
+
+
 class CorruptSnapshot(FlagtraceError):
     def __init__(self, expected: str, actual: str, reason: str = "snapshot hash mismatch"):
         super().__init__(f"{reason}: expected {expected}, got {actual}")

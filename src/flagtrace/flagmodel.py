@@ -9,13 +9,20 @@ into the state the compiler actually acts on.
 The vocabulary is a versioned data table (data/flag_vocabulary.tsv),
 not code; anything the table does not know degrades to an opaque entry
 rather than failing — completeness over hundreds of flags is impossible.
+
+Classification looks every spelling up in per-family dicts. A
+token's entry depends only on its family and text, except for a
+separated argument flag (-D FOO), so `classify_all` builds the entry
+for a command-line spelling once and reuses it for every later copy of
+that spelling. Its memo is a plain dict that the caller scopes to one
+snapshot; it is freed with that snapshot.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from importlib import resources
+from json.encoder import encode_basestring
 
 from .cmdline import Dialect, Family, Origin, Token, COMMAND_LINE
 
@@ -61,9 +68,9 @@ class _VocabRow:
     value_from: str
 
 
-def _load_vocabulary() -> tuple[dict, list]:
+def _load_vocabulary() -> tuple[dict, dict]:
     exact: dict[tuple[Family, str], _VocabRow] = {}
-    prefixes: list[_VocabRow] = []
+    prefixes: dict[Family, list[_VocabRow]] = {family: [] for family in Family}
     text = resources.files("flagtrace.data").joinpath("flag_vocabulary.tsv").read_text("utf-8")
     for line in text.splitlines():
         line = line.strip()
@@ -72,7 +79,7 @@ def _load_vocabulary() -> tuple[dict, list]:
         pattern, dialect, key, group, polarity, value_from = line.split("\t")
         row = _VocabRow(pattern, Family(dialect), key, group, polarity, value_from)
         if pattern.endswith("*"):
-            prefixes.append(row)
+            prefixes[row.dialect].append(row)
         else:
             exact[(row.dialect, pattern)] = row
     return exact, prefixes
@@ -80,11 +87,20 @@ def _load_vocabulary() -> tuple[dict, list]:
 
 _EXACT, _PREFIXES = _load_vocabulary()
 
-# Flags taking their argument either attached or as the next token.
-_GNU_ARG_FLAGS = {"-D": "macro_define", "-U": "macro_undef", "-I": "include_dir",
-                  "-isystem": "include_dir", "-l": "link_lib", "-o": "output"}
-_MSVC_ARG_FLAGS = {"/D": "macro_define", "/U": "macro_undef", "/I": "include_dir",
-                   "/Fo": "output", "/Fe": "output", "/OUT:": "output"}
+# Flags taking their argument attached, or (unless spelled with a
+# trailing ':') as the next token. Within a family no prefix here, or in
+# _PREFIXES, is a prefix of another, so the first match is the only one.
+_ARG_FLAGS = {
+    Family.GNU_LIKE: {"-D": "macro_define", "-U": "macro_undef", "-I": "include_dir",
+                      "-isystem": "include_dir", "-l": "link_lib", "-o": "output"},
+    Family.MSVC: {"/D": "macro_define", "/U": "macro_undef", "/I": "include_dir",
+                  "/Fo": "output", "/Fe": "output", "/OUT:": "output"},
+}
+_SEPARATED_ARG_FLAGS = {
+    family: {p: key for p, key in flags.items() if not p.endswith(":")}
+    for family, flags in _ARG_FLAGS.items()
+}
+_ARG_PREFIX_LENGTHS = {family: sorted({len(p) for p in flags}) for family, flags in _ARG_FLAGS.items()}
 _ARG_KEY_GROUPS = {"output": "output"}
 
 
@@ -117,34 +133,39 @@ def classify(token: Token, dialect: Dialect, next_token: Token | None = None) ->
     Unknown tokens never fail; they degrade to key=opaque.
     """
     text = token.text
+    family = dialect.family
     lookup = text
-    if dialect.family is Family.MSVC and text.startswith("-") and len(text) > 1:
+    if family is Family.MSVC and text.startswith("-") and len(text) > 1:
         # MSVC accepts '-' for '/'; canonicalize for matching only.
         lookup = "/" + text[1:]
 
-    arg_flags = _MSVC_ARG_FLAGS if dialect.family is Family.MSVC else _GNU_ARG_FLAGS
-    for prefix, key in arg_flags.items():
-        if lookup == prefix.rstrip(":") and not prefix.endswith(":"):
-            if next_token is not None:
-                return (
-                    FlagEntry(key, next_token.text, VALUED, f"{text} {next_token.text}",
-                              token.origin, _ARG_KEY_GROUPS.get(key)),
-                    True,
-                )
-            return FlagEntry("opaque", None, VALUED, text, token.origin), False
-        if lookup.startswith(prefix) and len(lookup) > len(prefix):
-            return FlagEntry(key, lookup[len(prefix):], VALUED, text, token.origin,
+    key = _SEPARATED_ARG_FLAGS[family].get(lookup)
+    if key is not None:
+        if next_token is not None:
+            return (
+                FlagEntry(key, next_token.text, VALUED, f"{text} {next_token.text}",
+                          token.origin, _ARG_KEY_GROUPS.get(key)),
+                True,
+            )
+        return FlagEntry("opaque", None, VALUED, text, token.origin), False
+    arg_flags = _ARG_FLAGS[family]
+    for n in _ARG_PREFIX_LENGTHS[family]:
+        if len(lookup) <= n:
+            break
+        key = arg_flags.get(lookup[:n])
+        if key is not None:
+            return FlagEntry(key, lookup[n:], VALUED, text, token.origin,
                              _ARG_KEY_GROUPS.get(key)), False
 
-    row = _EXACT.get((dialect.family, lookup))
+    row = _EXACT.get((family, lookup))
     if row is not None:
         return _from_row(row, token), False
-    for row in _PREFIXES:
-        if row.dialect is dialect.family and lookup.startswith(row.pattern[:-1]):
+    for row in _PREFIXES[family]:
+        if lookup.startswith(row.pattern[:-1]):
             return _from_row(row, token), False
 
     if (
-        dialect.family is Family.GNU_LIKE
+        family is Family.GNU_LIKE
         and text.startswith("-W")
         and len(text) > 2
         and not text.startswith(("-Wl,", "-Wa,", "-Wp,"))
@@ -159,7 +180,7 @@ def classify(token: Token, dialect: Dialect, next_token: Token | None = None) ->
 
     # On GNU-likes only '-' marks a flag; a leading '/' is an absolute path.
     is_flag_like = text.startswith("-") or (
-        dialect.family is Family.MSVC and text.startswith("/")
+        family is Family.MSVC and text.startswith("/")
     )
     if not is_flag_like:
         ext = _ext_of(text)
@@ -173,14 +194,37 @@ def classify(token: Token, dialect: Dialect, next_token: Token | None = None) ->
     return FlagEntry("opaque", None, VALUED, text, token.origin), False
 
 
-def classify_all(tokens: list[Token], dialect: Dialect) -> list[FlagEntry]:
+def classify_all(tokens: list[Token], dialect: Dialect, memo: dict | None = None) -> list[FlagEntry]:
+    """Classify a token stream; equal to calling `classify` on each token in turn.
+
+    `memo` maps a family to the entries built so far for command-line
+    tokens, by spelling; pass one dict for all commands of a snapshot.
+    Response-file tokens carry their own origin and are never memoized.
+    """
+    seen = (memo if memo is not None else {}).setdefault(dialect.family, {})
     entries = []
+    n = len(tokens)
     i = 0
-    while i < len(tokens):
-        nxt = tokens[i + 1] if i + 1 < len(tokens) else None
-        entry, consumed = classify(tokens[i], dialect, nxt)
+    while i < n:
+        token = tokens[i]
+        shared = token.origin is COMMAND_LINE
+        if shared:
+            entry = seen.get(token.text)
+            if entry is not None:
+                entries.append(entry)
+                i += 1
+                continue
+        nxt = tokens[i + 1] if i + 1 < n else None
+        entry, consumed = classify(token, dialect, nxt)
         entries.append(entry)
-        i += 2 if consumed else 1
+        if consumed:
+            i += 2
+            continue
+        # A separated argument flag consumes a present next token, so an
+        # entry built with one present depends on the spelling alone.
+        if shared and nxt is not None:
+            seen[token.text] = entry
+        i += 1
     return entries
 
 
@@ -253,8 +297,8 @@ def resolve(entries: list[FlagEntry]) -> EffectiveFlagSet:
     return EffectiveFlagSet().extend(entries)
 
 
-def _line(*parts) -> str:
-    return json.dumps(list(parts), ensure_ascii=False, separators=(",", ":"))
+def _opt(value: str | None) -> str:
+    return "null" if value is None else encode_basestring(value)
 
 
 def canonical_serialize(fset: EffectiveFlagSet) -> bytes:
@@ -262,20 +306,26 @@ def canonical_serialize(fset: EffectiveFlagSet) -> bytes:
 
     Scalar groups are sorted by group id; order-significant fields keep
     their order. Equal values produce identical bytes and vice versa.
+    Each line is the compact JSON array that `json.dumps(...,
+    ensure_ascii=False, separators=(",", ":"))` would write, built with
+    the same string escaper.
     """
-    lines = [_line("flagset", 1)]
+    q = encode_basestring
+    lines = ['["flagset",1]']
     for gid in sorted(fset.scalar_groups):
         e = fset.scalar_groups[gid]
-        lines.append(_line("group", gid, e.key, e.polarity, e.value, e.spelling))
+        lines.append(f'["group",{q(gid)},{q(e.key)},{q(e.polarity)},{_opt(e.value)},{q(e.spelling)}]')
     for name in sorted(fset.defines):
         e = fset.defines[name]
-        lines.append(_line("define", name, e.value, e.spelling))
+        lines.append(f'["define",{q(name)},{_opt(e.value)},{q(e.spelling)}]')
     for e in fset.include_dirs:
-        lines.append(_line("include", e.value, e.spelling))
+        lines.append(f'["include",{_opt(e.value)},{q(e.spelling)}]')
     for e in fset.link_inputs:
-        lines.append(_line("link", "obj" if e.key == "link_obj" else "lib", e.value, e.spelling))
+        kind = "obj" if e.key == "link_obj" else "lib"
+        lines.append(f'["link","{kind}",{_opt(e.value)},{q(e.spelling)}]')
     for e in fset.sources:
-        lines.append(_line("source", e.value))
+        lines.append(f'["source",{_opt(e.value)}]')
     for e in fset.opaque:
-        lines.append(_line("opaque", e.spelling))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+        lines.append(f'["opaque",{q(e.spelling)}]')
+    lines.append("")
+    return "\n".join(lines).encode("utf-8")

@@ -67,6 +67,15 @@ def logical_lines(text: str):
         yield start, pending.rstrip()
 
 
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _non_string_field(record: dict, names: tuple[str, ...]) -> str | None:
+    """The first of `names` present in `record` whose value is not a string."""
+    return next((n for n in names if n in record and not isinstance(record[n], str)), None)
+
+
 def parse_raw_log(path: str) -> list[RawInvocation]:
     """Extract compiler/linker invocations from a plain-text build log.
 
@@ -102,7 +111,11 @@ def parse_raw_log(path: str) -> list[RawInvocation]:
 
 
 def parse_compilation_db(path: str) -> list[RawInvocation]:
-    """Read a JSON compilation database (command or arguments form)."""
+    """Read a JSON compilation database (command or arguments form).
+
+    directory, file and command must be strings and arguments a
+    non-empty array of strings; any other entry is malformed.
+    """
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         try:
             entries = json.load(fh)
@@ -114,9 +127,14 @@ def parse_compilation_db(path: str) -> list[RawInvocation]:
     for idx, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise MalformedDb("entry is not an object", idx)
+        bad = _non_string_field(entry, ("directory", "file", "command"))
+        if bad is not None:
+            raise MalformedDb(f"{bad} is not a string", idx)
         directory = entry.get("directory", "")
         if "arguments" in entry:
             argv = entry["arguments"]
+            if not _is_str_list(argv):
+                raise MalformedDb("arguments is not an array of strings", idx)
             if not argv:
                 raise MalformedDb("empty arguments array", idx)
             program = argv[0]
@@ -150,7 +168,9 @@ def parse_wrapper_spool(dirpath: str) -> list[RawInvocation]:
     """Read a directory of line-delimited wrapper interception records.
 
     Each record: {"v": 1, "argv": [...], "cwd": str, "ts": RFC3339, "tool": str};
-    a record without "v" equal to SPOOL_SCHEMA_VERSION is malformed.
+    a record without "v" equal to SPOOL_SCHEMA_VERSION, with an argv that
+    is not a non-empty array of strings, or with a cwd, ts or tool that is
+    not a string is malformed.
     Output is ordered by (ts, filename); argv is taken verbatim.
     """
     keyed: list[tuple[tuple, RawInvocation]] = []
@@ -173,6 +193,11 @@ def parse_wrapper_spool(dirpath: str) -> list[RawInvocation]:
                 if type(version) is not int or version != SPOOL_SCHEMA_VERSION:
                     raise MalformedRecord(fpath, lineno, f"unsupported version {version!r}")
                 argv = rec["argv"]
+                if not _is_str_list(argv):
+                    raise MalformedRecord(fpath, lineno, "argv is not an array of strings")
+                bad = _non_string_field(rec, ("cwd", "tool", "ts"))
+                if bad is not None:
+                    raise MalformedRecord(fpath, lineno, f"{bad} is not a string")
                 program = argv[0]
                 inv = RawInvocation(
                     program=program,
@@ -221,10 +246,11 @@ def assemble_snapshot(
     snap = BuildSnapshot(source.build_id, source.label, created)
     seen_outputs: dict[str, str] = {}
     pending_targets: list[tuple[RawInvocation, flagmodel.EffectiveFlagSet]] = []
+    memo: dict = {}  # classify_all memo, shared by this snapshot's invocations
 
     for inv in invocations:
         tokens = expand_response_files(list(inv.tokens), inv.cwd, inv.dialect)
-        entries = flagmodel.classify_all(tokens, inv.dialect)
+        entries = flagmodel.classify_all(tokens, inv.dialect, memo)
         effective = flagmodel.resolve(entries)
         inv = replace(inv, tokens=tuple(tokens))
         is_compiler = inv.dialect.tool_kind is ToolKind.COMPILER

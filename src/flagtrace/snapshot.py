@@ -11,7 +11,7 @@ content hash, SHA-256 over the record lines it writes.
 On load the hash is checked over the record lines as stored, without
 re-serializing them. Effective flag sets are stored denormalized for
 query speed and still revalidated on load by re-resolving the stored
-tokens.
+tokens; the records of one snapshot share one classification memo.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from .errors import CorruptSnapshot
 SNAPSHOT_VERSION = 1
 
 
-def _canon(obj) -> str:
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+_canon = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode
 
 
 @dataclass
@@ -78,10 +77,13 @@ def _encode_record(rec: Record) -> str:
     return _canon(d)
 
 
-def _decode_record(cls: type[Record], d: dict) -> Record:
-    """Rebuild a record, re-resolving its invocation to check the stored effective set."""
+def _decode_record(cls: type[Record], d: dict, memo: dict) -> Record:
+    """Rebuild a record, re-resolving its invocation to check the stored effective set.
+
+    `memo` is the snapshot's `classify_all` memo.
+    """
     inv = RawInvocation.from_dict(d["invocation"])
-    eff = flagmodel.resolve(flagmodel.classify_all(list(inv.tokens), inv.dialect))
+    eff = flagmodel.resolve(flagmodel.classify_all(list(inv.tokens), inv.dialect, memo))
     stored = d["effective"].encode("utf-8")
     actual = flagmodel.canonical_serialize(eff)
     if stored != actual:
@@ -137,6 +139,7 @@ class BuildSnapshot:
         """
         lines = data.removesuffix(b"\n").split(b"\n")
         h = hashlib.sha256()
+        memo: dict = {}
         lineno = 1
         try:
             header = json.loads(lines[0].decode("utf-8"))
@@ -150,7 +153,7 @@ class BuildSnapshot:
                     continue
                 h.update(line)
                 h.update(b"\n")
-                rec = _decode_record(_RECORD_TYPES[kind], d)
+                rec = _decode_record(_RECORD_TYPES[kind], d, memo)
                 (snap.tus if kind == "tu" else snap.targets).append(rec)
         except (AttributeError, LookupError, TypeError, ValueError) as exc:
             raise CorruptSnapshot("a snapshot line", f"{type(exc).__name__}: {exc}",

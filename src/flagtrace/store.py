@@ -6,6 +6,8 @@ Layout (frozen, version-headed):
     <root>/index.tsv            tab-separated: build_id label created hash relpath
     <root>/snapshots/<name>.fts line-delimited canonical snapshot file
 
+The directories and VERSION are created by the first put; reading a
+store that does not exist finds no builds and creates nothing.
 Snapshots are immutable once written: there is no delete or compact
 command, and a put never rewrites previously stored bytes. Writes are
 serialized through an advisory lock file; reads take no lock.
@@ -18,7 +20,7 @@ import hashlib
 import os
 from dataclasses import dataclass
 
-from .errors import CorruptSnapshot, DuplicateBuildId, NotFound
+from .errors import CorruptSnapshot, DuplicateBuildId, MalformedIndex, NotFound
 from .snapshot import BuildSnapshot
 
 STORE_VERSION = "flagtrace-store v1"
@@ -42,28 +44,30 @@ class Store:
         self.index_path = os.path.join(root, "index.tsv")
         self.version_path = os.path.join(root, "VERSION")
         self.lock_path = os.path.join(root, ".lock")
-        os.makedirs(self.snap_dir, exist_ok=True)
-        if not os.path.exists(self.version_path):
-            with open(self.version_path, "w", encoding="utf-8") as fh:
-                fh.write(STORE_VERSION + "\n")
 
     def _read_index(self) -> list[IndexEntry]:
         if not os.path.exists(self.index_path):
             return []
         entries = []
         with open(self.index_path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line:
                     continue
-                build_id, label, created, content_hash, relpath = line.split("\t")
-                entries.append(IndexEntry(build_id, label, created, content_hash, relpath))
+                fields = line.split("\t")
+                if len(fields) != 5:
+                    raise MalformedIndex(self.index_path, lineno)
+                entries.append(IndexEntry(*fields))
         return entries
 
     def put(self, snapshot: BuildSnapshot) -> str:
         """Durably write a snapshot, then index it; returns the content hash."""
+        os.makedirs(self.snap_dir, exist_ok=True)
         with open(self.lock_path, "w") as lock:
             fcntl.flock(lock, fcntl.LOCK_EX)
+            if not os.path.exists(self.version_path):
+                with open(self.version_path, "w", encoding="utf-8") as fh:
+                    fh.write(STORE_VERSION + "\n")
             for e in self._read_index():
                 if e.build_id == snapshot.build_id:
                     raise DuplicateBuildId(snapshot.build_id)

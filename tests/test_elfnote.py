@@ -229,3 +229,31 @@ class TestLyingElf:
         open(minimal_elf, "wb").write(data.replace(desc, b"[" + b" " * (len(desc) - 2) + b"]"))
         with pytest.raises(MalformedNote):
             read_stamp(minimal_elf)
+
+
+def _relay_shdrs(path, entsize):
+    """The fixture with its section header table re-laid at the end in `entsize`-byte entries."""
+    data = bytearray(open(build_minimal_elf(path), "rb").read())
+    shoff, = struct.unpack_from("<Q", data, 40)
+    shnum, = struct.unpack_from("<H", data, 60)
+    table = data[shoff:shoff + shnum * 64]
+    new_shoff = (len(data) + 7) & ~7
+    data += b"\x00" * (new_shoff - len(data))
+    for i in range(shnum):
+        data += table[i * 64:(i + 1) * 64] + b"\x00" * (entsize - 64)
+    struct.pack_into("<Q", data, 40, new_shoff)
+    struct.pack_into("<H", data, 58, entsize)
+    path.write_bytes(bytes(data))
+    return str(path)
+
+
+class TestWideSectionHeaders:
+    def test_stamp_rewrites_entry_size(self, tmp_path, capsys):
+        elf = _relay_shdrs(tmp_path / "wide.o", 80)
+        assert read_comment(elf) == ["GCC: (fixture) 13.2.0"]
+        p = payload_for()
+        stamp(elf, p)
+        assert run(["read-stamp", elf]) == 0
+        assert run(["read-stamp", elf, "--comment"]) == 0
+        assert read_stamp(elf) == p
+        assert read_comment(elf) == ["GCC: (fixture) 13.2.0"]

@@ -1,13 +1,17 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from flagtrace.cmdline import Dialect, Family, Token, ToolKind, tokenize
+import canonical_oracle
+from flagtrace.cmdline import COMMAND_LINE, Dialect, Family, Origin, Token, ToolKind, tokenize
 from flagtrace.flagmodel import (
+    _ARG_FLAGS,
+    _PREFIXES,
     NEGATIVE,
     POSITIVE,
     EffectiveFlagSet,
+    FlagEntry,
     canonical_serialize,
     classify,
     classify_all,
@@ -169,3 +173,91 @@ class TestCanonicalSerialize:
             if key in seen:
                 assert seen[key] == r
             seen[key] = r
+
+
+# Text that JSON escapes (quote, backslash, C0 controls) or leaves alone
+# although some line splitters break on it (U+0085, U+2028, U+2029).
+_TRICKY = st.text(st.sampled_from('"\\/\x00\x01\x1f\x7f\u0085\u2028\u2029a é\U0001f600'))
+_TEXT = st.one_of(st.text(), _TRICKY)
+_VALUE = st.one_of(st.none(), _TEXT)
+
+
+@st.composite
+def flag_entries(draw, keys=_TEXT):
+    return FlagEntry(draw(keys), draw(_VALUE), draw(_TEXT), draw(_TEXT))
+
+
+@st.composite
+def flag_sets(draw):
+    small = {"max_size": 4}
+    return EffectiveFlagSet(
+        draw(st.dictionaries(_TEXT, flag_entries(), **small)),
+        draw(st.dictionaries(_TEXT, flag_entries(), **small)),
+        draw(st.lists(flag_entries(), **small)),
+        draw(st.lists(flag_entries(st.sampled_from(["link_obj", "link_lib"])), **small)),
+        draw(st.lists(flag_entries(), **small)),
+        draw(st.lists(flag_entries(), **small)),
+    )
+
+
+class TestCanonicalSerializeOracle:
+    @given(flag_sets())
+    @example(EffectiveFlagSet(
+        {"g\u2028": FlagEntry("k", None, "p\"", "s\\")},
+        {"D\u0085": FlagEntry("macro_define", None, "valued", "-D\x00")},
+        [FlagEntry("include_dir", "\x1f", "valued", "\u2029")],
+        [FlagEntry("link_obj", None, "valued", "o"), FlagEntry("link_lib", "m", "valued", "-lm")],
+        [FlagEntry("source_file", None, "valued", "a.c")],
+        [FlagEntry("opaque", None, "valued", "\x7f\U0001f600")],
+    ))
+    def test_bytes_equal_json_dumps_per_line(self, fset):
+        assert canonical_serialize(fset) == canonical_oracle.canonical_serialize(fset)
+
+
+class TestDictLookups:
+    @pytest.mark.parametrize("family", list(Family))
+    def test_no_prefix_is_a_prefix_of_another(self, family):
+        """First match equals longest match in both prefix tables."""
+        for stems in (list(_ARG_FLAGS[family]), [r.pattern[:-1] for r in _PREFIXES[family]]):
+            for a in stems:
+                for b in stems:
+                    assert a == b or not b.startswith(a), (a, b)
+
+
+GNU_LINK = Dialect(Family.GNU_LIKE, ToolKind.LINKER)
+MSVC_LINK = Dialect(Family.MSVC, ToolKind.LINKER)
+_SPELLINGS = [
+    "-D", "/D", "-DFOO", "/DFOO=1", "FOO", "-U", "-UFOO", "-I", "/I", "-Iinc", "/Iinc", "inc",
+    "-isystem", "-isystem/usr/include", "-o", "-oa.o", "a.o", "/Fo", "/Foa.obj", "/Fe",
+    "/OUT:app.exe", "/OUT:", "-OUT:x", "-O2", "/O2", "-GS", "/GS-", "-std=c11", "/std:c++17",
+    "-std:c++17", "-march=native", "-Wall", "-Wno-unused", "-Wl,-z", "-lm", "-c", "/c",
+    "a.c", "b.cpp", "/abs/x.c", "C:\\s\\y.cxx", "util.lib", "libz.a", "-fPIC", "-",
+]
+_ORIGINS = [COMMAND_LINE, Origin("command-line"),
+            Origin("response-file", "a.rsp", 0), Origin("response-file", "b.rsp", 3)]
+_commands = st.tuples(
+    st.sampled_from([GNU, MSVC, GNU_LINK, MSVC_LINK]),
+    st.lists(st.builds(Token, st.sampled_from(_SPELLINGS), st.sampled_from(_ORIGINS)), max_size=8),
+)
+
+
+class TestClassifyAllMemo:
+    @given(st.lists(_commands, max_size=8))
+    @example([(GNU, [Token("-O2"), Token("-D")]), (GNU, [Token("-D"), Token("FOO"), Token("-c")]),
+              (MSVC, [Token("/D")]), (MSVC, [Token("-D"), Token("X")]), (MSVC, [Token("/D")])])
+    def test_equals_classify_per_token(self, commands):
+        """One memo across a snapshot's commands gives what classify gives.
+
+        FlagEntry equality covers every field, the token's origin included.
+        """
+        memo = {}
+        for dialect, tokens in commands:
+            assert classify_all(tokens, dialect, memo) == canonical_oracle.classify_each(tokens, dialect)
+
+    def test_trailing_separated_flag_then_with_argument(self):
+        memo = {}
+        first = classify_all([Token("-O2"), Token("-D")], GNU, memo)
+        later = classify_all([Token("-D"), Token("FOO"), Token("-O2")], GNU, memo)
+        assert first[1].key == "opaque"
+        assert later[0].key == "macro_define" and later[0].value == "FOO"
+        assert later[1] is first[0]

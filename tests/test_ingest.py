@@ -80,6 +80,21 @@ class TestParseCompilationDb:
             parse_compilation_db(str(db))
         assert exc.value.index == 0
 
+    @pytest.mark.parametrize("field, value", [
+        ("directory", 5), ("directory", None), ("file", ["a.c"]), ("command", 7),
+        ("arguments", "gcc -c a.c"), ("arguments", [5, "-c", "a.c"]),
+        ("arguments", ["gcc", None]), ("arguments", []), ("arguments", {"gcc": 1}),
+    ])
+    def test_rejects_field_of_wrong_type(self, tmp_path, field, value):
+        entry = {"directory": "/src", "file": "a.c", "arguments": ["gcc", "-c", "a.c"]}
+        entry[field] = value
+        db = tmp_path / "cc.json"
+        db.write_text(json.dumps([{"directory": "/src", "file": "b.c", "command": "gcc -c b.c"},
+                                  entry]))
+        with pytest.raises(MalformedDb) as exc:
+            parse_compilation_db(str(db))
+        assert exc.value.index == 1
+
 
 class TestParseWrapperSpool:
     def test_single_record(self, tmp_path):
@@ -128,6 +143,22 @@ class TestParseWrapperSpool:
         (spool / "rec.jsonl").write_text(json.dumps(rec) + "\n")
         with pytest.raises(MalformedRecord, match="unsupported version"):
             parse_wrapper_spool(str(spool))
+
+    @pytest.mark.parametrize("field, value", [
+        ("argv", "gcc -c a.c"), ("argv", [5, "-c", "a.c"]), ("argv", ["gcc", None]),
+        ("argv", {"gcc": 1}), ("cwd", 5), ("cwd", None), ("tool", 1), ("tool", None),
+        ("ts", 20260101), ("ts", ["2026"]),
+    ])
+    def test_rejects_field_of_wrong_type(self, tmp_path, field, value):
+        rec = {"v": 1, "argv": ["gcc", "-c", "a.c"], "cwd": "/s",
+               "ts": "2026-01-01T00:00:00Z", "tool": "gcc"}
+        rec[field] = value
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        (spool / "rec.jsonl").write_text(json.dumps(rec) + "\n")
+        with pytest.raises(MalformedRecord) as exc:
+            parse_wrapper_spool(str(spool))
+        assert exc.value.line == 1
 
 
 def log_snapshot(tmp_path, text, build_id="b1", label="dev", created="2026-01-01T00:00:00Z"):

@@ -28,6 +28,7 @@ def install_fixture(root) -> Store:
     """A store whose only build is the fixture, indexed the way put() does."""
     store = Store(str(root))
     data = FIXTURE.read_bytes()
+    Path(store.snap_dir).mkdir(parents=True)  # Store() creates nothing; put() would
     (Path(store.snap_dir) / "fixture.fts").write_bytes(data)
     snap = BuildSnapshot.deserialize(data)
     Path(store.index_path).write_text("\t".join(

@@ -1,10 +1,12 @@
 import hashlib
+import json
 import os
 from pathlib import Path
 
 import pytest
 
-from flagtrace.errors import CorruptSnapshot, DuplicateBuildId, NotFound
+from flagtrace.cli import run
+from flagtrace.errors import CorruptSnapshot, DuplicateBuildId, MalformedIndex, NotFound
 from flagtrace.store import ABSENT, Store
 from tests.test_ingest import log_snapshot
 
@@ -94,3 +96,41 @@ class TestHistory:
             store.put(log_snapshot(tmp_path, "gcc -c a.c\n", f"n{i}", "lbl",
                                    f"2026-01-0{i+1}T00:00:00Z"))
         assert len(store.history("lbl")) == 5
+
+
+class TestMissingStore:
+    @pytest.mark.parametrize("argv, code", [
+        (["diff", "a", "b"], 3),
+        (["history", "ci", "--key", "opt_level"], 0),
+        (["query", "effective", "--build", "a", "--subject", "a.c"], 3),
+    ], ids=["diff", "history", "query-effective"])
+    def test_read_commands_create_nothing(self, tmp_path, capsys, argv, code):
+        root = tmp_path / "typo"
+        assert run(["--store", str(root), "--format", "json", *argv]) == code
+        out = capsys.readouterr()
+        if code == 3:
+            assert "no snapshot with build id: a" in out.err
+        else:
+            assert json.loads(out.out) == []
+        assert not root.exists()
+
+    def test_first_put_creates_layout(self, tmp_path):
+        root = tmp_path / "new"
+        Store(str(root)).put(log_snapshot(tmp_path, "gcc -c a.c\n"))
+        assert (root / "VERSION").read_text() == "flagtrace-store v1\n"
+        assert len(list((root / "snapshots").glob("*.fts"))) == 1
+
+
+class TestIndex:
+    @pytest.mark.parametrize("tail", ["b2\tci", "b2\tci\t2026\th\tsnapshots/x.fts\textra"],
+                             ids=["torn", "six-fields"])
+    def test_malformed_line_is_typed(self, tmp_path, capsys, tail):
+        root = tmp_path / "store"
+        Store(str(root)).put(log_snapshot(tmp_path, "gcc -c a.c\n", "b1", "ci"))
+        with open(root / "index.tsv", "a", encoding="utf-8") as fh:
+            fh.write(tail)
+        with pytest.raises(MalformedIndex) as exc:
+            Store(str(root)).get("b1")
+        assert exc.value.line == 2
+        assert run(["--store", str(root), "history", "ci"]) == 3
+        assert "index.tsv line 2" in capsys.readouterr().err
