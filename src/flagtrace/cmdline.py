@@ -104,25 +104,6 @@ class RawInvocation:
     source: str  # provenance tag: "log:<path>:<line>", "compdb:<path>#<i>", "spool:<file>:<line>"
     dialect: Dialect
 
-    def to_dict(self) -> dict:
-        return {
-            "program": self.program,
-            "tokens": [t.to_dict() for t in self.tokens],
-            "cwd": self.cwd,
-            "source": self.source,
-            "dialect": self.dialect.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RawInvocation":
-        return cls(
-            d["program"],
-            tuple(Token.from_dict(t) for t in d["tokens"]),
-            d["cwd"],
-            d["source"],
-            Dialect.from_dict(d["dialect"]),
-        )
-
 
 _GNU_COMPILERS = {"cc", "gcc", "g++", "c++", "clang", "clang++"}
 _MSVC_TOOLS = {"cl": ToolKind.COMPILER, "link": ToolKind.LINKER, "lib": ToolKind.ARCHIVER}

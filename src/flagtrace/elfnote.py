@@ -156,7 +156,7 @@ def read_stamp(elf_path: str) -> NotePayload | None:
         raise MalformedNote(shdr[4], "unexpected note name or type")
     try:
         return NotePayload.from_bytes(desc)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise MalformedNote(shdr[4], str(exc)) from None
 
 

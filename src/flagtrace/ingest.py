@@ -119,7 +119,7 @@ def parse_compilation_db(path: str) -> list[RawInvocation]:
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         try:
             entries = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise MalformedDb(str(exc)) from None
     if not isinstance(entries, list):
         raise MalformedDb("top-level value is not an array")
@@ -185,7 +185,7 @@ def parse_wrapper_spool(dirpath: str) -> list[RawInvocation]:
                     continue
                 try:
                     rec = json.loads(line)
-                except json.JSONDecodeError:
+                except (json.JSONDecodeError, RecursionError):
                     raise MalformedRecord(fpath, lineno, "invalid JSON") from None
                 if not isinstance(rec, dict) or "argv" not in rec or not rec["argv"]:
                     raise MalformedRecord(fpath, lineno, "missing argv")

@@ -230,6 +230,15 @@ class TestLyingElf:
         with pytest.raises(MalformedNote):
             read_stamp(minimal_elf)
 
+    def test_deeply_nested_payload_exit_3(self, minimal_elf, capsys):
+        class DeepPayload:
+            def to_bytes(self):
+                return b"[" * 100_000 + b"]" * 100_000
+
+        stamp(minimal_elf, DeepPayload())
+        assert run(["read-stamp", minimal_elf]) == 3
+        assert "malformed note" in capsys.readouterr().err
+
 
 def _relay_shdrs(path, entsize):
     """The fixture with its section header table re-laid at the end in `entsize`-byte entries."""

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from flagtrace.cli import run
 from flagtrace.cmdline import Family
 from flagtrace.errors import DuplicateOutput, MalformedDb, MalformedRecord
 from flagtrace.ingest import (
@@ -15,8 +16,17 @@ from flagtrace.ingest import (
 )
 
 
+# JSON nested past any interpreter's recursion limit.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
 def src_for(kind, path, build_id="b1", label="dev"):
     return EvidenceSource(kind, str(path), label, build_id)
+
+
+def ingest_exit(tmp_path, evidence, kind):
+    return run(["--store", str(tmp_path / "store"), "ingest", str(evidence), "--kind", kind,
+                "--label", "dev", "--build-id", "b1"])
 
 
 class TestParseRawLog:
@@ -95,6 +105,12 @@ class TestParseCompilationDb:
             parse_compilation_db(str(db))
         assert exc.value.index == 1
 
+    def test_deep_nesting_exit_3(self, tmp_path, capsys):
+        db = tmp_path / "cc.json"
+        db.write_text(DEEP_JSON)
+        assert ingest_exit(tmp_path, db, "compdb") == 3
+        assert "malformed compilation database" in capsys.readouterr().err
+
 
 class TestParseWrapperSpool:
     def test_single_record(self, tmp_path):
@@ -159,6 +175,13 @@ class TestParseWrapperSpool:
         with pytest.raises(MalformedRecord) as exc:
             parse_wrapper_spool(str(spool))
         assert exc.value.line == 1
+
+    def test_deep_nesting_exit_3(self, tmp_path, capsys):
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        (spool / "rec.jsonl").write_text(DEEP_JSON + "\n")
+        assert ingest_exit(tmp_path, spool, "spool") == 3
+        assert "malformed wrapper record" in capsys.readouterr().err
 
 
 def log_snapshot(tmp_path, text, build_id="b1", label="dev", created="2026-01-01T00:00:00Z"):

@@ -11,23 +11,27 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from flagtrace import flagmodel
 from flagtrace.cli import run
-from flagtrace.cmdline import RawInvocation, Token, detect_dialect
+from flagtrace.cmdline import COMMAND_LINE, Origin, RawInvocation, Token, detect_dialect
 from flagtrace.errors import CorruptSnapshot
 from flagtrace.ingest import EvidenceKind, EvidenceSource, assemble_snapshot
-from flagtrace.snapshot import BuildSnapshot
+from flagtrace.snapshot import BuildSnapshot, TranslationUnitRecord
 from flagtrace.store import Store
-from tests.test_ingest import log_snapshot
+from tests.test_ingest import DEEP_JSON, log_snapshot
 
 # One build in the v1 line format: a gcc TU, an MSVC TU whose path is not
 # ASCII, a gcc link target and one skipped `ar` invocation (a diagnostic).
 FIXTURE = Path(__file__).parent / "data" / "snapshot-v1.fts"
+# The same build in the v2 line format, written by the v2 encoder, with one
+# more gcc TU whose tokens mix the command line and a response file.
+FIXTURE_V2 = Path(__file__).parent / "data" / "snapshot-v2.fts"
 
 
-def install_fixture(root) -> Store:
+def install_fixture(root, fixture=FIXTURE) -> Store:
     """A store whose only build is the fixture, indexed the way put() does."""
     store = Store(str(root))
-    data = FIXTURE.read_bytes()
+    data = fixture.read_bytes()
     Path(store.snap_dir).mkdir(parents=True)  # Store() creates nothing; put() would
     (Path(store.snap_dir) / "fixture.fts").write_bytes(data)
     snap = BuildSnapshot.deserialize(data)
@@ -50,6 +54,42 @@ class TestV1Fixture:
         assert snap.targets[0].member_tus == ["/work/proj/src/core.c"]
         assert [d["program"] for d in snap.diagnostics] == ["ar"]
         assert snap.serialize() == FIXTURE.read_bytes()
+
+
+class TestV2Fixture:
+    def test_round_trips_byte_for_byte(self):
+        data = FIXTURE_V2.read_bytes()
+        snap = BuildSnapshot.deserialize(data)
+        assert snap.snapshot_version == 2
+        assert snap.serialize() == data
+
+    def test_store_reads_it(self, tmp_path):
+        snap = install_fixture(tmp_path / "store", FIXTURE_V2).get("fixture-v2")
+        assert [t.source_file for t in snap.tus] == [
+            "/work/proj/src/core.c", "/work/proj/src/util.c", "C:/work/proj/src/naïve_ü.cpp"]
+        assert [t.output for t in snap.targets] == ["/work/proj/build/app"]
+        assert [d["program"] for d in snap.diagnostics] == ["ar"]
+        assert [str(t.origin) for t in snap.tus[1].invocation.tokens[1:5]] == [
+            "command-line", "/work/proj/opts.rsp#0", "/work/proj/opts.rsp#1",
+            "/work/proj/opts.rsp#2"]
+        assert snap.serialize() == FIXTURE_V2.read_bytes()
+
+    def test_command_line_tokens_are_bare_and_shared(self):
+        data = FIXTURE_V2.read_bytes()
+        stored = json.loads(data.split(b"\n")[2])["invocation"]["tokens"]
+        assert stored[:3] == ["-O2", "-g", {"origin": {"index": 0, "kind": "response-file",
+                                                       "path": "/work/proj/opts.rsp"},
+                                            "text": "-g"}]
+        core, util = BuildSnapshot.deserialize(data).tus[:2]
+        assert core.invocation.tokens[0] is util.invocation.tokens[0]  # "-O2"
+        assert util.invocation.tokens[1] is not util.invocation.tokens[2]  # "-g" twice
+
+
+def test_new_snapshots_are_v2(tmp_path):
+    data = log_snapshot(tmp_path, "gcc -O2 -c a.c\n").serialize()
+    header, tu = data.split(b"\n")[:2]
+    assert json.loads(header)["snapshot_version"] == 2
+    assert json.loads(tu)["invocation"]["tokens"] == ["-O2", "-c", "a.c"]
 
 
 def _canon_line(d) -> bytes:
@@ -79,6 +119,66 @@ def test_stored_effective_is_revalidated(tmp_path):
     with pytest.raises(CorruptSnapshot, match="snapshot hash mismatch") as exc:
         store.get("fixture-v1")
     assert exc.value.expected == hashlib.sha256(tu["effective"].encode()).hexdigest()
+
+
+def _rewrite_line(store: Store, n: int, edit) -> None:
+    """Replace line n (0 is the header) of the only stored snapshot, keeping every hash."""
+    snap_file = Path(store.snap_dir) / "fixture.fts"
+    lines = snap_file.read_bytes().split(b"\n")
+    lines[n] = edit(lines[n])
+    snap_file.write_bytes(b"\n".join(lines))
+
+
+def _query_fixture(store: Store) -> int:
+    return run(["--store", store.root, "query", "effective", "--build", "fixture-v1",
+                "--subject", "/work/proj/src/core.c"])
+
+
+def test_unknown_snapshot_version_exit_3(tmp_path, capsys):
+    store = install_fixture(tmp_path / "store")
+    _rewrite_line(store, 0, lambda h: _canon_line({**json.loads(h), "snapshot_version": 3}))
+    assert _query_fixture(store) == 3
+    assert "unsupported snapshot version: expected 1 or 2, got 3" in capsys.readouterr().err
+
+
+def test_deeply_nested_line_exit_3(tmp_path, capsys):
+    store = install_fixture(tmp_path / "store")
+    _rewrite_line(store, 1, lambda _: DEEP_JSON.encode())
+    assert _query_fixture(store) == 3
+    assert "unreadable snapshot line 2" in capsys.readouterr().err
+
+
+_RSP_ORIGINS = st.builds(Origin, st.just("response-file"),
+                         st.sampled_from(["/w/a.rsp", "C:\\w\\b.rsp"]), st.integers(0, 9))
+_TOKENS = st.builds(
+    Token,
+    st.one_of(st.sampled_from(["-O2", "-g", "-D", "-DX=1", "-o", "a.o", "/O2", "/Fo", "@x.rsp"]),
+              st.text(st.characters(blacklist_categories=("Cs",)), min_size=1)),
+    st.one_of(st.just(COMMAND_LINE), _RSP_ORIGINS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["gcc", "cl"]), st.lists(_TOKENS, max_size=12)),
+                min_size=1, max_size=4),
+       st.sampled_from([1, 2]))
+@example([("gcc", [Token("-g"), Token("-g", Origin("response-file", "/w/a.rsp", 0)), Token("-g")]),
+          ("gcc", [Token("-g", Origin("response-file", "/w/a.rsp", 0)), Token("-g")])], 2)
+def test_token_streams_round_trip(streams, version):
+    """Any mix of command-line and response-file tokens reads back at either version."""
+    tus = []
+    for i, (program, tokens) in enumerate(streams):
+        inv = RawInvocation(program, tuple(tokens), "/w", f"log:b.log:{i + 1}",
+                            detect_dialect(program))
+        eff = flagmodel.resolve(flagmodel.classify_all(tokens, inv.dialect))
+        tus.append(TranslationUnitRecord(f"/w/{i}.c", None, inv, eff))
+    data = BuildSnapshot("b1", "dev", "2026-01-01T00:00:00Z", tus,
+                         snapshot_version=version).serialize()
+    back = BuildSnapshot.deserialize(data)
+    assert back.snapshot_version == version
+    assert [r.invocation for r in back.tus] == [r.invocation for r in tus]
+    assert all(t.origin is COMMAND_LINE for r in back.tus for t in r.invocation.tokens
+               if t.origin.kind == "command-line")
+    assert back.serialize() == data
 
 
 @given(st.text(st.characters(blacklist_categories=("Cs",)), min_size=1))
