@@ -66,39 +66,43 @@ def load_config(path: str) -> AuditConfig:
     """Parse the key=value audit config document; unknown rules are rejected."""
     cfg = AuditConfig()
     sev: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            values = tuple(v.strip() for v in value.split(",") if v.strip())
-            if key == "config_version":
-                if value != str(CONFIG_VERSION):
-                    raise ConfigError(f"unsupported config_version {value}")
-            elif key == "rules":
-                for r in values:
-                    if r not in ALL_RULES:
-                        raise ConfigError(f"unknown rule name: {r}")
-                cfg.rules = values
-            elif key == "release_labels":
-                cfg.release_labels = frozenset(values)
-            elif key == "hardening_required":
-                cfg.hardening_required = frozenset(values)
-            elif key == "debug_markers":
-                cfg.debug_markers = frozenset(values)
-            elif key.startswith("severity."):
-                rule = key.split(".", 1)[1]
-                if rule not in ALL_RULES:
-                    raise ConfigError(f"unknown rule name: {rule}")
-                if value not in (ERROR, WARNING, INFO):
-                    raise ConfigError(f"unknown severity: {value}")
-                sev[rule] = value
-            else:
-                raise ConfigError(f"unknown config key: {key}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw_lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    for lineno, raw in enumerate(raw_lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        values = tuple(v.strip() for v in value.split(",") if v.strip())
+        if key == "config_version":
+            if value != str(CONFIG_VERSION):
+                raise ConfigError(f"unsupported config_version {value}")
+        elif key == "rules":
+            for r in values:
+                if r not in ALL_RULES:
+                    raise ConfigError(f"unknown rule name: {r}")
+            cfg.rules = values
+        elif key == "release_labels":
+            cfg.release_labels = frozenset(values)
+        elif key == "hardening_required":
+            cfg.hardening_required = frozenset(values)
+        elif key == "debug_markers":
+            cfg.debug_markers = frozenset(values)
+        elif key.startswith("severity."):
+            rule = key.split(".", 1)[1]
+            if rule not in ALL_RULES:
+                raise ConfigError(f"unknown rule name: {rule}")
+            if value not in (ERROR, WARNING, INFO):
+                raise ConfigError(f"unknown severity: {value}")
+            sev[rule] = value
+        else:
+            raise ConfigError(f"unknown config key: {key}")
     cfg.severity = sev
     return cfg
 

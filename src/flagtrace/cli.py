@@ -1,7 +1,7 @@
 """flagtrace command-line front door.
 
 Subcommands: ingest, diff, history, audit, lint, stamp, read-stamp,
-query. Exit codes: 0 success / no findings, 1 audit errors present,
+query, verify. Exit codes: 0 success / no findings, 1 audit errors present,
 2 usage error, 3 I/O or parse failure, 4 warnings (or diff deltas)
 only. Reports go to stdout, diagnostics to stderr, so CI systems can
 capture machine output cleanly.
@@ -14,16 +14,16 @@ import hashlib
 import json
 import os
 import sys
+from datetime import datetime
 
 from . import audit as audit_mod
 from . import diffengine, elfnote, mklint
 from .errors import FlagtraceError
 from .flagmodel import canonical_serialize
-from .ingest import EvidenceKind, EvidenceSource, assemble_snapshot, parse_evidence
+from .ingest import CREATED_FORMAT, EvidenceKind, EvidenceSource, assemble_snapshot, parse_evidence
 from .store import Store
 
 EXIT_OK = 0
-EXIT_AUDIT_ERROR = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_WARNINGS = 4
@@ -34,6 +34,16 @@ def _index_field(value: str) -> str:
     if any(c in value for c in "\t\r\n"):
         raise argparse.ArgumentTypeError("must not contain a tab, CR or LF")
     return value
+
+
+def _created(value: str) -> str:
+    """A creation time in the form ingest writes itself, YYYY-MM-DDTHH:MM:SSZ."""
+    try:
+        if datetime.strptime(value, CREATED_FORMAT).strftime(CREATED_FORMAT) == value:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("must be a UTC time of the form YYYY-MM-DDTHH:MM:SSZ")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,7 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", choices=[k.value for k in EvidenceKind], default="raw-log")
     sp.add_argument("--label", required=True, type=_index_field)
     sp.add_argument("--build-id", required=True, type=_index_field)
-    sp.add_argument("--created", help="override the RFC3339 creation timestamp")
+    sp.add_argument("--created", type=_created,
+                    help="override the creation time, YYYY-MM-DDTHH:MM:SSZ")
 
     sp = sub.add_parser("diff", help="structured delta between two snapshots")
     sp.add_argument("build_a")
@@ -92,6 +103,10 @@ def _build_parser() -> argparse.ArgumentParser:
     qp.add_argument("--build", required=True)
     qp.add_argument("--group", required=True)
     qp.add_argument("--value", required=True)
+
+    sp = sub.add_parser("verify", help="check stored builds against their hashes and tokens")
+    sp.add_argument("build_ids", nargs="*", metavar="BUILD_ID",
+                    help="builds to check (default: every indexed build)")
     return p
 
 
@@ -248,6 +263,25 @@ def _cmd_query(args) -> int:
     return EXIT_OK
 
 
+def _cmd_verify(args) -> int:
+    results = Store(args.store).verify(args.build_ids)
+    builds, lines = [], []
+    for build_id, error, subjects in results:
+        status = "ok" if error is None and not subjects else "corrupt"
+        builds.append({"build_id": build_id, "status": status, "error": error,
+                       "subjects": subjects})
+        if error is not None:
+            lines.append(f"corrupt  {build_id}: {error}")
+        elif subjects:
+            lines.append(f"corrupt  {build_id}: {len(subjects)} stored effective flag sets "
+                         "differ from their re-resolved tokens")
+            lines.extend(f"  {subject}" for subject in subjects)
+        else:
+            lines.append(f"ok       {build_id}")
+    _emit({"report_version": 1, "builds": builds}, args.format, lines or ["no builds"])
+    return EXIT_IO if any(b["status"] != "ok" for b in builds) else EXIT_OK
+
+
 _COMMANDS = {
     "ingest": _cmd_ingest,
     "diff": _cmd_diff,
@@ -257,6 +291,7 @@ _COMMANDS = {
     "stamp": _cmd_stamp,
     "read-stamp": _cmd_read_stamp,
     "query": _cmd_query,
+    "verify": _cmd_verify,
 }
 
 

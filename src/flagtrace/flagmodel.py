@@ -16,11 +16,16 @@ separated argument flag (-D FOO), so `classify_all` builds the entry
 for a command-line spelling once and reuses it for every later copy of
 that spelling. Its memo is a plain dict that the caller scopes to one
 snapshot; it is freed with that snapshot.
+
+`canonical_deserialize` is the inverse of `canonical_serialize` for a
+set resolved from command-line tokens alone, the one case in which the
+canonical text holds everything the entries do.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import json
+from dataclasses import dataclass, field
 from importlib import resources
 from json.encoder import encode_basestring
 
@@ -329,3 +334,74 @@ def canonical_serialize(fset: EffectiveFlagSet) -> bytes:
         lines.append(f'["opaque",{q(e.spelling)}]')
     lines.append("")
     return "\n".join(lines).encode("utf-8")
+
+
+_LINE_FIELD_TYPES = {str, type(None)}
+
+
+def _entry_of_line(row) -> tuple[str, str | None, FlagEntry]:
+    """(tag, group id or macro name, entry) of a line that `canonical_serialize`
+    wrote for a command-line entry, given the line JSON-decoded."""
+    # Every field is a string, and only a value may be null.
+    if type(row) is list and row and {*map(type, row)} <= _LINE_FIELD_TYPES:
+        tag, n = row[0], len(row)
+        if tag == "group":
+            if n == 6 and None not in (row[1], row[2], row[3], row[5]):
+                _, gid, key, polarity, value, spelling = row
+                return tag, gid, FlagEntry(key, value, polarity, spelling, COMMAND_LINE, gid)
+        elif tag == "define":
+            if n == 4 and row[3] is not None and row[1] == _macro_name(row[2] or ""):
+                return tag, row[1], FlagEntry("macro_define", row[2], VALUED, row[3])
+        elif tag == "include":
+            if n == 3 and row[2] is not None:
+                return tag, None, FlagEntry("include_dir", row[1], VALUED, row[2])
+        elif tag == "link":
+            if n == 4 and row[1] in ("obj", "lib") and row[3] is not None:
+                return tag, None, FlagEntry(f"link_{row[1]}", row[2], VALUED, row[3])
+        elif tag == "source":
+            if n == 2 and row[1] is not None:
+                return tag, None, FlagEntry("source_file", row[1], VALUED, row[1])
+        elif tag == "opaque":
+            if n == 2 and row[1] is not None:
+                return tag, None, FlagEntry("opaque", None, VALUED, row[1])
+    raise ValueError(f"not a canonical flag-set line: {row!r}")
+
+
+def canonical_deserialize(text: str, memo: dict) -> EffectiveFlagSet:
+    """The set that `canonical_serialize` wrote as `text`, every entry from the command line.
+
+    `memo` maps a line to what `_entry_of_line` made of it; pass one
+    dict for all records of a snapshot, so equal lines share one
+    FlagEntry. The lines not in it yet are JSON-decoded in one call.
+    Raises ValueError on text that `canonical_serialize` cannot have
+    written.
+    """
+    lines = text.split("\n")
+    if lines[0] != '["flagset",1]' or lines[-1]:
+        raise ValueError("not a canonical flag set")
+    del lines[0], lines[-1]
+    new = set(lines).difference(memo)
+    if new:
+        new = list(new)
+        batch = "[" + ",".join(new) + "]"
+        rows = json.loads(batch)
+        if len(rows) != len(new):
+            raise ValueError("not a canonical flag set")
+        if not batch.isascii() or "\\u" in batch:
+            # Such text may decode to a lone surrogate, which no UTF-8 text
+            # holds: encoding raises UnicodeEncodeError, a ValueError.
+            json.dumps(rows, ensure_ascii=False).encode("utf-8")
+        for line, row in zip(new, rows):
+            memo[line] = _entry_of_line(row)
+    groups, defines = {}, {}
+    in_order = {"include": [], "link": [], "source": [], "opaque": []}
+    for line in lines:
+        tag, name, e = memo[line]
+        if tag == "group":
+            groups[name] = e
+        elif tag == "define":
+            defines[name] = e
+        else:
+            in_order[tag].append(e)
+    return EffectiveFlagSet(groups, defines, in_order["include"], in_order["link"],
+                            in_order["source"], in_order["opaque"])

@@ -42,6 +42,11 @@ class EvidenceKind(str, Enum):
     WRAPPER_SPOOL = "spool"
 
 
+# The one form of a snapshot's creation time: RFC 3339 in UTC, to the
+# second, so that time order is string order.
+CREATED_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
+
+
 @dataclass(frozen=True)
 class EvidenceSource:
     kind: EvidenceKind
@@ -242,7 +247,7 @@ def assemble_snapshot(
     the ones its effective set was resolved from.
     """
     if created is None:
-        created = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+        created = datetime.now(timezone.utc).strftime(CREATED_FORMAT)
     snap = BuildSnapshot(source.build_id, source.label, created)
     seen_outputs: dict[str, str] = {}
     pending_targets: list[tuple[RawInvocation, flagmodel.EffectiveFlagSet]] = []

@@ -93,12 +93,16 @@ class Store:
         """Load and hash-verify one snapshot; NotFound for unknown ids."""
         for e in self._read_index():
             if e.build_id == build_id:
-                with open(os.path.join(self.root, e.relpath), "rb") as fh:
-                    snap = BuildSnapshot.deserialize(fh.read())
-                if snap.content_hash != e.content_hash:
-                    raise CorruptSnapshot(e.content_hash, snap.content_hash)
-                return snap
+                return self._load(e)
         raise NotFound(build_id)
+
+    def _load(self, e: IndexEntry) -> BuildSnapshot:
+        """Load the snapshot an index entry names, checking it against the entry's hash."""
+        with open(os.path.join(self.root, e.relpath), "rb") as fh:
+            snap = BuildSnapshot.deserialize(fh.read())
+        if snap.content_hash != e.content_hash:
+            raise CorruptSnapshot(e.content_hash, snap.content_hash)
+        return snap
 
     def list_builds(self, label: str | None = None) -> list[IndexEntry]:
         entries = self._read_index()
@@ -117,15 +121,15 @@ class Store:
         group `key` (or ABSENT). Also reports a macro name's definition
         when `key` names no scalar group.
 
-        History queries are a linear scan over stored snapshots; there
-        is no imposed bound on history length.
+        History queries are a linear scan over stored snapshots, after
+        one read of the index; there is no imposed bound on history length.
         """
         out = []
         for e in self.list_builds(label):
             summary: dict[str, str] = {}
             if flag_query is not None:
                 scope, key = flag_query
-                for subject, rec in self.get(e.build_id).by_subject(scope).items():
+                for subject, rec in self._load(e).by_subject(scope).items():
                     winner = rec.effective.group_value(key)
                     if winner is not None:
                         summary[subject] = winner.value if winner.value is not None else winner.spelling
@@ -134,4 +138,30 @@ class Store:
                     else:
                         summary[subject] = ABSENT
             out.append((e.build_id, e.created, summary))
+        return out
+
+    def verify(self, build_ids: list[str] | None = None) -> list[tuple[str, str | None, list[str]]]:
+        """Load each named build (default: every indexed build) and re-resolve its records.
+
+        Returns (build_id, error, drifted subjects) per build, in the
+        order given or else created order: error is why the build could
+        not be loaded, else None; drifted subjects are those whose stored
+        effective set differs from what their tokens resolve to now.
+        Raises NotFound for an unknown id before loading anything.
+        """
+        entries = self.list_builds()
+        if build_ids:
+            by_id = {e.build_id: e for e in entries}
+            for build_id in build_ids:
+                if build_id not in by_id:
+                    raise NotFound(build_id)
+            entries = [by_id[b] for b in build_ids]
+        out = []
+        for e in entries:
+            try:
+                snap = self._load(e)
+            except (CorruptSnapshot, OSError) as exc:
+                out.append((e.build_id, str(exc), []))
+                continue
+            out.append((e.build_id, None, [r.subject for r in snap.drifted()]))
         return out

@@ -10,6 +10,7 @@ from flagtrace.audit import (
     load_config,
     run_audit,
 )
+from flagtrace.cli import run
 from flagtrace.errors import ConfigError
 from tests.test_ingest import log_snapshot
 
@@ -219,3 +220,11 @@ class TestConfig:
         cfg.write_text("frobnicate = yes\n")
         with pytest.raises(ConfigError):
             load_config(str(cfg))
+
+    def test_non_utf8_file_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "audit.conf"
+        cfg.write_bytes(b"\xff\xferules = R1\n")
+        with pytest.raises(ConfigError, match="not UTF-8"):
+            load_config(str(cfg))
+        assert run(["--config", str(cfg), "audit", "b1"]) == 3
+        assert "not UTF-8" in capsys.readouterr().err

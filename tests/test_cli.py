@@ -178,6 +178,20 @@ class TestUsage:
         assert "must not contain a tab, CR or LF" in capsys.readouterr().err
         assert not store.exists()
 
+    @pytest.mark.parametrize("created", [
+        "2026\tbad", "zzz", "", "2026-01-01", "2026-01-01T00:00:00", "2026-01-01T00:00:00+00:00",
+        "2026-1-01T00:00:00Z", "2026-13-01T00:00:00Z", "2026-01-01T24:00:00Z",
+        "\uff12026-01-01T00:00:00Z", " 2026-01-01T00:00:00Z",
+    ])
+    def test_created_other_than_ingest_form_exit_2(self, tmp_path, capsys, created):
+        log = tmp_path / "b.log"
+        log.write_text("gcc -c a.c\n")
+        store = tmp_path / "store"
+        assert run(["--store", str(store), "ingest", str(log), "--label", "rel",
+                    "--build-id", "b1", f"--created={created}"]) == 2
+        assert "YYYY-MM-DDTHH:MM:SSZ" in capsys.readouterr().err
+        assert not store.exists()
+
     def test_only_ingest_writes(self, seeded_store, tmp_path):
         import hashlib
         from pathlib import Path
@@ -195,3 +209,35 @@ class TestUsage:
         run(["--store", seeded_store, "history", "official"])
         run(["--store", seeded_store, "query", "builds"])
         assert digest() == before
+
+
+class TestVerify:
+    def test_clean_store_exit_0(self, seeded_store, capsys):
+        assert run(["--store", seeded_store, "--format", "json", "verify"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"report_version": 1, "builds": [
+            {"build_id": "official-1", "status": "ok", "error": None, "subjects": []},
+            {"build_id": "dev-1", "status": "ok", "error": None, "subjects": []},
+        ]}
+        assert run(["--store", seeded_store, "verify", "dev-1"]) == 0
+        assert capsys.readouterr().out == "ok       dev-1\n"
+
+    def test_empty_store_exit_0(self, tmp_path, capsys):
+        assert run(["--store", str(tmp_path / "none"), "verify"]) == 0
+        assert capsys.readouterr().out == "no builds\n"
+
+    def test_unknown_build_exit_3(self, seeded_store, capsys):
+        assert run(["--store", seeded_store, "verify", "dev-1", "ghost"]) == 3
+        assert "no snapshot with build id: ghost" in capsys.readouterr().err
+
+    def test_unreadable_build_is_corrupt_and_the_rest_still_checked(self, seeded_store, capsys):
+        from pathlib import Path
+        from flagtrace.store import Store
+
+        entry = Store(seeded_store).list_builds("official")[0]
+        snap_file = Path(seeded_store) / entry.relpath
+        snap_file.write_bytes(snap_file.read_bytes().replace(b"-O2", b"-O0", 1))
+        assert run(["--store", seeded_store, "--format", "json", "verify"]) == 3
+        official, dev = json.loads(capsys.readouterr().out)["builds"]
+        assert official["status"] == "corrupt" and "snapshot hash mismatch" in official["error"]
+        assert dev["status"] == "ok"

@@ -12,6 +12,7 @@ from flagtrace.flagmodel import (
     POSITIVE,
     EffectiveFlagSet,
     FlagEntry,
+    canonical_deserialize,
     canonical_serialize,
     classify,
     classify_all,
@@ -261,3 +262,70 @@ class TestClassifyAllMemo:
         assert first[1].key == "opaque"
         assert later[0].key == "macro_define" and later[0].value == "FOO"
         assert later[1] is first[0]
+
+
+# Command-line tokens: known spellings, and every argument-flag, warning
+# and file-extension rule around arbitrary (also tricky) text.
+_STEMS = ["", "-D", "/D", "-U", "/U", "-I", "/I", "-W", "-Wno-", "-l", "-o", "/Fo", "/OUT:",
+          "-f", "/", "-O", "-std="]
+_EXTS = ["", ".c", ".C", ".cpp", ".o", ".obj", ".a", ".lib", ".so.1"]
+_command_line_tokens = st.one_of(
+    st.builds(Token, st.sampled_from(_SPELLINGS)),
+    st.builds(lambda stem, text, ext: Token(stem + text + ext),
+              st.sampled_from(_STEMS), _TEXT, st.sampled_from(_EXTS)),
+)
+
+
+class TestCanonicalDeserialize:
+    @given(st.lists(st.tuples(st.sampled_from([GNU, MSVC, GNU_LINK, MSVC_LINK]),
+                              st.lists(_command_line_tokens, max_size=12)), max_size=6))
+    @example([(GNU, [Token("-D"), Token("X=\"a b\""), Token("-DX"), Token("-UY"), Token("-D")]),
+              (MSVC, [Token("/DA=1"), Token("-D"), Token("B"), Token("/Foo\u2028.obj")]),
+              (GNU, [Token("-Wno-"), Token("-W\x00"), Token("-l\\"), Token("\u0085.c")])])
+    def test_inverts_canonical_serialize(self, commands):
+        """Decoding gives the resolved entries back: every field, origin and dict key.
+
+        One line memo serves every command, as one serves a snapshot.
+        """
+        lines = {}
+        for dialect, tokens in commands:
+            fset = resolve(classify_all(tokens, dialect))
+            text = canonical_serialize(fset).decode("utf-8")
+            back = canonical_deserialize(text, lines)
+            assert back.scalar_groups == fset.scalar_groups
+            assert back.defines == fset.defines
+            assert (back.include_dirs, back.link_inputs, back.sources, back.opaque) == (
+                fset.include_dirs, fset.link_inputs, fset.sources, fset.opaque)
+            assert all(e.origin is COMMAND_LINE for e in back.entries())
+            assert canonical_serialize(back).decode("utf-8") == text
+
+    def test_equal_lines_share_one_entry(self):
+        lines = {}
+        a = canonical_deserialize('["flagset",1]\n["opaque","-fPIC"]\n', lines)
+        b = canonical_deserialize('["flagset",1]\n["source","a.c"]\n["opaque","-fPIC"]\n', lines)
+        assert a.opaque[0] is b.opaque[0]
+
+    @pytest.mark.parametrize("line", [
+        '["define","X","Y=1","-DY=1"]',  # name is not the macro the value defines
+        '["group","g","k","p",null]',
+        '["include",1,"-I1"]',
+        '["link","dll","x","x"]',
+        '["source",null]',
+        '["opaque",null]',
+        '["unknown","x"]',
+        '"opaque"',
+        '[]',
+        '["opaque","a"],["opaque","b"]',
+        '["opaque",[["opaque"]]]',
+        '["opaque","\\ud800"]',  # a lone surrogate, which no UTF-8 text holds
+        '["source","a\\uDFFF.c"]',
+    ])
+    def test_rejects_a_line_it_cannot_have_written(self, line):
+        with pytest.raises(ValueError):
+            canonical_deserialize(f'["flagset",1]\n{line}\n', {})
+
+    @pytest.mark.parametrize("text", ["", '["flagset",1]', '["flagset",2]\n', '["opaque","a"]\n',
+                                      '["flagset",1]\n\n'])
+    def test_rejects_text_it_cannot_have_written(self, text):
+        with pytest.raises(ValueError):
+            canonical_deserialize(text, {})

@@ -1,5 +1,6 @@
 """Snapshot codec: stored bytes read back exactly, and damage is caught."""
 
+import gc
 import hashlib
 import io
 import json
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from flagtrace import flagmodel
 from flagtrace.cli import run
-from flagtrace.cmdline import COMMAND_LINE, Origin, RawInvocation, Token, detect_dialect
+from flagtrace.cmdline import COMMAND_LINE, Family, Origin, RawInvocation, Token, detect_dialect
 from flagtrace.errors import CorruptSnapshot
 from flagtrace.ingest import EvidenceKind, EvidenceSource, assemble_snapshot
 from flagtrace.snapshot import BuildSnapshot, TranslationUnitRecord
@@ -281,3 +282,113 @@ def test_response_file_builds_read_back(build):
         for entry in Store(store).list_builds():
             written = (Path(store) / entry.relpath).read_bytes()
             assert Store(store).get(entry.build_id).serialize() == written
+
+
+def _rewrite_record(store: Store, build_id: str, n: int, edit) -> None:
+    """Apply edit to record n of a build, then recompute the header and index hashes."""
+    entry = next(e for e in store.list_builds() if e.build_id == build_id)
+    snap_file = Path(store.root) / entry.relpath
+    header, *rest = snap_file.read_bytes().removesuffix(b"\n").split(b"\n")
+    rec = json.loads(rest[n])
+    edit(rec)
+    rest[n] = json.dumps(rec, sort_keys=True, separators=(",", ":")).encode()
+    content_hash = hashlib.sha256(b"".join(
+        line + b"\n" for line in rest if json.loads(line)["kind"] != "diagnostic")).hexdigest()
+    snap_file.write_bytes(b"\n".join(
+        [_canon_line({**json.loads(header), "content_hash": content_hash}), *rest]) + b"\n")
+    index = Path(store.index_path)
+    index.write_text(index.read_text(encoding="utf-8").replace(entry.content_hash, content_hash),
+                     encoding="utf-8")
+
+
+def _set_opt(spelling: str):
+    """An edit that rewrites the stored -O2 opt_level entry's value and spelling."""
+    def edit(rec):
+        assert '"-O2","-O2"' in rec["effective"]
+        rec["effective"] = rec["effective"].replace('"-O2","-O2"', f'"{spelling}","{spelling}"')
+    return edit
+
+
+def _ingest_log(tmp_path, capsys, text: str) -> Store:
+    log = tmp_path / "b.log"
+    log.write_text(text)
+    store = Store(str(tmp_path / "store"))
+    assert run(["--store", store.root, "ingest", str(log), "--label", "dev",
+                "--build-id", "b1"]) == 0
+    capsys.readouterr()
+    return store
+
+
+def _query_a(store: Store, tmp_path) -> int:
+    return run(["--store", store.root, "query", "effective", "--build", "b1",
+                "--subject", str(tmp_path / "a.c")])
+
+
+def _verify(store: Store, capsys) -> tuple[int, dict]:
+    code = run(["--store", store.root, "--format", "json", "verify"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_command_line_record_reads_its_stored_set(tmp_path, capsys):
+    """get trusts the hash for a command-line-only record; verify re-resolves it."""
+    store = _ingest_log(tmp_path, capsys, "gcc -O2 -c a.c -o a.o\ngcc -O2 -c b.c -o b.o\n")
+    _rewrite_record(store, "b1", 0, _set_opt("-O0"))
+
+    assert _query_a(store, tmp_path) == 0
+    assert '["group","opt_level","opt_level","valued","-O0","-O0"]' in capsys.readouterr().out
+    assert _verify(store, capsys) == (3, {"report_version": 1, "builds": [
+        {"build_id": "b1", "status": "corrupt", "error": None,
+         "subjects": [str(tmp_path / "a.c")]}]})
+    assert run(["--store", store.root, "verify", "b1"]) == 3
+    out = capsys.readouterr().out
+    assert out.startswith("corrupt  b1: 1 stored effective flag sets") and str(tmp_path / "a.c") in out
+
+
+def test_response_file_record_is_still_revalidated(tmp_path):
+    store = install_fixture(tmp_path / "store", FIXTURE_V2)
+    _rewrite_record(store, "fixture-v2", 1, _set_opt("-O0"))
+    with pytest.raises(CorruptSnapshot, match="snapshot hash mismatch"):
+        store.get("fixture-v2")
+
+
+def _set_first_token(rec):
+    rec["invocation"]["tokens"][0] = "-O\ud800"
+
+
+@pytest.mark.parametrize("edit", [_set_opt("-O\\ud800"), _set_opt("-O\ud800"), _set_first_token],
+                         ids=["escaped-in-flag-set-line", "raw-in-flag-set-text", "in-token"])
+def test_lone_surrogate_is_unreadable(tmp_path, capsys, edit):
+    """No read returns text that cannot be written back as UTF-8."""
+    store = _ingest_log(tmp_path, capsys, "gcc -O2 -c a.c -o a.o\n")
+    _rewrite_record(store, "b1", 0, edit)
+    assert _query_a(store, tmp_path) == 3
+    assert "unreadable snapshot line 2" in capsys.readouterr().err
+    code, doc = _verify(store, capsys)
+    assert code == 3 and "unreadable snapshot line 2" in doc["builds"][0]["error"]
+
+
+def test_vocabulary_edit_does_not_brick_command_line_builds(tmp_path, capsys, monkeypatch):
+    """With -O2 dropped from the vocabulary, a build that used it still reads back."""
+    store = _ingest_log(tmp_path, capsys, "gcc -O2 -c a.c -o a.o\n")
+    monkeypatch.delitem(flagmodel._EXACT, (Family.GNU_LIKE, "-O2"))
+    assert flagmodel.classify(Token("-O2"), detect_dialect("gcc"))[0].key == "opaque"
+
+    assert _query_a(store, tmp_path) == 0
+    assert '["group","opt_level","opt_level","valued","-O2","-O2"]' in capsys.readouterr().out
+    code, doc = _verify(store, capsys)
+    assert code == 3 and doc["builds"][0]["subjects"] == [str(tmp_path / "a.c")]
+
+
+def test_load_leaves_the_cyclic_collector_as_it_found_it():
+    assert gc.isenabled()
+    with pytest.raises(CorruptSnapshot):
+        BuildSnapshot.deserialize(b"not json\n")
+    assert gc.isenabled()
+    assert BuildSnapshot.deserialize(FIXTURE_V2.read_bytes()).build_id == "fixture-v2"
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        BuildSnapshot.deserialize(FIXTURE_V2.read_bytes())
+        assert not gc.isenabled()
+    finally:
+        gc.enable()

@@ -97,6 +97,18 @@ class TestHistory:
                                    f"2026-01-0{i+1}T00:00:00Z"))
         assert len(store.history("lbl")) == 5
 
+    def test_index_is_read_once(self, tmp_path, monkeypatch):
+        store = Store(str(tmp_path / "store"))
+        for i in range(50):
+            store.put(log_snapshot(tmp_path, "gcc -O2 -c a.c\n", f"n{i:02d}", "lbl",
+                                   f"2026-01-01T00:{i:02d}:00Z"))
+        reads = []
+        read_index = Store._read_index
+        monkeypatch.setattr(Store, "_read_index", lambda self: reads.append(1) or read_index(self))
+        rows = store.history("lbl", ("tu", "opt_level"))
+        assert [b for b, _, _ in rows] == [f"n{i:02d}" for i in range(50)]
+        assert len(reads) == 1
+
 
 class TestMissingStore:
     @pytest.mark.parametrize("argv, code", [
