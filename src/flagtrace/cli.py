@@ -49,8 +49,7 @@ def _created(value: str) -> str:
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="flagtrace",
                                 description="compiler flag provenance toolkit")
-    p.add_argument("--store", default=os.environ.get("FLAGTRACE_STORE", ".flagtrace"),
-                   help="store directory (default: $FLAGTRACE_STORE or .flagtrace)")
+    p.add_argument("--store", help="store directory (default: $FLAGTRACE_STORE or .flagtrace)")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--config", help="audit config file")
     sub = p.add_subparsers(dest="command", required=True)
@@ -120,10 +119,11 @@ def _emit(doc, fmt: str, text_lines=None) -> None:
 
 def _cmd_ingest(args) -> int:
     source = EvidenceSource(EvidenceKind(args.kind), args.path, args.label, args.build_id)
-    invocations = parse_evidence(source)
+    skipped: list[dict] = []
+    invocations = parse_evidence(source, skipped)
     if not invocations:
         sys.stderr.write("warning: no compiler or linker invocations found\n")
-    snap = assemble_snapshot(invocations, source, created=args.created)
+    snap = assemble_snapshot(invocations, source, args.created, skipped)
     store = Store(args.store)
     content_hash = store.put(snap)
     _emit(
@@ -295,12 +295,17 @@ _COMMANDS = {
 }
 
 
+# Built once: parsing leaves no state in it, and building it costs most of a short command.
+_PARSER = _build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    if args.store is None:
+        args.store = os.environ.get("FLAGTRACE_STORE", ".flagtrace")
     try:
         return _COMMANDS[args.command](args)
     except (FlagtraceError, OSError, json.JSONDecodeError) as exc:

@@ -19,6 +19,7 @@ import json
 import struct
 from dataclasses import dataclass
 
+from . import strictjson
 from .errors import MalformedNote, NotElf, UnsupportedClass
 
 NOTE_NAME = "FLAGTRACE"
@@ -67,7 +68,7 @@ class NotePayload:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "NotePayload":
-        doc = json.loads(data.decode("utf-8"))
+        doc = strictjson.loads(data.decode("utf-8"))
         return cls(doc["build_id"], doc["subject"], doc["effective_digest"],
                    doc.get("flags_text"), doc.get("version", PAYLOAD_VERSION))
 

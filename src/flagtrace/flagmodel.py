@@ -7,15 +7,20 @@ tokens onto a canonical vocabulary and folds an ordered token stream
 into the state the compiler actually acts on.
 
 The vocabulary is a versioned data table (data/flag_vocabulary.tsv),
-not code; anything the table does not know degrades to an opaque entry
-rather than failing — completeness over hundreds of flags is impossible.
+not code: every spelling, prefix and file extension the classifier
+knows is a row there, saying which key, group, polarity and value a
+token maps to. Anything the table does not know degrades to an opaque
+entry rather than failing — completeness over hundreds of flags is
+impossible. The code keeps only how a token is read: MSVC's '-' for
+'/', which tokens are flag-like, and how a file's extension is found.
 
-Classification looks every spelling up in per-family dicts. A
-token's entry depends only on its family and text, except for a
-separated argument flag (-D FOO), so `classify_all` builds the entry
-for a command-line spelling once and reuses it for every later copy of
-that spelling. Its memo is a plain dict that the caller scopes to one
-snapshot; it is freed with that snapshot.
+`classify` makes one exact lookup, one longest-prefix lookup for a
+flag-like token, or one extension lookup for any other, all in
+dicts. A token's entry depends only on its family and text, except for
+a flag that takes the next token (-D FOO), so `classify_all` builds
+the entry for a command-line spelling once and reuses it for every
+later copy of that spelling. Its memo is a plain dict that the caller
+scopes to one snapshot; it is freed with that snapshot.
 
 `canonical_deserialize` is the inverse of `canonical_serialize` for a
 set resolved from command-line tokens alone, the one case in which the
@@ -24,20 +29,16 @@ canonical text holds everything the entries do.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from importlib import resources
 from json.encoder import encode_basestring
 
+from . import strictjson
 from .cmdline import Dialect, Family, Origin, Token, COMMAND_LINE
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
 VALUED = "valued"
-
-_SOURCE_EXTS = {".c", ".cc", ".cpp", ".cxx", ".c++", ".i", ".ii", ".s", ".asm", ".m", ".mm"}
-_OBJECT_EXTS = {".o", ".obj"}
-_LIB_EXTS = {".a", ".so", ".lib", ".dylib"}
 
 
 @dataclass(frozen=True)
@@ -66,75 +67,64 @@ class FlagEntry:
 @dataclass(frozen=True)
 class _VocabRow:
     pattern: str
-    dialect: Family
     key: str
-    group: str
+    group: str | None
     polarity: str
     value_from: str
 
 
-def _load_vocabulary() -> tuple[dict, dict]:
+def _load_vocabulary() -> tuple[dict, dict, dict]:
+    """Exact rows by (family, spelling), prefix rows by family and stem, extension rows."""
     exact: dict[tuple[Family, str], _VocabRow] = {}
-    prefixes: dict[Family, list[_VocabRow]] = {family: [] for family in Family}
+    prefixes: dict[Family, dict[str, _VocabRow]] = {family: {} for family in Family}
+    extensions: dict[str, _VocabRow] = {}
     text = resources.files("flagtrace.data").joinpath("flag_vocabulary.tsv").read_text("utf-8")
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         pattern, dialect, key, group, polarity, value_from = line.split("\t")
-        row = _VocabRow(pattern, Family(dialect), key, group, polarity, value_from)
-        if pattern.endswith("*"):
-            prefixes[row.dialect].append(row)
+        row = _VocabRow(pattern, key, None if group == "-" else group, polarity, value_from)
+        if pattern.startswith("*."):
+            extensions[pattern[1:]] = row
+        elif pattern.endswith("*"):
+            prefixes[Family(dialect)][pattern[:-1]] = row
         else:
-            exact[(row.dialect, pattern)] = row
-    return exact, prefixes
+            exact[(Family(dialect), pattern)] = row
+    return exact, prefixes, extensions
 
 
-_EXACT, _PREFIXES = _load_vocabulary()
-
-# Flags taking their argument attached, or (unless spelled with a
-# trailing ':') as the next token. Within a family no prefix here, or in
-# _PREFIXES, is a prefix of another, so the first match is the only one.
-_ARG_FLAGS = {
-    Family.GNU_LIKE: {"-D": "macro_define", "-U": "macro_undef", "-I": "include_dir",
-                      "-isystem": "include_dir", "-l": "link_lib", "-o": "output"},
-    Family.MSVC: {"/D": "macro_define", "/U": "macro_undef", "/I": "include_dir",
-                  "/Fo": "output", "/Fe": "output", "/OUT:": "output"},
-}
-_SEPARATED_ARG_FLAGS = {
-    family: {p: key for p, key in flags.items() if not p.endswith(":")}
-    for family, flags in _ARG_FLAGS.items()
-}
-_ARG_PREFIX_LENGTHS = {family: sorted({len(p) for p in flags}) for family, flags in _ARG_FLAGS.items()}
-_ARG_KEY_GROUPS = {"output": "output"}
+_EXACT, _PREFIXES, _EXTENSIONS = _load_vocabulary()
+_PREFIX_LENGTHS = {family: sorted({len(stem) for stem in stems}, reverse=True)
+                   for family, stems in _PREFIXES.items()}
 
 
 def _ext_of(text: str) -> str:
-    name = text.replace("\\", "/").rsplit("/", 1)[-1]
+    """The extension a file token is looked up by, in lower case."""
+    if text.endswith(".C"):
+        return ".c"  # C++ source by convention, whatever precedes it
+    name = text.replace("\\", "/").rsplit("/", 1)[-1].lower()
     # libfoo.so.1.2 style versioned shared objects
-    lowered = name.lower()
-    if ".so." in lowered:
+    if ".so." in name:
         return ".so"
     dot = name.rfind(".")
-    return name[dot:].lower() if dot > 0 else ""
+    return name[dot:] if dot > 0 else ""
 
 
-def _from_row(row: _VocabRow, token: Token) -> FlagEntry:
-    if row.value_from == "spelling":
-        # Canonical spelling from the table (e.g. '/O2' even when typed '-O2').
-        value = row.pattern
-    elif row.value_from == "suffix":
-        value = token.text[len(row.pattern) - 1 :]
-    else:
-        value = None
-    return FlagEntry(row.key, value, row.polarity, token.text, token.origin, row.group)
+def _entry(row: _VocabRow, value: str | None, spelling: str, origin: Origin) -> FlagEntry:
+    group = row.group
+    if group is not None and group.endswith("*"):
+        group = group[:-1] + value
+    return FlagEntry(row.key, value, row.polarity, spelling, origin, group)
 
 
 def classify(token: Token, dialect: Dialect, next_token: Token | None = None) -> tuple[FlagEntry, bool]:
     """Map one token onto the canonical vocabulary.
 
+    A flag-like token is looked up as an exact spelling, then by the
+    longest prefix it starts with; any other token by its file extension.
     Returns the entry plus whether the next token was consumed as this
-    flag's argument (separated forms: -D FOO, -I dir, /D FOO).
+    flag's argument (a `next` row: -D FOO, -I dir, /D FOO).
     Unknown tokens never fail; they degrade to key=opaque.
     """
     text = token.text
@@ -144,58 +134,37 @@ def classify(token: Token, dialect: Dialect, next_token: Token | None = None) ->
         # MSVC accepts '-' for '/'; canonicalize for matching only.
         lookup = "/" + text[1:]
 
-    key = _SEPARATED_ARG_FLAGS[family].get(lookup)
-    if key is not None:
-        if next_token is not None:
-            return (
-                FlagEntry(key, next_token.text, VALUED, f"{text} {next_token.text}",
-                          token.origin, _ARG_KEY_GROUPS.get(key)),
-                True,
-            )
-        return FlagEntry("opaque", None, VALUED, text, token.origin), False
-    arg_flags = _ARG_FLAGS[family]
-    for n in _ARG_PREFIX_LENGTHS[family]:
-        if len(lookup) <= n:
-            break
-        key = arg_flags.get(lookup[:n])
-        if key is not None:
-            return FlagEntry(key, lookup[n:], VALUED, text, token.origin,
-                             _ARG_KEY_GROUPS.get(key)), False
-
     row = _EXACT.get((family, lookup))
+    rest = ""
+    if row is None:
+        # On GNU-likes only '-' marks a flag; a leading '/' is an absolute path.
+        if text.startswith("-") or (family is Family.MSVC and text.startswith("/")):
+            stems = _PREFIXES[family]
+            for n in _PREFIX_LENGTHS[family]:  # longest first
+                row = stems.get(lookup[:n])
+                if row is not None:
+                    rest = text[n:]
+                    break
+        else:
+            row = _EXTENSIONS.get(_ext_of(text))
+
     if row is not None:
-        return _from_row(row, token), False
-    for row in _PREFIXES[family]:
-        if lookup.startswith(row.pattern[:-1]):
-            return _from_row(row, token), False
-
-    if (
-        family is Family.GNU_LIKE
-        and text.startswith("-W")
-        and len(text) > 2
-        and not text.startswith(("-Wl,", "-Wa,", "-Wp,"))
-    ):
-        name = text[2:]
-        polarity = POSITIVE
-        if name.startswith("no-"):
-            polarity = NEGATIVE
-            name = name[3:]
-        if name:
-            return FlagEntry("warning", name, polarity, text, token.origin, f"warning:{name}"), False
-
-    # On GNU-likes only '-' marks a flag; a leading '/' is an absolute path.
-    is_flag_like = text.startswith("-") or (
-        family is Family.MSVC and text.startswith("/")
-    )
-    if not is_flag_like:
-        ext = _ext_of(text)
-        if ext in _SOURCE_EXTS or (ext == ".c" or text.endswith(".C")):
-            return FlagEntry("source_file", text, VALUED, text, token.origin), False
-        if ext in _OBJECT_EXTS:
-            return FlagEntry("link_obj", text, VALUED, text, token.origin), False
-        if ext in _LIB_EXTS:
-            return FlagEntry("link_lib", text, VALUED, text, token.origin), False
-
+        how = row.value_from
+        if how == "next":
+            if next_token is not None:
+                arg = next_token.text
+                return _entry(row, arg, f"{text} {arg}", token.origin), True
+        elif rest or how != "attached":
+            if how == "spelling":
+                # Canonical spelling from the table (e.g. '/O2' even when typed '-O2').
+                value = row.pattern
+            elif how == "text":
+                value = text
+            elif how == "none":
+                value = None
+            else:
+                value = rest
+            return _entry(row, value, text, token.origin), False
     return FlagEntry("opaque", None, VALUED, text, token.origin), False
 
 
@@ -225,8 +194,8 @@ def classify_all(tokens: list[Token], dialect: Dialect, memo: dict | None = None
         if consumed:
             i += 2
             continue
-        # A separated argument flag consumes a present next token, so an
-        # entry built with one present depends on the spelling alone.
+        # A `next` row's flag consumes a present next token, so an entry
+        # built with one present depends on the spelling alone.
         if shared and nxt is not None:
             seen[token.text] = entry
         i += 1
@@ -276,16 +245,6 @@ class EffectiveFlagSet:
                 out.sources.append(e)
             else:
                 out.opaque.append(e)
-        return out
-
-    def entries(self) -> list[FlagEntry]:
-        """Re-linearize to an entry list; resolve() of it is a fixed point."""
-        out = [self.scalar_groups[g] for g in sorted(self.scalar_groups)]
-        out.extend(self.defines[n] for n in sorted(self.defines))
-        out.extend(self.include_dirs)
-        out.extend(self.link_inputs)
-        out.extend(self.sources)
-        out.extend(self.opaque)
         return out
 
     def group_value(self, group: str) -> FlagEntry | None:
@@ -374,7 +333,8 @@ def canonical_deserialize(text: str, memo: dict) -> EffectiveFlagSet:
     dict for all records of a snapshot, so equal lines share one
     FlagEntry. The lines not in it yet are JSON-decoded in one call.
     Raises ValueError on text that `canonical_serialize` cannot have
-    written.
+    written, given text that holds no lone surrogate, as a string that
+    `strictjson.loads` returned does not.
     """
     lines = text.split("\n")
     if lines[0] != '["flagset",1]' or lines[-1]:
@@ -383,14 +343,9 @@ def canonical_deserialize(text: str, memo: dict) -> EffectiveFlagSet:
     new = set(lines).difference(memo)
     if new:
         new = list(new)
-        batch = "[" + ",".join(new) + "]"
-        rows = json.loads(batch)
+        rows = strictjson.loads("[" + ",".join(new) + "]")
         if len(rows) != len(new):
             raise ValueError("not a canonical flag set")
-        if not batch.isascii() or "\\u" in batch:
-            # Such text may decode to a lone surrogate, which no UTF-8 text
-            # holds: encoding raises UnicodeEncodeError, a ValueError.
-            json.dumps(rows, ensure_ascii=False).encode("utf-8")
         for line, row in zip(new, rows):
             memo[line] = _entry_of_line(row)
     groups, defines = {}, {}

@@ -12,13 +12,12 @@ continuation spans lines.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from enum import Enum
 
-from . import flagmodel
+from . import flagmodel, strictjson
 from .cmdline import (
     Dialect,
     Family,
@@ -81,11 +80,14 @@ def _non_string_field(record: dict, names: tuple[str, ...]) -> str | None:
     return next((n for n in names if n in record and not isinstance(record[n], str)), None)
 
 
-def parse_raw_log(path: str) -> list[RawInvocation]:
+def parse_raw_log(path: str, skipped: list[dict] | None = None) -> list[RawInvocation]:
     """Extract compiler/linker invocations from a plain-text build log.
 
     A line counts as an invocation iff its first word's dialect has a
-    known tool kind; everything else (echo, make chatter) is ignored.
+    known tool kind; everything else (echo, make chatter) is ignored. An
+    invocation line that cannot be tokenized (an unterminated quote, as
+    in a truncated or garbled log) is appended to `skipped` as a
+    snapshot diagnostic.
     """
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         text = fh.read()
@@ -101,8 +103,11 @@ def parse_raw_log(path: str) -> list[RawInvocation]:
             continue
         try:
             tokens = tokenize(stripped, dialect)
-        except UnterminatedQuote:
-            continue  # truncated/garbled log line; not an invocation
+        except UnterminatedQuote as exc:
+            if skipped is not None:
+                skipped.append({"source": f"log:{path}:{lineno}", "program": first,
+                                "reason": str(exc)})
+            continue
         if not tokens:
             continue
         out.append(RawInvocation(
@@ -123,8 +128,8 @@ def parse_compilation_db(path: str) -> list[RawInvocation]:
     """
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         try:
-            entries = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
+            entries = strictjson.loads(fh.read())
+        except (ValueError, RecursionError) as exc:
             raise MalformedDb(str(exc)) from None
     if not isinstance(entries, list):
         raise MalformedDb("top-level value is not an array")
@@ -189,8 +194,8 @@ def parse_wrapper_spool(dirpath: str) -> list[RawInvocation]:
                 if not line:
                     continue
                 try:
-                    rec = json.loads(line)
-                except (json.JSONDecodeError, RecursionError):
+                    rec = strictjson.loads(line)
+                except (ValueError, RecursionError):
                     raise MalformedRecord(fpath, lineno, "invalid JSON") from None
                 if not isinstance(rec, dict) or "argv" not in rec or not rec["argv"]:
                     raise MalformedRecord(fpath, lineno, "missing argv")
@@ -216,9 +221,10 @@ def parse_wrapper_spool(dirpath: str) -> list[RawInvocation]:
     return [inv for _, inv in keyed]
 
 
-def parse_evidence(source: EvidenceSource) -> list[RawInvocation]:
+def parse_evidence(source: EvidenceSource, skipped: list[dict] | None = None) -> list[RawInvocation]:
+    """The evidence's invocations; see `parse_raw_log` for `skipped`."""
     if source.kind is EvidenceKind.RAW_LOG:
-        return parse_raw_log(source.path)
+        return parse_raw_log(source.path, skipped)
     if source.kind is EvidenceKind.COMPILATION_DB:
         return parse_compilation_db(source.path)
     return parse_wrapper_spool(source.path)
@@ -234,6 +240,7 @@ def assemble_snapshot(
     invocations: list[RawInvocation],
     source: EvidenceSource,
     created: str | None = None,
+    skipped: list[dict] | None = None,
 ) -> BuildSnapshot:
     """Fold an invocation list into a BuildSnapshot.
 
@@ -243,12 +250,13 @@ def assemble_snapshot(
     cwd-normalized object path; unmatched link inputs are retained as
     external inputs, since third-party binaries arrive without TU
     evidence. Nothing is dropped silently: skipped invocations become
-    diagnostics. Each record keeps the tokens after `@file` expansion,
-    the ones its effective set was resolved from.
+    diagnostics, after the `skipped` ones that parsing reported. Each
+    record keeps the tokens after `@file` expansion, the ones its
+    effective set was resolved from.
     """
     if created is None:
         created = datetime.now(timezone.utc).strftime(CREATED_FORMAT)
-    snap = BuildSnapshot(source.build_id, source.label, created)
+    snap = BuildSnapshot(source.build_id, source.label, created, diagnostics=list(skipped or ()))
     seen_outputs: dict[str, str] = {}
     pending_targets: list[tuple[RawInvocation, flagmodel.EffectiveFlagSet]] = []
     memo: dict = {}  # classify_all memo, shared by this snapshot's invocations

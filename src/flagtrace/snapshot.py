@@ -37,7 +37,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from . import flagmodel
+from . import flagmodel, strictjson
 from .cmdline import Dialect, RawInvocation, Token
 from .errors import CorruptSnapshot
 
@@ -127,15 +127,12 @@ class _Interned(dict):
     """One snapshot's command-line tokens by text; looking up a new text makes its Token.
 
     Looking up anything but a string raises TypeError, as an unhashable
-    object token does; a string holding a lone surrogate, which no UTF-8
-    text holds, raises UnicodeEncodeError.
+    object token does.
     """
 
     def __missing__(self, text):
         if type(text) is not str:
             raise TypeError("not a command-line token")
-        if not text.isascii():
-            text.encode("utf-8")  # raises on a lone surrogate
         tok = self[text] = Token(text)
         return tok
 
@@ -249,14 +246,15 @@ class BuildSnapshot:
         """Decode stored bytes, hashing each record line as read.
 
         Lines split on LF only: paths may hold U+0085 or U+2028, which
-        canonical JSON leaves unescaped.
+        canonical JSON leaves unescaped. A line whose JSON gives a lone
+        surrogate is as unreadable as one that is not JSON.
         """
         lines = data.removesuffix(b"\n").split(b"\n")
         h = hashlib.sha256()
         decoder = _RecordDecoder()
         lineno = 1
         try:
-            header = json.loads(lines[0].decode("utf-8"))
+            header = strictjson.loads(lines[0].decode("utf-8"))
             version = header["snapshot_version"]
             if type(version) is not int or version not in _READABLE_VERSIONS:
                 raise CorruptSnapshot(" or ".join(map(str, _READABLE_VERSIONS)), repr(version),
@@ -264,7 +262,7 @@ class BuildSnapshot:
             snap = cls(header["build_id"], header["label"], header["created"],
                        content_hash=header["content_hash"], snapshot_version=version)
             for lineno, line in enumerate(lines[1:], start=2):
-                d = json.loads(line.decode("utf-8"))
+                d = strictjson.loads(line.decode("utf-8"))
                 kind = d.pop("kind")
                 if kind not in _RECORD_TYPES:
                     snap.diagnostics.append(d)

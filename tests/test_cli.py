@@ -211,6 +211,28 @@ class TestUsage:
         assert digest() == before
 
 
+class TestRunState:
+    def test_store_from_environment_is_read_per_command(self, tmp_path, monkeypatch, capsys):
+        log = tmp_path / "b.log"
+        log.write_text("gcc -c a.c\n")
+        assert run(["--store", str(tmp_path / "given"), "ingest", str(log),
+                    "--label", "dev", "--build-id", "b1"]) == 0
+        monkeypatch.setenv("FLAGTRACE_STORE", str(tmp_path / "env"))
+        assert run(["ingest", str(log), "--label", "dev", "--build-id", "b2"]) == 0
+        capsys.readouterr()
+        assert run(["--format", "json", "query", "builds"]) == 0
+        assert [b["build_id"] for b in json.loads(capsys.readouterr().out)] == ["b2"]
+
+    def test_consecutive_runs_share_no_arguments(self, tmp_path, capsys):
+        mk = tmp_path / "Makefile"
+        mk.write_text("MYFLAGS = -O2\nMYFLAG = -g\n")
+        for vocab, names in [(["--vocab", "MYFLAGS"], ["MYFLAG"]), ([], ["MYFLAGS", "MYFLAG"]),
+                             (["--vocab", "MYFLAG"], ["MYFLAGS"])]:
+            assert run(["--format", "json", "lint", str(mk), *vocab]) == 4
+            doc = json.loads(capsys.readouterr().out)
+            assert sorted(f["name"] for f in doc["findings"]) == sorted(names)
+
+
 class TestVerify:
     def test_clean_store_exit_0(self, seeded_store, capsys):
         assert run(["--store", seeded_store, "--format", "json", "verify"]) == 0

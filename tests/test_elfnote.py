@@ -100,6 +100,17 @@ class TestStampRoundTrip:
             read_stamp(minimal_elf)
 
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_lone_surrogate_in_payload_exit_3(self, minimal_elf, capsys, fmt):
+        stamp(minimal_elf, payload_for(subject="ABCDEF"))
+        with open(minimal_elf, "rb") as fh:
+            data = fh.read()
+        with open(minimal_elf, "wb") as fh:  # the same length: the note keeps its sizes
+            fh.write(data.replace(b'"ABCDEF"', b'"\\ud800"'))
+        assert run(["--format", fmt, "read-stamp", minimal_elf]) == 3
+        assert "malformed note" in capsys.readouterr().err
+
+
 class TestNoteEncoding:
     def test_name_padding(self):
         # "FLAGTRACE" + NUL = namesz 10, padded to 12 on disk

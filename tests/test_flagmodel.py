@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,8 +7,6 @@ from hypothesis import example, given, strategies as st
 import canonical_oracle
 from flagtrace.cmdline import COMMAND_LINE, Dialect, Family, Origin, Token, ToolKind, tokenize
 from flagtrace.flagmodel import (
-    _ARG_FLAGS,
-    _PREFIXES,
     NEGATIVE,
     POSITIVE,
     EffectiveFlagSet,
@@ -132,7 +131,7 @@ class TestProperties:
         rng = random.Random(7)
         for _ in range(50):
             r = resolve(random_entries(rng, rng.randint(0, 20)))
-            assert resolve(r.entries()) == r
+            assert resolve(canonical_oracle.entries(r)) == r
 
     def test_decomposability(self):
         rng = random.Random(11)
@@ -215,14 +214,34 @@ class TestCanonicalSerializeOracle:
         assert canonical_serialize(fset) == canonical_oracle.canonical_serialize(fset)
 
 
-class TestDictLookups:
+_OPAQUE = ("opaque", None, "valued", None)
+_PREFIX_CASES = {
+    Family.GNU_LIKE: [
+        ("-Wunused", ("warning", "unused", POSITIVE, "warning:unused")),
+        ("-Wno-unused", ("warning", "unused", NEGATIVE, "warning:unused")),  # not -W's "no-unused"
+        ("-Wl,-z", _OPAQUE),  # not -W's "l,-z"
+        ("-Wno-l,x", ("warning", "l,x", NEGATIVE, "warning:l,x")),
+        ("-isystemdir", ("include_dir", "dir", "valued", None)),
+        ("-std=", ("lang_std", "", "valued", "lang_std")),  # a suffix may be empty
+        # Nothing after an attached row's prefix is opaque; no shorter prefix is tried.
+        ("-Wno-", _OPAQUE), ("-W", _OPAQUE), ("-Wl,", _OPAQUE),
+        ("-Dx", ("macro_define", "x", "valued", None)),
+    ],
+    Family.MSVC: [
+        ("-std:c++17", ("lang_std", "c++17", "valued", "lang_std")),
+        ("/OUT:app.exe", ("output", "app.exe", "valued", "output")),
+        ("/OUT:", _OPAQUE), ("-OUT:", _OPAQUE),
+    ],
+}
+
+
+class TestLongestPrefix:
     @pytest.mark.parametrize("family", list(Family))
-    def test_no_prefix_is_a_prefix_of_another(self, family):
-        """First match equals longest match in both prefix tables."""
-        for stems in (list(_ARG_FLAGS[family]), [r.pattern[:-1] for r in _PREFIXES[family]]):
-            for a in stems:
-                for b in stems:
-                    assert a == b or not b.startswith(a), (a, b)
+    def test_longest_matching_prefix_decides(self, family):
+        """The longest prefix a token starts with picks its row, even when its rest is empty."""
+        for text, want in _PREFIX_CASES[family]:
+            e, consumed = c1(text, Dialect(family, ToolKind.COMPILER), nxt="x")
+            assert ((e.key, e.value, e.polarity, e.group), e.spelling, consumed) == (want, text, False)
 
 
 GNU_LINK = Dialect(Family.GNU_LIKE, ToolKind.LINKER)
@@ -266,14 +285,37 @@ class TestClassifyAllMemo:
 
 # Command-line tokens: known spellings, and every argument-flag, warning
 # and file-extension rule around arbitrary (also tricky) text.
-_STEMS = ["", "-D", "/D", "-U", "/U", "-I", "/I", "-W", "-Wno-", "-l", "-o", "/Fo", "/OUT:",
-          "-f", "/", "-O", "-std="]
-_EXTS = ["", ".c", ".C", ".cpp", ".o", ".obj", ".a", ".lib", ".so.1"]
-_command_line_tokens = st.one_of(
-    st.builds(Token, st.sampled_from(_SPELLINGS)),
-    st.builds(lambda stem, text, ext: Token(stem + text + ext),
+_STEMS = ["", "-D", "/D", "-U", "/U", "-I", "/I", "-W", "-Wno-", "-Wl,", "-l", "-o", "/Fo",
+          "/OUT:", "-OUT:", "-isystem", "-f", "/", "-O", "-std=", "-std:", "/abs/"]
+_EXTS = ["", ".c", ".C", ".cpp", ".o", ".obj", ".a", ".lib", ".so.1", ".so.C"]
+_token_texts = st.one_of(
+    st.sampled_from(_SPELLINGS),
+    st.builds(lambda stem, text, ext: stem + text + ext,
               st.sampled_from(_STEMS), _TEXT, st.sampled_from(_EXTS)),
 )
+_command_line_tokens = st.builds(Token, _token_texts)
+
+_PINNED = [
+    "-Wno-", "-W", "-Wl,x", "/OUT:", "-std=", "-std:c++17", "-D", "-isystem", "/Fo",
+    ".C", "x.so.C", "libz.so.1.2", "/abs/x.c",
+]
+
+
+class TestClassifyOracle:
+    @given(st.sampled_from([GNU, MSVC]), st.one_of(st.sampled_from(_PINNED), _token_texts),
+           st.sampled_from([COMMAND_LINE, Origin("response-file", "a.rsp", 1)]),
+           st.one_of(st.none(), st.builds(Token, _TEXT)))
+    def test_equals_the_classifier_with_code_side_tables(self, dialect, text, origin, nxt):
+        """Every rule as a row gives what the rules in code gave: entry and consumption."""
+        token = Token(text, origin)
+        assert classify(token, dialect, nxt) == canonical_oracle.classify(token, dialect, nxt)
+
+    def test_pinned_examples(self):
+        for text, dialect, origin, nxt in itertools.product(
+                _PINNED, [GNU, MSVC], [COMMAND_LINE, Origin("response-file", "a.rsp", 1)],
+                [None, Token("ARG")]):
+            token = Token(text, origin)
+            assert classify(token, dialect, nxt) == canonical_oracle.classify(token, dialect, nxt)
 
 
 class TestCanonicalDeserialize:
@@ -296,7 +338,7 @@ class TestCanonicalDeserialize:
             assert back.defines == fset.defines
             assert (back.include_dirs, back.link_inputs, back.sources, back.opaque) == (
                 fset.include_dirs, fset.link_inputs, fset.sources, fset.opaque)
-            assert all(e.origin is COMMAND_LINE for e in back.entries())
+            assert all(e.origin is COMMAND_LINE for e in canonical_oracle.entries(back))
             assert canonical_serialize(back).decode("utf-8") == text
 
     def test_equal_lines_share_one_entry(self):

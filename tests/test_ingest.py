@@ -14,6 +14,7 @@ from flagtrace.ingest import (
     parse_raw_log,
     parse_wrapper_spool,
 )
+from flagtrace.store import Store
 
 
 # JSON nested past any interpreter's recursion limit.
@@ -112,6 +113,16 @@ class TestParseCompilationDb:
         assert "malformed compilation database" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("define, code", [("X=\ud800", 3), ("X=\U0001f600", 0)],
+                             ids=["lone-surrogate", "surrogate-pair"])
+    def test_lone_surrogate_escape_exit_3(self, tmp_path, capsys, define, code):
+        db = tmp_path / "cc.json"
+        db.write_text(json.dumps([{"directory": "/w", "file": "a.c",
+                                   "arguments": ["gcc", f"-D{define}", "-c", "a.c"]}]))
+        assert ingest_exit(tmp_path, db, "compdb") == code
+        assert ("malformed compilation database" in capsys.readouterr().err) == (code == 3)
+
+
 class TestParseWrapperSpool:
     def test_single_record(self, tmp_path):
         spool = tmp_path / "spool"
@@ -184,6 +195,16 @@ class TestParseWrapperSpool:
         assert "malformed wrapper record" in capsys.readouterr().err
 
 
+    def test_lone_surrogate_escape_exit_3(self, tmp_path, capsys):
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        (spool / "rec.jsonl").write_text(json.dumps(
+            {"v": 1, "argv": ["gcc", "-c", "a\udc80.c"], "cwd": "/s",
+             "ts": "2026-01-01T00:00:00Z", "tool": "gcc"}) + "\n")
+        assert ingest_exit(tmp_path, spool, "spool") == 3
+        assert "malformed wrapper record" in capsys.readouterr().err
+
+
 def log_snapshot(tmp_path, text, build_id="b1", label="dev", created="2026-01-01T00:00:00Z"):
     log = tmp_path / f"{build_id}.log"
     log.write_text(text)
@@ -227,6 +248,18 @@ class TestAssembleSnapshot:
         invs = parse_raw_log(str(log))
         snap = assemble_snapshot(invs, source)
         assert len(invs) == len(snap.tus) + len(snap.targets) + len(snap.diagnostics)
+
+    def test_garbled_log_line_is_a_diagnostic(self, tmp_path, capsys):
+        log = tmp_path / "b.log"
+        log.write_text('gcc -c "a.c\ngcc -O2 -c b.c\n')
+        store = tmp_path / "store"
+        assert run(["--store", str(store), "--format", "json", "ingest", str(log),
+                    "--label", "dev", "--build-id", "b1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["tus"], doc["skipped"]) == (1, 1)
+        assert Store(str(store)).get("b1").diagnostics == [
+            {"source": f"log:{log}:1", "program": "gcc",
+             "reason": "unterminated quote at position 7"}]
 
     def test_denormalized_effective_revalidates(self, tmp_path):
         from flagtrace.snapshot import BuildSnapshot

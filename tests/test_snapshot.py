@@ -367,6 +367,15 @@ def test_lone_surrogate_is_unreadable(tmp_path, capsys, edit):
     assert code == 3 and "unreadable snapshot line 2" in doc["builds"][0]["error"]
 
 
+def test_lone_surrogate_in_source_file_is_unreadable(tmp_path, capsys):
+    store = _ingest_log(tmp_path, capsys, "gcc -O2 -c a.c -o a.o\n")
+    _rewrite_record(store, "b1", 0, lambda rec: rec.update(source_file="\ud800.c"))
+    for argv in (["query", "find", "--build", "b1", "--group", "opt_level", "--value=-O2"],
+                 ["history", "dev", "--key", "opt_level"]):
+        assert run(["--store", store.root, *argv]) == 3
+        assert "unreadable snapshot line 2" in capsys.readouterr().err
+
+
 def test_vocabulary_edit_does_not_brick_command_line_builds(tmp_path, capsys, monkeypatch):
     """With -O2 dropped from the vocabulary, a build that used it still reads back."""
     store = _ingest_log(tmp_path, capsys, "gcc -O2 -c a.c -o a.o\n")
