@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .cmdline import RawInvocation, Token
 from .errors import ConfigError
@@ -25,26 +25,15 @@ ERROR = "error"
 WARNING = "warning"
 INFO = "info"
 
-ALL_RULES = ("R1", "R2", "R3", "R4", "R5", "R7", "R8")
-
-DEFAULT_SEVERITY = {
-    "R1": WARNING,
-    "R2": WARNING,
-    "R3": INFO,
-    "R4": ERROR,  # missing buffer-security checks: the zero-day case
-    "R5": WARNING,
-    "R7": WARNING,
-    "R8": INFO,
-}
-
-RULE_TITLES = {
-    "R1": "debug tracing in release build",
-    "R2": "optimization level inconsistent within link target",
-    "R3": "duplicate dependency versions on link line",
-    "R4": "hardening missing or disabled in release build",
-    "R5": "exception-model mismatch within link target",
-    "R7": "link input order drift between builds",
-    "R8": "unresolved variable token",
+# Each rule's default severity and the title its findings are reported under.
+RULES = {
+    "R1": (WARNING, "debug tracing in release build"),
+    "R2": (WARNING, "optimization level inconsistent within link target"),
+    "R3": (INFO, "duplicate dependency versions on link line"),
+    "R4": (ERROR, "hardening missing or disabled in release build"),  # the zero-day case
+    "R5": (WARNING, "exception-model mismatch within link target"),
+    "R7": (WARNING, "link input order drift between builds"),
+    "R8": (INFO, "unresolved variable token"),
 }
 
 CONFIG_VERSION = 1
@@ -52,20 +41,19 @@ CONFIG_VERSION = 1
 
 @dataclass
 class AuditConfig:
-    rules: tuple[str, ...] = ALL_RULES
+    rules: tuple[str, ...] = tuple(RULES)
     release_labels: frozenset = frozenset({"release", "official", "official-release"})
     hardening_required: frozenset = frozenset({"stack_protector"})
     debug_markers: frozenset = frozenset({"DEBUG", "_DEBUG", "DEBUG_TRACING"})
     severity: dict = field(default_factory=dict)
 
     def severity_of(self, rule: str) -> str:
-        return self.severity.get(rule, DEFAULT_SEVERITY[rule])
+        return self.severity.get(rule, RULES[rule][0])
 
 
 def load_config(path: str) -> AuditConfig:
     """Parse the key=value audit config document; unknown rules are rejected."""
     cfg = AuditConfig()
-    sev: dict[str, str] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw_lines = list(fh)
@@ -85,25 +73,20 @@ def load_config(path: str) -> AuditConfig:
                 raise ConfigError(f"unsupported config_version {value}")
         elif key == "rules":
             for r in values:
-                if r not in ALL_RULES:
+                if r not in RULES:
                     raise ConfigError(f"unknown rule name: {r}")
             cfg.rules = values
-        elif key == "release_labels":
-            cfg.release_labels = frozenset(values)
-        elif key == "hardening_required":
-            cfg.hardening_required = frozenset(values)
-        elif key == "debug_markers":
-            cfg.debug_markers = frozenset(values)
+        elif key in ("release_labels", "hardening_required", "debug_markers"):
+            setattr(cfg, key, frozenset(values))
         elif key.startswith("severity."):
             rule = key.split(".", 1)[1]
-            if rule not in ALL_RULES:
+            if rule not in RULES:
                 raise ConfigError(f"unknown rule name: {rule}")
             if value not in (ERROR, WARNING, INFO):
                 raise ConfigError(f"unknown severity: {value}")
-            sev[rule] = value
+            cfg.severity[rule] = value
         else:
             raise ConfigError(f"unknown config key: {key}")
-    cfg.severity = sev
     return cfg
 
 
@@ -114,15 +97,6 @@ class AnomalyFinding:
     subject: str
     evidence: tuple[tuple[str, str], ...]  # (provenance, spelling) pairs
     message: str
-
-    def to_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "severity": self.severity,
-            "subject": self.subject,
-            "evidence": [list(e) for e in self.evidence],
-            "message": self.message,
-        }
 
 
 def _prov(inv: RawInvocation, item: FlagEntry | Token | None = None) -> str:
@@ -283,13 +257,13 @@ def exit_code(findings: list[AnomalyFinding]) -> int:
 
 def render_findings(findings: list[AnomalyFinding], fmt: str = "text") -> bytes:
     if fmt == "json":
-        doc = {"report_version": 1, "findings": [f.to_dict() for f in findings]}
+        doc = {"report_version": 1, "findings": [asdict(f) for f in findings]}
         return (json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2) + "\n").encode("utf-8")
     if not findings:
         return b"no findings\n"
     lines = []
     for f in findings:
-        lines.append(f"{f.rule} [{f.severity}] {f.subject}: {f.message} ({RULE_TITLES[f.rule]})")
+        lines.append(f"{f.rule} [{f.severity}] {f.subject}: {f.message} ({RULES[f.rule][1]})")
         for prov, spelling in f.evidence:
             lines.append(f"    {prov}: {spelling}")
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime
 
 from . import audit as audit_mod
@@ -101,7 +102,8 @@ def _build_parser() -> argparse.ArgumentParser:
     qp = qsub.add_parser("find", help="TUs where a group resolves to a value")
     qp.add_argument("--build", required=True)
     qp.add_argument("--group", required=True)
-    qp.add_argument("--value", required=True)
+    qp.add_argument("--value", required=True,
+                    help="value or spelling; write --value=-O2 for one that starts with '-'")
 
     sp = sub.add_parser("verify", help="check stored builds against their hashes and tokens")
     sp.add_argument("build_ids", nargs="*", metavar="BUILD_ID",
@@ -109,11 +111,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _emit(doc, fmt: str, text_lines=None) -> None:
+def _emit(doc, fmt: str, text_lines: list[str]) -> None:
     if fmt == "json":
         sys.stdout.write(json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
     else:
-        for line in text_lines if text_lines is not None else [json.dumps(doc)]:
+        for line in text_lines:
             sys.stdout.write(line + "\n")
 
 
@@ -178,7 +180,7 @@ def _cmd_lint(args) -> int:
         expansions.update(e)
     vocab = set(mklint.BUILTIN_VOCABULARY) | set(args.vocab)
     findings = mklint.lint(assignments, expansions, vocab)
-    doc = {"report_version": 1, "findings": [f.to_dict() for f in findings]}
+    doc = {"report_version": 1, "findings": [asdict(f) for f in findings]}
     lines = [f"{f.path}:{f.line}: '{f.name}' looks like a typo for "
              f"'{f.suggestion}' (distance {f.distance}) and is never expanded"
              for f in findings] or ["no findings"]
@@ -207,15 +209,7 @@ def _cmd_stamp(args) -> int:
 
 def _cmd_read_stamp(args) -> int:
     payload = elfnote.read_stamp(args.elf)
-    doc = {
-        "payload": None if payload is None else {
-            "version": payload.version,
-            "build_id": payload.build_id,
-            "subject": payload.subject,
-            "effective_digest": payload.effective_digest,
-            "flags_text": payload.flags_text,
-        },
-    }
+    doc = {"payload": None if payload is None else asdict(payload)}
     lines = []
     if payload is None:
         lines.append("no flagtrace note")

@@ -130,6 +130,16 @@ def detect_dialect(program: str) -> Dialect:
     return Dialect(Family.GNU_LIKE, ToolKind.UNKNOWN)
 
 
+def command_program(line: str) -> str:
+    """The program a command line runs: its first word, less one surrounding pair of quotes."""
+    line = line.lstrip()
+    if line[:1] in ("'", '"'):
+        end = line.find(line[0], 1)
+        if end > 0:
+            return line[1:end]
+    return line.split(None, 1)[0] if line else ""
+
+
 def _tokenize_posix(line: str) -> list[str]:
     words: list[str] = []
     buf: list[str] = []
@@ -241,7 +251,7 @@ def _tokenize_msvc(line: str) -> list[str]:
     return words
 
 
-def tokenize(line: str, dialect: Dialect, origin: Origin = COMMAND_LINE) -> list[Token]:
+def tokenize(line: str, dialect: Dialect) -> list[Token]:
     """Split one logical command line into tokens under the dialect's rules.
 
     Continuation backslashes must already have been joined by the caller.
@@ -251,7 +261,7 @@ def tokenize(line: str, dialect: Dialect, origin: Origin = COMMAND_LINE) -> list
         words = _tokenize_msvc(line)
     else:
         words = _tokenize_posix(line)
-    return [Token(w, origin) for w in words if w]
+    return [Token(w) for w in words if w]
 
 
 def expand_response_files(

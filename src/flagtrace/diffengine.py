@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 
-from .flagmodel import EffectiveFlagSet, FlagEntry
-from .snapshot import BuildSnapshot
+from .flagmodel import FlagEntry
+from .snapshot import BuildSnapshot, LinkTargetRecord, Record
 
 REPORT_VERSION = 1
 
@@ -44,63 +45,79 @@ class DiffReport:
     per_target_changes: dict[str, list[FlagDelta]] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
 
+    def scopes(self) -> tuple:
+        """(kind, added, removed, changed) for targets, then TUs, the order reports list them in."""
+        return (("target", self.added_targets, self.removed_targets, self.per_target_changes),
+                ("tu", self.added_tus, self.removed_tus, self.per_tu_changes))
+
     def is_empty(self) -> bool:
-        return not (self.added_tus or self.removed_tus or self.per_tu_changes
-                    or self.added_targets or self.removed_targets or self.per_target_changes)
+        return not any(added or removed or changed for _, added, removed, changed in self.scopes())
 
     def summary(self) -> dict:
-        return {
-            "added_tus": len(self.added_tus),
-            "removed_tus": len(self.removed_tus),
-            "changed_tus": len(self.per_tu_changes),
-            "added_targets": len(self.added_targets),
-            "removed_targets": len(self.removed_targets),
-            "changed_targets": len(self.per_target_changes),
-        }
+        counts = {}
+        for kind, added, removed, changed in self.scopes():
+            counts[f"added_{kind}s"] = len(added)
+            counts[f"removed_{kind}s"] = len(removed)
+            counts[f"changed_{kind}s"] = len(changed)
+        return counts
 
     def to_dict(self) -> dict:
-        return {
-            "report_version": REPORT_VERSION,
-            "summary": self.summary(),
-            "added_tus": sorted(self.added_tus),
-            "removed_tus": sorted(self.removed_tus),
-            "per_tu_changes": {k: [d.to_dict() for d in v]
-                               for k, v in sorted(self.per_tu_changes.items())},
-            "added_targets": sorted(self.added_targets),
-            "removed_targets": sorted(self.removed_targets),
-            "per_target_changes": {k: [d.to_dict() for d in v]
-                                   for k, v in sorted(self.per_target_changes.items())},
-            "notes": list(self.notes),
-        }
+        doc = {"report_version": REPORT_VERSION, "summary": self.summary(), "notes": list(self.notes)}
+        for kind, added, removed, changed in self.scopes():
+            doc[f"added_{kind}s"] = sorted(added)
+            doc[f"removed_{kind}s"] = sorted(removed)
+            doc[f"per_{kind}_changes"] = {subject: [d.to_dict() for d in deltas]
+                                          for subject, deltas in sorted(changed.items())}
+        return doc
 
 
-def _entry_dict(e: FlagEntry | None):
-    return None if e is None else e.to_dict()
+# An entry's value identity is everything but its provenance; a delta shows
+# each side as a dict of these fields.
+_VALUE_FIELDS = ("key", "group", "polarity", "value", "spelling")
+_values = attrgetter(*_VALUE_FIELDS)
+
+_KEYED = ((GROUP, "scalar_groups"), (DEFINE, "defines"))
+_ORDERED = ((INCLUDE_ORDER, "include_dirs"), (LINK_ORDER, "link_inputs"), (OPAQUE, "opaque"))
 
 
-def _diff_effective(a: EffectiveFlagSet, b: EffectiveFlagSet) -> list[FlagDelta]:
+def _entry_dict(e: FlagEntry | None) -> dict | None:
+    return None if e is None else dict(zip(_VALUE_FIELDS, _values(e)))
+
+
+def _diff_records(ra: Record, rb: Record) -> list[FlagDelta]:
+    """Deltas between two records' effective sets."""
+    a, b = ra.effective, rb.effective
     deltas: list[FlagDelta] = []
-    for gid in sorted(set(a.scalar_groups) | set(b.scalar_groups)):
-        ea, eb = a.scalar_groups.get(gid), b.scalar_groups.get(gid)
-        if (ea.value_tuple() if ea else None) != (eb.value_tuple() if eb else None):
-            deltas.append(FlagDelta(GROUP, gid, _entry_dict(ea), _entry_dict(eb)))
-    for name in sorted(set(a.defines) | set(b.defines)):
-        ea, eb = a.defines.get(name), b.defines.get(name)
-        if (ea.value_tuple() if ea else None) != (eb.value_tuple() if eb else None):
-            deltas.append(FlagDelta(DEFINE, name, _entry_dict(ea), _entry_dict(eb)))
-    inc_a = [e.to_dict() for e in a.include_dirs]
-    inc_b = [e.to_dict() for e in b.include_dirs]
-    if inc_a != inc_b:
-        deltas.append(FlagDelta(INCLUDE_ORDER, None, inc_a, inc_b))
-    link_a = [e.to_dict() for e in a.link_inputs]
-    link_b = [e.to_dict() for e in b.link_inputs]
-    if link_a != link_b:
-        deltas.append(FlagDelta(LINK_ORDER, None, link_a, link_b))
-    op_a = [e.to_dict() for e in a.opaque]
-    op_b = [e.to_dict() for e in b.opaque]
-    if op_a != op_b:
-        deltas.append(FlagDelta(OPAQUE, None, op_a, op_b))
+    for scope, attr in _KEYED:
+        map_a, map_b = getattr(a, attr), getattr(b, attr)
+        for name in sorted(map_a.keys() | map_b.keys()):
+            ea, eb = map_a.get(name), map_b.get(name)
+            if ea is None or eb is None or _values(ea) != _values(eb):
+                deltas.append(FlagDelta(scope, name, _entry_dict(ea), _entry_dict(eb)))
+    for scope, attr in _ORDERED:
+        seq_a, seq_b = getattr(a, attr), getattr(b, attr)
+        if list(map(_values, seq_a)) != list(map(_values, seq_b)):
+            deltas.append(FlagDelta(scope, None, [_entry_dict(e) for e in seq_a],
+                                    [_entry_dict(e) for e in seq_b]))
     return deltas
+
+
+def _diff_targets(ta: LinkTargetRecord, tb: LinkTargetRecord) -> list[FlagDelta]:
+    """A target's deltas also show its inputs when only their normalized paths moved."""
+    deltas = _diff_records(ta, tb)
+    if ta.inputs != tb.inputs and not any(d.scope == LINK_ORDER for d in deltas):
+        deltas.append(FlagDelta(LINK_ORDER, None, list(ta.inputs), list(tb.inputs)))
+    return deltas
+
+
+def _diff_scope(recs_a: dict, recs_b: dict, diff_pair) -> tuple[list, list, dict]:
+    """Removed and added subjects of one scope, and the changed ones' deltas from `diff_pair`."""
+    changed = {}
+    for subject in sorted(recs_a.keys() & recs_b.keys()):
+        deltas = diff_pair(recs_a[subject], recs_b[subject])
+        if deltas:
+            changed[subject] = deltas
+    return sorted(recs_a.keys() - recs_b.keys()), sorted(recs_b.keys() - recs_a.keys()), changed
 
 
 def _drive_note(paths_a: set[str], paths_b: set[str], notes: list[str]) -> None:
@@ -125,24 +142,11 @@ def _drive_note(paths_a: set[str], paths_b: set[str], notes: list[str]) -> None:
 def diff(a: BuildSnapshot, b: BuildSnapshot) -> DiffReport:
     report = DiffReport()
     tus_a, tus_b = a.by_subject("tu"), b.by_subject("tu")
-    report.removed_tus = sorted(set(tus_a) - set(tus_b))
-    report.added_tus = sorted(set(tus_b) - set(tus_a))
+    report.removed_tus, report.added_tus, report.per_tu_changes = \
+        _diff_scope(tus_a, tus_b, _diff_records)
     _drive_note(set(tus_a), set(tus_b), report.notes)
-    for src in sorted(set(tus_a) & set(tus_b)):
-        deltas = _diff_effective(tus_a[src].effective, tus_b[src].effective)
-        if deltas:
-            report.per_tu_changes[src] = deltas
-
-    tg_a, tg_b = a.by_subject("target"), b.by_subject("target")
-    report.removed_targets = sorted(set(tg_a) - set(tg_b))
-    report.added_targets = sorted(set(tg_b) - set(tg_a))
-    for out in sorted(set(tg_a) & set(tg_b)):
-        ta, tb = tg_a[out], tg_b[out]
-        deltas = _diff_effective(ta.effective, tb.effective)
-        if ta.inputs != tb.inputs and not any(d.scope == LINK_ORDER for d in deltas):
-            deltas.append(FlagDelta(LINK_ORDER, None, list(ta.inputs), list(tb.inputs)))
-        if deltas:
-            report.per_target_changes[out] = deltas
+    report.removed_targets, report.added_targets, report.per_target_changes = \
+        _diff_scope(a.by_subject("target"), b.by_subject("target"), _diff_targets)
     return report
 
 
@@ -158,26 +162,15 @@ def _render_text(report: DiffReport) -> str:
     if report.is_empty():
         return "no differences\n"
     lines: list[str] = []
-    for out in sorted(report.added_targets):
-        lines.append(f"target added: {out}")
-    for out in sorted(report.removed_targets):
-        lines.append(f"target removed: {out}")
-    for out, deltas in sorted(report.per_target_changes.items()):
-        lines.append(f"target changed: {out}")
-        for d in deltas:
-            name = f" {d.name}" if d.name else ""
-            lines.append(f"  {d.scope}{name}: {_display(d.before)} -> {_display(d.after)}")
-    for src in sorted(report.added_tus):
-        lines.append(f"tu added: {src}")
-    for src in sorted(report.removed_tus):
-        lines.append(f"tu removed: {src}")
-    for src, deltas in sorted(report.per_tu_changes.items()):
-        lines.append(f"tu changed: {src}")
-        for d in deltas:
-            name = f" {d.name}" if d.name else ""
-            lines.append(f"  {d.scope}{name}: {_display(d.before)} -> {_display(d.after)}")
-    for note in report.notes:
-        lines.append(f"note: {note}")
+    for kind, added, removed, changed in report.scopes():
+        lines.extend(f"{kind} added: {subject}" for subject in sorted(added))
+        lines.extend(f"{kind} removed: {subject}" for subject in sorted(removed))
+        for subject, deltas in sorted(changed.items()):
+            lines.append(f"{kind} changed: {subject}")
+            for d in deltas:
+                name = f" {d.name}" if d.name else ""
+                lines.append(f"  {d.scope}{name}: {_display(d.before)} -> {_display(d.after)}")
+    lines.extend(f"note: {note}" for note in report.notes)
     return "\n".join(lines) + "\n"
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import fcntl
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 from . import strictjson
 from .errors import MalformedNote, NotElf, UnsupportedClass
@@ -49,21 +49,14 @@ class NotePayload:
     version: int = PAYLOAD_VERSION
 
     def to_bytes(self) -> bytes:
-        doc = {
-            "version": self.version,
-            "build_id": self.build_id,
-            "subject": self.subject,
-            "effective_digest": self.effective_digest,
-        }
-        if self.flags_text is not None:
-            doc["flags_text"] = self.flags_text
+        doc = asdict(self)
+        if self.flags_text is None:
+            del doc["flags_text"]
         data = json.dumps(doc, ensure_ascii=False, sort_keys=True,
                           separators=(",", ":")).encode("utf-8")
         if len(data) > PAYLOAD_CAP and self.flags_text is not None:
             # Digest stays; the full text is elided under the size cap.
-            doc.pop("flags_text")
-            data = json.dumps(doc, ensure_ascii=False, sort_keys=True,
-                              separators=(",", ":")).encode("utf-8")
+            return replace(self, flags_text=None).to_bytes()
         return data
 
     @classmethod
@@ -157,7 +150,7 @@ def read_stamp(elf_path: str) -> NotePayload | None:
         raise MalformedNote(shdr[4], "unexpected note name or type")
     try:
         return NotePayload.from_bytes(desc)
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise MalformedNote(shdr[4], str(exc)) from None
 
 

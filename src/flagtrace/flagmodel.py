@@ -50,19 +50,6 @@ class FlagEntry:
     origin: Origin = COMMAND_LINE
     group: str | None = None
 
-    def value_tuple(self) -> tuple:
-        """Value identity: everything except provenance."""
-        return (self.key, self.group, self.polarity, self.value, self.spelling)
-
-    def to_dict(self) -> dict:
-        return {
-            "key": self.key,
-            "group": self.group,
-            "polarity": self.polarity,
-            "value": self.value,
-            "spelling": self.spelling,
-        }
-
 
 @dataclass(frozen=True)
 class _VocabRow:

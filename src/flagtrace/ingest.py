@@ -19,11 +19,11 @@ from enum import Enum
 
 from . import flagmodel, strictjson
 from .cmdline import (
-    Dialect,
     Family,
     RawInvocation,
     Token,
     ToolKind,
+    command_program,
     detect_dialect,
     expand_response_files,
     normalize_path,
@@ -97,15 +97,15 @@ def parse_raw_log(path: str, skipped: list[dict] | None = None) -> list[RawInvoc
         stripped = line.strip()
         if not stripped:
             continue
-        first = stripped.split(None, 1)[0]
-        dialect = detect_dialect(first)
+        program = command_program(stripped)
+        dialect = detect_dialect(program)
         if dialect.tool_kind is ToolKind.UNKNOWN:
             continue
         try:
             tokens = tokenize(stripped, dialect)
         except UnterminatedQuote as exc:
             if skipped is not None:
-                skipped.append({"source": f"log:{path}:{lineno}", "program": first,
+                skipped.append({"source": f"log:{path}:{lineno}", "program": program,
                                 "reason": str(exc)})
             continue
         if not tokens:
@@ -129,7 +129,7 @@ def parse_compilation_db(path: str) -> list[RawInvocation]:
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         try:
             entries = strictjson.loads(fh.read())
-        except (ValueError, RecursionError) as exc:
+        except ValueError as exc:
             raise MalformedDb(str(exc)) from None
     if not isinstance(entries, list):
         raise MalformedDb("top-level value is not an array")
@@ -151,16 +151,14 @@ def parse_compilation_db(path: str) -> list[RawInvocation]:
             dialect = detect_dialect(program)
             tokens = tuple(Token(a) for a in argv[1:] if a)
         elif "command" in entry:
+            dialect = detect_dialect(command_program(entry["command"]))
             try:
-                tokens_all = tokenize(entry["command"], Dialect(Family.GNU_LIKE, ToolKind.COMPILER))
+                tokens_all = tokenize(entry["command"], dialect)
             except UnterminatedQuote as exc:
                 raise MalformedDb(f"unterminated quote: {exc}", idx) from None
             if not tokens_all:
                 raise MalformedDb("empty command", idx)
             program = tokens_all[0].text
-            dialect = detect_dialect(program)
-            if dialect.family is Family.MSVC:
-                tokens_all = tokenize(entry["command"], dialect)
             tokens = tuple(tokens_all[1:])
         else:
             raise MalformedDb("entry has neither command nor arguments", idx)
@@ -195,7 +193,7 @@ def parse_wrapper_spool(dirpath: str) -> list[RawInvocation]:
                     continue
                 try:
                     rec = strictjson.loads(line)
-                except (ValueError, RecursionError):
+                except ValueError:
                     raise MalformedRecord(fpath, lineno, "invalid JSON") from None
                 if not isinstance(rec, dict) or "argv" not in rec or not rec["argv"]:
                     raise MalformedRecord(fpath, lineno, "missing argv")

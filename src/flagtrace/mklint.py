@@ -50,10 +50,6 @@ class LintFinding:
     distance: int
     path: str
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "line": self.line, "suggestion": self.suggestion,
-                "distance": self.distance, "path": self.path}
-
 
 def levenshtein(a: str, b: str) -> int:
     """Standard dynamic-programming edit distance (insert/delete/substitute)."""
@@ -129,7 +125,6 @@ def lint(
     assignments: list[MacroAssignment],
     expansions: set[str],
     vocabulary: frozenset | set | None = None,
-    threshold: int = DEFAULT_THRESHOLD,
 ) -> list[LintFinding]:
     vocab = BUILTIN_VOCABULARY if vocabulary is None else frozenset(vocabulary)
     findings = []
@@ -137,7 +132,7 @@ def lint(
         if a.name in vocab or a.name in expansions:
             continue
         word, dist = suggest(a.name, vocab)
-        if 1 <= dist <= threshold:
+        if 1 <= dist <= DEFAULT_THRESHOLD:
             findings.append(LintFinding(a.name, a.line, word, dist, a.path))
     findings.sort(key=lambda f: (f.path, f.line))
     return findings

@@ -271,7 +271,7 @@ class BuildSnapshot:
                 h.update(b"\n")
                 rec = decoder.decode(_RECORD_TYPES[kind], d)
                 (snap.tus if kind == "tu" else snap.targets).append(rec)
-        except (AttributeError, LookupError, RecursionError, TypeError, ValueError) as exc:
+        except (AttributeError, LookupError, TypeError, ValueError) as exc:
             raise CorruptSnapshot("a snapshot line", f"{type(exc).__name__}: {exc}",
                                   f"unreadable snapshot line {lineno}") from None
         actual = h.hexdigest()

@@ -3,7 +3,8 @@
 `json.loads` turns a \\u escape of a lone UTF-16 surrogate (\\uD800 to
 \\uDFFF, not half of a pair) into a str that no UTF-8 text holds, and
 writing that str out later fails. `loads` rejects such input where it is
-read, so each reader reports it as its own malformed-input error.
+read, so each reader reports it as its own malformed-input error. So is
+JSON nested past the recursion limit.
 """
 
 from __future__ import annotations
@@ -22,7 +23,10 @@ def loads(text: str):
     `text` must itself hold none, as text decoded from UTF-8 does. Only
     text that holds a surrogate escape pays for the check.
     """
-    value = json.loads(text)
+    try:
+        value = json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(str(exc)) from None
     if "\\u" in text and _SURROGATE_ESCAPE.search(text):
         try:
             json.dumps(value, ensure_ascii=False).encode("utf-8")

@@ -263,3 +263,35 @@ class TestVerify:
         official, dev = json.loads(capsys.readouterr().out)["builds"]
         assert official["status"] == "corrupt" and "snapshot hash mismatch" in official["error"]
         assert dev["status"] == "ok"
+
+
+class TestQuotedProgram:
+    """The program is the first word less its quotes, and its dialect tokenizes the line once."""
+
+    def _ingest(self, tmp_path, capsys, path, kind):
+        store = str(tmp_path / "store")
+        assert run(["--store", store, "--format", "json", "ingest", str(path), "--kind", kind,
+                    "--label", "ci", "--build-id", "b1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["tus"], doc["skipped"]) == (1, 0)
+        return store
+
+    @pytest.mark.parametrize("line, source, opt", [
+        ('"C:\\Program Files\\VC\\bin\\cl.exe" /O2 /c a.c\n', "a.c", "/O2"),
+        ('"/opt/my tools/gcc" -O2 -c b.c -o b.o\n', "b.c", "-O2"),
+    ], ids=["msvc", "gnu"])
+    def test_raw_log_line_with_a_quoted_program_is_a_tu(self, tmp_path, capsys, line, source, opt):
+        log = tmp_path / "build.log"
+        log.write_text(line)
+        store = self._ingest(tmp_path, capsys, log, "raw-log")
+        assert run(["--store", store, "query", "find", "--build", "b1", "--group", "opt_level",
+                    f"--value={opt}"]) == 0
+        assert capsys.readouterr().out == f"{tmp_path / source}\n"
+
+    def test_compdb_msvc_command_with_an_apostrophe_is_a_tu(self, tmp_path, capsys):
+        db = tmp_path / "cc.json"
+        db.write_text(json.dumps([{"directory": "/w", "command": "cl /O2 /c it's.c"}]))
+        store = self._ingest(tmp_path, capsys, db, "compdb")
+        assert run(["--store", store, "query", "find", "--build", "b1", "--group", "opt_level",
+                    "--value=/O2"]) == 0
+        assert capsys.readouterr().out == "/w/it's.c\n"
