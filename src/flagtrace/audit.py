@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from .cmdline import RawInvocation, Token
 from .errors import ConfigError
@@ -257,7 +257,7 @@ def exit_code(findings: list[AnomalyFinding]) -> int:
 
 def render_findings(findings: list[AnomalyFinding], fmt: str = "text") -> bytes:
     if fmt == "json":
-        doc = {"report_version": 1, "findings": [asdict(f) for f in findings]}
+        doc = {"report_version": 1, "findings": [vars(f) for f in findings]}
         return (json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2) + "\n").encode("utf-8")
     if not findings:
         return b"no findings\n"

@@ -87,6 +87,8 @@ def _entry_dict(e: FlagEntry | None) -> dict | None:
 def _diff_records(ra: Record, rb: Record) -> list[FlagDelta]:
     """Deltas between two records' effective sets."""
     a, b = ra.effective, rb.effective
+    if a is b:  # loads through one decoder share a set per stored effective text
+        return []
     deltas: list[FlagDelta] = []
     for scope, attr in _KEYED:
         map_a, map_b = getattr(a, attr), getattr(b, attr)
@@ -129,11 +131,11 @@ def _drive_note(paths_a: set[str], paths_b: set[str], notes: list[str]) -> None:
         return None
 
     only_a, only_b = paths_a - paths_b, paths_b - paths_a
-    for p in only_a:
+    for p in sorted(only_a):
         s = strip_drive(p)
         if s is not None and s in only_b:
             notes.append(f"possible drive-letter alias: {p} vs {s}")
-    for p in only_b:
+    for p in sorted(only_b):
         s = strip_drive(p)
         if s is not None and s in only_a:
             notes.append(f"possible drive-letter alias: {s} vs {p}")

@@ -24,9 +24,17 @@ hashes were recomputed, or a vocabulary edit since ingest. `drifted()`
 re-resolves every record to find both, for `flagtrace verify`. Any other
 record (one with a response-file token, and every v1 record) is
 re-resolved on load, since the stored text has no token origins, and
-checked against that text. The records of one snapshot share one
-classification memo, one Token per command-line text, one Dialect per
-stored dialect and one FlagEntry per stored flag-set line.
+checked against that text.
+
+One `RecordDecoder` serves every load of one command (a `Store` makes
+one), so the snapshots a command loads decode each distinct command-line
+token, dialect, flag-set line and stored effective text once, and records
+of consecutive builds share those objects. It keeps at most two loads'
+worth: the current load's entries and those of the previous load that
+the current one has not used yet. Every load still hashes and JSON-decodes
+every record line, checks each flag-set line that the decoder has not
+already decoded, and re-resolves every record with a response-file token
+and every v1 record.
 """
 
 from __future__ import annotations
@@ -124,16 +132,23 @@ def _cyclic_gc_paused():
 
 
 class _Interned(dict):
-    """One snapshot's command-line tokens by text; looking up a new text makes its Token.
+    """One load's command-line tokens by text. Looking up a text this load has
+    not used yet takes the previous load's Token for it, else makes one.
 
     Looking up anything but a string raises TypeError, as an unhashable
     object token does.
     """
 
+    def __init__(self, previous: dict):
+        self.previous = previous
+
     def __missing__(self, text):
-        if type(text) is not str:
-            raise TypeError("not a command-line token")
-        tok = self[text] = Token(text)
+        tok = self.previous.get(text)
+        if tok is None:
+            if type(text) is not str:
+                raise TypeError("not a command-line token")
+            tok = Token(text)
+        self[text] = tok
         return tok
 
 
@@ -142,18 +157,39 @@ def _resolve(inv: RawInvocation, memo: dict) -> flagmodel.EffectiveFlagSet:
     return flagmodel.resolve(flagmodel.classify_all(list(inv.tokens), inv.dialect, memo))
 
 
-class _RecordDecoder:
-    """Rebuilds the records of one snapshot, which share what they have in common:
-    one Token per command-line text, one Dialect per stored dialect, one
-    FlagEntry per flag-set line and, for the records it re-resolves, one
-    `classify_all` memo.
+class RecordDecoder:
+    """Rebuilds the records of the snapshots one command loads, which share what
+    they have in common: one Token per command-line text, one Dialect per
+    stored dialect, one FlagEntry per flag-set line and one EffectiveFlagSet
+    per stored effective text of a command-line-only record. That last table
+    is keyed by the SHA-256 digest of the text, so the text is not kept.
+
+    Each table maps stored content to what that content alone decodes to,
+    so a load that fails leaves nothing wrong for the next one. Records
+    with equal stored sets hold one object, so no caller may change a
+    record's set in place; none does.
+
+    Memory stays at two loads' worth: `start_load` keeps only the entries
+    the last load used, and a lookup in the new load carries over what it
+    finds there. The records a load re-resolves share one `classify_all`
+    memo, which the next load does not inherit.
     """
 
     def __init__(self):
-        self.tokens = _Interned()
+        self.tokens = _Interned({})
         self.dialects: dict[tuple, Dialect] = {}
         self.flagset_lines: dict = {}
+        self.effective_sets: dict[bytes, flagmodel.EffectiveFlagSet] = {}
+        self.previous: tuple[dict, dict, dict] = ({}, {}, {})
         self.classified: dict = {}
+
+    def start_load(self) -> None:
+        """Begin a load: the last load's entries become the ones a lookup may carry over."""
+        last_tokens, self.tokens.previous = self.tokens, {}
+        self.tokens = _Interned(last_tokens)
+        self.previous = (self.dialects, self.flagset_lines, self.effective_sets)
+        self.dialects, self.flagset_lines, self.effective_sets = {}, {}, {}
+        self.classified = {}
 
     def decode(self, cls: type[Record], d: dict) -> Record:
         """Decode a command-line-only record's stored effective set; re-resolve
@@ -164,10 +200,15 @@ class _RecordDecoder:
         key = (stored_dialect["family"], stored_dialect["tool_kind"])
         dialect = self.dialects.get(key)
         if dialect is None:
-            dialect = self.dialects[key] = Dialect.from_dict(stored_dialect)
+            dialect = self.dialects[key] = (self.previous[0].get(key)
+                                            or Dialect.from_dict(stored_dialect))
         inv = RawInvocation(i["program"], tokens, i["cwd"], i["source"], dialect)
         if command_line_only:
-            eff = flagmodel.canonical_deserialize(d["effective"], self.flagset_lines)
+            text = d["effective"]
+            digest = hashlib.sha256(text.encode("utf-8")).digest()
+            eff = self.effective_sets.get(digest)
+            if eff is None:
+                eff = self.effective_sets[digest] = self._first_use(digest, text)
         else:
             eff = _resolve(inv, self.classified)
             stored = d["effective"].encode("utf-8")
@@ -177,6 +218,15 @@ class _RecordDecoder:
                     hashlib.sha256(stored).hexdigest(), hashlib.sha256(actual).hexdigest()
                 )
         return cls(*(d[name] for name in cls.FIELDS), inv, eff)
+
+    def _first_use(self, digest: bytes, text: str) -> flagmodel.EffectiveFlagSet:
+        """The set of an effective text this load has not used yet, whose SHA-256 is
+        `digest`: the previous load's set for it, else the text decoded."""
+        _, previous_lines, previous_sets = self.previous
+        eff = previous_sets.get(digest)
+        if eff is None:
+            eff = flagmodel.canonical_deserialize(text, self.flagset_lines, previous_lines)
+        return eff
 
     def _tokens(self, stored: list) -> tuple[tuple[Token, ...], bool]:
         """The tokens, and whether all came from the command line.
@@ -242,16 +292,20 @@ class BuildSnapshot:
 
     @classmethod
     @_cyclic_gc_paused()
-    def deserialize(cls, data: bytes) -> "BuildSnapshot":
+    def deserialize(cls, data: bytes, decoder: RecordDecoder | None = None) -> "BuildSnapshot":
         """Decode stored bytes, hashing each record line as read.
 
-        Lines split on LF only: paths may hold U+0085 or U+2028, which
-        canonical JSON leaves unescaped. A line whose JSON gives a lone
-        surrogate is as unreadable as one that is not JSON.
+        Pass one `decoder` for all the snapshots one command loads, so
+        they share what they have in common; without one, the load uses
+        its own. Lines split on LF only: paths may hold U+0085 or U+2028,
+        which canonical JSON leaves unescaped. A line whose JSON gives a
+        lone surrogate is as unreadable as one that is not JSON.
         """
         lines = data.removesuffix(b"\n").split(b"\n")
         h = hashlib.sha256()
-        decoder = _RecordDecoder()
+        if decoder is None:
+            decoder = RecordDecoder()
+        decoder.start_load()
         lineno = 1
         try:
             header = strictjson.loads(lines[0].decode("utf-8"))

@@ -11,6 +11,11 @@ store that does not exist finds no builds and creates nothing.
 Snapshots are immutable once written: there is no delete or compact
 command, and a put never rewrites previously stored bytes. Writes are
 serialized through an advisory lock file; reads take no lock.
+
+A Store decodes every snapshot it loads through one `RecordDecoder`, so
+a command that loads several builds (diff, audit, history, verify)
+decodes each distinct token, flag-set line and effective set once, and
+holds at most two loads' worth of them.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import CorruptSnapshot, DuplicateBuildId, MalformedIndex, NotFound
-from .snapshot import BuildSnapshot
+from .snapshot import BuildSnapshot, RecordDecoder
 
 STORE_VERSION = "flagtrace-store v1"
 
@@ -44,6 +49,7 @@ class Store:
         self.index_path = os.path.join(root, "index.tsv")
         self.version_path = os.path.join(root, "VERSION")
         self.lock_path = os.path.join(root, ".lock")
+        self._decoder = RecordDecoder()
 
     def _read_index(self) -> list[IndexEntry]:
         if not os.path.exists(self.index_path):
@@ -99,7 +105,7 @@ class Store:
     def _load(self, e: IndexEntry) -> BuildSnapshot:
         """Load the snapshot an index entry names, checking it against the entry's hash."""
         with open(os.path.join(self.root, e.relpath), "rb") as fh:
-            snap = BuildSnapshot.deserialize(fh.read())
+            snap = BuildSnapshot.deserialize(fh.read(), self._decoder)
         if snap.content_hash != e.content_hash:
             raise CorruptSnapshot(e.content_hash, snap.content_hash)
         return snap

@@ -1,6 +1,7 @@
 import json
 import random
 
+from flagtrace.cli import run
 from flagtrace.diffengine import GROUP, DEFINE, diff, render_report
 from delta_oracle import apply_deltas, swapped
 from tests.test_ingest import log_snapshot
@@ -119,3 +120,26 @@ class TestRender:
         assert text.count("opt_level") == 1
         json_bytes = render_report(diff(a, b), "json")
         assert json_bytes == render_report(diff(a, b), "json")  # deterministic
+
+
+def test_drive_letter_notes_are_sorted(tmp_path, capsys):
+    """Alias notes come out in path order, whatever the hash seed: those of the
+    first build's paths, then those of the second's."""
+    sides = {"a": ["C:/s/c.c", "C:/s/a.c", "C:/s/e.c", "C:/s/b.c", "C:/s/d.c", "/t/y.c", "/t/x.c"],
+             "b": ["/s/c.c", "/s/a.c", "/s/e.c", "/s/b.c", "/s/d.c", "C:/t/y.c", "C:/t/x.c"]}
+    store = str(tmp_path / "store")
+    for build_id, sources in sides.items():
+        db = tmp_path / f"{build_id}.json"
+        db.write_text(json.dumps([{"directory": "/w", "command": f"gcc -O2 -c {src}"}
+                                  for src in sources]))
+        assert run(["--store", store, "ingest", str(db), "--kind", "compdb",
+                    "--label", "dev", "--build-id", build_id]) == 0
+    capsys.readouterr()
+    notes = [f"possible drive-letter alias: C:/s/{n}.c vs /s/{n}.c" for n in "abcde"]
+    notes += [f"possible drive-letter alias: /t/{n}.c vs C:/t/{n}.c" for n in "xy"]
+
+    assert run(["--store", store, "diff", "a", "b"]) == 4
+    text = capsys.readouterr().out
+    assert [line[len("note: "):] for line in text.splitlines() if line.startswith("note: ")] == notes
+    assert run(["--store", store, "--format", "json", "diff", "a", "b"]) == 4
+    assert json.loads(capsys.readouterr().out)["notes"] == notes

@@ -1,0 +1,210 @@
+"""One decoder for every load of a Store: what the loads share, and what it may not change.
+
+A Store decodes each snapshot it loads through one RecordDecoder, whose
+tables (tokens, dialects, flag-set lines, effective sets) carry entries
+from one load to the next. Every load must still read back exactly what
+a load on its own reads, fail the same way on a damaged build without
+affecting the builds after it, and leave the decoder holding entries of
+at most two loads.
+"""
+
+import gc
+import json
+import tempfile
+import weakref
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from flagtrace import flagmodel
+from flagtrace.cli import run
+from flagtrace.cmdline import Origin, RawInvocation, Token, detect_dialect
+from flagtrace.diffengine import diff
+from flagtrace.errors import CorruptSnapshot
+from flagtrace.snapshot import BuildSnapshot, LinkTargetRecord, TranslationUnitRecord
+from flagtrace.store import Store
+from tests.test_snapshot import _rewrite_record
+
+
+def _record_view(rec) -> tuple:
+    """Everything a record holds: kind, stored fields, invocation and tokens, the
+    canonical bytes of its set and the set's entries with their origins."""
+    return (type(rec), [getattr(rec, name) for name in rec.FIELDS], rec.invocation,
+            flagmodel.canonical_serialize(rec.effective), vars(rec.effective))
+
+
+def _assert_reads_as_alone(store: Store, build_id: str) -> None:
+    """The build loads through `store` exactly as the stored file decodes on its own."""
+    entry = next(e for e in store.list_builds() if e.build_id == build_id)
+    data = (Path(store.root) / entry.relpath).read_bytes()
+    alone = BuildSnapshot.deserialize(data)
+    shared = store.get(build_id)
+    assert [_record_view(r) for r in (*shared.tus, *shared.targets)] == \
+        [_record_view(r) for r in (*alone.tus, *alone.targets)]
+    assert shared.serialize() == alone.serialize() == data
+
+
+_SPELLINGS = ["-O0", "-O2", "-g", "-DX=1", "-DX=2", "-UX", "-Iinc", "-fPIC", "-fweird", "-o", "a.o",
+              "-lz", "/O2", "/MD"]
+# Command-line tokens of one length, so builds differ in sets of equal size.
+_VARIANTS = st.sampled_from(["-O0", "-O2", "-O3", "-DX=1", "-DX=2"]).map(Token)
+_RSP_TOKENS = st.builds(Token, st.sampled_from(_SPELLINGS),
+                        st.builds(Origin, st.just("response-file"), st.just("/w/a.rsp"),
+                                  st.integers(0, 3)))
+
+
+def _record_parts(tokens: list, program: str, source: str):
+    """An invocation of `program` with these tokens, and the set they resolve to."""
+    inv = RawInvocation(program, tuple(tokens), "/w", source, detect_dialect(program))
+    return inv, flagmodel.resolve(flagmodel.classify_all(tokens, inv.dialect))
+
+
+@st.composite
+def label_builds(draw):
+    """Builds of one label drawn from a pool of commands: each build keeps or drops
+    each command, appends a variant token and may append a response-file token to
+    it, may link, and is stored as v1 or v2. Then an order to load them in."""
+    pool = draw(st.lists(st.tuples(st.sampled_from(["gcc", "cl"]),
+                                   st.lists(st.sampled_from(_SPELLINGS).map(Token), max_size=6)),
+                         min_size=1, max_size=5))
+    builds = []
+    for b in range(draw(st.integers(2, 4))):
+        tus = []
+        for i, (program, tokens) in enumerate(pool):
+            if draw(st.integers(0, 3)):  # keep three commands in four
+                rsp = [draw(_RSP_TOKENS)] if not draw(st.integers(0, 3)) else []
+                extra = [*rsp, draw(_VARIANTS)]
+                inv, eff = _record_parts(tokens + extra, program, f"log:b{b}.log:{i + 1}")
+                tus.append(TranslationUnitRecord(f"/w/{i}.c", f"/w/{i}.o", inv, eff))
+        targets = []
+        if draw(st.booleans()):
+            extra = draw(st.lists(st.one_of(_VARIANTS, _RSP_TOKENS), max_size=2))
+            inv, eff = _record_parts([Token("a.o"), *extra, Token("-o"), Token("app")], "gcc",
+                                     f"log:b{b}.log:9")
+            targets.append(LinkTargetRecord("/w/app", ["/w/a.o"], [], ["/w/a.o"], inv, eff))
+        builds.append(BuildSnapshot(f"b{b}", "dev", f"2026-01-0{b + 1}T00:00:00Z", tus, targets,
+                                    snapshot_version=draw(st.sampled_from([1, 2]))))
+    order = draw(st.lists(st.sampled_from([s.build_id for s in builds]), min_size=2, max_size=8))
+    return builds, order
+
+
+@settings(max_examples=100, deadline=None)
+@given(label_builds())
+def test_loads_through_one_store_read_as_each_alone(drawn):
+    """However builds share records, and in whatever order one Store loads them,
+    each reads back as its file does on its own."""
+    builds, order = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        store = Store(str(Path(tmp) / "store"))
+        for snap in builds:
+            store.put(snap)
+        for build_id in order:
+            _assert_reads_as_alone(store, build_id)
+
+
+def _ingest(tmp_path, builds: dict) -> Store:
+    store = Store(str(tmp_path / "store"))
+    for i, (build_id, text) in enumerate(builds.items()):
+        log = tmp_path / f"{build_id}.log"
+        log.write_text(text)
+        assert run(["--store", store.root, "ingest", str(log), "--label", "dev",
+                    "--build-id", build_id, "--created", f"2026-01-0{i + 1}T00:00:00Z"]) == 0
+    return store
+
+
+_SAME_BUILD = "gcc -O2 -DA -Iinc -c a.c -o a.o\ngcc -O2 -DA -c b.c -o b.o\ngcc a.o b.o -o app\n"
+
+
+def _flip_byte(store: Store) -> None:
+    """Change -O2 to -O3 in the second build's first record, leaving every hash as it was."""
+    path = Path(store.root) / store.list_builds()[1].relpath
+    stored = b'\\"-O2\\",\\"-O2\\"'
+    assert stored in path.read_bytes()
+    path.write_bytes(path.read_bytes().replace(stored, b'\\"-O2\\",\\"-O3\\"', 1))
+
+
+def _bad_define_line(store: Store) -> None:
+    """A define line whose macro name disagrees with its value, with every hash recomputed."""
+    def edit(rec):
+        assert '["define","A","A","-DA"]' in rec["effective"]
+        rec["effective"] = rec["effective"].replace('["define","A","A","-DA"]',
+                                                    '["define","B","A","-DA"]')
+    _rewrite_record(store, "b2", 0, edit)
+
+
+def _rewritten_set(store: Store) -> None:
+    """A well-formed but rewritten set (-O2 to -O0), with every hash recomputed."""
+    def edit(rec):
+        assert '"-O2","-O2"' in rec["effective"]
+        rec["effective"] = rec["effective"].replace('"-O2","-O2"', '"-O0","-O0"')
+    _rewrite_record(store, "b2", 0, edit)
+
+
+@pytest.mark.parametrize("damage", [_flip_byte, _bad_define_line, _rewritten_set],
+                         ids=["flipped-byte", "bad-define-line", "rewritten-set"])
+def test_damaged_build_between_good_ones(tmp_path, capsys, damage):
+    """A damaged middle build reads as it does on its own, and the builds after it
+    read back unchanged; verify reports each build as it does alone."""
+    store = _ingest(tmp_path, {"b1": _SAME_BUILD, "b2": _SAME_BUILD, "b3": _SAME_BUILD})
+    damage(store)
+
+    try:
+        alone = Store(store.root).get("b2")
+    except CorruptSnapshot as exc:
+        alone = str(exc)
+    shared = Store(store.root)
+    _assert_reads_as_alone(shared, "b1")
+    if isinstance(alone, str):
+        with pytest.raises(CorruptSnapshot) as exc:
+            shared.get("b2")
+        assert str(exc.value) == alone
+    else:
+        _assert_reads_as_alone(shared, "b2")
+    _assert_reads_as_alone(shared, "b3")
+    assert Store(store.root).get("b3").tus[0].effective.group_value("opt_level").value == "-O2"
+
+    ids = ["b1", "b2", "b3"]
+    assert Store(store.root).verify() == [Store(store.root).verify([b])[0] for b in ids]
+    capsys.readouterr()
+    assert run(["--store", store.root, "--format", "json", "verify"]) == 3
+    assert [b["status"] for b in json.loads(capsys.readouterr().out)["builds"]] == \
+        ["ok", "corrupt", "ok"]
+
+
+def test_consecutive_builds_share_decoded_objects(tmp_path):
+    """Equal stored sets and tokens of consecutive loads are one object, and a diff
+    of two records holding one set has no deltas."""
+    store = _ingest(tmp_path, {"b1": _SAME_BUILD, "b2": _SAME_BUILD})
+    a, b, again = store.get("b1"), store.get("b2"), store.get("b1")
+    for x, y in ((a, b), (b, again)):
+        for rx, ry in zip((*x.tus, *x.targets), (*y.tus, *y.targets)):
+            assert rx.effective is ry.effective
+            assert all(t is u for t, u in zip(rx.invocation.tokens, ry.invocation.tokens))
+    assert diff(a, b).is_empty()
+
+
+def test_decoder_holds_at_most_two_loads(tmp_path):
+    """Once a Store has loaded builds whose tokens, flag-set lines and sets are each
+    unique to their build, it keeps the objects of the last two builds alive and
+    none of the earlier ones."""
+    store = Store(str(tmp_path / "store"))
+    n, per_build = 6, 5
+    for k in range(n):
+        tus = []
+        for j in range(per_build):
+            tokens = [Token(f"-DK{k}_{j}"), Token(f"-Iinc/K{k}_{j}"), Token(f"/w/K{k}_{j}.c")]
+            inv, eff = _record_parts(tokens, "gcc", f"log:b.log:{j + 1}")
+            tus.append(TranslationUnitRecord(f"/w/K{k}_{j}.c", None, inv, eff))
+        store.put(BuildSnapshot(f"b{k}", "dev", f"2026-01-0{k + 1}T00:00:00Z", tus))
+
+    refs = []  # per build: weak references to its tokens, sets and flag entries
+    for k in range(n):
+        snap = store.get(f"b{k}")
+        refs.append([weakref.ref(x) for tu in snap.tus for x in (
+            *tu.invocation.tokens, tu.effective, *tu.effective.defines.values(),
+            *tu.effective.include_dirs, *tu.effective.sources)])
+        del snap
+    gc.collect()
+    alive = [sum(ref() is not None for ref in build) for build in refs]
+    assert alive == [0] * (n - 2) + [len(refs[-1])] * 2
