@@ -2,8 +2,10 @@
 
 Two quoting conventions are supported: POSIX-shell word splitting for the
 GNU-ish toolchains (gcc, clang, ld, ar) and the MSVC argv rules
-(backslash-doubling before quotes) for cl/link/lib. Response files
-(@path) are expanded recursively with cycle and depth protection.
+(backslash-doubling before quotes) for cl/link/lib. Each is one linear
+regex pass over the line; the character-at-a-time reference they must
+agree with lives in tests/cmdline_oracle.py. Response files (@path) are
+expanded recursively with cycle and depth protection.
 
 No environment-variable expansion is ever performed: the original
 environment is not available when working from archived logs, so
@@ -15,7 +17,9 @@ from __future__ import annotations
 
 import os
 import posixpath
-from dataclasses import dataclass, field
+import re
+from collections.abc import Sequence
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import NestingTooDeep, ResponseFileCycle, ResponseFileNotFound, UnterminatedQuote
@@ -130,150 +134,111 @@ def detect_dialect(program: str) -> Dialect:
     return Dialect(Family.GNU_LIKE, ToolKind.UNKNOWN)
 
 
+_SPACE = " \t\r\n"  # the only characters that end a word
+_FIRST_WORD = re.compile(r"[^ \t\r\n]*")
+
+
 def command_program(line: str) -> str:
-    """The program a command line runs: its first word, less one surrounding pair of quotes."""
-    line = line.lstrip()
+    """The program a command line runs: its first word, less one surrounding pair of quotes.
+
+    Words end only where the tokenizers end them, at space, tab, CR or LF.
+    """
+    line = line.lstrip(_SPACE)
     if line[:1] in ("'", '"'):
         end = line.find(line[0], 1)
         if end > 0:
             return line[1:end]
-    return line.split(None, 1)[0] if line else ""
+    return _FIRST_WORD.match(line).group()
+
+
+# A word is a run of pieces. A quote that is never closed runs to the end
+# of the line, so no piece fails once it has started and the scan never
+# backtracks; unquoting then finds the open quote in the last word.
+_POSIX_WORD = re.compile(r"""(?:[^ \t\r\n'"\\]+|'[^']*(?:'|\Z)|"(?:[^"\\]+|\\.?)*(?:"|\Z)|\\.?)+""", re.S)
+# A quote matched alone, by the last branch, is one left open.
+_POSIX_PIECE = re.compile(r"""'([^']*)'|"((?:[^"\\]|\\.)*)"|\\(.?)|['"]""", re.S)
+_POSIX_DQ_ESCAPE = re.compile(r'\\(?:\n|([\\"$`]))')
+
+
+def _unquote_posix(m: re.Match) -> str:
+    single, double, escaped = m.groups()
+    if single is not None:
+        return single
+    if double is not None:
+        return _POSIX_DQ_ESCAPE.sub(r"\1", double)
+    if escaped is None:
+        raise UnterminatedQuote(m.start())
+    return "" if escaped == "\n" else escaped or "\\"
 
 
 def _tokenize_posix(line: str) -> list[str]:
-    words: list[str] = []
-    buf: list[str] = []
-    has_word = False
-    i, n = 0, len(line)
-    while i < n:
-        c = line[i]
-        if c in " \t\r\n":
-            if has_word:
-                words.append("".join(buf))
-                buf, has_word = [], False
-            i += 1
-        elif c == "'":
-            j = line.find("'", i + 1)
-            if j < 0:
-                raise UnterminatedQuote(i)
-            buf.append(line[i + 1 : j])
-            has_word = True
-            i = j + 1
-        elif c == '"':
-            start = i
-            i += 1
-            has_word = True
-            closed = False
-            while i < n:
-                c = line[i]
-                if c == '"':
-                    closed = True
-                    i += 1
-                    break
-                if c == "\\" and i + 1 < n and line[i + 1] in '"\\$`\n':
-                    if line[i + 1] != "\n":
-                        buf.append(line[i + 1])
-                    i += 2
-                else:
-                    buf.append(c)
-                    i += 1
-            if not closed:
-                raise UnterminatedQuote(start)
-        elif c == "\\":
-            if i + 1 < n:
-                if line[i + 1] != "\n":
-                    buf.append(line[i + 1])
-                    has_word = True
-                i += 2
-            else:
-                buf.append("\\")
-                has_word = True
-                i += 1
-        else:
-            buf.append(c)
-            has_word = True
-            i += 1
-    if has_word:
-        words.append("".join(buf))
-    return words
+    words = _POSIX_WORD.findall(line)
+    try:
+        return [_POSIX_PIECE.sub(_unquote_posix, w) if "'" in w or '"' in w or "\\" in w else w
+                for w in words]
+    except UnterminatedQuote as exc:  # raised for the last word, which ends the line
+        raise UnterminatedQuote(len(line) - len(words[-1]) + exc.position) from None
+
+
+# CommandLineToArgvW rules: 2n backslashes + quote -> n backslashes and a
+# quote toggle; 2n+1 backslashes + quote -> n backslashes and a literal
+# quote; backslashes not before a quote are literal. Pairs are taken
+# first, so a lone backslash is always the odd one of its run.
+_MSVC_WORD = re.compile(r"""(?:[^ \t\r\n"\\]+|(?:\\\\)+|\\"?|"(?:[^"\\]+|(?:\\\\)+|\\"?)*(?:"|\Z))+""")
+# (?<!\\) starts a match only at the head of a backslash run: linear in its length.
+_MSVC_QUOTE = re.compile(r'(?<!\\)(\\*)"')
+
+
+def _unquote_msvc(m: re.Match) -> str:
+    n = len(m.group(1))
+    return "\\" * (n // 2) + ('"' if n % 2 else "")
 
 
 def _tokenize_msvc(line: str) -> list[str]:
-    # CommandLineToArgvW rules: 2n backslashes + quote -> n backslashes and
-    # a quote toggle; 2n+1 backslashes + quote -> n backslashes and a
-    # literal quote; backslashes not before a quote are literal.
-    words: list[str] = []
-    buf: list[str] = []
-    has_word = False
-    in_quote = False
-    quote_start = -1
-    i, n = 0, len(line)
-    while i < n:
-        c = line[i]
-        if c in " \t\r\n" and not in_quote:
-            if has_word:
-                words.append("".join(buf))
-                buf, has_word = [], False
-            i += 1
-        elif c == "\\":
-            j = i
-            while j < n and line[j] == "\\":
-                j += 1
-            count = j - i
-            if j < n and line[j] == '"':
-                buf.append("\\" * (count // 2))
-                if count % 2 == 0:
-                    if not in_quote:
-                        quote_start = j
-                    in_quote = not in_quote
-                else:
-                    buf.append('"')
-                has_word = True
-                i = j + 1
-            else:
-                buf.append("\\" * count)
-                has_word = True
-                i = j
-        elif c == '"':
-            if not in_quote:
-                quote_start = i
-            in_quote = not in_quote
-            has_word = True
-            i += 1
-        else:
-            buf.append(c)
-            has_word = True
-            i += 1
-    if in_quote:
-        raise UnterminatedQuote(quote_start)
-    if has_word:
-        words.append("".join(buf))
-    return words
+    words = _MSVC_WORD.findall(line)
+    if words and '"' in words[-1]:
+        open_at = None  # the last word's unclosed quote, if any
+        for m in _MSVC_QUOTE.finditer(words[-1]):
+            if len(m.group(1)) % 2 == 0:
+                open_at = m.end() - 1 if open_at is None else None
+        if open_at is not None:
+            raise UnterminatedQuote(len(line) - len(words[-1]) + open_at)
+    return [_MSVC_QUOTE.sub(_unquote_msvc, w) if '"' in w else w for w in words]
 
 
-def tokenize(line: str, dialect: Dialect) -> list[Token]:
+class TokenTable(dict):
+    """Word -> its one command-line Token; keep one table per evidence parse."""
+
+    def __missing__(self, word: str) -> Token:
+        token = self[word] = Token(word)
+        return token
+
+
+def tokenize(line: str, dialect: Dialect, table: TokenTable | None = None) -> list[Token]:
     """Split one logical command line into tokens under the dialect's rules.
 
     Continuation backslashes must already have been joined by the caller.
     Quoted-empty arguments are dropped (a token's text is never empty).
+    Equal words share the Token that `table` holds for them.
     """
-    if dialect.family is Family.MSVC:
-        words = _tokenize_msvc(line)
-    else:
-        words = _tokenize_posix(line)
-    return [Token(w) for w in words if w]
+    words = _tokenize_msvc(line) if dialect.family is Family.MSVC else _tokenize_posix(line)
+    table = TokenTable() if table is None else table
+    return [table[w] for w in words if w]
 
 
 def expand_response_files(
-    tokens: list[Token], cwd: str, dialect: Dialect, _chain: tuple[str, ...] = ()
-) -> list[Token]:
+    tokens: Sequence[Token], cwd: str, dialect: Dialect, _chain: tuple[str, ...] = ()
+) -> Sequence[Token]:
     """Replace every @path token in place by the tokenized file contents.
 
     Recursive with a cycle check and a nesting cap of MAX_RESPONSE_DEPTH.
     Files are read as UTF-8 with lossy replacement; LF and CRLF both work.
+    Without an @path token, `tokens` itself is returned.
     """
     if len(_chain) > MAX_RESPONSE_DEPTH:
         raise NestingTooDeep(MAX_RESPONSE_DEPTH)
+    if not any(tok.text[:1] == "@" and len(tok.text) > 1 for tok in tokens):
+        return tokens
     out: list[Token] = []
     for tok in tokens:
         if not tok.text.startswith("@") or len(tok.text) < 2:
@@ -287,7 +252,7 @@ def expand_response_files(
         try:
             with open(path, "r", encoding="utf-8", errors="replace") as fh:
                 body = fh.read()
-        except FileNotFoundError:
+        except (FileNotFoundError, ValueError):  # ValueError: a NUL in the path names no file
             raise ResponseFileNotFound(path) from None
         inner = tokenize(body, dialect)
         inner = [Token(t.text, Origin("response-file", path, idx)) for idx, t in enumerate(inner)]

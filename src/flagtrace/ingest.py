@@ -21,7 +21,7 @@ from . import flagmodel, strictjson
 from .cmdline import (
     Family,
     RawInvocation,
-    Token,
+    TokenTable,
     ToolKind,
     command_program,
     detect_dialect,
@@ -55,10 +55,17 @@ class EvidenceSource:
 
 
 def logical_lines(text: str):
-    """Yield (first_line_number, joined_line) with backslash continuations merged."""
+    """Yield (first_line_number, joined_line) with backslash continuations merged.
+
+    Lines end at LF, CRLF or CR only; a vertical tab, form feed or Unicode
+    line separator stays inside its line, as it does for a shell.
+    """
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
     pending = ""
     start = None
-    for idx, line in enumerate(text.splitlines(), start=1):
+    for idx, line in enumerate(lines, start=1):
         if start is None:
             start = idx
         if line.endswith("\\"):
@@ -92,6 +99,7 @@ def parse_raw_log(path: str, skipped: list[dict] | None = None) -> list[RawInvoc
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         text = fh.read()
     cwd = os.path.dirname(os.path.abspath(path))
+    table = TokenTable()
     out: list[RawInvocation] = []
     for lineno, line in logical_lines(text):
         stripped = line.strip()
@@ -102,7 +110,7 @@ def parse_raw_log(path: str, skipped: list[dict] | None = None) -> list[RawInvoc
         if dialect.tool_kind is ToolKind.UNKNOWN:
             continue
         try:
-            tokens = tokenize(stripped, dialect)
+            tokens = tokenize(stripped, dialect, table)
         except UnterminatedQuote as exc:
             if skipped is not None:
                 skipped.append({"source": f"log:{path}:{lineno}", "program": program,
@@ -133,6 +141,7 @@ def parse_compilation_db(path: str) -> list[RawInvocation]:
             raise MalformedDb(str(exc)) from None
     if not isinstance(entries, list):
         raise MalformedDb("top-level value is not an array")
+    table = TokenTable()
     out: list[RawInvocation] = []
     for idx, entry in enumerate(entries):
         if not isinstance(entry, dict):
@@ -149,11 +158,11 @@ def parse_compilation_db(path: str) -> list[RawInvocation]:
                 raise MalformedDb("empty arguments array", idx)
             program = argv[0]
             dialect = detect_dialect(program)
-            tokens = tuple(Token(a) for a in argv[1:] if a)
+            tokens = tuple(table[a] for a in argv[1:] if a)
         elif "command" in entry:
             dialect = detect_dialect(command_program(entry["command"]))
             try:
-                tokens_all = tokenize(entry["command"], dialect)
+                tokens_all = tokenize(entry["command"], dialect, table)
             except UnterminatedQuote as exc:
                 raise MalformedDb(f"unterminated quote: {exc}", idx) from None
             if not tokens_all:
@@ -181,6 +190,7 @@ def parse_wrapper_spool(dirpath: str) -> list[RawInvocation]:
     not a string is malformed.
     Output is ordered by (ts, filename); argv is taken verbatim.
     """
+    table = TokenTable()
     keyed: list[tuple[tuple, RawInvocation]] = []
     for name in sorted(os.listdir(dirpath)):
         fpath = os.path.join(dirpath, name)
@@ -209,7 +219,7 @@ def parse_wrapper_spool(dirpath: str) -> list[RawInvocation]:
                 program = argv[0]
                 inv = RawInvocation(
                     program=program,
-                    tokens=tuple(Token(a) for a in argv[1:] if a),
+                    tokens=tuple(table[a] for a in argv[1:] if a),
                     cwd=rec.get("cwd", ""),
                     source=f"spool:{fpath}:{lineno}",
                     dialect=detect_dialect(rec.get("tool") or program),
@@ -260,10 +270,11 @@ def assemble_snapshot(
     memo: dict = {}  # classify_all memo, shared by this snapshot's invocations
 
     for inv in invocations:
-        tokens = expand_response_files(list(inv.tokens), inv.cwd, inv.dialect)
+        tokens = expand_response_files(inv.tokens, inv.cwd, inv.dialect)
         entries = flagmodel.classify_all(tokens, inv.dialect, memo)
         effective = flagmodel.resolve(entries)
-        inv = replace(inv, tokens=tuple(tokens))
+        if tokens is not inv.tokens:
+            inv = replace(inv, tokens=tuple(tokens))
         is_compiler = inv.dialect.tool_kind is ToolKind.COMPILER
         is_linker = inv.dialect.tool_kind is ToolKind.LINKER
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from flagtrace.cli import run
+from flagtrace.store import Store
 from conftest import build_minimal_elf
 
 OFFICIAL_LOG = (
@@ -145,7 +146,6 @@ class TestLintCli:
 class TestStampCli:
     def test_stamp_and_read(self, seeded_store, tmp_path, capsys):
         elf = build_minimal_elf(tmp_path / "app.bin")
-        from flagtrace.store import Store
         snap = Store(seeded_store).get("official-1")
         subject = snap.targets[0].output
         assert run(["--store", seeded_store, "stamp", elf, "official-1", subject]) == 0
@@ -254,7 +254,6 @@ class TestVerify:
 
     def test_unreadable_build_is_corrupt_and_the_rest_still_checked(self, seeded_store, capsys):
         from pathlib import Path
-        from flagtrace.store import Store
 
         entry = Store(seeded_store).list_builds("official")[0]
         snap_file = Path(seeded_store) / entry.relpath
@@ -295,3 +294,41 @@ class TestQuotedProgram:
         assert run(["--store", store, "query", "find", "--build", "b1", "--group", "opt_level",
                     "--value=/O2"]) == 0
         assert capsys.readouterr().out == "/w/it's.c\n"
+
+
+class TestLineAndWordBreaks:
+    """Raw-log lines end at LF, CRLF or CR only, and words only where the tokenizers end them."""
+
+    def _ingest(self, tmp_path, capsys, path, kind="raw-log"):
+        store = str(tmp_path / "store")
+        assert run(["--store", store, "--format", "json", "ingest", str(path), "--kind", kind,
+                    "--label", "ci", "--build-id", "b1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        return Store(store).get("b1"), doc
+
+    def test_other_line_breaks_stay_inside_their_line(self, tmp_path, capsys):
+        log = tmp_path / "build.log"
+        log.write_bytes("gcc\x0b-O2 -c a.c -o a.o\ngcc -O3 -c b.c\r\n"
+                        "gcc -O1 -DX=\x0c\x1c\x85   -c c.c\rgcc -c d.c\n".encode())
+        snap, doc = self._ingest(tmp_path, capsys, log)
+        # line 1 runs the program "gcc\v-O2", which is no known tool
+        assert doc["skipped"] == 0
+        assert [(t.source_file, t.invocation.source) for t in snap.tus] == [
+            (f"{tmp_path}/{name}", f"log:{log}:{lineno}")
+            for lineno, name in ((2, "b.c"), (3, "c.c"), (4, "d.c"))
+        ]
+
+    @pytest.mark.parametrize("program", ["gcc", "cl"])
+    def test_program_word_ends_where_the_tokenizer_ends_it(self, tmp_path, capsys, program):
+        log = tmp_path / "build.log"
+        log.write_text(f"{program}\xa0-O3 -c b.c\n{program} -c a.c\n", encoding="utf-8")
+        snap, doc = self._ingest(tmp_path, capsys, log)
+        assert (doc["tus"], doc["skipped"]) == (1, 0)
+        assert snap.tus[0].invocation.source == f"log:{log}:2"
+
+    def test_compdb_program_word_and_dialect_agree(self, tmp_path, capsys):
+        db = tmp_path / "cc.json"
+        db.write_text(json.dumps([{"directory": "/w", "command": "gcc\xa0-O3 -c b.c"}]))
+        snap, doc = self._ingest(tmp_path, capsys, db, "compdb")
+        assert (doc["tus"], doc["skipped"]) == (0, 1)
+        assert snap.diagnostics[0]["program"] == "gcc\xa0-O3"

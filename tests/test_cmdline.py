@@ -1,14 +1,18 @@
 import subprocess
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+import cmdline_oracle
 
 from flagtrace.cmdline import (
     Dialect,
     Family,
     Origin,
     Token,
+    TokenTable,
     ToolKind,
+    command_program,
     detect_dialect,
     expand_response_files,
     normalize_path,
@@ -120,6 +124,92 @@ class TestTokenizeMsvc:
         assert texts(tokenize(line, MSVC)) == texts(tokenize(line, MSVC))
 
 
+def oracle_result(line, dialect):
+    """The reference tokenizer's non-empty words, or ("open", position) for an open quote."""
+    split = cmdline_oracle.tokenize_msvc if dialect.family is Family.MSVC else cmdline_oracle.tokenize_posix
+    try:
+        return [w for w in split(line) if w]
+    except UnterminatedQuote as exc:
+        return ("open", exc.position)
+
+
+def runtime_result(line, dialect):
+    try:
+        return texts(tokenize(line, dialect))
+    except UnterminatedQuote as exc:
+        return ("open", exc.position)
+
+
+# Quoting characters and every separator a shell or str.split() might
+# treat as a word break, each weighted well above the rest of Unicode.
+QUOTING_TEXT = st.text(alphabet=st.one_of(
+    st.sampled_from(list("'\"\\$`")),
+    st.sampled_from(list(" \n\r\t\v\xa0")),
+    st.sampled_from(list("ab-=/")),
+    st.characters(),
+), max_size=40)
+
+
+class TestScannersMatchOracle:
+    """The regex scanners split every line as the character-loop reference does."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(QUOTING_TEXT)
+    def test_posix(self, line):
+        assert runtime_result(line, GNU) == oracle_result(line, GNU)
+
+    @settings(max_examples=400, deadline=None)
+    @given(QUOTING_TEXT)
+    def test_msvc(self, line):
+        assert runtime_result(line, MSVC) == oracle_result(line, MSVC)
+
+    # Lines of 200 KB or more: a scanner that backtracks over a quote or a
+    # backslash run takes hours on these instead of milliseconds.
+    ADVERSARIAL = {
+        "open double quote": 'gcc "' + "x y " * 50_000,
+        "open single quote": "gcc '" + "x y " * 50_000,
+        "backslash run": "cl " + "\\" * 100_000 + " a.c" * 25_000,
+        "backslash run and quote": "cl " + "\\" * 100_000 + '"' + " a.c" * 25_000,
+        "odd backslash run and quote": "cl " + "\\" * 100_001 + '" a.c' * 25_000,
+        "quoted backslash run": 'cl "' + "\\" * 100_000 + " a.c" * 25_000,
+        "single-quoted pieces": "gcc " + "'a'" * 100_000,
+        "double-quoted pieces": "gcc " + '"a"' * 100_000,
+        "escaped quotes in quotes": 'gcc "' + '\\"' * 100_000 + '"',
+    }
+
+    @pytest.mark.parametrize("dialect", [GNU, MSVC], ids=["posix", "msvc"])
+    @pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+    def test_adversarial_line(self, name, dialect):
+        line = self.ADVERSARIAL[name]
+        assert len(line) >= 200_000
+        assert runtime_result(line, dialect) == oracle_result(line, dialect)
+
+
+class TestTokenTable:
+    def test_equal_words_share_one_token(self):
+        table = TokenTable()
+        first = tokenize("gcc -O2 -c a.c", GNU, table)
+        second = tokenize("gcc -O2 -c b.c", GNU, table)
+        assert [a is b for a, b in zip(first, second)] == [True, True, True, False]
+        assert table["-O2"] == Token("-O2")
+
+    def test_tokens_equal_without_a_table(self):
+        assert tokenize("gcc -c a.c", GNU, TokenTable()) == tokenize("gcc -c a.c", GNU)
+
+
+class TestCommandProgram:
+    @pytest.mark.parametrize("line, program", [
+        ("gcc -O2 -c a.c", "gcc"),
+        ("  \tgcc\t-c a.c", "gcc"),
+        ("gcc\xa0-O3 -c b.c", "gcc\xa0-O3"),
+        ("gcc\x0b-O2 -c a.c", "gcc\x0b-O2"),
+        ('"/opt/my tools/gcc" -c a.c', "/opt/my tools/gcc"),
+        ("", ""),
+    ])
+    def test_first_word_as_the_tokenizer_splits_it(self, line, program):
+        assert command_program(line) == program
+
+
 class TestResponseFiles:
     def test_expansion(self, tmp_path):
         (tmp_path / "rsp").write_text("-O2 -fno-exceptions\n")
@@ -134,7 +224,7 @@ class TestResponseFiles:
 
     def test_identity_without_at_tokens(self, tmp_path):
         tokens = tokenize("gcc -c a.c", GNU)
-        assert expand_response_files(tokens, str(tmp_path), GNU) == tokens
+        assert expand_response_files(tokens, str(tmp_path), GNU) is tokens
 
     def test_nested(self, tmp_path):
         (tmp_path / "outer").write_text("@inner -g")
@@ -150,6 +240,10 @@ class TestResponseFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ResponseFileNotFound):
             expand_response_files(tokenize("gcc @nope", GNU), str(tmp_path), GNU)
+
+    def test_nul_in_path_is_not_found(self, tmp_path):
+        with pytest.raises(ResponseFileNotFound):
+            expand_response_files(tokenize("gcc @a\x00b", GNU), str(tmp_path), GNU)
 
     def test_depth_cap(self, tmp_path):
         for i in range(20):
