@@ -47,9 +47,9 @@ class Dialect:
     def to_dict(self) -> dict:
         return {"family": self.family.value, "tool_kind": self.tool_kind.value}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Dialect":
-        return cls(Family(d["family"]), ToolKind(d["tool_kind"]))
+
+# Every dialect, by its stored (family, tool_kind) strings: one object each.
+DIALECTS = {(f.value, k.value): Dialect(f, k) for f in Family for k in ToolKind}
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,9 @@ class RawInvocation:
     dialect: Dialect
 
 
-_GNU_COMPILERS = {"cc", "gcc", "g++", "c++", "clang", "clang++"}
-_MSVC_TOOLS = {"cl": ToolKind.COMPILER, "link": ToolKind.LINKER, "lib": ToolKind.ARCHIVER}
+_TOOLS = {**dict.fromkeys(("cc", "gcc", "g++", "c++", "clang", "clang++"), ("gnu", "compiler")),
+          "ld": ("gnu", "linker"), "ar": ("gnu", "archiver"),
+          "cl": ("msvc", "compiler"), "link": ("msvc", "linker"), "lib": ("msvc", "archiver")}
 
 
 def detect_dialect(program: str) -> Dialect:
@@ -123,15 +124,7 @@ def detect_dialect(program: str) -> Dialect:
     base = program.replace("\\", "/").rsplit("/", 1)[-1].lower()
     if "." in base:
         base = base.rsplit(".", 1)[0]
-    if base in _MSVC_TOOLS:
-        return Dialect(Family.MSVC, _MSVC_TOOLS[base])
-    if base in _GNU_COMPILERS:
-        return Dialect(Family.GNU_LIKE, ToolKind.COMPILER)
-    if base == "ld":
-        return Dialect(Family.GNU_LIKE, ToolKind.LINKER)
-    if base == "ar":
-        return Dialect(Family.GNU_LIKE, ToolKind.ARCHIVER)
-    return Dialect(Family.GNU_LIKE, ToolKind.UNKNOWN)
+    return DIALECTS[_TOOLS.get(base, ("gnu", "unknown"))]
 
 
 _SPACE = " \t\r\n"  # the only characters that end a word
@@ -206,6 +199,12 @@ def _tokenize_msvc(line: str) -> list[str]:
     return [_MSVC_QUOTE.sub(_unquote_msvc, w) if '"' in w else w for w in words]
 
 
+def _words(line: str, dialect: Dialect) -> list[str]:
+    """The line's non-empty words under the dialect's quoting rules."""
+    words = _tokenize_msvc(line) if dialect.family is Family.MSVC else _tokenize_posix(line)
+    return [w for w in words if w]
+
+
 class TokenTable(dict):
     """Word -> its one command-line Token; keep one table per evidence parse."""
 
@@ -221,9 +220,8 @@ def tokenize(line: str, dialect: Dialect, table: TokenTable | None = None) -> li
     Quoted-empty arguments are dropped (a token's text is never empty).
     Equal words share the Token that `table` holds for them.
     """
-    words = _tokenize_msvc(line) if dialect.family is Family.MSVC else _tokenize_posix(line)
     table = TokenTable() if table is None else table
-    return [table[w] for w in words if w]
+    return [table[w] for w in _words(line, dialect)]
 
 
 def expand_response_files(
@@ -254,8 +252,8 @@ def expand_response_files(
                 body = fh.read()
         except (FileNotFoundError, ValueError):  # ValueError: a NUL in the path names no file
             raise ResponseFileNotFound(path) from None
-        inner = tokenize(body, dialect)
-        inner = [Token(t.text, Origin("response-file", path, idx)) for idx, t in enumerate(inner)]
+        inner = [Token(w, Origin("response-file", path, idx))
+                 for idx, w in enumerate(_words(body, dialect))]
         out.extend(expand_response_files(inner, os.path.dirname(path) or cwd, dialect, _chain + (path,)))
     return out
 

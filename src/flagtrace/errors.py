@@ -64,8 +64,8 @@ class NotFound(FlagtraceError):
 
 
 class MalformedIndex(FlagtraceError):
-    def __init__(self, path: str, line: int):
-        super().__init__(f"malformed store index {path} line {line}: expected 5 tab-separated fields")
+    def __init__(self, path: str, line: int, reason: str = "expected 5 tab-separated fields"):
+        super().__init__(f"malformed store index {path} line {line}: {reason}")
         self.path = path
         self.line = line
 

@@ -75,7 +75,7 @@ def logical_lines(text: str):
         pending = ""
         start = None
     if pending:
-        yield start, pending.rstrip()
+        yield start, pending[:-1]  # less the space that stood for the last backslash
 
 
 def _is_str_list(value) -> bool:
@@ -102,15 +102,13 @@ def parse_raw_log(path: str, skipped: list[dict] | None = None) -> list[RawInvoc
     table = TokenTable()
     out: list[RawInvocation] = []
     for lineno, line in logical_lines(text):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        program = command_program(stripped)
+        # Not stripped: words end only at the tokenizers' spaces, which they skip.
+        program = command_program(line)
         dialect = detect_dialect(program)
         if dialect.tool_kind is ToolKind.UNKNOWN:
             continue
         try:
-            tokens = tokenize(stripped, dialect, table)
+            tokens = tokenize(line, dialect, table)
         except UnterminatedQuote as exc:
             if skipped is not None:
                 skipped.append({"source": f"log:{path}:{lineno}", "program": program,

@@ -17,24 +17,26 @@ file keeps its bytes and hash. Any other version is rejected.
 
 On load the hash is checked over the record lines as stored, without
 re-serializing them. Effective flag sets are stored denormalized for
-query speed. A record whose tokens all came from the command line (every
-token stored bare) gets its set by decoding the stored text, which the
-hash already covers; so a load does not notice a rewritten set whose
-hashes were recomputed, or a vocabulary edit since ingest. `drifted()`
-re-resolves every record to find both, for `flagtrace verify`. Any other
-record (one with a response-file token, and every v1 record) is
-re-resolved on load, since the stored text has no token origins, and
-checked against that text.
+query speed, and a load has one rule for them: a record's set is the set
+it stored, which the hash already covers. So a load notices neither a
+rewritten set whose hashes were recomputed nor a vocabulary edit since
+ingest; `drifted()` re-resolves every record to find both, for
+`flagtrace verify`, the only judge of a stored set against the current
+vocabulary.
+
+The stored text has no token origins, which audit evidence needs, so a
+record with a response-file token (and every v1 record) is re-resolved
+to recover them: if the re-resolved set serializes to the stored text,
+the record takes it, origins and all. Otherwise a v2 record keeps its
+stored set, whose entries then name only the command line, and a v1
+record is rejected, as v1 always was.
 
 One `RecordDecoder` serves every load of one command (a `Store` makes
 one), so the snapshots a command loads decode each distinct command-line
-token, dialect, flag-set line and stored effective text once, and records
-of consecutive builds share those objects. It keeps at most two loads'
+token, flag-set line and stored effective text once, and records of
+consecutive builds share those objects. It keeps at most two loads'
 worth: the current load's entries and those of the previous load that
-the current one has not used yet. Every load still hashes and JSON-decodes
-every record line, checks each flag-set line that the decoder has not
-already decoded, and re-resolves every record with a response-file token
-and every v1 record.
+the current one has not used yet.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from . import flagmodel, strictjson
-from .cmdline import Dialect, RawInvocation, Token
+from .cmdline import DIALECTS, RawInvocation, Token
 from .errors import CorruptSnapshot
 
 SNAPSHOT_VERSION = 2  # the version new snapshots are written in
@@ -158,11 +160,11 @@ def _resolve(inv: RawInvocation, memo: dict) -> flagmodel.EffectiveFlagSet:
 
 
 class RecordDecoder:
-    """Rebuilds the records of the snapshots one command loads, which share what
-    they have in common: one Token per command-line text, one Dialect per
-    stored dialect, one FlagEntry per flag-set line and one EffectiveFlagSet
-    per stored effective text of a command-line-only record. That last table
-    is keyed by the SHA-256 digest of the text, so the text is not kept.
+    """Rebuilds the records of the snapshots one command loads, each with the set
+    it stored, sharing what they have in common: one Token per command-line
+    text, one FlagEntry per flag-set line and one EffectiveFlagSet per stored
+    effective text. That last table is keyed by the SHA-256 digest of the
+    text, so the text is not kept.
 
     Each table maps stored content to what that content alone decodes to,
     so a load that fails leaves nothing wrong for the next one. Records
@@ -177,55 +179,50 @@ class RecordDecoder:
 
     def __init__(self):
         self.tokens = _Interned({})
-        self.dialects: dict[tuple, Dialect] = {}
         self.flagset_lines: dict = {}
         self.effective_sets: dict[bytes, flagmodel.EffectiveFlagSet] = {}
-        self.previous: tuple[dict, dict, dict] = ({}, {}, {})
+        self.previous: tuple[dict, dict] = ({}, {})
         self.classified: dict = {}
 
     def start_load(self) -> None:
         """Begin a load: the last load's entries become the ones a lookup may carry over."""
         last_tokens, self.tokens.previous = self.tokens, {}
         self.tokens = _Interned(last_tokens)
-        self.previous = (self.dialects, self.flagset_lines, self.effective_sets)
-        self.dialects, self.flagset_lines, self.effective_sets = {}, {}, {}
+        self.previous = (self.flagset_lines, self.effective_sets)
+        self.flagset_lines, self.effective_sets = {}, {}
         self.classified = {}
 
-    def decode(self, cls: type[Record], d: dict) -> Record:
-        """Decode a command-line-only record's stored effective set; re-resolve
-        any other one and check it against the stored set."""
+    def decode(self, cls: type[Record], d: dict, version: int) -> Record:
+        """The record with the set it stored; for one with an object token, that
+        set as re-resolved, with its entries' origins, if it is the same set."""
         i = d["invocation"]
         tokens, command_line_only = self._tokens(i["tokens"])
-        stored_dialect = i["dialect"]
-        key = (stored_dialect["family"], stored_dialect["tool_kind"])
-        dialect = self.dialects.get(key)
-        if dialect is None:
-            dialect = self.dialects[key] = (self.previous[0].get(key)
-                                            or Dialect.from_dict(stored_dialect))
+        dialect = DIALECTS[i["dialect"]["family"], i["dialect"]["tool_kind"]]
         inv = RawInvocation(i["program"], tokens, i["cwd"], i["source"], dialect)
-        if command_line_only:
-            text = d["effective"]
-            digest = hashlib.sha256(text.encode("utf-8")).digest()
-            eff = self.effective_sets.get(digest)
-            if eff is None:
-                eff = self.effective_sets[digest] = self._first_use(digest, text)
-        else:
-            eff = _resolve(inv, self.classified)
-            stored = d["effective"].encode("utf-8")
-            actual = flagmodel.canonical_serialize(eff)
-            if stored != actual:
-                raise CorruptSnapshot(
-                    hashlib.sha256(stored).hexdigest(), hashlib.sha256(actual).hexdigest()
-                )
-        return cls(*(d[name] for name in cls.FIELDS), inv, eff)
+        text = d["effective"]
+        eff = None
+        if not command_line_only:  # re-resolve to recover the origins the text lacks
+            resolved = _resolve(inv, self.classified)
+            stored, actual = text.encode("utf-8"), flagmodel.canonical_serialize(resolved)
+            if stored == actual:
+                eff = resolved
+            elif version == 1:
+                raise CorruptSnapshot(hashlib.sha256(stored).hexdigest(),
+                                      hashlib.sha256(actual).hexdigest())
+        return cls(*(d[name] for name in cls.FIELDS), inv,
+                   self._stored_set(text) if eff is None else eff)
 
-    def _first_use(self, digest: bytes, text: str) -> flagmodel.EffectiveFlagSet:
-        """The set of an effective text this load has not used yet, whose SHA-256 is
-        `digest`: the previous load's set for it, else the text decoded."""
-        _, previous_lines, previous_sets = self.previous
-        eff = previous_sets.get(digest)
+    def _stored_set(self, text: str) -> flagmodel.EffectiveFlagSet:
+        """The set stored as `text`: the one this load or the previous one made
+        for its SHA-256 digest, else the text decoded."""
+        digest = hashlib.sha256(text.encode("utf-8")).digest()
+        eff = self.effective_sets.get(digest)
         if eff is None:
-            eff = flagmodel.canonical_deserialize(text, self.flagset_lines, previous_lines)
+            previous_lines, previous_sets = self.previous
+            eff = previous_sets.get(digest)
+            if eff is None:
+                eff = flagmodel.canonical_deserialize(text, self.flagset_lines, previous_lines)
+            self.effective_sets[digest] = eff
         return eff
 
     def _tokens(self, stored: list) -> tuple[tuple[Token, ...], bool]:
@@ -263,9 +260,9 @@ class BuildSnapshot:
     def drifted(self) -> list[Record]:
         """Records whose effective set differs from what their tokens resolve to now.
 
-        Re-resolves every record through the function load uses for the
-        records it checks, so a rewritten stored set or a vocabulary
-        edit since ingest shows here.
+        Re-resolves every record through the function load uses to recover
+        origins, so a rewritten stored set or a vocabulary edit since
+        ingest shows here, and only here.
         """
         memo: dict = {}
         return [r for r in (*self.tus, *self.targets) if _resolve(r.invocation, memo) != r.effective]
@@ -323,7 +320,7 @@ class BuildSnapshot:
                     continue
                 h.update(line)
                 h.update(b"\n")
-                rec = decoder.decode(_RECORD_TYPES[kind], d)
+                rec = decoder.decode(_RECORD_TYPES[kind], d, version)
                 (snap.tus if kind == "tu" else snap.targets).append(rec)
         except (AttributeError, LookupError, TypeError, ValueError) as exc:
             raise CorruptSnapshot("a snapshot line", f"{type(exc).__name__}: {exc}",

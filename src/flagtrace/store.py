@@ -23,6 +23,7 @@ from __future__ import annotations
 import fcntl
 import hashlib
 import os
+import re
 from dataclasses import dataclass
 
 from .errors import CorruptSnapshot, DuplicateBuildId, MalformedIndex, NotFound
@@ -54,16 +55,21 @@ class Store:
     def _read_index(self) -> list[IndexEntry]:
         if not os.path.exists(self.index_path):
             return []
+        with open(self.index_path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            text = fh.read()
+        suspect = "\0" in text or not text.isascii()  # else no line needs the two checks below
         entries = []
-        with open(self.index_path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 5:
-                    raise MalformedIndex(self.index_path, lineno)
-                entries.append(IndexEntry(*fields))
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            if not line:
+                continue
+            if suspect and re.search("[\udc80-\udcff]", line):  # a byte surrogateescape kept
+                raise MalformedIndex(self.index_path, lineno, "not UTF-8")
+            fields = line.split("\t")
+            if len(fields) != 5:
+                raise MalformedIndex(self.index_path, lineno)
+            if suspect and "\0" in fields[4]:
+                raise MalformedIndex(self.index_path, lineno, "NUL in snapshot path")
+            entries.append(IndexEntry(*fields))
         return entries
 
     def put(self, snapshot: BuildSnapshot) -> str:

@@ -326,6 +326,16 @@ class TestLineAndWordBreaks:
         assert (doc["tus"], doc["skipped"]) == (1, 0)
         assert snap.tus[0].invocation.source == f"log:{log}:2"
 
+    def test_other_spaces_are_part_of_their_word(self, tmp_path, capsys):
+        log = tmp_path / "build.log"
+        log.write_text("\xa0gcc -O2 -c a.c\ngcc -c a.c -o a.o\n\xa0gcc -c b.c -o a.o\n"
+                       "gcc -c c.c -DV=1\xa0\\", encoding="utf-8")
+        snap, doc = self._ingest(tmp_path, capsys, log)
+        # lines 1 and 3 run the program "\xa0gcc", which is no known tool
+        assert (doc["tus"], doc["skipped"]) == (2, 0)
+        assert [t.invocation.source for t in snap.tus] == [f"log:{log}:2", f"log:{log}:4"]
+        assert snap.tus[1].effective.defines["V"].value == "V=1\xa0"
+
     def test_compdb_program_word_and_dialect_agree(self, tmp_path, capsys):
         db = tmp_path / "cc.json"
         db.write_text(json.dumps([{"directory": "/w", "command": "gcc\xa0-O3 -c b.c"}]))

@@ -1,7 +1,7 @@
 """One decoder for every load of a Store: what the loads share, and what it may not change.
 
 A Store decodes each snapshot it loads through one RecordDecoder, whose
-tables (tokens, dialects, flag-set lines, effective sets) carry entries
+tables (tokens, flag-set lines, effective sets) carry entries
 from one load to the next. Every load must still read back exactly what
 a load on its own reads, fail the same way on a damaged build without
 affecting the builds after it, and leave the decoder holding entries of

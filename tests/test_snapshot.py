@@ -177,6 +177,7 @@ def test_token_streams_round_trip(streams, version):
     back = BuildSnapshot.deserialize(data)
     assert back.snapshot_version == version
     assert [r.invocation for r in back.tus] == [r.invocation for r in tus]
+    assert [vars(r.effective) for r in back.tus] == [vars(r.effective) for r in tus]
     assert all(t.origin is COMMAND_LINE for r in back.tus for t in r.invocation.tokens
                if t.origin.kind == "command-line")
     assert back.serialize() == data
@@ -344,11 +345,21 @@ def test_command_line_record_reads_its_stored_set(tmp_path, capsys):
     assert out.startswith("corrupt  b1: 1 stored effective flag sets") and str(tmp_path / "a.c") in out
 
 
-def test_response_file_record_is_still_revalidated(tmp_path):
+def test_response_file_record_reads_its_stored_set(tmp_path, capsys):
+    """get trusts the hash for a response-file record too, whose entries then lose
+    their response-file origins; verify re-resolves it."""
     store = install_fixture(tmp_path / "store", FIXTURE_V2)
+    util = "/work/proj/src/util.c"
+    debug_info = store.get("fixture-v2").tus[1].effective.group_value("debug_info")
+    assert str(debug_info.origin) == "/work/proj/opts.rsp#0"
     _rewrite_record(store, "fixture-v2", 1, _set_opt("-O0"))
-    with pytest.raises(CorruptSnapshot, match="snapshot hash mismatch"):
-        store.get("fixture-v2")
+
+    assert run(["--store", store.root, "query", "effective", "--build", "fixture-v2",
+                "--subject", util]) == 0
+    assert '["group","opt_level","opt_level","valued","-O0","-O0"]' in capsys.readouterr().out
+    assert store.get("fixture-v2").tus[1].effective.group_value("debug_info").origin is COMMAND_LINE
+    assert _verify(store, capsys) == (3, {"report_version": 1, "builds": [
+        {"build_id": "fixture-v2", "status": "corrupt", "error": None, "subjects": [util]}]})
 
 
 def _set_first_token(rec):
@@ -376,16 +387,28 @@ def test_lone_surrogate_in_source_file_is_unreadable(tmp_path, capsys):
         assert "unreadable snapshot line 2" in capsys.readouterr().err
 
 
-def test_vocabulary_edit_does_not_brick_command_line_builds(tmp_path, capsys, monkeypatch):
-    """With -O2 dropped from the vocabulary, a build that used it still reads back."""
-    store = _ingest_log(tmp_path, capsys, "gcc -O2 -c a.c -o a.o\n")
+@pytest.mark.parametrize("log, rsp", [
+    ("gcc -O2 -c a.c -o a.o\ngcc -O2 -c b.c -o b.o\n", None),
+    ("gcc @opts.rsp -c a.c -o a.o\ngcc -O2 -c b.c -o b.o\n", "-O2 -DUSE_X\n"),
+], ids=["command-line", "response-file"])
+def test_vocabulary_edit_does_not_brick_stored_builds(tmp_path, capsys, monkeypatch, log, rsp):
+    """With -O2 dropped from the vocabulary, a build that used it still reads back and
+    verify names each TU that used it; with -O2 restored, verify passes."""
+    if rsp is not None:
+        (tmp_path / "opts.rsp").write_text(rsp)
+    store = _ingest_log(tmp_path, capsys, log)
     monkeypatch.delitem(flagmodel._EXACT, (Family.GNU_LIKE, "-O2"))
     assert flagmodel.classify(Token("-O2"), detect_dialect("gcc"))[0].key == "opaque"
 
-    assert _query_a(store, tmp_path) == 0
-    assert '["group","opt_level","opt_level","valued","-O2","-O2"]' in capsys.readouterr().out
+    subjects = [str(tmp_path / "a.c"), str(tmp_path / "b.c")]
+    for subject in subjects:
+        assert run(["--store", store.root, "query", "effective", "--build", "b1",
+                    "--subject", subject]) == 0
+        assert '["group","opt_level","opt_level","valued","-O2","-O2"]' in capsys.readouterr().out
     code, doc = _verify(store, capsys)
-    assert code == 3 and doc["builds"][0]["subjects"] == [str(tmp_path / "a.c")]
+    assert code == 3 and doc["builds"][0]["subjects"] == subjects
+    monkeypatch.undo()
+    assert _verify(store, capsys)[0] == 0
 
 
 def test_load_leaves_the_cyclic_collector_as_it_found_it():

@@ -134,15 +134,24 @@ class TestMissingStore:
 
 
 class TestIndex:
-    @pytest.mark.parametrize("tail", ["b2\tci", "b2\tci\t2026\th\tsnapshots/x.fts\textra"],
-                             ids=["torn", "six-fields"])
-    def test_malformed_line_is_typed(self, tmp_path, capsys, tail):
+    @pytest.mark.parametrize("tail, reason", [
+        (b"b2\tci", "expected 5 tab-separated fields"),
+        (b"b2\tci\t2026\th\tsnapshots/x.fts\textra", "expected 5 tab-separated fields"),
+        (b"b2\tc\xffi\t2026\th\tsnapshots/x.fts", "not UTF-8"),
+        (b"b2\tci\t2026\th\tsnap\x00shots/x.fts", "NUL in snapshot path"),
+    ], ids=["torn", "six-fields", "non-utf8", "nul-in-path"])
+    def test_malformed_line_is_typed(self, tmp_path, capsys, tail, reason):
         root = tmp_path / "store"
         Store(str(root)).put(log_snapshot(tmp_path, "gcc -c a.c\n", "b1", "ci"))
-        with open(root / "index.tsv", "a", encoding="utf-8") as fh:
+        with open(root / "index.tsv", "ab") as fh:
             fh.write(tail)
         with pytest.raises(MalformedIndex) as exc:
             Store(str(root)).get("b1")
         assert exc.value.line == 2
-        assert run(["--store", str(root), "history", "ci"]) == 3
-        assert "index.tsv line 2" in capsys.readouterr().err
+        log = tmp_path / "b3.log"
+        log.write_text("gcc -c a.c\n")
+        for argv in (["query", "builds"], ["history", "ci"], ["verify"],
+                     ["query", "effective", "--build", "b1", "--subject", str(tmp_path / "a.c")],
+                     ["ingest", str(log), "--label", "ci", "--build-id", "b3"]):
+            assert run(["--store", str(root), *argv]) == 3, argv
+            assert f"index.tsv line 2: {reason}" in capsys.readouterr().err
