@@ -206,9 +206,11 @@ def _words(line: str, dialect: Dialect) -> list[str]:
 
 
 class TokenTable(dict):
-    """Word -> its one command-line Token; keep one table per evidence parse."""
+    """Word -> its one command-line Token; keep one table per evidence parse or snapshot load."""
 
     def __missing__(self, word: str) -> Token:
+        if type(word) is not str:  # a stored token that is neither a word nor an object
+            raise TypeError(f"not a word: {word!r}")
         token = self[word] = Token(word)
         return token
 

@@ -86,9 +86,9 @@ def _entry_dict(e: FlagEntry | None) -> dict | None:
 
 def _diff_records(ra: Record, rb: Record) -> list[FlagDelta]:
     """Deltas between two records' effective sets."""
+    if ra.effective_text is not None and ra.effective_text == rb.effective_text:
+        return []  # equal stored texts are equal sets; neither is built
     a, b = ra.effective, rb.effective
-    if a is b:  # loads through one decoder share a set per stored effective text
-        return []
     deltas: list[FlagDelta] = []
     for scope, attr in _KEYED:
         map_a, map_b = getattr(a, attr), getattr(b, attr)

@@ -313,13 +313,12 @@ def _entry_of_line(row) -> tuple[str, str | None, FlagEntry]:
     raise ValueError(f"not a canonical flag-set line: {row!r}")
 
 
-def canonical_deserialize(text: str, memo: dict, previous: dict | None = None) -> EffectiveFlagSet:
+def canonical_deserialize(text: str, memo: dict) -> EffectiveFlagSet:
     """The set that `canonical_serialize` wrote as `text`, every entry from the command line.
 
     `memo` maps a line to what `_entry_of_line` made of it; pass one
     dict for all records of a snapshot, so equal lines share one
-    FlagEntry. A line it lacks is copied from `previous`, a memo of the
-    same kind, if that has it; the rest are JSON-decoded in one call.
+    FlagEntry. The lines it lacks are JSON-decoded in one call.
     Raises ValueError on text that `canonical_serialize` cannot have
     written, given text that holds no lone surrogate, as a string that
     `strictjson.loads` returned does not.
@@ -329,10 +328,6 @@ def canonical_deserialize(text: str, memo: dict, previous: dict | None = None) -
         raise ValueError("not a canonical flag set")
     del lines[0], lines[-1]
     new = set(lines).difference(memo)
-    if new and previous:
-        carried = {line: previous[line] for line in new if line in previous}
-        memo.update(carried)
-        new = new.difference(carried)
     if new:
         new = list(new)
         rows = strictjson.loads("[" + ",".join(new) + "]")

@@ -16,39 +16,37 @@ snapshot re-serializes in the version it was read in, so a stored v1
 file keeps its bytes and hash. Any other version is rejected.
 
 On load the hash is checked over the record lines as stored, without
-re-serializing them. Effective flag sets are stored denormalized for
-query speed, and a load has one rule for them: a record's set is the set
-it stored, which the hash already covers. So a load notices neither a
-rewritten set whose hashes were recomputed nor a vocabulary edit since
-ingest; `drifted()` re-resolves every record to find both, for
-`flagtrace verify`, the only judge of a stored set against the current
-vocabulary.
+re-serializing them, and every line is JSON-decoded. Effective flag sets
+are stored denormalized for query speed, and a load has one rule for
+them: a record's set is the set it stored, which the hash already
+covers. A loaded record keeps its stored text and decodes the set from
+it when first read, so a command decodes only the sets it reads; a set
+that fails to decode then raises `CorruptSnapshot` naming its line. A
+load notices neither a rewritten set whose hashes were recomputed nor a
+vocabulary edit since ingest; `drifted()` re-resolves every record to
+find both, for `flagtrace verify`, the only judge of a stored set
+against the current vocabulary.
 
 The stored text has no token origins, which audit evidence needs, so a
-record with a response-file token (and every v1 record) is re-resolved
-to recover them: if the re-resolved set serializes to the stored text,
-the record takes it, origins and all. Otherwise a v2 record keeps its
-stored set, whose entries then name only the command line, and a v1
-record is rejected, as v1 always was.
+record with a response-file token is re-resolved when its set is first
+read: if the re-resolved set serializes to the stored text, the record
+takes it, origins and all; otherwise it keeps its stored set, whose
+entries then name only the command line. Every v1 record is re-resolved
+on load and rejected if its set differs, as v1 always was.
 
-One `RecordDecoder` serves every load of one command (a `Store` makes
-one), so the snapshots a command loads decode each distinct command-line
-token, flag-set line and stored effective text once, and records of
-consecutive builds share those objects. It keeps at most two loads'
-worth: the current load's entries and those of the previous load that
-the current one has not used yet.
+The records of one load share one Token per command-line text and one
+FlagEntry per flag-set line; nothing is carried from one load to the
+next.
 """
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from . import flagmodel, strictjson
-from .cmdline import DIALECTS, RawInvocation, Token
+from .cmdline import COMMAND_LINE, DIALECTS, RawInvocation, Token, TokenTable
 from .errors import CorruptSnapshot
 
 SNAPSHOT_VERSION = 2  # the version new snapshots are written in
@@ -58,8 +56,22 @@ _READABLE_VERSIONS = (1, 2)
 _canon = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode
 
 
+class _StoredSet:
+    """A loaded record builds its effective set from its stored canonical text,
+    `effective_text`, when `effective` is first read; other records have no text."""
+
+    effective_text: str | None = None
+    _load: _Load | None = None
+
+    def __getattr__(self, name):
+        if name != "effective" or self._load is None:
+            raise AttributeError(name)
+        self.effective = self._load.effective(self)
+        return self.effective
+
+
 @dataclass
-class TranslationUnitRecord:
+class TranslationUnitRecord(_StoredSet):
     KIND = "tu"
     FIELDS = ("source_file", "output_file")
 
@@ -74,7 +86,7 @@ class TranslationUnitRecord:
 
 
 @dataclass
-class LinkTargetRecord:
+class LinkTargetRecord(_StoredSet):
     KIND = "target"
     FIELDS = ("output", "inputs", "member_tus", "external_inputs")
 
@@ -110,48 +122,16 @@ def _encode_record(rec: Record, version: int) -> str:
         "source": inv.source,
         "dialect": inv.dialect.to_dict(),
     }
-    d["effective"] = flagmodel.canonical_serialize(rec.effective).decode("utf-8")
+    text = rec.effective_text  # a loaded record writes back the text it stored
+    if text is None:
+        text = flagmodel.canonical_serialize(rec.effective).decode("utf-8")
+    d["effective"] = text
     return _canon(d)
 
 
-@contextmanager
-def _cyclic_gc_paused():
-    """Keep the cyclic garbage collector, if it is on, from running in the block.
-
-    A load builds tens of thousands of objects that form no reference
-    cycles and live as long as the snapshot; each pass the collector makes
-    while they are built only walks them again. Pausing it saves about 5%
-    of loading a 200-TU snapshot.
-    """
-    if not gc.isenabled():
-        yield
-        return
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
-
-
-class _Interned(dict):
-    """One load's command-line tokens by text. Looking up a text this load has
-    not used yet takes the previous load's Token for it, else makes one.
-
-    Looking up anything but a string raises TypeError, as an unhashable
-    object token does.
-    """
-
-    def __init__(self, previous: dict):
-        self.previous = previous
-
-    def __missing__(self, text):
-        tok = self.previous.get(text)
-        if tok is None:
-            if type(text) is not str:
-                raise TypeError("not a command-line token")
-            tok = Token(text)
-        self[text] = tok
-        return tok
+def _unreadable(lineno: int, exc: Exception) -> CorruptSnapshot:
+    return CorruptSnapshot("a snapshot line", f"{type(exc).__name__}: {exc}",
+                           f"unreadable snapshot line {lineno}")
 
 
 def _resolve(inv: RawInvocation, memo: dict) -> flagmodel.EffectiveFlagSet:
@@ -159,83 +139,58 @@ def _resolve(inv: RawInvocation, memo: dict) -> flagmodel.EffectiveFlagSet:
     return flagmodel.resolve(flagmodel.classify_all(list(inv.tokens), inv.dialect, memo))
 
 
-class RecordDecoder:
-    """Rebuilds the records of the snapshots one command loads, each with the set
-    it stored, sharing what they have in common: one Token per command-line
-    text, one FlagEntry per flag-set line and one EffectiveFlagSet per stored
-    effective text. That last table is keyed by the SHA-256 digest of the
-    text, so the text is not kept.
+class _Load:
+    """What the records of one load share, kept by each record to build its set
+    on first read: one Token per command-line text, one FlagEntry per flag-set
+    line and one `classify_all` memo for the records it re-resolves."""
 
-    Each table maps stored content to what that content alone decodes to,
-    so a load that fails leaves nothing wrong for the next one. Records
-    with equal stored sets hold one object, so no caller may change a
-    record's set in place; none does.
-
-    Memory stays at two loads' worth: `start_load` keeps only the entries
-    the last load used, and a lookup in the new load carries over what it
-    finds there. The records a load re-resolves share one `classify_all`
-    memo, which the next load does not inherit.
-    """
-
-    def __init__(self):
-        self.tokens = _Interned({})
+    def __init__(self, version: int):
+        self.version = version
+        self.tokens = TokenTable()
         self.flagset_lines: dict = {}
-        self.effective_sets: dict[bytes, flagmodel.EffectiveFlagSet] = {}
-        self.previous: tuple[dict, dict] = ({}, {})
         self.classified: dict = {}
 
-    def start_load(self) -> None:
-        """Begin a load: the last load's entries become the ones a lookup may carry over."""
-        last_tokens, self.tokens.previous = self.tokens, {}
-        self.tokens = _Interned(last_tokens)
-        self.previous = (self.flagset_lines, self.effective_sets)
-        self.flagset_lines, self.effective_sets = {}, {}
-        self.classified = {}
-
-    def decode(self, cls: type[Record], d: dict, version: int) -> Record:
-        """The record with the set it stored; for one with an object token, that
-        set as re-resolved, with its entries' origins, if it is the same set."""
+    def record(self, cls: type[Record], d: dict, lineno: int) -> Record:
+        """The record stored as `d` on line `lineno`, with its set not yet built
+        unless it is a v1 record, which keeps its load-time check."""
         i = d["invocation"]
-        tokens, command_line_only = self._tokens(i["tokens"])
+        stored = i["tokens"]
+        try:  # a bare string is a command-line token, one per text; an object is any token
+            tokens = tuple(map(self.tokens.__getitem__, stored))
+        except TypeError:  # an object token is unhashable
+            tokens = tuple(self.tokens[t] if type(t) is str else Token.from_dict(t) for t in stored)
         dialect = DIALECTS[i["dialect"]["family"], i["dialect"]["tool_kind"]]
         inv = RawInvocation(i["program"], tokens, i["cwd"], i["source"], dialect)
         text = d["effective"]
-        eff = None
-        if not command_line_only:  # re-resolve to recover the origins the text lacks
-            resolved = _resolve(inv, self.classified)
-            stored, actual = text.encode("utf-8"), flagmodel.canonical_serialize(resolved)
-            if stored == actual:
-                eff = resolved
-            elif version == 1:
-                raise CorruptSnapshot(hashlib.sha256(stored).hexdigest(),
-                                      hashlib.sha256(actual).hexdigest())
-        return cls(*(d[name] for name in cls.FIELDS), inv,
-                   self._stored_set(text) if eff is None else eff)
+        if type(text) is not str:
+            raise TypeError("stored effective set is not a string")
+        rec = cls.__new__(cls)  # without __init__, so `effective` is unset until first read
+        vars(rec).update(zip(cls.FIELDS, [d[name] for name in cls.FIELDS]), invocation=inv,
+                         effective_text=text, _load=self, _line=lineno)
+        if self.version == 1:
+            rec.effective = self.effective(rec)
+        return rec
 
-    def _stored_set(self, text: str) -> flagmodel.EffectiveFlagSet:
-        """The set stored as `text`: the one this load or the previous one made
-        for its SHA-256 digest, else the text decoded."""
-        digest = hashlib.sha256(text.encode("utf-8")).digest()
-        eff = self.effective_sets.get(digest)
-        if eff is None:
-            previous_lines, previous_sets = self.previous
-            eff = previous_sets.get(digest)
-            if eff is None:
-                eff = flagmodel.canonical_deserialize(text, self.flagset_lines, previous_lines)
-            self.effective_sets[digest] = eff
-        return eff
-
-    def _tokens(self, stored: list) -> tuple[tuple[Token, ...], bool]:
-        """The tokens, and whether all came from the command line.
-
-        A bare string is a command-line token, shared per text; an object is any token.
-        """
+    def effective(self, rec: Record) -> flagmodel.EffectiveFlagSet:
+        """The set `rec` stored. A record with a response-file token, and every v1
+        record, is re-resolved to recover the origins the stored text lacks and
+        takes that set if it serializes to the stored text; otherwise a v2
+        record keeps its stored set and a v1 record is rejected."""
+        text = rec.effective_text
         try:
-            return tuple(map(self.tokens.__getitem__, stored)), True
-        except TypeError:  # an object token is unhashable
-            pass
-        return tuple(self.tokens[t] if type(t) is str else Token.from_dict(t)
-                     for t in stored), False
+            if self.version == 1 or any(t.origin is not COMMAND_LINE for t in rec.invocation.tokens):
+                resolved = _resolve(rec.invocation, self.classified)
+                stored, actual = text.encode("utf-8"), flagmodel.canonical_serialize(resolved)
+                if stored == actual:
+                    return resolved
+                if self.version == 1:
+                    raise CorruptSnapshot(hashlib.sha256(stored).hexdigest(),
+                                          hashlib.sha256(actual).hexdigest(),
+                                          f"effective set on snapshot line {rec._line} "
+                                          "differs from its re-resolved tokens")
+            return flagmodel.canonical_deserialize(text, self.flagset_lines)
+        except (AttributeError, LookupError, TypeError, ValueError) as exc:
+            raise _unreadable(rec._line, exc) from None
 
 
 @dataclass
@@ -265,7 +220,8 @@ class BuildSnapshot:
         ingest shows here, and only here.
         """
         memo: dict = {}
-        return [r for r in (*self.tus, *self.targets) if _resolve(r.invocation, memo) != r.effective]
+        # `effective` is read first, so a set that cannot be decoded raises CorruptSnapshot.
+        return [r for r in (*self.tus, *self.targets) if r.effective != _resolve(r.invocation, memo)]
 
     def serialize(self) -> bytes:
         """Encode each record once, set content_hash over those lines and return the file."""
@@ -288,21 +244,16 @@ class BuildSnapshot:
         return b"\n".join(lines)
 
     @classmethod
-    @_cyclic_gc_paused()
-    def deserialize(cls, data: bytes, decoder: RecordDecoder | None = None) -> "BuildSnapshot":
+    def deserialize(cls, data: bytes) -> "BuildSnapshot":
         """Decode stored bytes, hashing each record line as read.
 
-        Pass one `decoder` for all the snapshots one command loads, so
-        they share what they have in common; without one, the load uses
-        its own. Lines split on LF only: paths may hold U+0085 or U+2028,
-        which canonical JSON leaves unescaped. A line whose JSON gives a
-        lone surrogate is as unreadable as one that is not JSON.
+        Every line is JSON-decoded; a record's effective set is built when
+        first read. Lines split on LF only: paths may hold U+0085 or
+        U+2028, which canonical JSON leaves unescaped. A line whose JSON
+        gives a lone surrogate is as unreadable as one that is not JSON.
         """
         lines = data.removesuffix(b"\n").split(b"\n")
         h = hashlib.sha256()
-        if decoder is None:
-            decoder = RecordDecoder()
-        decoder.start_load()
         lineno = 1
         try:
             header = strictjson.loads(lines[0].decode("utf-8"))
@@ -312,6 +263,7 @@ class BuildSnapshot:
                                       "unsupported snapshot version")
             snap = cls(header["build_id"], header["label"], header["created"],
                        content_hash=header["content_hash"], snapshot_version=version)
+            load = _Load(version)
             for lineno, line in enumerate(lines[1:], start=2):
                 d = strictjson.loads(line.decode("utf-8"))
                 kind = d.pop("kind")
@@ -320,11 +272,10 @@ class BuildSnapshot:
                     continue
                 h.update(line)
                 h.update(b"\n")
-                rec = decoder.decode(_RECORD_TYPES[kind], d, version)
+                rec = load.record(_RECORD_TYPES[kind], d, lineno)
                 (snap.tus if kind == "tu" else snap.targets).append(rec)
         except (AttributeError, LookupError, TypeError, ValueError) as exc:
-            raise CorruptSnapshot("a snapshot line", f"{type(exc).__name__}: {exc}",
-                                  f"unreadable snapshot line {lineno}") from None
+            raise _unreadable(lineno, exc) from None
         actual = h.hexdigest()
         if actual != snap.content_hash:
             raise CorruptSnapshot(snap.content_hash, actual)

@@ -12,10 +12,9 @@ Snapshots are immutable once written: there is no delete or compact
 command, and a put never rewrites previously stored bytes. Writes are
 serialized through an advisory lock file; reads take no lock.
 
-A Store decodes every snapshot it loads through one `RecordDecoder`, so
-a command that loads several builds (diff, audit, history, verify)
-decodes each distinct token, flag-set line and effective set once, and
-holds at most two loads' worth of them.
+Every load hash-checks and JSON-decodes each record line, and a record
+decodes its effective set from its stored text only when first read
+(see `snapshot`), so a command builds only the sets it reads.
 """
 
 from __future__ import annotations
@@ -27,7 +26,8 @@ import re
 from dataclasses import dataclass
 
 from .errors import CorruptSnapshot, DuplicateBuildId, MalformedIndex, NotFound
-from .snapshot import BuildSnapshot, RecordDecoder
+from .flagmodel import EffectiveFlagSet
+from .snapshot import BuildSnapshot
 
 STORE_VERSION = "flagtrace-store v1"
 
@@ -50,7 +50,6 @@ class Store:
         self.index_path = os.path.join(root, "index.tsv")
         self.version_path = os.path.join(root, "VERSION")
         self.lock_path = os.path.join(root, ".lock")
-        self._decoder = RecordDecoder()
 
     def _read_index(self) -> list[IndexEntry]:
         if not os.path.exists(self.index_path):
@@ -111,7 +110,7 @@ class Store:
     def _load(self, e: IndexEntry) -> BuildSnapshot:
         """Load the snapshot an index entry names, checking it against the entry's hash."""
         with open(os.path.join(self.root, e.relpath), "rb") as fh:
-            snap = BuildSnapshot.deserialize(fh.read(), self._decoder)
+            snap = BuildSnapshot.deserialize(fh.read())
         if snap.content_hash != e.content_hash:
             raise CorruptSnapshot(e.content_hash, snap.content_hash)
         return snap
@@ -135,20 +134,20 @@ class Store:
 
         History queries are a linear scan over stored snapshots, after
         one read of the index; there is no imposed bound on history length.
+        A summary value is found once per stored effective text of the
+        build being read and of the build before it.
         """
         out = []
+        values: dict[str, str] = {}  # summary value by stored effective text
         for e in self.list_builds(label):
             summary: dict[str, str] = {}
             if flag_query is not None:
                 scope, key = flag_query
+                previous, values = values, {}  # keep the last build's values only
                 for subject, rec in self._load(e).by_subject(scope).items():
-                    winner = rec.effective.group_value(key)
-                    if winner is not None:
-                        summary[subject] = winner.value if winner.value is not None else winner.spelling
-                    elif key in rec.effective.defines:
-                        summary[subject] = rec.effective.defines[key].spelling
-                    else:
-                        summary[subject] = ABSENT
+                    text = rec.effective_text
+                    summary[subject] = values[text] = (values.get(text) or previous.get(text)
+                                                       or _summary_value(rec.effective, key))
             out.append((e.build_id, e.created, summary))
         return out
 
@@ -170,10 +169,20 @@ class Store:
             entries = [by_id[b] for b in build_ids]
         out = []
         for e in entries:
-            try:
-                snap = self._load(e)
+            try:  # drifted() builds every set, so a set that cannot be decoded fails here
+                drifted = self._load(e).drifted()
             except (CorruptSnapshot, OSError) as exc:
                 out.append((e.build_id, str(exc), []))
                 continue
-            out.append((e.build_id, None, [r.subject for r in snap.drifted()]))
+            out.append((e.build_id, None, [r.subject for r in drifted]))
         return out
+
+
+def _summary_value(eff: EffectiveFlagSet, key: str) -> str:
+    """The winning value (else spelling) of group `key`, else macro `key`'s spelling, else ABSENT."""
+    winner = eff.group_value(key)
+    if winner is not None:
+        return winner.value if winner.value is not None else winner.spelling
+    if key in eff.defines:
+        return eff.defines[key].spelling
+    return ABSENT

@@ -4,7 +4,7 @@ A store of two builds (response-file and plain gcc TUs, an MSVC TU, a
 link target and a skipped line) is copied, one of its files is mutated
 byte-wise, and every command that reads the store runs on the copy:
 query effective, query find, query builds, diff, audit --previous,
-history --key and verify. A snapshot can also have its content hash
+history --key, verify and stamp (on a minimal ELF). A snapshot can also have its content hash
 recomputed in the header and the index after the mutation, so that the
 damage reaches the record decoder instead of stopping at the hash check.
 Output is written through strict UTF-8, as to a terminal or a pipe.
@@ -21,6 +21,7 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import build_minimal_elf
 from flagtrace.cli import run
 
 EXIT_CODES = {0, 1, 3, 4}
@@ -110,13 +111,15 @@ def test_read_commands_on_damaged_store(target, edits, rehash):
             os.makedirs(os.path.dirname(os.path.join(tmp, rel)), exist_ok=True)
             with open(os.path.join(tmp, rel), "wb") as fh:
                 fh.write(data)
+        elf = build_minimal_elf(os.path.join(tmp, "a.o.elf"))
         for argv in (["query", "effective", "--build", "b2", "--subject", subject],
                      ["query", "find", "--build", "b2", "--group", "opt_level", "--value=-O2"],
                      ["query", "builds"],
                      ["diff", "b1", "b2"],
                      ["audit", "b2", "--previous", "b1"],
                      ["history", "dev", "--key", "opt_level"],
-                     ["verify"]):
+                     ["verify"],
+                     ["stamp", elf, "b2", subject]):
             for fmt in ("text", "json"):
                 out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):

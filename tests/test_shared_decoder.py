@@ -1,17 +1,13 @@
-"""One decoder for every load of a Store: what the loads share, and what it may not change.
+"""Many loads through one Store: each build reads as its file does on its own.
 
-A Store decodes each snapshot it loads through one RecordDecoder, whose
-tables (tokens, flag-set lines, effective sets) carry entries
-from one load to the next. Every load must still read back exactly what
-a load on its own reads, fail the same way on a damaged build without
-affecting the builds after it, and leave the decoder holding entries of
-at most two loads.
+Whatever builds one Store has loaded before, and in whatever order, a
+load must read back exactly what a load of the file on its own reads,
+and fail the same way on a damaged build, on load or when the damaged
+set is first read, without affecting the builds after it.
 """
 
-import gc
 import json
 import tempfile
-import weakref
 from pathlib import Path
 
 import pytest
@@ -20,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from flagtrace import flagmodel
 from flagtrace.cli import run
 from flagtrace.cmdline import Origin, RawInvocation, Token, detect_dialect
-from flagtrace.diffengine import diff
 from flagtrace.errors import CorruptSnapshot
 from flagtrace.snapshot import BuildSnapshot, LinkTargetRecord, TranslationUnitRecord
 from flagtrace.store import Store
@@ -34,15 +29,23 @@ def _record_view(rec) -> tuple:
             flagmodel.canonical_serialize(rec.effective), vars(rec.effective))
 
 
+def _read_all(load) -> tuple | str:
+    """What a load reads: every record's view and the serialized bytes, or the
+    error that loading or reading its sets raised."""
+    try:
+        snap = load()
+        return [_record_view(r) for r in (*snap.tus, *snap.targets)], snap.serialize()
+    except CorruptSnapshot as exc:
+        return str(exc)
+
+
 def _assert_reads_as_alone(store: Store, build_id: str) -> None:
     """The build loads through `store` exactly as the stored file decodes on its own."""
     entry = next(e for e in store.list_builds() if e.build_id == build_id)
     data = (Path(store.root) / entry.relpath).read_bytes()
-    alone = BuildSnapshot.deserialize(data)
-    shared = store.get(build_id)
-    assert [_record_view(r) for r in (*shared.tus, *shared.targets)] == \
-        [_record_view(r) for r in (*alone.tus, *alone.targets)]
-    assert shared.serialize() == alone.serialize() == data
+    alone = _read_all(lambda: BuildSnapshot.deserialize(data))
+    assert _read_all(lambda: store.get(build_id)) == alone
+    assert isinstance(alone, str) or alone[1] == data
 
 
 _SPELLINGS = ["-O0", "-O2", "-g", "-DX=1", "-DX=2", "-UX", "-Iinc", "-fPIC", "-fweird", "-o", "a.o",
@@ -141,70 +144,38 @@ def _rewritten_set(store: Store) -> None:
     _rewrite_record(store, "b2", 0, edit)
 
 
-@pytest.mark.parametrize("damage", [_flip_byte, _bad_define_line, _rewritten_set],
-                         ids=["flipped-byte", "bad-define-line", "rewritten-set"])
-def test_damaged_build_between_good_ones(tmp_path, capsys, damage):
-    """A damaged middle build reads as it does on its own, and the builds after it
-    read back unchanged; verify reports each build as it does alone."""
+@pytest.mark.parametrize("damage, load_error, read_error", [
+    (_flip_byte, "snapshot hash mismatch", None),
+    (_bad_define_line, None, "unreadable snapshot line 2"),
+    (_rewritten_set, None, None),
+], ids=["flipped-byte", "bad-define-line", "rewritten-set"])
+def test_damaged_build_between_good_ones(tmp_path, capsys, damage, load_error, read_error):
+    """A damaged middle build fails on load, or when its damaged set is first read,
+    as it does on its own, and the builds after it read back unchanged; verify
+    reports each build as it does alone."""
     store = _ingest(tmp_path, {"b1": _SAME_BUILD, "b2": _SAME_BUILD, "b3": _SAME_BUILD})
     damage(store)
 
-    try:
-        alone = Store(store.root).get("b2")
-    except CorruptSnapshot as exc:
-        alone = str(exc)
     shared = Store(store.root)
-    _assert_reads_as_alone(shared, "b1")
-    if isinstance(alone, str):
-        with pytest.raises(CorruptSnapshot) as exc:
+    for build_id in ("b1", "b2", "b3"):
+        _assert_reads_as_alone(shared, build_id)
+    if load_error is not None:
+        with pytest.raises(CorruptSnapshot, match=load_error):
             shared.get("b2")
-        assert str(exc.value) == alone
     else:
-        _assert_reads_as_alone(shared, "b2")
-    _assert_reads_as_alone(shared, "b3")
-    assert Store(store.root).get("b3").tus[0].effective.group_value("opt_level").value == "-O2"
+        b2 = shared.get("b2")
+        assert b2.tus[1].effective.group_value("opt_level").value == "-O2"  # b.c is undamaged
+        if read_error is not None:
+            with pytest.raises(CorruptSnapshot, match=read_error):
+                b2.tus[0].effective
+    assert shared.get("b3").tus[0].effective.group_value("opt_level").value == "-O2"
 
     ids = ["b1", "b2", "b3"]
     assert Store(store.root).verify() == [Store(store.root).verify([b])[0] for b in ids]
     capsys.readouterr()
     assert run(["--store", store.root, "--format", "json", "verify"]) == 3
-    assert [b["status"] for b in json.loads(capsys.readouterr().out)["builds"]] == \
-        ["ok", "corrupt", "ok"]
-
-
-def test_consecutive_builds_share_decoded_objects(tmp_path):
-    """Equal stored sets and tokens of consecutive loads are one object, and a diff
-    of two records holding one set has no deltas."""
-    store = _ingest(tmp_path, {"b1": _SAME_BUILD, "b2": _SAME_BUILD})
-    a, b, again = store.get("b1"), store.get("b2"), store.get("b1")
-    for x, y in ((a, b), (b, again)):
-        for rx, ry in zip((*x.tus, *x.targets), (*y.tus, *y.targets)):
-            assert rx.effective is ry.effective
-            assert all(t is u for t, u in zip(rx.invocation.tokens, ry.invocation.tokens))
-    assert diff(a, b).is_empty()
-
-
-def test_decoder_holds_at_most_two_loads(tmp_path):
-    """Once a Store has loaded builds whose tokens, flag-set lines and sets are each
-    unique to their build, it keeps the objects of the last two builds alive and
-    none of the earlier ones."""
-    store = Store(str(tmp_path / "store"))
-    n, per_build = 6, 5
-    for k in range(n):
-        tus = []
-        for j in range(per_build):
-            tokens = [Token(f"-DK{k}_{j}"), Token(f"-Iinc/K{k}_{j}"), Token(f"/w/K{k}_{j}.c")]
-            inv, eff = _record_parts(tokens, "gcc", f"log:b.log:{j + 1}")
-            tus.append(TranslationUnitRecord(f"/w/K{k}_{j}.c", None, inv, eff))
-        store.put(BuildSnapshot(f"b{k}", "dev", f"2026-01-0{k + 1}T00:00:00Z", tus))
-
-    refs = []  # per build: weak references to its tokens, sets and flag entries
-    for k in range(n):
-        snap = store.get(f"b{k}")
-        refs.append([weakref.ref(x) for tu in snap.tus for x in (
-            *tu.invocation.tokens, tu.effective, *tu.effective.defines.values(),
-            *tu.effective.include_dirs, *tu.effective.sources)])
-        del snap
-    gc.collect()
-    alive = [sum(ref() is not None for ref in build) for build in refs]
-    assert alive == [0] * (n - 2) + [len(refs[-1])] * 2
+    builds = json.loads(capsys.readouterr().out)["builds"]
+    assert [b["status"] for b in builds] == ["ok", "corrupt", "ok"]
+    error = load_error or read_error
+    assert (builds[1]["error"] is None) == (error is None)
+    assert error is None or error in builds[1]["error"]

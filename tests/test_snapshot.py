@@ -1,18 +1,19 @@
 """Snapshot codec: stored bytes read back exactly, and damage is caught."""
 
-import gc
 import hashlib
 import io
 import json
 import shlex
 import tempfile
+from collections import Counter
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flagtrace import flagmodel
+from conftest import build_minimal_elf
+from flagtrace import flagmodel, snapshot
 from flagtrace.cli import run
 from flagtrace.cmdline import COMMAND_LINE, Family, Origin, RawInvocation, Token, detect_dialect
 from flagtrace.errors import CorruptSnapshot
@@ -117,7 +118,9 @@ def test_stored_effective_is_revalidated(tmp_path):
     fields[3] = h.hexdigest()
     index.write_text("\t".join(fields) + "\n", encoding="utf-8")
 
-    with pytest.raises(CorruptSnapshot, match="snapshot hash mismatch") as exc:
+    with pytest.raises(CorruptSnapshot,
+                       match="effective set on snapshot line 2 differs from its re-resolved tokens"
+                       ) as exc:
         store.get("fixture-v1")
     assert exc.value.expected == hashlib.sha256(tu["effective"].encode()).hexdigest()
 
@@ -411,16 +414,66 @@ def test_vocabulary_edit_does_not_brick_stored_builds(tmp_path, capsys, monkeypa
     assert _verify(store, capsys)[0] == 0
 
 
-def test_load_leaves_the_cyclic_collector_as_it_found_it():
-    assert gc.isenabled()
-    with pytest.raises(CorruptSnapshot):
-        BuildSnapshot.deserialize(b"not json\n")
-    assert gc.isenabled()
-    assert BuildSnapshot.deserialize(FIXTURE_V2.read_bytes()).build_id == "fixture-v2"
-    assert gc.isenabled()
-    gc.disable()
-    try:
-        BuildSnapshot.deserialize(FIXTURE_V2.read_bytes())
-        assert not gc.isenabled()
-    finally:
-        gc.enable()
+@pytest.fixture
+def set_builds(monkeypatch) -> Counter:
+    """Counts of the calls that build a loaded record's set: decoding its stored
+    text, or re-resolving its tokens."""
+    calls = Counter()
+    for owner, name in ((flagmodel, "canonical_deserialize"), (snapshot, "_resolve")):
+        def counted(*args, _original=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+_THREE_TUS = ("gcc -O2 -DA -c a.c -o a.o\ngcc -O2 -c b.c -o b.o\ngcc @opts.rsp -c r.c -o r.o\n"
+              "gcc a.o b.o r.o -o app\n")
+
+
+def test_a_command_builds_only_the_sets_it_reads(tmp_path, capsys, set_builds):
+    """query effective and stamp build one set; diff builds none for equal stored
+    texts; history --key builds one per distinct text of consecutive builds."""
+    (tmp_path / "opts.rsp").write_text("-O2 -DUSE_X\n")
+    store = str(tmp_path / "store")
+    logs = {"b1": _THREE_TUS, "b2": _THREE_TUS, "b3": _THREE_TUS.replace("-O2 -DA", "-O3 -DA")}
+    for i, (build_id, text) in enumerate(logs.items()):
+        (tmp_path / f"{build_id}.log").write_text(text)
+        assert run(["--store", store, "ingest", str(tmp_path / f"{build_id}.log"), "--label", "dev",
+                    "--build-id", build_id, "--created", f"2026-01-0{i + 1}T00:00:00Z"]) == 0
+    a, r = str(tmp_path / "a.c"), str(tmp_path / "r.c")
+    elf = build_minimal_elf(tmp_path / "a.o.elf")
+    for argv, code, want in [
+        (["query", "effective", "--build", "b3", "--subject", a], 0, {"canonical_deserialize": 1}),
+        (["query", "effective", "--build", "b3", "--subject", r], 0, {"_resolve": 1}),
+        (["stamp", elf, "b3", a], 0, {"canonical_deserialize": 1}),
+        (["diff", "b1", "b2"], 0, {}),
+        (["diff", "b2", "b3"], 4, {"canonical_deserialize": 2}),  # a.c changed
+        (["history", "dev", "--key", "opt_level"], 0, {"canonical_deserialize": 3, "_resolve": 1}),
+    ]:
+        set_builds.clear()
+        assert run(["--store", store, *argv]) == code, argv
+        assert set_builds == Counter(want), argv
+    capsys.readouterr()
+
+
+def test_a_set_that_cannot_be_decoded_fails_when_read(tmp_path, capsys):
+    """With a malformed flag-set line in record Y and every hash recomputed, the
+    build loads: record X reads back, Y exits 3 naming its line, and verify reports
+    the build corrupt with that error."""
+    store = _ingest_log(tmp_path, capsys, "gcc -O2 -c a.c -o a.o\ngcc -O2 -DA -c b.c -o b.o\n")
+
+    def bad_define(rec):
+        assert '["define","A","A","-DA"]' in rec["effective"]
+        rec["effective"] = rec["effective"].replace('"A","A"', '"B","A"')
+    _rewrite_record(store, "b1", 1, bad_define)
+
+    assert _query_a(store, tmp_path) == 0
+    assert '["group","opt_level","opt_level","valued","-O2","-O2"]' in capsys.readouterr().out
+    assert run(["--store", store.root, "query", "effective", "--build", "b1",
+                "--subject", str(tmp_path / "b.c")]) == 3
+    assert "unreadable snapshot line 3" in capsys.readouterr().err
+    code, doc = _verify(store, capsys)
+    assert code == 3
+    [build] = doc["builds"]
+    assert build["status"] == "corrupt" and "unreadable snapshot line 3" in build["error"]
