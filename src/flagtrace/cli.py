@@ -188,11 +188,16 @@ def _cmd_lint(args) -> int:
     return EXIT_WARNINGS if findings else EXIT_OK
 
 
-def _cmd_stamp(args) -> int:
-    store = Store(args.store)
-    rec = store.get(args.build_id).record(args.subject)
+def _subject_record(store: str, build_id: str, subject: str):
+    """The build's TU or link target `subject`, else None once the error is written."""
+    rec = Store(store).get(build_id).record(subject)
     if rec is None:
-        sys.stderr.write(f"error: no TU or target '{args.subject}' in build {args.build_id}\n")
+        sys.stderr.write(f"error: no TU or target '{subject}' in build {build_id}\n")
+    return rec
+
+
+def _cmd_stamp(args) -> int:
+    if (rec := _subject_record(args.store, args.build_id, args.subject)) is None:
         return EXIT_IO
     text = canonical_serialize(rec.effective)
     payload = elfnote.NotePayload(
@@ -236,9 +241,7 @@ def _cmd_query(args) -> int:
               [f"{e.created}  {e.build_id}  {e.label}  {e.content_hash}" for e in entries])
         return EXIT_OK
     if args.query_kind == "effective":
-        rec = store.get(args.build).record(args.subject)
-        if rec is None:
-            sys.stderr.write(f"error: no TU or target '{args.subject}' in build {args.build}\n")
+        if (rec := _subject_record(args.store, args.build, args.subject)) is None:
             return EXIT_IO
         text = canonical_serialize(rec.effective).decode("utf-8")
         _emit({"build_id": args.build, "subject": args.subject, "effective": text},

@@ -5,7 +5,8 @@ GNU-ish toolchains (gcc, clang, ld, ar) and the MSVC argv rules
 (backslash-doubling before quotes) for cl/link/lib. Each is one linear
 regex pass over the line; the character-at-a-time reference they must
 agree with lives in tests/cmdline_oracle.py. Response files (@path) are
-expanded recursively with cycle and depth protection.
+expanded recursively with cycle and depth protection. How a snapshot
+stores tokens, origins and dialects is known only to `snapshot.py`.
 
 No environment-variable expansion is ever performed: the original
 environment is not available when working from archived logs, so
@@ -44,11 +45,8 @@ class Dialect:
     family: Family
     tool_kind: ToolKind
 
-    def to_dict(self) -> dict:
-        return {"family": self.family.value, "tool_kind": self.tool_kind.value}
 
-
-# Every dialect, by its stored (family, tool_kind) strings: one object each.
+# Every dialect, by its (family, tool_kind) values: one object each.
 DIALECTS = {(f.value, k.value): Dialect(f, k) for f in Family for k in ToolKind}
 
 
@@ -59,17 +57,6 @@ class Origin:
     kind: str  # "command-line" | "response-file"
     path: str | None = None
     index: int | None = None
-
-    def to_dict(self) -> dict:
-        if self.kind == "command-line":
-            return {"kind": self.kind}
-        return {"kind": self.kind, "path": self.path, "index": self.index}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Origin":
-        if d["kind"] == "command-line":
-            return COMMAND_LINE
-        return cls(d["kind"], d.get("path"), d.get("index"))
 
     def __str__(self) -> str:
         if self.kind == "command-line":
@@ -84,13 +71,6 @@ COMMAND_LINE = Origin("command-line")
 class Token:
     text: str
     origin: Origin = COMMAND_LINE
-
-    def to_dict(self) -> dict:
-        return {"text": self.text, "origin": self.origin.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Token":
-        return cls(d["text"], Origin.from_dict(d["origin"]))
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ import fcntl
 import json
 import struct
 from dataclasses import asdict, dataclass, replace
+from pathlib import Path
 
 from . import strictjson
 from .errors import MalformedNote, NotElf, UnsupportedClass
@@ -62,8 +63,12 @@ class NotePayload:
     @classmethod
     def from_bytes(cls, data: bytes) -> "NotePayload":
         doc = strictjson.loads(data.decode("utf-8"))
-        return cls(doc["build_id"], doc["subject"], doc["effective_digest"],
-                   doc.get("flags_text"), doc.get("version", PAYLOAD_VERSION))
+        p = cls(doc["build_id"], doc["subject"], doc["effective_digest"],
+                doc.get("flags_text"), doc.get("version", PAYLOAD_VERSION))
+        if not (all(type(v) is str for v in (p.build_id, p.subject, p.effective_digest))
+                and type(p.flags_text) in (str, type(None)) and type(p.version) is int):
+            raise TypeError("a payload field has the wrong JSON type")
+        return p
 
 
 @dataclass
@@ -138,9 +143,7 @@ def _decode_note(section: bytes, base_offset: int) -> tuple[str, int, bytes]:
 
 def read_stamp(elf_path: str) -> NotePayload | None:
     """Parse the flagtrace note if present; absent is not an error."""
-    with open(elf_path, "rb") as fh:
-        data = fh.read()
-    elf = _parse(elf_path, data)
+    elf = _parse(elf_path, Path(elf_path).read_bytes())
     idx = elf.find(NOTE_SECTION)
     if idx < 0:
         return None
@@ -156,9 +159,7 @@ def read_stamp(elf_path: str) -> NotePayload | None:
 
 def read_comment(elf_path: str) -> list[str]:
     """Producer strings from .comment, split on NUL, empties dropped."""
-    with open(elf_path, "rb") as fh:
-        data = fh.read()
-    elf = _parse(elf_path, data)
+    elf = _parse(elf_path, Path(elf_path).read_bytes())
     idx = elf.find(COMMENT_SECTION)
     if idx < 0:
         return []

@@ -78,10 +78,6 @@ def logical_lines(text: str):
         yield start, pending[:-1]  # less the space that stood for the last backslash
 
 
-def _is_str_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
 def _non_string_field(record: dict, names: tuple[str, ...]) -> str | None:
     """The first of `names` present in `record` whose value is not a string."""
     return next((n for n in names if n in record and not isinstance(record[n], str)), None)
@@ -150,7 +146,7 @@ def parse_compilation_db(path: str) -> list[RawInvocation]:
         directory = entry.get("directory", "")
         if "arguments" in entry:
             argv = entry["arguments"]
-            if not _is_str_list(argv):
+            if not strictjson.is_str_list(argv):
                 raise MalformedDb("arguments is not an array of strings", idx)
             if not argv:
                 raise MalformedDb("empty arguments array", idx)
@@ -209,7 +205,7 @@ def parse_wrapper_spool(dirpath: str) -> list[RawInvocation]:
                 if type(version) is not int or version != SPOOL_SCHEMA_VERSION:
                     raise MalformedRecord(fpath, lineno, f"unsupported version {version!r}")
                 argv = rec["argv"]
-                if not _is_str_list(argv):
+                if not strictjson.is_str_list(argv):
                     raise MalformedRecord(fpath, lineno, "argv is not an array of strings")
                 bad = _non_string_field(rec, ("cwd", "tool", "ts"))
                 if bad is not None:

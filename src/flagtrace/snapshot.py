@@ -6,7 +6,8 @@ canonical JSON (UTF-8, LF) so stored snapshots stay diffable with plain
 text tools. A record holds the tokens its effective flag set was
 resolved from: its invocation's tokens after `@file` expansion, each
 with its origin. `serialize()` encodes each record once and sets the
-content hash, SHA-256 over the record lines it writes.
+content hash, SHA-256 over the record lines it writes. This module
+alone knows how tokens, origins and dialects are stored.
 
 The header's `snapshot_version` says how tokens are stored. Version 2,
 which new snapshots use, stores a command-line token as its bare text
@@ -16,13 +17,14 @@ snapshot re-serializes in the version it was read in, so a stored v1
 file keeps its bytes and hash. Any other version is rejected.
 
 On load the hash is checked over the record lines as stored, without
-re-serializing them, and every line is JSON-decoded. Effective flag sets
-are stored denormalized for query speed, and a load has one rule for
-them: a record's set is the set it stored, which the hash already
-covers. A loaded record keeps its stored text and decodes the set from
-it when first read, so a command decodes only the sets it reads; a set
-that fails to decode then raises `CorruptSnapshot` naming its line. A
-load notices neither a rewritten set whose hashes were recomputed nor a
+re-serializing them, and every line is JSON-decoded, with each field it
+reads checked for its JSON type. Effective flag sets are stored
+denormalized for query speed, and a load has one rule for them: a
+record's set is the set it stored, which the hash already covers. A
+loaded record keeps its stored text and decodes the set from it when
+first read, so a command decodes only the sets it reads; a set that
+fails to decode then raises `CorruptSnapshot` naming its line. A load
+notices neither a rewritten set whose hashes were recomputed nor a
 vocabulary edit since ingest; `drifted()` re-resolves every record to
 find both, for `flagtrace verify`, the only judge of a stored set
 against the current vocabulary.
@@ -33,10 +35,6 @@ read: if the re-resolved set serializes to the stored text, the record
 takes it, origins and all; otherwise it keeps its stored set, whose
 entries then name only the command line. Every v1 record is re-resolved
 on load and rejected if its set differs, as v1 always was.
-
-The records of one load share one Token per command-line text and one
-FlagEntry per flag-set line; nothing is carried from one load to the
-next.
 """
 
 from __future__ import annotations
@@ -44,9 +42,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from types import GenericAlias
 
 from . import flagmodel, strictjson
-from .cmdline import COMMAND_LINE, DIALECTS, RawInvocation, Token, TokenTable
+from .cmdline import COMMAND_LINE, DIALECTS, Origin, RawInvocation, Token, TokenTable
 from .errors import CorruptSnapshot
 
 SNAPSHOT_VERSION = 2  # the version new snapshots are written in
@@ -73,7 +72,7 @@ class _StoredSet:
 @dataclass
 class TranslationUnitRecord(_StoredSet):
     KIND = "tu"
-    FIELDS = ("source_file", "output_file")
+    FIELDS = {"source_file": str, "output_file": (str, type(None))}  # stored name: JSON type
 
     source_file: str
     output_file: str | None
@@ -88,7 +87,8 @@ class TranslationUnitRecord(_StoredSet):
 @dataclass
 class LinkTargetRecord(_StoredSet):
     KIND = "target"
-    FIELDS = ("output", "inputs", "member_tus", "external_inputs")
+    FIELDS = {"output": str, "inputs": list[str], "member_tus": list[str],
+              "external_inputs": list[str]}
 
     output: str
     inputs: list[str]  # normalized paths / library names, command order
@@ -109,6 +109,13 @@ Record = TranslationUnitRecord | LinkTargetRecord
 _RECORD_TYPES = {cls.KIND: cls for cls in (TranslationUnitRecord, LinkTargetRecord)}
 
 
+def _token_object(t: Token) -> dict:
+    """A token's stored object form: a command-line origin stores its kind alone."""
+    o = t.origin
+    return {"text": t.text, "origin": {"kind": o.kind} if o.kind == "command-line" else
+            {"kind": o.kind, "path": o.path, "index": o.index}}
+
+
 def _encode_record(rec: Record, version: int) -> str:
     d = {name: getattr(rec, name) for name in rec.FIELDS}
     d["kind"] = rec.KIND
@@ -116,17 +123,31 @@ def _encode_record(rec: Record, version: int) -> str:
     d["invocation"] = {
         "program": inv.program,
         # v2 stores a command-line token as its bare text; v1 as an object.
-        "tokens": [t.text if version > 1 and t.origin.kind == "command-line" else t.to_dict()
+        "tokens": [t.text if version > 1 and t.origin.kind == "command-line" else _token_object(t)
                    for t in inv.tokens],
         "cwd": inv.cwd,
         "source": inv.source,
-        "dialect": inv.dialect.to_dict(),
+        "dialect": {"family": inv.dialect.family.value, "tool_kind": inv.dialect.tool_kind.value},
     }
-    text = rec.effective_text  # a loaded record writes back the text it stored
-    if text is None:
-        text = flagmodel.canonical_serialize(rec.effective).decode("utf-8")
-    d["effective"] = text
+    d["effective"] = flagmodel.canonical_serialize(rec.effective).decode("utf-8")
     return _canon(d)
+
+
+def _field(d: dict, name: str, kind=str):
+    """The value stored in `d` under `name`, which must be of type `kind`."""
+    value = d[name]
+    if type(value) is not kind and not (strictjson.is_str_list(value) if type(kind) is GenericAlias
+                                        else isinstance(value, kind)):
+        raise TypeError(f"stored {name} has the wrong type: {type(value).__name__}")
+    return value
+
+
+def _stored_token(t: dict) -> Token:
+    """The token stored as the object `t`; a command-line origin is the shared COMMAND_LINE."""
+    text, o = _field(t, "text"), t["origin"]
+    if _field(o, "kind") == "command-line":
+        return Token(text)
+    return Token(text, Origin(o["kind"], _field(o, "path"), _field(o, "index", int)))
 
 
 def _unreadable(lineno: int, exc: Exception) -> CorruptSnapshot:
@@ -154,19 +175,17 @@ class _Load:
         """The record stored as `d` on line `lineno`, with its set not yet built
         unless it is a v1 record, which keeps its load-time check."""
         i = d["invocation"]
-        stored = i["tokens"]
+        stored = _field(i, "tokens", list)  # a string would read as one token per character
         try:  # a bare string is a command-line token, one per text; an object is any token
             tokens = tuple(map(self.tokens.__getitem__, stored))
         except TypeError:  # an object token is unhashable
-            tokens = tuple(self.tokens[t] if type(t) is str else Token.from_dict(t) for t in stored)
-        dialect = DIALECTS[i["dialect"]["family"], i["dialect"]["tool_kind"]]
-        inv = RawInvocation(i["program"], tokens, i["cwd"], i["source"], dialect)
-        text = d["effective"]
-        if type(text) is not str:
-            raise TypeError("stored effective set is not a string")
+            tokens = tuple(self.tokens[t] if type(t) is str else _stored_token(t) for t in stored)
+        inv = RawInvocation(_field(i, "program"), tokens, _field(i, "cwd"), _field(i, "source"),
+                            DIALECTS[i["dialect"]["family"], i["dialect"]["tool_kind"]])
         rec = cls.__new__(cls)  # without __init__, so `effective` is unset until first read
-        vars(rec).update(zip(cls.FIELDS, [d[name] for name in cls.FIELDS]), invocation=inv,
-                         effective_text=text, _load=self, _line=lineno)
+        vars(rec).update({name: _field(d, name, kind) for name, kind in cls.FIELDS.items()},
+                         invocation=inv, effective_text=_field(d, "effective"), _load=self,
+                         _line=lineno)
         if self.version == 1:
             rec.effective = self.effective(rec)
         return rec
@@ -247,10 +266,9 @@ class BuildSnapshot:
     def deserialize(cls, data: bytes) -> "BuildSnapshot":
         """Decode stored bytes, hashing each record line as read.
 
-        Every line is JSON-decoded; a record's effective set is built when
-        first read. Lines split on LF only: paths may hold U+0085 or
-        U+2028, which canonical JSON leaves unescaped. A line whose JSON
-        gives a lone surrogate is as unreadable as one that is not JSON.
+        Lines split on LF only: paths may hold U+0085 or U+2028, which
+        canonical JSON leaves unescaped. A line whose JSON gives a lone
+        surrogate is as unreadable as one that is not JSON.
         """
         lines = data.removesuffix(b"\n").split(b"\n")
         h = hashlib.sha256()
@@ -261,8 +279,8 @@ class BuildSnapshot:
             if type(version) is not int or version not in _READABLE_VERSIONS:
                 raise CorruptSnapshot(" or ".join(map(str, _READABLE_VERSIONS)), repr(version),
                                       "unsupported snapshot version")
-            snap = cls(header["build_id"], header["label"], header["created"],
-                       content_hash=header["content_hash"], snapshot_version=version)
+            snap = cls(_field(header, "build_id"), _field(header, "label"), _field(header, "created"),
+                       content_hash=_field(header, "content_hash"), snapshot_version=version)
             load = _Load(version)
             for lineno, line in enumerate(lines[1:], start=2):
                 d = strictjson.loads(line.decode("utf-8"))

@@ -11,10 +11,6 @@ store that does not exist finds no builds and creates nothing.
 Snapshots are immutable once written: there is no delete or compact
 command, and a put never rewrites previously stored bytes. Writes are
 serialized through an advisory lock file; reads take no lock.
-
-Every load hash-checks and JSON-decodes each record line, and a record
-decodes its effective set from its stored text only when first read
-(see `snapshot`), so a command builds only the sets it reads.
 """
 
 from __future__ import annotations

@@ -33,3 +33,8 @@ def loads(text: str):
         except UnicodeEncodeError:
             raise ValueError("a \\u escape gives a lone surrogate, which UTF-8 cannot hold") from None
     return value
+
+
+def is_str_list(value) -> bool:
+    """Whether a decoded JSON value is an array of strings."""
+    return type(value) is list and {*map(type, value)} <= {str}

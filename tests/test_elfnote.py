@@ -3,6 +3,7 @@ import random
 import shutil
 import struct
 import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -68,9 +69,9 @@ class TestStampRoundTrip:
     def test_second_stamp_equal_payload_is_noop(self, minimal_elf):
         p = payload_for()
         stamp(minimal_elf, p)
-        first = open(minimal_elf, "rb").read()
+        first = Path(minimal_elf).read_bytes()
         stamp(minimal_elf, p)
-        assert open(minimal_elf, "rb").read() == first
+        assert Path(minimal_elf).read_bytes() == first
 
     def test_restamp_replaces_payload(self, minimal_elf):
         stamp(minimal_elf, payload_for("b1"))
@@ -89,24 +90,28 @@ class TestStampRoundTrip:
 
     def test_truncated_desc_is_malformed(self, tmp_path, minimal_elf):
         stamp(minimal_elf, payload_for())
-        data = bytearray(open(minimal_elf, "rb").read())
+        data = bytearray(Path(minimal_elf).read_bytes())
         # find the note and inflate descsz past the section end
         pos = data.find(b"FLAGTRACE\x00")
         hdr = pos - 12
         namesz, descsz, ntype = struct.unpack_from("<III", data, hdr)
         struct.pack_into("<III", data, hdr, namesz, descsz + 4096, ntype)
-        open(minimal_elf, "wb").write(bytes(data))
+        Path(minimal_elf).write_bytes(bytes(data))
         with pytest.raises(MalformedNote):
             read_stamp(minimal_elf)
 
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_lone_surrogate_in_payload_exit_3(self, minimal_elf, capsys, fmt):
+    @pytest.mark.parametrize("old, new", [
+        (b'"subject":"ABCDEF"', b'"subject":"\\ud800"'),
+        (b'"subject":"ABCDEF"', b'"subject":12345678'),
+        (b'"flags_text":"x=1\\n"', b'"flags_text":5      '),
+    ], ids=["surrogate-subject", "number-subject", "number-flags"])
+    def test_lying_payload_exit_3(self, minimal_elf, capsys, old, new, fmt):
         stamp(minimal_elf, payload_for(subject="ABCDEF"))
-        with open(minimal_elf, "rb") as fh:
-            data = fh.read()
-        with open(minimal_elf, "wb") as fh:  # the same length: the note keeps its sizes
-            fh.write(data.replace(b'"ABCDEF"', b'"\\ud800"'))
+        data = Path(minimal_elf).read_bytes()
+        assert len(old) == len(new) and old in data  # the note keeps its sizes
+        Path(minimal_elf).write_bytes(data.replace(old, new))
         assert run(["--format", fmt, "read-stamp", minimal_elf]) == 3
         assert "malformed note" in capsys.readouterr().err
 
@@ -181,20 +186,20 @@ def _header_only(path):
 
 def _patch_fixture(offset, fmt, value):
     def patch(path):
-        data = bytearray(open(build_minimal_elf(path), "rb").read())
+        data = bytearray(Path(build_minimal_elf(path)).read_bytes())
         struct.pack_into(fmt, data, offset, value)
         path.write_bytes(bytes(data))
     return patch
 
 
 def _truncated_table(path):
-    data = open(build_minimal_elf(path), "rb").read()
+    data = Path(build_minimal_elf(path)).read_bytes()
     path.write_bytes(data[:-10])
 
 
 def _shstrtab_offset(path):
     # section 3 of the fixture is .shstrtab; point its sh_offset past the end
-    data = bytearray(open(build_minimal_elf(path), "rb").read())
+    data = bytearray(Path(build_minimal_elf(path)).read_bytes())
     (shoff,) = struct.unpack_from("<Q", data, 40)
     struct.pack_into("<Q", data, shoff + 3 * 64 + 24, 1 << 20)
     path.write_bytes(bytes(data))
@@ -236,8 +241,8 @@ class TestLyingElf:
         p = payload_for()
         stamp(minimal_elf, p)
         desc = p.to_bytes()
-        data = open(minimal_elf, "rb").read()
-        open(minimal_elf, "wb").write(data.replace(desc, b"[" + b" " * (len(desc) - 2) + b"]"))
+        data = Path(minimal_elf).read_bytes()
+        Path(minimal_elf).write_bytes(data.replace(desc, b"[" + b" " * (len(desc) - 2) + b"]"))
         with pytest.raises(MalformedNote):
             read_stamp(minimal_elf)
 
@@ -253,7 +258,7 @@ class TestLyingElf:
 
 def _relay_shdrs(path, entsize):
     """The fixture with its section header table re-laid at the end in `entsize`-byte entries."""
-    data = bytearray(open(build_minimal_elf(path), "rb").read())
+    data = bytearray(Path(build_minimal_elf(path)).read_bytes())
     shoff, = struct.unpack_from("<Q", data, 40)
     shnum, = struct.unpack_from("<H", data, 60)
     table = data[shoff:shoff + shnum * 64]

@@ -1,13 +1,15 @@
 """Damaged stored state through the read commands ends in an exit code, never an exception.
 
 A store of two builds (response-file and plain gcc TUs, an MSVC TU, a
-link target and a skipped line) is copied, one of its files is mutated
-byte-wise, and every command that reads the store runs on the copy:
-query effective, query find, query builds, diff, audit --previous,
-history --key, verify and stamp (on a minimal ELF). A snapshot can also have its content hash
-recomputed in the header and the index after the mutation, so that the
-damage reaches the record decoder instead of stopping at the hash check.
-Output is written through strict UTF-8, as to a terminal or a pipe.
+link target and a skipped line) is copied, one of its files is mutated,
+and every command that reads the store runs on the copy: query
+effective, query find, query builds, diff, audit --previous, history
+--key, verify and stamp (on a minimal ELF). A file is mutated byte-wise,
+or one value of a decoded header or record line is given another JSON
+type. A snapshot can have its content hash recomputed in the header and
+the index after the mutation, so that the damage reaches the record
+decoder instead of stopping at the hash check. Output is written through
+strict UTF-8, as to a terminal or a pipe.
 """
 
 import contextlib
@@ -97,15 +99,8 @@ _EDITS = st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 4), _PIECES)
                   min_size=1, max_size=4)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["index.tsv", "snapshot b1", "snapshot b2"]), _EDITS, st.booleans())
-def test_read_commands_on_damaged_store(target, edits, rehash):
-    files, subject = template()
-    files = dict(files)
-    name = "index.tsv" if target == "index.tsv" else _snapshot_of(files, target.split()[1])
-    files[name] = _mutate(files[name], edits)
-    if rehash and name != "index.tsv":
-        _rehash(files, name)
+def _run_read_commands(files: dict, subject: str) -> None:
+    """Write the store's files and run every read command on them in both formats."""
     with tempfile.TemporaryDirectory() as tmp:
         for rel, data in files.items():
             os.makedirs(os.path.dirname(os.path.join(tmp, rel)), exist_ok=True)
@@ -127,3 +122,67 @@ def test_read_commands_on_damaged_store(target, edits, rehash):
                     out.flush()
                 assert code in EXIT_CODES, argv
 
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["index.tsv", "snapshot b1", "snapshot b2"]), _EDITS, st.booleans())
+def test_read_commands_on_damaged_store(target, edits, rehash):
+    files, subject = template()
+    files = dict(files)
+    name = "index.tsv" if target == "index.tsv" else _snapshot_of(files, target.split()[1])
+    files[name] = _mutate(files[name], edits)
+    if rehash and name != "index.tsv":
+        _rehash(files, name)
+    _run_read_commands(files, subject)
+
+
+def _json_type(value) -> str:
+    return {type(None): "null", bool: "bool", int: "number", float: "number", str: "string",
+            list: "array", dict: "object"}[type(value)]
+
+
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 2),
+                     st.sampled_from(["", "x", "-O2"]))
+_OF_TYPE = {
+    "number": st.one_of(st.integers(-2, 2), st.just(1.5)),
+    "null": st.none(),
+    "bool": st.booleans(),
+    "string": st.sampled_from(["", "x", "-O2", "a.c", "command-line", "-O2 -c a.c"]),
+    "array": st.lists(_SCALARS, max_size=3),
+    "object": st.dictionaries(st.sampled_from(["text", "origin", "kind", "path", "index"]),
+                              _SCALARS, max_size=3),
+}
+
+
+def _value_paths(doc: dict) -> list[tuple]:
+    """Paths in a decoded header or record line to each of its fields, each invocation
+    field and token, and each object token's text and origin."""
+    inv = doc.get("invocation", {})
+    paths = [(name,) for name in doc if name != "kind"] + [("invocation", name) for name in inv]
+    for i, token in enumerate(inv.get("tokens", ())):
+        paths.append(("invocation", "tokens", i))
+        if isinstance(token, dict):
+            paths += [("invocation", "tokens", i, "text"), ("invocation", "tokens", i, "origin")]
+    return paths
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["b1", "b2"]), st.data())
+def test_read_commands_on_mistyped_value(build_id, data):
+    """One value of a header or record line, given another JSON type with every hash recomputed."""
+    files, subject = template()
+    files = dict(files)
+    name = _snapshot_of(files, build_id)
+    lines = files[name].split(b"\n")
+    n = data.draw(st.sampled_from([n for n, line in enumerate(lines) if line and
+                                   json.loads(line).get("kind") in (None, "tu", "target")]))
+    doc = json.loads(lines[n])
+    *parents, key = data.draw(st.sampled_from(_value_paths(doc)))
+    parent = doc
+    for step in parents:
+        parent = parent[step]
+    other = [t for t in _OF_TYPE if t != _json_type(parent[key])]
+    parent[key] = data.draw(_OF_TYPE[data.draw(st.sampled_from(other))])
+    lines[n] = json.dumps(doc, ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode()
+    files[name] = b"\n".join(lines)
+    _rehash(files, name)
+    _run_read_commands(files, subject)

@@ -477,3 +477,44 @@ def test_a_set_that_cannot_be_decoded_fails_when_read(tmp_path, capsys):
     assert code == 3
     [build] = doc["builds"]
     assert build["status"] == "corrupt" and "unreadable snapshot line 3" in build["error"]
+
+
+def _set_rsp_token_text(rec):
+    assert rec["invocation"]["tokens"][0]["origin"]["kind"] == "response-file"
+    rec["invocation"]["tokens"][0]["text"] = 5
+
+
+def _join_tokens(rec):
+    rec["invocation"]["tokens"] = " ".join(rec["invocation"]["tokens"])
+
+
+@pytest.mark.parametrize("log, edit, commands", [
+    ("gcc -O2 -c a.c -o a.o\n", lambda rec: rec.update(source_file=5),
+     [["diff", "b1", "b2"], ["history", "dev", "--key", "opt_level"],
+      ["query", "find", "--build", "b1", "--group", "opt_level", "--value=-O2"]]),
+    ("gcc a.o b.o -o app\n", lambda rec: rec["inputs"].insert(0, 5),
+     [["audit", "b2", "--previous", "b1"]]),
+    ("gcc @opts.rsp -c a.c -o a.o\n", _set_rsp_token_text, [["audit", "b1"]]),
+    ("gcc -O2 -c a.c -o a.o\n", _join_tokens, [["query", "find", "--build", "b1",
+                                                "--group", "opt_level", "--value=-O2"]]),
+], ids=["number-source-file", "number-in-target-inputs", "number-rsp-token-text",
+        "string-tokens"])
+def test_mistyped_stored_field_is_unreadable(tmp_path, capsys, log, edit, commands):
+    """A stored field of another JSON type, with every hash recomputed, makes its line
+    unreadable: each read command exits 3 naming it, and verify reports the build corrupt."""
+    (tmp_path / "opts.rsp").write_text("-O2\n")
+    store = Store(str(tmp_path / "store"))
+    for i, text in enumerate((log, log + "gcc -c z.c -o z.o\n")):  # b2 hashes to another value
+        (tmp_path / f"b{i + 1}.log").write_text(text)
+        assert run(["--store", store.root, "ingest", str(tmp_path / f"b{i + 1}.log"), "--label",
+                    "dev", "--build-id", f"b{i + 1}", "--created", f"2026-01-0{i + 1}T00:00:00Z"]) == 0
+    _rewrite_record(store, "b1", 0, edit)
+    capsys.readouterr()
+    for argv in commands:
+        for fmt in ("text", "json"):
+            assert run(["--store", store.root, "--format", fmt, *argv]) == 3, (argv, fmt)
+            assert "unreadable snapshot line 2" in capsys.readouterr().err
+    code, doc = _verify(store, capsys)
+    assert code == 3 and doc["builds"][0]["build_id"] == "b1"
+    assert doc["builds"][0]["status"] == "corrupt"
+    assert "unreadable snapshot line 2" in doc["builds"][0]["error"]
