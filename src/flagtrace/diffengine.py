@@ -31,9 +31,6 @@ class FlagDelta:
     before: object  # entry dict, list, or None (absent)
     after: object
 
-    def to_dict(self) -> dict:
-        return {"scope": self.scope, "name": self.name, "before": self.before, "after": self.after}
-
 
 @dataclass
 class DiffReport:
@@ -66,7 +63,7 @@ class DiffReport:
         for kind, added, removed, changed in self.scopes():
             doc[f"added_{kind}s"] = sorted(added)
             doc[f"removed_{kind}s"] = sorted(removed)
-            doc[f"per_{kind}_changes"] = {subject: [d.to_dict() for d in deltas]
+            doc[f"per_{kind}_changes"] = {subject: [vars(d) for d in deltas]
                                           for subject, deltas in sorted(changed.items())}
         return doc
 

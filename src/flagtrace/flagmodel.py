@@ -22,13 +22,16 @@ the entry for a command-line spelling once and reuses it for every
 later copy of that spelling. Its memo is a plain dict that the caller
 scopes to one snapshot; it is freed with that snapshot.
 
-`canonical_deserialize` is the inverse of `canonical_serialize` for a
-set resolved from command-line tokens alone, the one case in which the
-canonical text holds everything the entries do.
+`resolve` is the one fold from entries to a set. `canonical_deserialize`
+is the inverse of `canonical_serialize` for a set resolved from
+command-line tokens alone, the one case in which the canonical text
+holds everything the entries do: it parses each line into its entry
+and folds those entries with `resolve`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from importlib import resources
 from json.encoder import encode_basestring
@@ -155,7 +158,7 @@ def classify(token: Token, dialect: Dialect, next_token: Token | None = None) ->
     return FlagEntry("opaque", None, VALUED, text, token.origin), False
 
 
-def classify_all(tokens: list[Token], dialect: Dialect, memo: dict | None = None) -> list[FlagEntry]:
+def classify_all(tokens: Sequence[Token], dialect: Dialect, memo: dict | None = None) -> list[FlagEntry]:
     """Classify a token stream; equal to calling `classify` on each token in turn.
 
     `memo` maps a family to the entries built so far for command-line
@@ -209,31 +212,6 @@ class EffectiveFlagSet:
     sources: list[FlagEntry] = field(default_factory=list)
     opaque: list[FlagEntry] = field(default_factory=list)
 
-    def extend(self, entries: list[FlagEntry]) -> "EffectiveFlagSet":
-        out = EffectiveFlagSet(
-            dict(self.scalar_groups), dict(self.defines),
-            list(self.include_dirs), list(self.link_inputs),
-            list(self.sources), list(self.opaque),
-        )
-        for e in entries:
-            if e.group is not None:
-                out.scalar_groups[e.group] = e
-            elif e.key == "macro_define":
-                name = _macro_name(e.value or "")
-                out.defines.pop(name, None)
-                out.defines[name] = e
-            elif e.key == "macro_undef":
-                out.defines.pop(e.value or "", None)
-            elif e.key == "include_dir":
-                out.include_dirs.append(e)
-            elif e.key in ("link_obj", "link_lib"):
-                out.link_inputs.append(e)
-            elif e.key == "source_file":
-                out.sources.append(e)
-            else:
-                out.opaque.append(e)
-        return out
-
     def group_value(self, group: str) -> FlagEntry | None:
         return self.scalar_groups.get(group)
 
@@ -245,7 +223,23 @@ class EffectiveFlagSet:
 
 def resolve(entries: list[FlagEntry]) -> EffectiveFlagSet:
     """Fold ordered entries into the effective state (later wins per group)."""
-    return EffectiveFlagSet().extend(entries)
+    out = EffectiveFlagSet()
+    for e in entries:
+        if e.group is not None:
+            out.scalar_groups[e.group] = e
+        elif e.key == "macro_define":
+            out.defines[_macro_name(e.value or "")] = e
+        elif e.key == "macro_undef":
+            out.defines.pop(e.value or "", None)
+        elif e.key == "include_dir":
+            out.include_dirs.append(e)
+        elif e.key in ("link_obj", "link_lib"):
+            out.link_inputs.append(e)
+        elif e.key == "source_file":
+            out.sources.append(e)
+        else:
+            out.opaque.append(e)
+    return out
 
 
 def _opt(value: str | None) -> str:
@@ -285,40 +279,43 @@ def canonical_serialize(fset: EffectiveFlagSet) -> bytes:
 _LINE_FIELD_TYPES = {str, type(None)}
 
 
-def _entry_of_line(row) -> tuple[str, str | None, FlagEntry]:
-    """(tag, group id or macro name, entry) of a line that `canonical_serialize`
-    wrote for a command-line entry, given the line JSON-decoded."""
+def _entry_of_line(row) -> FlagEntry:
+    """The entry of a line that `canonical_serialize` wrote for a
+    command-line entry, given the line JSON-decoded."""
     # Every field is a string, and only a value may be null.
     if type(row) is list and row and {*map(type, row)} <= _LINE_FIELD_TYPES:
         tag, n = row[0], len(row)
         if tag == "group":
             if n == 6 and None not in (row[1], row[2], row[3], row[5]):
                 _, gid, key, polarity, value, spelling = row
-                return tag, gid, FlagEntry(key, value, polarity, spelling, COMMAND_LINE, gid)
+                return FlagEntry(key, value, polarity, spelling, COMMAND_LINE, gid)
         elif tag == "define":
+            # The name must be the key that `resolve` files the entry under.
             if n == 4 and row[3] is not None and row[1] == _macro_name(row[2] or ""):
-                return tag, row[1], FlagEntry("macro_define", row[2], VALUED, row[3])
+                return FlagEntry("macro_define", row[2], VALUED, row[3])
         elif tag == "include":
             if n == 3 and row[2] is not None:
-                return tag, None, FlagEntry("include_dir", row[1], VALUED, row[2])
+                return FlagEntry("include_dir", row[1], VALUED, row[2])
         elif tag == "link":
             if n == 4 and row[1] in ("obj", "lib") and row[3] is not None:
-                return tag, None, FlagEntry(f"link_{row[1]}", row[2], VALUED, row[3])
+                return FlagEntry(f"link_{row[1]}", row[2], VALUED, row[3])
         elif tag == "source":
             if n == 2 and row[1] is not None:
-                return tag, None, FlagEntry("source_file", row[1], VALUED, row[1])
+                return FlagEntry("source_file", row[1], VALUED, row[1])
         elif tag == "opaque":
             if n == 2 and row[1] is not None:
-                return tag, None, FlagEntry("opaque", None, VALUED, row[1])
+                return FlagEntry("opaque", None, VALUED, row[1])
     raise ValueError(f"not a canonical flag-set line: {row!r}")
 
 
 def canonical_deserialize(text: str, memo: dict) -> EffectiveFlagSet:
     """The set that `canonical_serialize` wrote as `text`, every entry from the command line.
 
-    `memo` maps a line to what `_entry_of_line` made of it; pass one
-    dict for all records of a snapshot, so equal lines share one
-    FlagEntry. The lines it lacks are JSON-decoded in one call.
+    Each line is parsed into its entry, and `resolve` folds the entries
+    in line order; canonical order folds back to the set it came from.
+    `memo` maps a line to its entry; pass one dict for all records of a
+    snapshot, so equal lines share one FlagEntry. The lines it lacks
+    are JSON-decoded in one call.
     Raises ValueError on text that `canonical_serialize` cannot have
     written, given text that holds no lone surrogate, as a string that
     `strictjson.loads` returned does not.
@@ -335,15 +332,4 @@ def canonical_deserialize(text: str, memo: dict) -> EffectiveFlagSet:
             raise ValueError("not a canonical flag set")
         for line, row in zip(new, rows):
             memo[line] = _entry_of_line(row)
-    groups, defines = {}, {}
-    in_order = {"include": [], "link": [], "source": [], "opaque": []}
-    for line in lines:
-        tag, name, e = memo[line]
-        if tag == "group":
-            groups[name] = e
-        elif tag == "define":
-            defines[name] = e
-        else:
-            in_order[tag].append(e)
-    return EffectiveFlagSet(groups, defines, in_order["include"], in_order["link"],
-                            in_order["source"], in_order["opaque"])
+    return resolve([memo[line] for line in lines])

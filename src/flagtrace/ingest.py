@@ -110,8 +110,7 @@ def parse_raw_log(path: str, skipped: list[dict] | None = None) -> list[RawInvoc
                 skipped.append({"source": f"log:{path}:{lineno}", "program": program,
                                 "reason": str(exc)})
             continue
-        if not tokens:
-            continue
+        # A known program is a non-empty first word, so `tokens` is never empty.
         out.append(RawInvocation(
             program=tokens[0].text,
             tokens=tuple(tokens[1:]),

@@ -157,7 +157,7 @@ def _unreadable(lineno: int, exc: Exception) -> CorruptSnapshot:
 
 def _resolve(inv: RawInvocation, memo: dict) -> flagmodel.EffectiveFlagSet:
     """The set the invocation's tokens resolve to under the current vocabulary."""
-    return flagmodel.resolve(flagmodel.classify_all(list(inv.tokens), inv.dialect, memo))
+    return flagmodel.resolve(flagmodel.classify_all(inv.tokens, inv.dialect, memo))
 
 
 class _Load:

@@ -4,6 +4,8 @@ The diff properties check that forward deltas take one effective set to
 the other and that reversing a diff swaps each delta's two sides.
 """
 
+import copy
+
 from flagtrace.diffengine import DEFINE, GROUP, INCLUDE_ORDER, LINK_ORDER, OPAQUE, FlagDelta
 from flagtrace.flagmodel import EffectiveFlagSet, FlagEntry
 
@@ -18,7 +20,7 @@ def swapped(delta: FlagDelta) -> FlagDelta:
 
 def apply_deltas(base: EffectiveFlagSet, deltas: list[FlagDelta]) -> EffectiveFlagSet:
     """Apply a forward delta list to a base set; inverse check for diff."""
-    out = base.extend([])  # a copy
+    out = copy.deepcopy(base)
     for d in deltas:
         if d.scope == GROUP:
             if d.after is None:

@@ -138,7 +138,7 @@ class TestProperties:
         for _ in range(50):
             l1 = random_entries(rng, rng.randint(0, 12))
             l2 = random_entries(rng, rng.randint(0, 12))
-            assert resolve(l1 + l2) == resolve(l1).extend(l2)
+            assert resolve(l1 + l2) == resolve(canonical_oracle.entries(resolve(l1)) + l2)
 
     @given(st.integers(0, 2**32 - 1))
     def test_appended_group_member_wins(self, seed):

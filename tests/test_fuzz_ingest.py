@@ -9,9 +9,11 @@ import json
 import os
 import tempfile
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from flagtrace.cli import run
+from flagtrace.cmdline import ToolKind, command_program, detect_dialect, tokenize
+from flagtrace.errors import UnterminatedQuote
 
 EXIT_CODES = {0, 2, 3, 4}
 
@@ -24,6 +26,9 @@ TEXT = st.lists(st.one_of(
     st.text(max_size=3),
 )).map("".join)
 PROGRAMS = st.sampled_from(["gcc ", "cl ", "ld ", "link ", "g++ -c ", ""])
+# Quoting, escape, space and path symbols around a program name.
+AROUND = st.text(st.sampled_from(list("'\"\\ \t\v\r\n/.`")), max_size=4)
+TOOLS = st.sampled_from(["gcc", "g++", "clang++", "cc", "ld", "ar", "cl", "CL.EXE", "link", "lib"])
 
 
 def ingest(name: str, body: str, kind: str) -> int:
@@ -47,3 +52,18 @@ def test_raw_log(lines):
 def test_compdb_command(commands):
     entries = [{"directory": "/w", "command": program + text} for program, text in commands]
     assert ingest("compile_commands.json", json.dumps(entries), "compdb") in EXIT_CODES
+
+
+@settings(max_examples=300, deadline=None)
+@given(AROUND, TOOLS, AROUND, TEXT)
+def test_known_program_gives_a_token(before, tool, after, text):
+    # A raw-log line whose program is a known tool, and which tokenizes,
+    # gives at least one token: the program's own word.
+    line = before + tool + after + text
+    dialect = detect_dialect(command_program(line))
+    assume(dialect.tool_kind is not ToolKind.UNKNOWN)
+    try:
+        tokens = tokenize(line, dialect)
+    except UnterminatedQuote:
+        return
+    assert tokens
