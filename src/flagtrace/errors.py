@@ -64,7 +64,6 @@ class MalformedIndex(FlagtraceError):
 class CorruptSnapshot(FlagtraceError):
     def __init__(self, expected: str, actual: str, reason: str = "snapshot hash mismatch"):
         super().__init__(f"{reason}: expected {expected}, got {actual}")
-        self.expected = expected
 
 
 class NotElf(FlagtraceError):

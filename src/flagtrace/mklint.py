@@ -89,7 +89,7 @@ def scan_makefile(path: str, _depth: int = 0) -> tuple[list[MacroAssignment], se
                 sub = name if name.startswith("/") else f"{base}/{name}"
                 try:
                     sub_assign, sub_expand = scan_makefile(sub, _depth + 1)
-                except OSError:
+                except (OSError, ValueError):  # ValueError: a NUL in the name names no file
                     continue
                 assignments.extend(sub_assign)
                 expansions.update(sub_expand)

@@ -10,11 +10,11 @@ content hash, SHA-256 over the record lines it writes. This module
 alone knows how tokens, origins and dialects are stored.
 
 The header's `snapshot_version` says how tokens are stored. Version 2,
-which new snapshots use, stores a command-line token as its bare text
-and a response-file token as a {"text", "origin"} object; version 1
-stores every token as an object. Both read through one decoder, and a
-snapshot re-serializes in the version it was read in, so a stored v1
-file keeps its bytes and hash. Any other version is rejected.
+which every snapshot is written in, stores a command-line token as its
+bare text and a response-file token as a {"text", "origin"} object;
+version 1 stores every token as an object. Both read through one
+decoder under one load rule, and the version is then forgotten: a
+loaded v1 snapshot serializes as v2. Any other version is rejected.
 
 On load the hash is checked over the record lines as stored, without
 re-serializing them, and every line is JSON-decoded, with each field it
@@ -33,8 +33,7 @@ The stored text has no token origins, which audit evidence needs, so a
 record with a response-file token is re-resolved when its set is first
 read: if the re-resolved set serializes to the stored text, the record
 takes it, origins and all; otherwise it keeps its stored set, whose
-entries then name only the command line. Every v1 record is re-resolved
-on load and rejected if its set differs, as v1 always was.
+entries then name only the command line.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from . import flagmodel, strictjson
 from .cmdline import COMMAND_LINE, DIALECTS, Origin, RawInvocation, Token, TokenTable
 from .errors import CorruptSnapshot
 
-SNAPSHOT_VERSION = 2  # the version new snapshots are written in
+SNAPSHOT_VERSION = 2  # the version every snapshot is written in
 _READABLE_VERSIONS = (1, 2)
 
 
@@ -109,22 +108,15 @@ Record = TranslationUnitRecord | LinkTargetRecord
 _RECORD_TYPES = {cls.KIND: cls for cls in (TranslationUnitRecord, LinkTargetRecord)}
 
 
-def _token_object(t: Token) -> dict:
-    """A token's stored object form: a command-line origin stores its kind alone."""
-    o = t.origin
-    return {"text": t.text, "origin": {"kind": o.kind} if o.kind == "command-line" else
-            {"kind": o.kind, "path": o.path, "index": o.index}}
-
-
-def _encode_record(rec: Record, version: int) -> str:
+def _encode_record(rec: Record) -> str:
     d = {name: getattr(rec, name) for name in rec.FIELDS}
     d["kind"] = rec.KIND
     inv = rec.invocation
     d["invocation"] = {
         "program": inv.program,
-        # v2 stores a command-line token as its bare text; v1 as an object.
-        "tokens": [t.text if version > 1 and t.origin.kind == "command-line" else _token_object(t)
-                   for t in inv.tokens],
+        # A command-line token is stored as its bare text, any other as an object.
+        "tokens": [t.text if t.origin.kind == "command-line" else
+                   {"text": t.text, "origin": vars(t.origin)} for t in inv.tokens],
         "cwd": inv.cwd,
         "source": inv.source,
         "dialect": {"family": inv.dialect.family.value, "tool_kind": inv.dialect.tool_kind.value},
@@ -165,15 +157,13 @@ class _Load:
     on first read: one Token per command-line text, one FlagEntry per flag-set
     line and one `classify_all` memo for the records it re-resolves."""
 
-    def __init__(self, version: int):
-        self.version = version
+    def __init__(self):
         self.tokens = TokenTable()
         self.flagset_lines: dict = {}
         self.classified: dict = {}
 
     def record(self, cls: type[Record], d: dict, lineno: int) -> Record:
-        """The record stored as `d` on line `lineno`, with its set not yet built
-        unless it is a v1 record, which keeps its load-time check."""
+        """The record stored as `d` on line `lineno`, with its set not yet built."""
         i = d["invocation"]
         stored = _field(i, "tokens", list)  # a string would read as one token per character
         try:  # a bare string is a command-line token, one per text; an object is any token
@@ -186,27 +176,18 @@ class _Load:
         vars(rec).update({name: _field(d, name, kind) for name, kind in cls.FIELDS.items()},
                          invocation=inv, effective_text=_field(d, "effective"), _load=self,
                          _line=lineno)
-        if self.version == 1:
-            rec.effective = self.effective(rec)
         return rec
 
     def effective(self, rec: Record) -> flagmodel.EffectiveFlagSet:
-        """The set `rec` stored. A record with a response-file token, and every v1
-        record, is re-resolved to recover the origins the stored text lacks and
-        takes that set if it serializes to the stored text; otherwise a v2
-        record keeps its stored set and a v1 record is rejected."""
+        """The set `rec` stored. A record with a response-file token is re-resolved
+        to recover the origins the stored text lacks and takes that set if it
+        serializes to the stored text; otherwise it keeps its stored set."""
         text = rec.effective_text
         try:
-            if self.version == 1 or any(t.origin is not COMMAND_LINE for t in rec.invocation.tokens):
+            if any(t.origin is not COMMAND_LINE for t in rec.invocation.tokens):
                 resolved = _resolve(rec.invocation, self.classified)
-                stored, actual = text.encode("utf-8"), flagmodel.canonical_serialize(resolved)
-                if stored == actual:
+                if flagmodel.canonical_serialize(resolved) == text.encode("utf-8"):
                     return resolved
-                if self.version == 1:
-                    raise CorruptSnapshot(hashlib.sha256(stored).hexdigest(),
-                                          hashlib.sha256(actual).hexdigest(),
-                                          f"effective set on snapshot line {rec._line} "
-                                          "differs from its re-resolved tokens")
             return flagmodel.canonical_deserialize(text, self.flagset_lines)
         except (AttributeError, LookupError, TypeError, ValueError) as exc:
             raise _unreadable(rec._line, exc) from None
@@ -221,7 +202,6 @@ class BuildSnapshot:
     targets: list[LinkTargetRecord] = field(default_factory=list)
     diagnostics: list[dict] = field(default_factory=list)
     content_hash: str = ""
-    snapshot_version: int = SNAPSHOT_VERSION
 
     def by_subject(self, scope: str) -> dict[str, Record]:
         """Records of one scope, "tu" or "target", keyed by subject; a later duplicate wins."""
@@ -244,15 +224,14 @@ class BuildSnapshot:
 
     def serialize(self) -> bytes:
         """Encode each record once, set content_hash over those lines and return the file."""
-        lines = [_encode_record(r, self.snapshot_version).encode("utf-8")
-                 for r in (*self.tus, *self.targets)]
+        lines = [_encode_record(r).encode("utf-8") for r in (*self.tus, *self.targets)]
         h = hashlib.sha256()
         for line in lines:
             h.update(line)
             h.update(b"\n")
         self.content_hash = h.hexdigest()
         lines.insert(0, _canon({
-            "snapshot_version": self.snapshot_version,
+            "snapshot_version": SNAPSHOT_VERSION,
             "build_id": self.build_id,
             "label": self.label,
             "created": self.created,
@@ -280,8 +259,8 @@ class BuildSnapshot:
                 raise CorruptSnapshot(" or ".join(map(str, _READABLE_VERSIONS)), repr(version),
                                       "unsupported snapshot version")
             snap = cls(_field(header, "build_id"), _field(header, "label"), _field(header, "created"),
-                       content_hash=_field(header, "content_hash"), snapshot_version=version)
-            load = _Load(version)
+                       content_hash=_field(header, "content_hash"))
+            load = _Load()
             for lineno, line in enumerate(lines[1:], start=2):
                 d = strictjson.loads(line.decode("utf-8"))
                 kind = d.pop("kind")

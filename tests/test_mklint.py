@@ -79,6 +79,12 @@ class TestScanMakefile:
         assignments, _ = scan_makefile(str(p))
         assert [a.name for a in assignments] == ["CXFLAGS"]
 
+    def test_include_naming_no_file_is_skipped(self, tmp_path):
+        p = tmp_path / "Makefile"
+        p.write_bytes(b"include a\x00b missing.mk\nCXFLAGS = -g\n")
+        assignments, _ = scan_makefile(str(p))
+        assert [a.name for a in assignments] == ["CXFLAGS"]
+
     def test_continuation_keeps_first_line_number(self, tmp_path):
         p = tmp_path / "Makefile"
         p.write_text("# header\nCFLAGS = -O2 \\\n  -g\n")

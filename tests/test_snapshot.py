@@ -16,7 +16,6 @@ from conftest import build_minimal_elf
 from flagtrace import flagmodel, snapshot
 from flagtrace.cli import run
 from flagtrace.cmdline import COMMAND_LINE, Family, Origin, RawInvocation, Token, detect_dialect
-from flagtrace.errors import CorruptSnapshot
 from flagtrace.ingest import EvidenceKind, EvidenceSource, assemble_snapshot
 from flagtrace.snapshot import BuildSnapshot, TranslationUnitRecord
 from flagtrace.store import Store
@@ -28,6 +27,27 @@ FIXTURE = Path(__file__).parent / "data" / "snapshot-v1.fts"
 # The same build in the v2 line format, written by the v2 encoder, with one
 # more gcc TU whose tokens mix the command line and a response file.
 FIXTURE_V2 = Path(__file__).parent / "data" / "snapshot-v2.fts"
+
+
+def _canon_line(d) -> bytes:
+    return json.dumps(d, ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode()
+
+
+def as_v1(data: bytes) -> bytes:
+    """Reference v1 encoder: the v2 snapshot `data` with every token stored as an
+    object, a command-line one by its origin's kind alone, and its hashes recomputed."""
+    header, *lines = data.removesuffix(b"\n").split(b"\n")
+    h = hashlib.sha256()
+    for n, line in enumerate(lines):
+        rec = json.loads(line)
+        if rec["kind"] != "diagnostic":
+            rec["invocation"]["tokens"] = [{"text": t, "origin": {"kind": "command-line"}}
+                                           if type(t) is str else t
+                                           for t in rec["invocation"]["tokens"]]
+            lines[n] = _canon_line(rec)
+            h.update(lines[n] + b"\n")
+    head = {**json.loads(header), "snapshot_version": 1, "content_hash": h.hexdigest()}
+    return b"\n".join([_canon_line(head), *lines, b""])
 
 
 def install_fixture(root, fixture=FIXTURE) -> Store:
@@ -45,8 +65,9 @@ def install_fixture(root, fixture=FIXTURE) -> Store:
 
 class TestV1Fixture:
     def test_round_trips_byte_for_byte(self):
+        """A v1 file reads as the build it stored and is written back as v2."""
         data = FIXTURE.read_bytes()
-        assert BuildSnapshot.deserialize(data).serialize() == data
+        assert as_v1(BuildSnapshot.deserialize(data).serialize()) == data
 
     def test_store_reads_it(self, tmp_path):
         snap = install_fixture(tmp_path / "store").get("fixture-v1")
@@ -55,15 +76,13 @@ class TestV1Fixture:
         assert [t.output for t in snap.targets] == ["/work/proj/build/app"]
         assert snap.targets[0].member_tus == ["/work/proj/src/core.c"]
         assert [d["program"] for d in snap.diagnostics] == ["ar"]
-        assert snap.serialize() == FIXTURE.read_bytes()
+        assert as_v1(snap.serialize()) == FIXTURE.read_bytes()
 
 
 class TestV2Fixture:
     def test_round_trips_byte_for_byte(self):
         data = FIXTURE_V2.read_bytes()
-        snap = BuildSnapshot.deserialize(data)
-        assert snap.snapshot_version == 2
-        assert snap.serialize() == data
+        assert BuildSnapshot.deserialize(data).serialize() == data
 
     def test_store_reads_it(self, tmp_path):
         snap = install_fixture(tmp_path / "store", FIXTURE_V2).get("fixture-v2")
@@ -92,37 +111,6 @@ def test_new_snapshots_are_v2(tmp_path):
     header, tu = data.split(b"\n")[:2]
     assert json.loads(header)["snapshot_version"] == 2
     assert json.loads(tu)["invocation"]["tokens"] == ["-O2", "-c", "a.c"]
-
-
-def _canon_line(d) -> bytes:
-    return json.dumps(d, ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode()
-
-
-def test_stored_effective_is_revalidated(tmp_path):
-    """A rewritten effective set is caught even when every hash is recomputed."""
-    store = install_fixture(tmp_path / "store")
-    snap_file = Path(store.snap_dir) / "fixture.fts"
-    header, *rest = snap_file.read_bytes().removesuffix(b"\n").split(b"\n")
-    tu = json.loads(rest[0])
-    tu["effective"] = tu["effective"].replace('"-O2"', '"-O0"')
-    rest[0] = _canon_line(tu)
-    h = hashlib.sha256()
-    for line in rest:
-        if json.loads(line)["kind"] != "diagnostic":
-            h.update(line + b"\n")
-    head = json.loads(header)
-    head["content_hash"] = h.hexdigest()
-    snap_file.write_bytes(b"\n".join([_canon_line(head), *rest]) + b"\n")
-    index = Path(store.index_path)
-    fields = index.read_text(encoding="utf-8").rstrip("\n").split("\t")
-    fields[3] = h.hexdigest()
-    index.write_text("\t".join(fields) + "\n", encoding="utf-8")
-
-    with pytest.raises(CorruptSnapshot,
-                       match="effective set on snapshot line 2 differs from its re-resolved tokens"
-                       ) as exc:
-        store.get("fixture-v1")
-    assert exc.value.expected == hashlib.sha256(tu["effective"].encode()).hexdigest()
 
 
 def _rewrite_line(store: Store, n: int, edit) -> None:
@@ -168,17 +156,16 @@ _TOKENS = st.builds(
 @example([("gcc", [Token("-g"), Token("-g", Origin("response-file", "/w/a.rsp", 0)), Token("-g")]),
           ("gcc", [Token("-g", Origin("response-file", "/w/a.rsp", 0)), Token("-g")])], 2)
 def test_token_streams_round_trip(streams, version):
-    """Any mix of command-line and response-file tokens reads back at either version."""
+    """Any mix of command-line and response-file tokens reads back from either
+    version and is written back as v2."""
     tus = []
     for i, (program, tokens) in enumerate(streams):
         inv = RawInvocation(program, tuple(tokens), "/w", f"log:b.log:{i + 1}",
                             detect_dialect(program))
         eff = flagmodel.resolve(flagmodel.classify_all(tokens, inv.dialect))
         tus.append(TranslationUnitRecord(f"/w/{i}.c", None, inv, eff))
-    data = BuildSnapshot("b1", "dev", "2026-01-01T00:00:00Z", tus,
-                         snapshot_version=version).serialize()
-    back = BuildSnapshot.deserialize(data)
-    assert back.snapshot_version == version
+    data = BuildSnapshot("b1", "dev", "2026-01-01T00:00:00Z", tus).serialize()
+    back = BuildSnapshot.deserialize(as_v1(data) if version == 1 else data)
     assert [r.invocation for r in back.tus] == [r.invocation for r in tus]
     assert [vars(r.effective) for r in back.tus] == [vars(r.effective) for r in tus]
     assert all(t.origin is COMMAND_LINE for r in back.tus for t in r.invocation.tokens
@@ -367,6 +354,18 @@ def test_response_file_record_reads_its_stored_set(tmp_path, capsys):
         {"build_id": "fixture-v2", "status": "corrupt", "error": None, "subjects": [util]}]})
 
 
+def test_v1_record_reads_its_stored_set(tmp_path, capsys):
+    """get trusts the hash for a v1 record as for a v2 one; verify re-resolves it."""
+    store = install_fixture(tmp_path / "store")
+    _rewrite_record(store, "fixture-v1", 0, _set_opt("-O0"))
+
+    assert _query_fixture(store) == 0
+    assert '["group","opt_level","opt_level","valued","-O0","-O0"]' in capsys.readouterr().out
+    assert _verify(store, capsys) == (3, {"report_version": 1, "builds": [
+        {"build_id": "fixture-v1", "status": "corrupt", "error": None,
+         "subjects": ["/work/proj/src/core.c"]}]})
+
+
 def _set_first_token(rec):
     rec["invocation"]["tokens"][0] = "-O\ud800"
 
@@ -395,23 +394,31 @@ def test_lone_surrogate_in_source_file_is_unreadable(tmp_path, capsys):
 @pytest.mark.parametrize("log, rsp", [
     ("gcc -O2 -c a.c -o a.o\ngcc -O2 -c b.c -o b.o\n", None),
     ("gcc @opts.rsp -c a.c -o a.o\ngcc -O2 -c b.c -o b.o\n", "-O2 -DUSE_X\n"),
-], ids=["command-line", "response-file"])
+    (None, None),
+], ids=["command-line", "response-file", "v1-fixture"])
 def test_vocabulary_edit_does_not_brick_stored_builds(tmp_path, capsys, monkeypatch, log, rsp):
-    """With -O2 dropped from the vocabulary, a build that used it still reads back and
-    verify names each TU that used it; with -O2 restored, verify passes."""
-    if rsp is not None:
-        (tmp_path / "opts.rsp").write_text(rsp)
-    store = _ingest_log(tmp_path, capsys, log)
+    """With gcc's -O2 dropped from the vocabulary, a build that used it still reads
+    back, each TU with the optimization level it stored, and verify names each TU
+    that used -O2; with -O2 restored, verify passes. No log means the v1 fixture."""
+    if log is None:
+        store, build_id = install_fixture(tmp_path / "store"), "fixture-v1"
+        opt_levels = {"/work/proj/src/core.c": "-O2", "C:/work/proj/src/naïve_ü.cpp": "/O2"}
+    else:
+        if rsp is not None:
+            (tmp_path / "opts.rsp").write_text(rsp)
+        store, build_id = _ingest_log(tmp_path, capsys, log), "b1"
+        opt_levels = {str(tmp_path / "a.c"): "-O2", str(tmp_path / "b.c"): "-O2"}
     monkeypatch.delitem(flagmodel._EXACT, (Family.GNU_LIKE, "-O2"))
     assert flagmodel.classify(Token("-O2"), detect_dialect("gcc"))[0].key == "opaque"
 
-    subjects = [str(tmp_path / "a.c"), str(tmp_path / "b.c")]
-    for subject in subjects:
-        assert run(["--store", store.root, "query", "effective", "--build", "b1",
+    for subject, opt in opt_levels.items():
+        assert run(["--store", store.root, "query", "effective", "--build", build_id,
                     "--subject", subject]) == 0
-        assert '["group","opt_level","opt_level","valued","-O2","-O2"]' in capsys.readouterr().out
+        stored = f'["group","opt_level","opt_level","valued","{opt}","{opt}"]'
+        assert stored in capsys.readouterr().out
     code, doc = _verify(store, capsys)
-    assert code == 3 and doc["builds"][0]["subjects"] == subjects
+    assert code == 3
+    assert doc["builds"][0]["subjects"] == [s for s, opt in opt_levels.items() if opt == "-O2"]
     monkeypatch.undo()
     assert _verify(store, capsys)[0] == 0
 
@@ -434,8 +441,9 @@ _THREE_TUS = ("gcc -O2 -DA -c a.c -o a.o\ngcc -O2 -c b.c -o b.o\ngcc @opts.rsp -
 
 
 def test_a_command_builds_only_the_sets_it_reads(tmp_path, capsys, set_builds):
-    """query effective and stamp build one set; diff builds none for equal stored
-    texts; history --key builds one per distinct text of consecutive builds."""
+    """query effective and stamp build one set, of a v1 build too; diff builds none
+    for equal stored texts; history --key builds one per distinct text of
+    consecutive builds."""
     (tmp_path / "opts.rsp").write_text("-O2 -DUSE_X\n")
     store = str(tmp_path / "store")
     logs = {"b1": _THREE_TUS, "b2": _THREE_TUS, "b3": _THREE_TUS.replace("-O2 -DA", "-O3 -DA")}
@@ -456,6 +464,11 @@ def test_a_command_builds_only_the_sets_it_reads(tmp_path, capsys, set_builds):
         set_builds.clear()
         assert run(["--store", store, *argv]) == code, argv
         assert set_builds == Counter(want), argv
+    v1 = install_fixture(tmp_path / "v1")  # a v1 build reads by the same rule
+    set_builds.clear()
+    assert run(["--store", v1.root, "query", "effective", "--build", "fixture-v1",
+                "--subject", "/work/proj/src/core.c"]) == 0
+    assert set_builds == Counter({"canonical_deserialize": 1})
     capsys.readouterr()
 
 

@@ -67,7 +67,7 @@ def _record_parts(tokens: list, program: str, source: str):
 def label_builds(draw):
     """Builds of one label drawn from a pool of commands: each build keeps or drops
     each command, appends a variant token and may append a response-file token to
-    it, may link, and is stored as v1 or v2. Then an order to load them in."""
+    it, and may link. Then an order to load them in."""
     pool = draw(st.lists(st.tuples(st.sampled_from(["gcc", "cl"]),
                                    st.lists(st.sampled_from(_SPELLINGS).map(Token), max_size=6)),
                          min_size=1, max_size=5))
@@ -86,8 +86,7 @@ def label_builds(draw):
             inv, eff = _record_parts([Token("a.o"), *extra, Token("-o"), Token("app")], "gcc",
                                      f"log:b{b}.log:9")
             targets.append(LinkTargetRecord("/w/app", ["/w/a.o"], [], ["/w/a.o"], inv, eff))
-        builds.append(BuildSnapshot(f"b{b}", "dev", f"2026-01-0{b + 1}T00:00:00Z", tus, targets,
-                                    snapshot_version=draw(st.sampled_from([1, 2]))))
+        builds.append(BuildSnapshot(f"b{b}", "dev", f"2026-01-0{b + 1}T00:00:00Z", tus, targets))
     order = draw(st.lists(st.sampled_from([s.build_id for s in builds]), min_size=2, max_size=8))
     return builds, order
 
