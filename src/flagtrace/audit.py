@@ -12,7 +12,6 @@ raise on content, only on a bad config.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 
@@ -255,15 +254,12 @@ def exit_code(findings: list[AnomalyFinding]) -> int:
     return 0
 
 
-def render_findings(findings: list[AnomalyFinding], fmt: str = "text") -> bytes:
-    if fmt == "json":
-        doc = {"report_version": 1, "findings": [vars(f) for f in findings]}
-        return (json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2) + "\n").encode("utf-8")
+def render_findings(findings: list[AnomalyFinding]) -> list[str]:
     if not findings:
-        return b"no findings\n"
+        return ["no findings"]
     lines = []
     for f in findings:
         lines.append(f"{f.rule} [{f.severity}] {f.subject}: {f.message} ({RULES[f.rule][1]})")
         for prov, spelling in f.evidence:
             lines.append(f"    {prov}: {spelling}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return lines

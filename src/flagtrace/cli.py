@@ -4,7 +4,8 @@ Subcommands: ingest, diff, history, audit, lint, stamp, read-stamp,
 query, verify. Exit codes: 0 success / no findings, 1 audit errors present,
 2 usage error, 3 I/O or parse failure, 4 warnings (or diff deltas)
 only. Reports go to stdout, diagnostics to stderr, so CI systems can
-capture machine output cleanly.
+capture machine output cleanly; each command returns its report and
+`run` alone writes it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import audit as audit_mod
 from . import diffengine, elfnote, mklint
 from .errors import FlagtraceError
 from .flagmodel import canonical_serialize
-from .ingest import CREATED_FORMAT, EvidenceKind, EvidenceSource, assemble_snapshot, parse_evidence
+from .ingest import CREATED_FORMAT, EvidenceKind, assemble_snapshot, parse_evidence
 from .store import Store
 
 EXIT_OK = 0
@@ -111,42 +112,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _emit(doc, fmt: str, text_lines: list[str]) -> None:
-    if fmt == "json":
-        sys.stdout.write(json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
-    else:
-        for line in text_lines:
-            sys.stdout.write(line + "\n")
+# What each command returns: its exit code, its JSON document and its text lines.
+# `run` writes the document under --format json, else the lines.
+Report = tuple[int, object, list[str]]
 
 
-def _cmd_ingest(args) -> int:
-    source = EvidenceSource(EvidenceKind(args.kind), args.path, args.label, args.build_id)
+def _cmd_ingest(args) -> Report:
     skipped: list[dict] = []
-    invocations = parse_evidence(source, skipped)
+    invocations = parse_evidence(EvidenceKind(args.kind), args.path, skipped)
     if not invocations:
         sys.stderr.write("warning: no compiler or linker invocations found\n")
-    snap = assemble_snapshot(invocations, source, args.created, skipped)
-    store = Store(args.store)
-    content_hash = store.put(snap)
-    _emit(
-        {"build_id": snap.build_id, "label": snap.label, "content_hash": content_hash,
-         "tus": len(snap.tus), "targets": len(snap.targets),
-         "skipped": len(snap.diagnostics)},
-        args.format,
-        [f"stored {snap.build_id} ({snap.label}): {len(snap.tus)} TUs, "
-         f"{len(snap.targets)} targets, hash {content_hash}"],
-    )
-    return EXIT_OK
+    snap = assemble_snapshot(invocations, args.build_id, args.label, args.created, skipped)
+    content_hash = Store(args.store).put(snap)
+    return (EXIT_OK,
+            {"build_id": snap.build_id, "label": snap.label, "content_hash": content_hash,
+             "tus": len(snap.tus), "targets": len(snap.targets),
+             "skipped": len(snap.diagnostics)},
+            [f"stored {snap.build_id} ({snap.label}): {len(snap.tus)} TUs, "
+             f"{len(snap.targets)} targets, hash {content_hash}"])
 
 
-def _cmd_diff(args) -> int:
+def _cmd_diff(args) -> Report:
     store = Store(args.store)
     report = diffengine.diff(store.get(args.build_a), store.get(args.build_b))
-    sys.stdout.write(diffengine.render_report(report, args.format).decode("utf-8"))
-    return EXIT_OK if report.is_empty() else EXIT_WARNINGS
+    return (EXIT_OK if report.is_empty() else EXIT_WARNINGS, report.to_dict(),
+            diffengine.render_report(report))
 
 
-def _cmd_history(args) -> int:
+def _cmd_history(args) -> Report:
     store = Store(args.store)
     flag_query = (args.scope, args.key) if args.key else None
     rows = store.history(args.label, flag_query)
@@ -158,21 +151,21 @@ def _cmd_history(args) -> int:
             lines.append(f"{c}  {b}  {per}")
         else:
             lines.append(f"{c}  {b}")
-    _emit(doc, args.format, lines)
-    return EXIT_OK
+    return EXIT_OK, doc, lines
 
 
-def _cmd_audit(args) -> int:
+def _cmd_audit(args) -> Report:
     store = Store(args.store)
     config = audit_mod.load_config(args.config) if args.config else audit_mod.AuditConfig()
     snap = store.get(args.build_id)
     previous = store.get(args.previous) if args.previous else None
     findings = audit_mod.run_audit(snap, previous, config)
-    sys.stdout.write(audit_mod.render_findings(findings, args.format).decode("utf-8"))
-    return audit_mod.exit_code(findings)
+    return (audit_mod.exit_code(findings),
+            {"report_version": 1, "findings": [vars(f) for f in findings]},
+            audit_mod.render_findings(findings))
 
 
-def _cmd_lint(args) -> int:
+def _cmd_lint(args) -> Report:
     assignments, expansions = [], set()
     for path in args.makefiles:
         a, e = mklint.scan_makefile(path)
@@ -184,21 +177,19 @@ def _cmd_lint(args) -> int:
     lines = [f"{f.path}:{f.line}: '{f.name}' looks like a typo for "
              f"'{f.suggestion}' (distance {f.distance}) and is never expanded"
              for f in findings] or ["no findings"]
-    _emit(doc, args.format, lines)
-    return EXIT_WARNINGS if findings else EXIT_OK
+    return EXIT_WARNINGS if findings else EXIT_OK, doc, lines
 
 
 def _subject_record(store: str, build_id: str, subject: str):
-    """The build's TU or link target `subject`, else None once the error is written."""
+    """The build's TU or link target `subject`."""
     rec = Store(store).get(build_id).record(subject)
     if rec is None:
-        sys.stderr.write(f"error: no TU or target '{subject}' in build {build_id}\n")
+        raise FlagtraceError(f"no TU or target '{subject}' in build {build_id}")
     return rec
 
 
-def _cmd_stamp(args) -> int:
-    if (rec := _subject_record(args.store, args.build_id, args.subject)) is None:
-        return EXIT_IO
+def _cmd_stamp(args) -> Report:
+    rec = _subject_record(args.store, args.build_id, args.subject)
     text = canonical_serialize(rec.effective)
     payload = elfnote.NotePayload(
         build_id=args.build_id,
@@ -207,12 +198,11 @@ def _cmd_stamp(args) -> int:
         flags_text=None if args.no_flags_text else text.decode("utf-8"),
     )
     elfnote.stamp(args.elf, payload)
-    _emit({"stamped": args.elf, "build_id": args.build_id, "subject": args.subject},
-          args.format, [f"stamped {args.elf} with {args.build_id}:{args.subject}"])
-    return EXIT_OK
+    return (EXIT_OK, {"stamped": args.elf, "build_id": args.build_id, "subject": args.subject},
+            [f"stamped {args.elf} with {args.build_id}:{args.subject}"])
 
 
-def _cmd_read_stamp(args) -> int:
+def _cmd_read_stamp(args) -> Report:
     payload = elfnote.read_stamp(args.elf)
     doc = {"payload": None if payload is None else asdict(payload)}
     lines = []
@@ -227,26 +217,22 @@ def _cmd_read_stamp(args) -> int:
     if args.comment:
         doc["comment"] = elfnote.read_comment(args.elf)
         lines.extend(f"comment: {s}" for s in doc["comment"])
-    _emit(doc, args.format, lines)
-    return EXIT_OK
+    return EXIT_OK, doc, lines
 
 
-def _cmd_query(args) -> int:
+def _cmd_query(args) -> Report:
     store = Store(args.store)
     if args.query_kind == "builds":
         entries = store.list_builds(args.label)
-        doc = [{"build_id": e.build_id, "label": e.label, "created": e.created,
-                "content_hash": e.content_hash} for e in entries]
-        _emit(doc, args.format,
-              [f"{e.created}  {e.build_id}  {e.label}  {e.content_hash}" for e in entries])
-        return EXIT_OK
+        return (EXIT_OK,
+                [{"build_id": e.build_id, "label": e.label, "created": e.created,
+                  "content_hash": e.content_hash} for e in entries],
+                [f"{e.created}  {e.build_id}  {e.label}  {e.content_hash}" for e in entries])
     if args.query_kind == "effective":
-        if (rec := _subject_record(args.store, args.build, args.subject)) is None:
-            return EXIT_IO
+        rec = _subject_record(args.store, args.build, args.subject)
         text = canonical_serialize(rec.effective).decode("utf-8")
-        _emit({"build_id": args.build, "subject": args.subject, "effective": text},
-              args.format, text.splitlines())
-        return EXIT_OK
+        return (EXIT_OK, {"build_id": args.build, "subject": args.subject, "effective": text},
+                text.splitlines())
     # find: TUs where a scalar group resolves to a given value
     snap = store.get(args.build)
     matches = []
@@ -254,13 +240,13 @@ def _cmd_query(args) -> int:
         winner = tu.effective.group_value(args.group)
         if winner is not None and (winner.value == args.value or winner.spelling == args.value):
             matches.append(tu.source_file)
-    _emit({"build_id": args.build, "group": args.group, "value": args.value,
-           "matches": sorted(matches)},
-          args.format, sorted(matches) or ["no matches"])
-    return EXIT_OK
+    return (EXIT_OK,
+            {"build_id": args.build, "group": args.group, "value": args.value,
+             "matches": sorted(matches)},
+            sorted(matches) or ["no matches"])
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Report:
     results = Store(args.store).verify(args.build_ids)
     builds, lines = [], []
     for build_id, error, subjects in results:
@@ -275,8 +261,8 @@ def _cmd_verify(args) -> int:
             lines.extend(f"  {subject}" for subject in subjects)
         else:
             lines.append(f"ok       {build_id}")
-    _emit({"report_version": 1, "builds": builds}, args.format, lines or ["no builds"])
-    return EXIT_IO if any(b["status"] != "ok" for b in builds) else EXIT_OK
+    return (EXIT_IO if any(b["status"] != "ok" for b in builds) else EXIT_OK,
+            {"report_version": 1, "builds": builds}, lines or ["no builds"])
 
 
 _COMMANDS = {
@@ -303,11 +289,17 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     if args.store is None:
         args.store = os.environ.get("FLAGTRACE_STORE", ".flagtrace")
+    report = None
     try:
-        return _COMMANDS[args.command](args)
+        report = code, doc, lines = _COMMANDS[args.command](args)
+        if args.format == "json":
+            sys.stdout.write(json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
+        else:
+            sys.stdout.write("".join(line + "\n" for line in lines))
+        return code
     except (FlagtraceError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        if getattr(args, "format", "text") == "json":
+        if args.format == "json" and report is None:  # else stdout itself failed on the report
             sys.stdout.write(json.dumps({"error": str(exc)}) + "\n")
         return EXIT_IO
 

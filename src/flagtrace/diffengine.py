@@ -8,7 +8,6 @@ field). Timestamps and build ids never influence the result.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -157,9 +156,10 @@ def _display(side) -> str:
     return side["spelling"]
 
 
-def _render_text(report: DiffReport) -> str:
+def render_report(report: DiffReport) -> list[str]:
+    """The report's text lines, in a deterministic order; `to_dict` is the machine surface."""
     if report.is_empty():
-        return "no differences\n"
+        return ["no differences"]
     lines: list[str] = []
     for kind, added, removed, changed in report.scopes():
         lines.extend(f"{kind} added: {subject}" for subject in sorted(added))
@@ -170,12 +170,4 @@ def _render_text(report: DiffReport) -> str:
                 name = f" {d.name}" if d.name else ""
                 lines.append(f"  {d.scope}{name}: {_display(d.before)} -> {_display(d.after)}")
     lines.extend(f"note: {note}" for note in report.notes)
-    return "\n".join(lines) + "\n"
-
-
-def render_report(report: DiffReport, fmt: str = "text") -> bytes:
-    """Deterministic rendering; 'json' is the stable machine surface."""
-    if fmt == "json":
-        return (json.dumps(report.to_dict(), ensure_ascii=False, sort_keys=True,
-                           indent=2) + "\n").encode("utf-8")
-    return _render_text(report).encode("utf-8")
+    return lines

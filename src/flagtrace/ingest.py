@@ -13,7 +13,7 @@ continuation spans lines.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from datetime import datetime, timezone
 from enum import Enum
 
@@ -44,14 +44,6 @@ class EvidenceKind(str, Enum):
 # The one form of a snapshot's creation time: RFC 3339 in UTC, to the
 # second, so that time order is string order.
 CREATED_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
-
-
-@dataclass(frozen=True)
-class EvidenceSource:
-    kind: EvidenceKind
-    path: str
-    label: str
-    build_id: str
 
 
 def logical_lines(text: str):
@@ -222,13 +214,14 @@ def parse_wrapper_spool(dirpath: str) -> list[RawInvocation]:
     return [inv for _, inv in keyed]
 
 
-def parse_evidence(source: EvidenceSource, skipped: list[dict] | None = None) -> list[RawInvocation]:
-    """The evidence's invocations; see `parse_raw_log` for `skipped`."""
-    if source.kind is EvidenceKind.RAW_LOG:
-        return parse_raw_log(source.path, skipped)
-    if source.kind is EvidenceKind.COMPILATION_DB:
-        return parse_compilation_db(source.path)
-    return parse_wrapper_spool(source.path)
+def parse_evidence(kind: EvidenceKind, path: str,
+                   skipped: list[dict] | None = None) -> list[RawInvocation]:
+    """The invocations of the evidence of `kind` at `path`; see `parse_raw_log` for `skipped`."""
+    if kind is EvidenceKind.RAW_LOG:
+        return parse_raw_log(path, skipped)
+    if kind is EvidenceKind.COMPILATION_DB:
+        return parse_compilation_db(path)
+    return parse_wrapper_spool(path)
 
 
 def _default_object_name(src: str, family: Family) -> str:
@@ -239,7 +232,8 @@ def _default_object_name(src: str, family: Family) -> str:
 
 def assemble_snapshot(
     invocations: list[RawInvocation],
-    source: EvidenceSource,
+    build_id: str,
+    label: str,
     created: str | None = None,
     skipped: list[dict] | None = None,
 ) -> BuildSnapshot:
@@ -257,7 +251,7 @@ def assemble_snapshot(
     """
     if created is None:
         created = datetime.now(timezone.utc).strftime(CREATED_FORMAT)
-    snap = BuildSnapshot(source.build_id, source.label, created, diagnostics=list(skipped or ()))
+    snap = BuildSnapshot(build_id, label, created, diagnostics=list(skipped or ()))
     seen_outputs: dict[str, str] = {}
     pending_targets: list[tuple[RawInvocation, flagmodel.EffectiveFlagSet]] = []
     memo: dict = {}  # classify_all memo, shared by this snapshot's invocations

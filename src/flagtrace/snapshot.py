@@ -134,11 +134,11 @@ def _field(d: dict, name: str, kind=str):
     return value
 
 
-def _stored_token(t: dict) -> Token:
-    """The token stored as the object `t`; a command-line origin is the shared COMMAND_LINE."""
+def _stored_token(t: dict, tokens: TokenTable) -> Token:
+    """The token stored as the object `t`; a command-line one is the load's Token for its text."""
     text, o = _field(t, "text"), t["origin"]
     if _field(o, "kind") == "command-line":
-        return Token(text)
+        return tokens[text]
     return Token(text, Origin(o["kind"], _field(o, "path"), _field(o, "index", int)))
 
 
@@ -169,7 +169,8 @@ class _Load:
         try:  # a bare string is a command-line token, one per text; an object is any token
             tokens = tuple(map(self.tokens.__getitem__, stored))
         except TypeError:  # an object token is unhashable
-            tokens = tuple(self.tokens[t] if type(t) is str else _stored_token(t) for t in stored)
+            tokens = tuple(self.tokens[t] if type(t) is str else _stored_token(t, self.tokens)
+                           for t in stored)
         inv = RawInvocation(_field(i, "program"), tokens, _field(i, "cwd"), _field(i, "source"),
                             DIALECTS[i["dialect"]["family"], i["dialect"]["tool_kind"]])
         rec = cls.__new__(cls)  # without __init__, so `effective` is unset until first read

@@ -9,8 +9,10 @@ Layout (frozen, version-headed):
 The directories and VERSION are created by the first put; reading a
 store that does not exist finds no builds and creates nothing.
 Snapshots are immutable once written: there is no delete or compact
-command, and a put never rewrites previously stored bytes. Writes are
-serialized through an advisory lock file; reads take no lock.
+command, and a put never rewrites previously stored bytes. An index
+line is committed by its LF: readers ignore a final line without one,
+which a crash during put can leave, and the next put cuts it. Writes
+are serialized through an advisory lock file; reads take no lock.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ class Store:
             text = fh.read()
         suspect = "\0" in text or not text.isascii()  # else no line needs the two checks below
         entries = []
-        for lineno, line in enumerate(text.split("\n"), start=1):
+        # The last piece is "" or a torn line that was never committed.
+        for lineno, line in enumerate(text.split("\n")[:-1], start=1):
             if not line:
                 continue
             if suspect and re.search("[\udc80-\udcff]", line):  # a byte surrogateescape kept
@@ -88,10 +91,19 @@ class Store:
                 fh.flush()
                 os.fsync(fh.fileno())
             os.rename(tmp, final)
+            dir_fd = os.open(self.snap_dir, os.O_RDONLY)  # make the rename durable
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
             line = "\t".join([snapshot.build_id, snapshot.label, snapshot.created,
-                              snapshot.content_hash, relpath])
-            with open(self.index_path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+                              snapshot.content_hash, relpath]) + "\n"
+            with open(self.index_path, "a+b") as fh:
+                end = fh.seek(0, os.SEEK_END)
+                if end and os.pread(fh.fileno(), 1, end - 1) != b"\n":  # a torn final line
+                    fh.seek(0)
+                    fh.truncate(fh.read().rfind(b"\n") + 1)
+                fh.write(line.encode("utf-8"))
                 fh.flush()
                 os.fsync(fh.fileno())
         return snapshot.content_hash

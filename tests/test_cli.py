@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import pytest
 
@@ -231,6 +233,20 @@ class TestRunState:
             assert run(["--format", "json", "lint", str(mk), *vocab]) == 4
             doc = json.loads(capsys.readouterr().out)
             assert sorted(f["name"] for f in doc["findings"]) == sorted(names)
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, s):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestStdoutWrite:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_closed_stdout_exit_3(self, seeded_store, monkeypatch, capsys, fmt):
+        """A report that cannot be written is an I/O error on stderr alone, not a traceback."""
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        assert run(["--store", seeded_store, "--format", fmt, "query", "builds"]) == 3
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
 
 class TestVerify:

@@ -106,20 +106,30 @@ class TestDiffProperties:
 class TestRender:
     def test_empty_text(self, tmp_path):
         a, b = two_snapshots(tmp_path, "gcc -c x.c\n", "gcc -c x.c\n")
-        assert render_report(diff(a, b), "text") == b"no differences\n"
+        assert render_report(diff(a, b)) == ["no differences"]
 
     def test_empty_json_canonical(self, tmp_path):
         a, b = two_snapshots(tmp_path, "gcc -c x.c\n", "gcc -c x.c\n")
-        doc = json.loads(render_report(diff(a, b), "json"))
+        doc = diff(a, b).to_dict()
         assert doc["report_version"] == 1
         assert doc["summary"]["changed_tus"] == 0
 
-    def test_one_delta_one_stanza(self, tmp_path):
+    def test_one_delta_one_stanza(self, tmp_path, capsys):
         a, b = two_snapshots(tmp_path, "gcc -O2 -c x.c\n", "gcc -O0 -c x.c\n")
-        text = render_report(diff(a, b), "text").decode()
-        assert text.count("opt_level") == 1
-        json_bytes = render_report(diff(a, b), "json")
-        assert json_bytes == render_report(diff(a, b), "json")  # deterministic
+        assert "\n".join(render_report(diff(a, b))).count("opt_level") == 1
+        store = str(tmp_path / "store")
+        for build_id, opt in (("a", "-O2"), ("b", "-O0")):
+            log = tmp_path / f"{build_id}.log"
+            log.write_text(f"gcc {opt} -c x.c\n")
+            assert run(["--store", store, "ingest", str(log), "--label", "dev",
+                        "--build-id", build_id]) == 0
+        capsys.readouterr()
+        outputs = []
+        for _ in range(2):
+            assert run(["--store", store, "--format", "json", "diff", "a", "b"]) == 4
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]  # deterministic
+        assert json.loads(outputs[0])["summary"]["changed_tus"] == 1
 
 
 def test_drive_letter_notes_are_sorted(tmp_path, capsys):

@@ -7,8 +7,6 @@ from flagtrace.cli import run
 from flagtrace.cmdline import Family
 from flagtrace.errors import DuplicateOutput, MalformedDb, MalformedRecord
 from flagtrace.ingest import (
-    EvidenceKind,
-    EvidenceSource,
     assemble_snapshot,
     parse_compilation_db,
     parse_raw_log,
@@ -19,10 +17,6 @@ from flagtrace.store import Store
 
 # JSON nested past any interpreter's recursion limit.
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
-
-
-def src_for(kind, path, build_id="b1", label="dev"):
-    return EvidenceSource(kind, str(path), label, build_id)
 
 
 def ingest_exit(tmp_path, evidence, kind):
@@ -208,8 +202,7 @@ class TestParseWrapperSpool:
 def log_snapshot(tmp_path, text, build_id="b1", label="dev", created="2026-01-01T00:00:00Z"):
     log = tmp_path / f"{build_id}.log"
     log.write_text(text)
-    source = src_for(EvidenceKind.RAW_LOG, log, build_id, label)
-    return assemble_snapshot(parse_raw_log(str(log)), source, created=created)
+    return assemble_snapshot(parse_raw_log(str(log)), build_id, label, created=created)
 
 
 class TestAssembleSnapshot:
@@ -244,9 +237,8 @@ class TestAssembleSnapshot:
     def test_nothing_dropped_silently(self, tmp_path):
         log = tmp_path / "b.log"
         log.write_text("gcc -c a.c\ngcc a.o -o app\nar rcs libx.a a.o\n")
-        source = src_for(EvidenceKind.RAW_LOG, log)
         invs = parse_raw_log(str(log))
-        snap = assemble_snapshot(invs, source)
+        snap = assemble_snapshot(invs, "b1", "dev")
         assert len(invs) == len(snap.tus) + len(snap.targets) + len(snap.diagnostics)
 
     def test_garbled_log_line_is_a_diagnostic(self, tmp_path, capsys):

@@ -16,7 +16,7 @@ from conftest import build_minimal_elf
 from flagtrace import flagmodel, snapshot
 from flagtrace.cli import run
 from flagtrace.cmdline import COMMAND_LINE, Family, Origin, RawInvocation, Token, detect_dialect
-from flagtrace.ingest import EvidenceKind, EvidenceSource, assemble_snapshot
+from flagtrace.ingest import assemble_snapshot
 from flagtrace.snapshot import BuildSnapshot, TranslationUnitRecord
 from flagtrace.store import Store
 from tests.test_ingest import DEEP_JSON, log_snapshot
@@ -77,6 +77,13 @@ class TestV1Fixture:
         assert snap.targets[0].member_tus == ["/work/proj/src/core.c"]
         assert [d["program"] for d in snap.diagnostics] == ["ar"]
         assert as_v1(snap.serialize()) == FIXTURE.read_bytes()
+
+    def test_command_line_tokens_are_shared(self):
+        """A v1 load keeps one Token per command-line text across records, as a v2 load does."""
+        snap = BuildSnapshot.deserialize(FIXTURE.read_bytes())
+        core_o, target_o = (next(t for t in r.invocation.tokens if t.text == "-o")
+                            for r in (snap.tus[0], snap.targets[0]))
+        assert core_o is target_o
 
 
 class TestV2Fixture:
@@ -179,8 +186,7 @@ def test_token_streams_round_trip(streams, version):
 def test_any_source_path_round_trips(name):
     inv = RawInvocation("gcc", (Token("-c"), Token(f"src/{name}.c")), "/w",
                         "compdb:compile_commands.json#0", detect_dialect("gcc"))
-    source = EvidenceSource(EvidenceKind.COMPILATION_DB, "compile_commands.json", "dev", "b1")
-    data = assemble_snapshot([inv], source, created="2026-01-01T00:00:00Z").serialize()
+    data = assemble_snapshot([inv], "b1", "dev", created="2026-01-01T00:00:00Z").serialize()
     assert BuildSnapshot.deserialize(data).serialize() == data
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -139,12 +140,12 @@ class TestIndex:
         (b"b2\tci\t2026\th\tsnapshots/x.fts\textra", "expected 5 tab-separated fields"),
         (b"b2\tc\xffi\t2026\th\tsnapshots/x.fts", "not UTF-8"),
         (b"b2\tci\t2026\th\tsnap\x00shots/x.fts", "NUL in snapshot path"),
-    ], ids=["torn", "six-fields", "non-utf8", "nul-in-path"])
+    ], ids=["short", "six-fields", "non-utf8", "nul-in-path"])
     def test_malformed_line_is_typed(self, tmp_path, capsys, tail, reason):
         root = tmp_path / "store"
         Store(str(root)).put(log_snapshot(tmp_path, "gcc -c a.c\n", "b1", "ci"))
         with open(root / "index.tsv", "ab") as fh:
-            fh.write(tail)
+            fh.write(tail + b"\n")  # committed: a line without its LF is not read
         with pytest.raises(MalformedIndex) as exc:
             Store(str(root)).get("b1")
         assert exc.value.line == 2
@@ -155,3 +156,28 @@ class TestIndex:
                      ["ingest", str(log), "--label", "ci", "--build-id", "b3"]):
             assert run(["--store", str(root), *argv]) == 3, argv
             assert f"index.tsv line 2: {reason}" in capsys.readouterr().err
+
+    def test_torn_final_line_is_ignored_and_cut(self, tmp_path, capsys):
+        """Whatever prefix of its last line, less the LF, a crash during put left, the
+        index still reads, the earlier build still loads, and the next put commits after it."""
+        template = tmp_path / "template"
+        for build_id in ("b1", "b2"):
+            Store(str(template)).put(log_snapshot(tmp_path, f"gcc -c {build_id}.c\n", build_id, "ci"))
+        committed, last = (template / "index.tsv").read_bytes()[:-1].rsplit(b"\n", 1)
+        log = tmp_path / "b3.log"
+        log.write_text("gcc -O1 -c b3.c\n")
+        for cut in range(len(last) + 1):
+            root = tmp_path / f"cut-{cut}"
+            shutil.copytree(template, root)
+            (root / "index.tsv").write_bytes(committed + b"\n" + last[:cut])
+
+            def report(*argv):
+                assert run(["--store", str(root), "--format", "json", *argv]) == 0, (cut, argv)
+                return json.loads(capsys.readouterr().out)
+
+            assert [b["build_id"] for b in report("query", "builds")] == ["b1"], cut
+            report("query", "effective", "--build", "b1", "--subject", str(tmp_path / "b1.c"))
+            report("ingest", str(log), "--label", "ci", "--build-id", "b3")
+            assert "-O1" in report("query", "effective", "--build", "b3",
+                                   "--subject", str(tmp_path / "b3.c"))["effective"], cut
+            assert [e.build_id for e in Store(str(root)).list_builds()] == ["b1", "b3"], cut
