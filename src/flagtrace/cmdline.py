@@ -3,10 +3,12 @@
 Two quoting conventions are supported: POSIX-shell word splitting for the
 GNU-ish toolchains (gcc, clang, ld, ar) and the MSVC argv rules
 (backslash-doubling before quotes) for cl/link/lib. Each is one linear
-regex pass over the line; the character-at-a-time reference they must
-agree with lives in tests/cmdline_oracle.py. Response files (@path) are
-expanded recursively with cycle and depth protection. How a snapshot
-stores tokens, origins and dialects is known only to `snapshot.py`.
+regex pass over one logical line, whose backslash continuations
+`logical_lines` has joined (for build logs and makefiles alike); the
+character-at-a-time reference they must agree with lives in
+tests/cmdline_oracle.py. Response files (@path) are expanded recursively
+with cycle and depth protection. How a snapshot stores tokens, origins
+and dialects is known only to `snapshot.py`.
 
 No environment-variable expansion is ever performed: the original
 environment is not available when working from archived logs, so
@@ -193,6 +195,30 @@ class TokenTable(dict):
             raise TypeError(f"not a word: {word!r}")
         token = self[word] = Token(word)
         return token
+
+
+def logical_lines(text: str):
+    """Yield (first_line_number, joined_line) with backslash continuations merged.
+
+    Lines end at LF, CRLF or CR only; a vertical tab, form feed or Unicode
+    line separator stays inside its line, as it does for a shell.
+    """
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    pending = ""
+    start = None
+    for idx, line in enumerate(lines, start=1):
+        if start is None:
+            start = idx
+        if line.endswith("\\"):
+            pending += line[:-1] + " "
+            continue
+        yield start, pending + line
+        pending = ""
+        start = None
+    if pending:
+        yield start, pending[:-1]  # less the space that stood for the last backslash
 
 
 def tokenize(line: str, dialect: Dialect, table: TokenTable | None = None) -> list[Token]:

@@ -4,6 +4,9 @@ Three evidence kinds are supported: raw build logs (text, one command
 per logical line, backslash continuations joined), JSON compilation
 databases (directory/file/command-or-arguments), and wrapper spool
 directories (line-delimited JSON argv captures, ordered by timestamp).
+Every kind becomes invocations by one rule: the program is the first
+word, and an empty argument is not a token. Compilation-database entries
+and spool records share one shape check.
 
 Interleaved parallel-build logs are handled line-at-a-time: make/ninja
 -j output interleaves at line granularity, so nothing beyond backslash
@@ -19,13 +22,16 @@ from enum import Enum
 
 from . import flagmodel, strictjson
 from .cmdline import (
+    Dialect,
     Family,
     RawInvocation,
+    Token,
     TokenTable,
     ToolKind,
     command_program,
     detect_dialect,
     expand_response_files,
+    logical_lines,
     normalize_path,
     tokenize,
 )
@@ -46,33 +52,27 @@ class EvidenceKind(str, Enum):
 CREATED_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 
 
-def logical_lines(text: str):
-    """Yield (first_line_number, joined_line) with backslash continuations merged.
+def _shape_error(record, argv: str, strings: tuple[str, ...],
+                 required: tuple[str, ...]) -> str | None:
+    """Why a decoded compdb entry or spool record is malformed, or None.
 
-    Lines end at LF, CRLF or CR only; a vertical tab, form feed or Unicode
-    line separator stays inside its line, as it does for a shell.
+    It must be an object holding one of `required`; `argv`, where present,
+    must be a non-empty array of strings, and each of `strings` a string.
     """
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    pending = ""
-    start = None
-    for idx, line in enumerate(lines, start=1):
-        if start is None:
-            start = idx
-        if line.endswith("\\"):
-            pending += line[:-1] + " "
-            continue
-        yield start, pending + line
-        pending = ""
-        start = None
-    if pending:
-        yield start, pending[:-1]  # less the space that stood for the last backslash
+    if not isinstance(record, dict):
+        return "not an object"
+    if not any(n in record for n in required):
+        return "missing " + " or ".join(required)
+    if argv in record and not (strictjson.is_str_list(record[argv]) and record[argv]):
+        return f"{argv} is not a non-empty array of strings"
+    bad = next((n for n in strings if n in record and not isinstance(record[n], str)), None)
+    return None if bad is None else f"{bad} is not a string"
 
 
-def _non_string_field(record: dict, names: tuple[str, ...]) -> str | None:
-    """The first of `names` present in `record` whose value is not a string."""
-    return next((n for n in names if n in record and not isinstance(record[n], str)), None)
+def _invocation(words: list[Token], dialect: Dialect, cwd: str, source: str) -> RawInvocation:
+    """The one way evidence becomes an invocation: the program is the first
+    word, and an empty argument is not a token."""
+    return RawInvocation(words[0].text, tuple(w for w in words[1:] if w.text), cwd, source, dialect)
 
 
 def parse_raw_log(path: str, skipped: list[dict] | None = None) -> list[RawInvocation]:
@@ -95,29 +95,22 @@ def parse_raw_log(path: str, skipped: list[dict] | None = None) -> list[RawInvoc
         dialect = detect_dialect(program)
         if dialect.tool_kind is ToolKind.UNKNOWN:
             continue
+        source = f"log:{path}:{lineno}"
         try:
-            tokens = tokenize(line, dialect, table)
+            # A known program is a non-empty first word, so there is one word at least.
+            out.append(_invocation(tokenize(line, dialect, table), dialect, cwd, source))
         except UnterminatedQuote as exc:
             if skipped is not None:
-                skipped.append({"source": f"log:{path}:{lineno}", "program": program,
-                                "reason": str(exc)})
-            continue
-        # A known program is a non-empty first word, so `tokens` is never empty.
-        out.append(RawInvocation(
-            program=tokens[0].text,
-            tokens=tuple(tokens[1:]),
-            cwd=cwd,
-            source=f"log:{path}:{lineno}",
-            dialect=dialect,
-        ))
+                skipped.append({"source": source, "program": program, "reason": str(exc)})
     return out
 
 
 def parse_compilation_db(path: str) -> list[RawInvocation]:
     """Read a JSON compilation database (command or arguments form).
 
-    directory, file and command must be strings and arguments a
-    non-empty array of strings; any other entry is malformed.
+    An entry is an object with arguments (a non-empty array of strings)
+    or command (a string holding a word), whose directory and file, where
+    present, are strings.
     """
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         try:
@@ -129,40 +122,22 @@ def parse_compilation_db(path: str) -> list[RawInvocation]:
     table = TokenTable()
     out: list[RawInvocation] = []
     for idx, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise MalformedDb("entry is not an object", idx)
-        bad = _non_string_field(entry, ("directory", "file", "command"))
-        if bad is not None:
-            raise MalformedDb(f"{bad} is not a string", idx)
-        directory = entry.get("directory", "")
+        reason = _shape_error(entry, "arguments", ("directory", "file", "command"),
+                              ("arguments", "command"))
+        if reason is not None:
+            raise MalformedDb(reason, idx)
         if "arguments" in entry:
-            argv = entry["arguments"]
-            if not strictjson.is_str_list(argv):
-                raise MalformedDb("arguments is not an array of strings", idx)
-            if not argv:
-                raise MalformedDb("empty arguments array", idx)
-            program = argv[0]
-            dialect = detect_dialect(program)
-            tokens = tuple(table[a] for a in argv[1:] if a)
-        elif "command" in entry:
+            dialect = detect_dialect(entry["arguments"][0])
+            words = [table[a] for a in entry["arguments"]]
+        else:
             dialect = detect_dialect(command_program(entry["command"]))
             try:
-                tokens_all = tokenize(entry["command"], dialect, table)
+                words = tokenize(entry["command"], dialect, table)
             except UnterminatedQuote as exc:
                 raise MalformedDb(f"unterminated quote: {exc}", idx) from None
-            if not tokens_all:
+            if not words:
                 raise MalformedDb("empty command", idx)
-            program = tokens_all[0].text
-            tokens = tuple(tokens_all[1:])
-        else:
-            raise MalformedDb("entry has neither command nor arguments", idx)
-        out.append(RawInvocation(
-            program=program,
-            tokens=tokens,
-            cwd=directory,
-            source=f"compdb:{path}#{idx}",
-            dialect=dialect,
-        ))
+        out.append(_invocation(words, dialect, entry.get("directory", ""), f"compdb:{path}#{idx}"))
     return out
 
 
@@ -170,10 +145,11 @@ def parse_wrapper_spool(dirpath: str) -> list[RawInvocation]:
     """Read a directory of line-delimited wrapper interception records.
 
     Each record: {"v": 1, "argv": [...], "cwd": str, "ts": RFC3339, "tool": str};
-    a record without "v" equal to SPOOL_SCHEMA_VERSION, with an argv that
-    is not a non-empty array of strings, or with a cwd, ts or tool that is
-    not a string is malformed.
-    Output is ordered by (ts, filename); argv is taken verbatim.
+    a record without "v" equal to SPOOL_SCHEMA_VERSION, without an argv
+    that is a non-empty array of strings, or with a cwd, ts or tool that
+    is not a string is malformed. Files that are not regular files are
+    passed over. Output is ordered by (ts, filename, line); argv is taken
+    verbatim.
     """
     table = TokenTable()
     keyed: list[tuple[tuple, RawInvocation]] = []
@@ -190,25 +166,16 @@ def parse_wrapper_spool(dirpath: str) -> list[RawInvocation]:
                     rec = strictjson.loads(line)
                 except ValueError:
                     raise MalformedRecord(fpath, lineno, "invalid JSON") from None
-                if not isinstance(rec, dict) or "argv" not in rec or not rec["argv"]:
-                    raise MalformedRecord(fpath, lineno, "missing argv")
+                reason = _shape_error(rec, "argv", ("cwd", "tool", "ts"), ("argv",))
+                if reason is not None:
+                    raise MalformedRecord(fpath, lineno, reason)
                 version = rec.get("v")
                 if type(version) is not int or version != SPOOL_SCHEMA_VERSION:
                     raise MalformedRecord(fpath, lineno, f"unsupported version {version!r}")
                 argv = rec["argv"]
-                if not strictjson.is_str_list(argv):
-                    raise MalformedRecord(fpath, lineno, "argv is not an array of strings")
-                bad = _non_string_field(rec, ("cwd", "tool", "ts"))
-                if bad is not None:
-                    raise MalformedRecord(fpath, lineno, f"{bad} is not a string")
-                program = argv[0]
-                inv = RawInvocation(
-                    program=program,
-                    tokens=tuple(table[a] for a in argv[1:] if a),
-                    cwd=rec.get("cwd", ""),
-                    source=f"spool:{fpath}:{lineno}",
-                    dialect=detect_dialect(rec.get("tool") or program),
-                )
+                dialect = detect_dialect(rec.get("tool") or argv[0])
+                inv = _invocation([table[a] for a in argv], dialect, rec.get("cwd", ""),
+                                  f"spool:{fpath}:{lineno}")
                 keyed.append(((rec.get("ts", ""), name, lineno), inv))
     keyed.sort(key=lambda kv: kv[0])
     return [inv for _, inv in keyed]
@@ -224,10 +191,9 @@ def parse_evidence(kind: EvidenceKind, path: str,
     return parse_wrapper_spool(path)
 
 
-def _default_object_name(src: str, family: Family) -> str:
+def _default_object_name(src: str, dialect: Dialect) -> str:
     base = src.replace("\\", "/").rsplit("/", 1)[-1]
-    stem = base.rsplit(".", 1)[0] if "." in base else base
-    return stem + (".obj" if family is Family.MSVC else ".o")
+    return base.rsplit(".", 1)[0] + (".obj" if dialect.family is Family.MSVC else ".o")
 
 
 def assemble_snapshot(
@@ -267,15 +233,14 @@ def assemble_snapshot(
 
         if is_compiler and effective.sources:
             out_entry = effective.group_value("output")
-            explicit_out = out_entry.value if out_entry is not None else None
+            out = out_entry.value if out_entry is not None else ""
+            # An MSVC output that ends in a separator is the objects' directory (/Foobj\).
+            out_dir = out if inv.dialect.family is Family.MSVC and out.endswith(("\\", "/")) else ""
+            one_file = out and not out_dir and len(effective.sources) == 1
             for src_entry in effective.sources:
                 src = normalize_path(src_entry.value, inv.cwd)
-                if explicit_out is not None and len(effective.sources) == 1:
-                    out_path = normalize_path(explicit_out, inv.cwd)
-                else:
-                    out_path = normalize_path(
-                        _default_object_name(src_entry.value, inv.dialect.family), inv.cwd
-                    )
+                obj = out if one_file else out_dir + _default_object_name(src_entry.value, inv.dialect)
+                out_path = normalize_path(obj, inv.cwd)
                 if out_path in seen_outputs:
                     raise DuplicateOutput(out_path)
                 seen_outputs[out_path] = src
@@ -289,7 +254,6 @@ def assemble_snapshot(
                 "reason": "no recognized source or link inputs",
             })
 
-    tu_by_output = {t.output_file: t.source_file for t in snap.tus}
     for inv, effective in pending_targets:
         out_entry = effective.group_value("output")
         default = "a.exe" if inv.dialect.family is Family.MSVC else "a.out"
@@ -298,8 +262,8 @@ def assemble_snapshot(
         for e in effective.link_inputs:
             p = normalize_path(e.value, inv.cwd) if e.key == "link_obj" else e.value
             inputs.append(p)
-            if p in tu_by_output:
-                members.append(tu_by_output[p])
+            if p in seen_outputs:
+                members.append(seen_outputs[p])
             else:
                 external.append(p)
         snap.targets.append(LinkTargetRecord(output, inputs, members, external, inv, effective))

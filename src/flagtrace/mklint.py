@@ -7,15 +7,17 @@ near-miss is the typo signature.
 
 The scan is purely lexical: conditional branches are not evaluated, so
 a typo inside a platform conditional we cannot take on this host is
-still caught.
+still caught. Lines are joined by `cmdline.logical_lines`, the joiner
+build logs use, so linting needs no more of flagtrace than `cmdline`.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from os.path import commonprefix
 
-from .ingest import logical_lines
+from .cmdline import logical_lines
 
 BUILTIN_VOCABULARY = frozenset({
     "CFLAGS", "CXXFLAGS", "CPPFLAGS", "LDFLAGS", "LDLIBS",
@@ -102,23 +104,12 @@ def scan_makefile(path: str, _depth: int = 0) -> tuple[list[MacroAssignment], se
     return assignments, expansions
 
 
-def _common_prefix_len(a: str, b: str) -> int:
-    n = 0
-    for ca, cb in zip(a, b):
-        if ca != cb:
-            break
-        n += 1
-    return n
-
-
 def suggest(name: str, vocabulary: frozenset | set) -> tuple[str, int]:
     """Nearest vocabulary word; ties prefer the longest shared prefix,
     then lexicographic order (so CXFLAGS suggests CXXFLAGS, not CFLAGS)."""
-    best = min(
-        sorted(vocabulary),
-        key=lambda w: (levenshtein(name, w), -_common_prefix_len(name, w), w),
-    )
-    return best, levenshtein(name, best)
+    distance, _, word = min((levenshtein(name, w), -len(commonprefix((name, w))), w)
+                            for w in vocabulary)
+    return word, distance
 
 
 def lint(

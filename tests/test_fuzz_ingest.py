@@ -17,18 +17,29 @@ from flagtrace.errors import UnterminatedQuote
 
 EXIT_CODES = {0, 2, 3, 4}
 
-# Text that reaches the tokenizers: quoting, escapes, response-file and
-# variable sigils, and line breaks, weighted above the rest of Unicode.
+# Quoting, escape, response-file and variable sigils, and the line breaks
+# and spaces of Unicode.
+SIGILS = "'\"\\@$`%\x00"
+SPACES = " \n\r\t\v\f\xa0\x85\u2028"
+# Text that reaches the tokenizers, those characters weighted above the rest of Unicode.
 TEXT = st.lists(st.one_of(
-    st.sampled_from(list("'\"\\@$`%\x00")),
-    st.sampled_from(list(" \n\r\t\v\f\xa0\x85\u2028")),
+    st.sampled_from(list(SIGILS)),
+    st.sampled_from(list(SPACES)),
     st.sampled_from(["-O2", "-c", "/c", "-o", "a.c", "b.o", "-D", "/Fo", "-l"]),
     st.text(max_size=3),
 )).map("".join)
 PROGRAMS = st.sampled_from(["gcc ", "cl ", "ld ", "link ", "g++ -c ", ""])
-# Quoting, escape, space and path symbols around a program name.
+# Quoting, escape, space and path symbols after a program name.
 AROUND = st.text(st.sampled_from(list("'\"\\ \t\v\r\n/.`")), max_size=4)
 TOOLS = st.sampled_from(["gcc", "g++", "clang++", "cc", "ld", "ar", "cl", "CL.EXE", "link", "lib"])
+DIRECTORY = st.one_of(st.just(""), st.tuples(st.text(st.sampled_from(list("ab.:-")), max_size=3),
+                                             st.sampled_from(["/", "\\"])).map("".join))
+# A first word that names a known tool by construction: leading space, an
+# optional directory and an optional pair of quotes; unquoted, a space ends it.
+PROGRAM = st.builds(lambda space, quote, directory, tool: (
+    space + quote + directory + tool + quote + ("" if quote else " ")),
+    st.text(st.sampled_from(list(" \t\r\n")), max_size=2), st.sampled_from(["", "'", '"']),
+    DIRECTORY, TOOLS)
 
 
 def ingest(name: str, body: str, kind: str) -> int:
@@ -55,11 +66,12 @@ def test_compdb_command(commands):
 
 
 @settings(max_examples=300, deadline=None)
-@given(AROUND, TOOLS, AROUND, TEXT)
-def test_known_program_gives_a_token(before, tool, after, text):
+@given(PROGRAM, AROUND, st.text(st.one_of(st.sampled_from(list(SIGILS + SPACES)), st.characters()),
+                                  max_size=12))
+def test_known_program_gives_a_token(program, after, text):
     # A raw-log line whose program is a known tool, and which tokenizes,
     # gives at least one token: the program's own word.
-    line = before + tool + after + text
+    line = program + after + text
     dialect = detect_dialect(command_program(line))
     assume(dialect.tool_kind is not ToolKind.UNKNOWN)
     try:

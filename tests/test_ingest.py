@@ -230,6 +230,25 @@ class TestAssembleSnapshot:
         with pytest.raises(DuplicateOutput):
             log_snapshot(tmp_path, "gcc -c a.c -o a.o\ngcc -c b.c -o a.o\n")
 
+    def test_msvc_output_directory(self, tmp_path):
+        # MSBuild passes /Fo a directory: each source's object goes into it.
+        db = tmp_path / "compile_commands.json"
+        db.write_text(json.dumps([
+            {"directory": "C:/w", "file": "a.c", "arguments": ["cl", "/c", "a.c", "/Foobj\\"]},
+            {"directory": "C:/w", "file": "b.c", "arguments": ["cl", "/c", "b.c", "/Foobj\\"]},
+            {"directory": "C:/w", "arguments": ["link", "obj\\a.obj", "obj\\b.obj", "/OUT:app.exe"]},
+        ]))
+        snap = assemble_snapshot(parse_compilation_db(str(db)), "b1", "dev")
+        assert [t.output_file for t in snap.tus] == ["C:/w/obj/a.obj", "C:/w/obj/b.obj"]
+        assert snap.targets[0].member_tus == ["C:/w/a.c", "C:/w/b.c"]
+        assert snap.targets[0].external_inputs == []
+
+    def test_gnu_output_ending_in_a_separator_is_a_file(self, tmp_path):
+        snap = log_snapshot(tmp_path, "gcc -c a.c -o out/\n")
+        assert snap.tus[0].output_file == str(tmp_path / "out")
+        with pytest.raises(DuplicateOutput):
+            log_snapshot(tmp_path, "gcc -c a.c -o out/\ngcc -c b.c -o out/\n")
+
     def test_external_inputs_flagged(self, tmp_path):
         snap = log_snapshot(tmp_path, "gcc vendor.o -o app\n")
         assert snap.targets[0].external_inputs == snap.targets[0].inputs
