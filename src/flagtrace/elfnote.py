@@ -1,11 +1,20 @@
 """Post-link flag-provenance stamping into ELF note sections.
 
-A `.note.flagtrace` SHT_NOTE section is appended to an ELF64
-little-endian object/executable/shared object after linking, so no
-compiler needs modifying. Stamping never moves existing bytes: new note
-data, an extended section-name table when needed, and a fresh section
-header table are appended at the end of the file, and the ELF header is
-re-pointed. Program headers (and therefore loadability) are untouched.
+A `.note.flagtrace` SHT_NOTE section is added to an ELF64 little-endian
+object/executable/shared object after linking, so no compiler needs
+modifying. Stamping never moves existing bytes and rewrites only the
+64-byte ELF header. Past the end of the file it appends, in one write,
+the section-name table extended with `.note.flagtrace` (only when the
+name is missing from it), the note and a fresh section header table.
+One fsync follows, then the header is re-pointed at the new table
+(`e_shoff`, `e_shentsize`, `e_shnum`). The fsync is the ordering
+barrier: until the header write the old header describes the old file,
+so a crash, a kill or a full disk leaves the old stamp or the new one.
+POSIX does not promise that a 64-byte write is atomic; this relies on
+the header sitting inside one disk sector. A re-stamp with a new
+payload leaves the old note and the old section table as dead bytes,
+so the file grows by one note and one table each time. Program headers
+(and therefore loadability) are untouched.
 
 Note name: "FLAGTRACE"; note type: 0x464c4754. On-disk encoding is the
 standard ELF note record: 4-byte namesz/descsz/type words, name and
@@ -16,6 +25,7 @@ from __future__ import annotations
 
 import fcntl
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -32,6 +42,7 @@ PAYLOAD_VERSION = 1
 
 SHT_NOTE = 7
 SHT_NOBITS = 8
+SHN_LORESERVE = 0xFF00
 
 _EHDR = struct.Struct("<16sHHIQQQIHHHHHH")
 _SHDR = struct.Struct("<IIQQQQIIQQ")
@@ -73,7 +84,7 @@ class NotePayload:
 
 @dataclass
 class _Elf:
-    data: bytearray
+    data: bytes
     ehdr: tuple
     shdrs: list[list]
     shstrtab: bytes
@@ -88,7 +99,7 @@ class _Elf:
     def section_content(self, shdr) -> bytes:
         if shdr[1] == SHT_NOBITS:
             return b""
-        return bytes(self.data[shdr[4] : shdr[4] + shdr[5]])
+        return self.data[shdr[4] : shdr[4] + shdr[5]]
 
     def find(self, name: str) -> int:
         for i, sh in enumerate(self.shdrs):
@@ -116,8 +127,7 @@ def _parse(path: str, data: bytes) -> _Elf:
     st = shdrs[e_shstrndx]
     if st[4] + st[5] > len(data):
         raise MalformedNote(st[4], "section name table exceeds the file")
-    shstrtab = bytes(data[st[4] : st[4] + st[5]])
-    return _Elf(bytearray(data), ehdr, shdrs, shstrtab)
+    return _Elf(data, ehdr, shdrs, data[st[4] : st[4] + st[5]])
 
 
 def _encode_note(name: str, note_type: int, desc: bytes) -> bytes:
@@ -138,7 +148,7 @@ def _decode_note(section: bytes, base_offset: int) -> tuple[str, int, bytes]:
     if desc_end > len(section):
         raise MalformedNote(base_offset, "descsz exceeds section size")
     name = section[12:name_end].rstrip(b"\x00").decode("utf-8", "replace")
-    return name, note_type, bytes(section[desc_start:desc_end])
+    return name, note_type, section[desc_start:desc_end]
 
 
 def read_stamp(elf_path: str) -> NotePayload | None:
@@ -167,74 +177,63 @@ def read_comment(elf_path: str) -> list[str]:
     return [p.decode("utf-8", "replace") for p in content.split(b"\x00") if p]
 
 
-def _content_end(elf: _Elf) -> int:
-    ehdr = elf.ehdr
-    e_phoff, e_phentsize, e_phnum = ehdr[5], ehdr[9], ehdr[10]
-    end = 64
-    if e_phnum:
-        end = max(end, e_phoff + e_phnum * e_phentsize)
-    for i, sh in enumerate(elf.shdrs):
-        if i == 0 or sh[1] == SHT_NOBITS:
-            continue
-        end = max(end, sh[4] + sh[5])
-    return end
-
-
 def stamp(elf_path: str, payload: NotePayload) -> None:
-    """Embed (or replace) the flagtrace note; pre-existing bytes stay put.
+    """Embed (or replace) the flagtrace note as the module docstring describes.
 
-    Re-stamping with an equal payload is a byte-level no-op. An
-    exclusive advisory lock is held on the target file while writing.
+    Re-stamping with an equal payload is a byte-level no-op. A file with
+    no section name table (`e_shstrndx` 0), one that would need
+    SHN_LORESERVE or more section headers, and one in which another
+    section would take the note's name are refused with MalformedNote
+    before any write. An exclusive advisory lock is held while writing.
     """
+    desc = payload.to_bytes()
     with open(elf_path, "r+b") as fh:
         fcntl.flock(fh, fcntl.LOCK_EX)
         data = fh.read()
         elf = _parse(elf_path, data)
+        e_shoff, e_shstrndx = elf.ehdr[6], elf.ehdr[13]
 
-        old_idx = elf.find(NOTE_SECTION)
-        if old_idx >= 0:
-            shdr = elf.shdrs[old_idx]
-            _, _, desc = _decode_note(elf.section_content(shdr), shdr[4])
-            if desc == payload.to_bytes():
-                return
-
-        note_bytes = _encode_note(NOTE_NAME, NOTE_TYPE, payload.to_bytes())
-        out = bytearray(data[: _content_end(elf)])
-
-        name_tag = NOTE_SECTION.encode("utf-8") + b"\x00"
-        name_off = elf.shstrtab.find(name_tag)
-        # Accept only a match that starts a string (offset 0 or after a NUL).
-        while name_off > 0 and elf.shstrtab[name_off - 1] != 0:
-            name_off = elf.shstrtab.find(name_tag, name_off + 1)
         shdrs = [list(sh) for sh in elf.shdrs]
-        e_shstrndx = elf.ehdr[13]
-        if name_off < 0:
-            new_strtab = elf.shstrtab + name_tag
-            name_off = len(elf.shstrtab)
-            strtab_off = len(out)
-            out += new_strtab
-            shdrs[e_shstrndx][4] = strtab_off
-            shdrs[e_shstrndx][5] = len(new_strtab)
-
-        note_off = _pad4(len(out))
-        out += b"\x00" * (note_off - len(out)) + note_bytes
-        note_shdr = [name_off, SHT_NOTE, 0, 0, note_off, len(note_bytes), 0, 0, 4, 0]
-        if old_idx >= 0:
-            shdrs[old_idx] = note_shdr
+        note_idx = elf.find(NOTE_SECTION)
+        if note_idx >= 0:
+            if _decode_note(elf.section_content(shdrs[note_idx]), shdrs[note_idx][4])[2] == desc:
+                return
         else:
-            shdrs.append(note_shdr)
+            note_idx = len(shdrs)
+            shdrs.append([])
+        if e_shstrndx in (0, note_idx):
+            raise MalformedNote(e_shoff, "no section name table for the note's name")
+        if len(shdrs) >= SHN_LORESERVE:
+            raise MalformedNote(e_shoff, "too many sections to add the note")
 
-        shoff = (len(out) + 7) & ~7
-        out += b"\x00" * (shoff - len(out))
-        for sh in shdrs:
-            out += _SHDR.pack(*sh)
+        end = len(data)
+        tail = bytearray()
+        strtab = elf.shstrtab
+        name_tag = NOTE_SECTION.encode("utf-8") + b"\x00"
+        # Reuse only a name that starts after a NUL, so never name offset 0.
+        name_off = strtab.find(b"\x00" + name_tag) + 1
+        if not name_off:
+            # End an empty or unterminated table with a NUL, then append the name.
+            name_off = len(strtab) + (strtab[-1:] != b"\x00")
+            strtab = strtab.ljust(name_off, b"\x00") + name_tag
+            shdrs[e_shstrndx][4:6] = [end, len(strtab)]
+            tail += strtab
+        note = _encode_note(NOTE_NAME, NOTE_TYPE, desc)
+        tail += bytes(-(end + len(tail)) % 4)
+        shdrs[note_idx] = [name_off, SHT_NOTE, 0, 0, end + len(tail), len(note), 0, 0, 4, 0]
+        if _Elf(data, elf.ehdr, shdrs, strtab).find(NOTE_SECTION) != note_idx:
+            raise MalformedNote(e_shoff, "another section would take the note's name")
+        tail += note + bytes(-(end + len(tail) + len(note)) % 8)
 
         ehdr = list(elf.ehdr)
-        ehdr[6] = shoff  # e_shoff
+        ehdr[6] = end + len(tail)  # e_shoff
         ehdr[11] = _SHDR.size  # e_shentsize: the table is rewritten with 64-byte entries
         ehdr[12] = len(shdrs)  # e_shnum
-        _EHDR.pack_into(out, 0, *ehdr)
+        tail += b"".join(_SHDR.pack(*sh) for sh in shdrs)
 
+        fh.seek(end)
+        fh.write(tail)
+        fh.flush()
+        os.fsync(fh.fileno())
         fh.seek(0)
-        fh.write(out)
-        fh.truncate(len(out))
+        fh.write(_EHDR.pack(*ehdr))

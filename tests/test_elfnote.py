@@ -1,4 +1,5 @@
 import hashlib
+import os
 import random
 import shutil
 import struct
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from flagtrace import elfnote
 from flagtrace.elfnote import (
     NOTE_SECTION,
     NOTE_TYPE,
@@ -214,6 +216,47 @@ LYING_ELFS = [
 ]
 
 
+def _shstrndx_undef(path):
+    """8 NUL bytes inserted at offset 61: e_shstrndx is 0, so the name table is the null section."""
+    data = Path(build_minimal_elf(path)).read_bytes()
+    path.write_bytes(data[:61] + b"\x00" * 8 + data[61:])
+
+
+def _named(table, names):
+    """The fixture with `table` (held in .comment's bytes) as its section name table,
+    and sections 1-3 named at the offsets `names`."""
+    def make(path):
+        data = bytearray(Path(build_minimal_elf(path, comment=table)).read_bytes())
+        (shoff,) = struct.unpack_from("<Q", data, 40)
+        for i, name in enumerate(names, 1):
+            struct.pack_into("<I", data, shoff + i * 64, name)
+        # .shstrtab (section 3) takes the sh_offset and sh_size of .comment (section 2)
+        data[shoff + 3 * 64 + 24 : shoff + 3 * 64 + 40] = data[shoff + 2 * 64 + 24 : shoff + 2 * 64 + 40]
+        path.write_bytes(bytes(data))
+    return make
+
+
+def _section_count(n):
+    """The fixture with null section headers added after its table (which ends the file) up to `n`."""
+    def make(path):
+        data = Path(build_minimal_elf(path)).read_bytes()
+        data += bytes(64 * (n - struct.unpack_from("<H", data, 60)[0]))
+        path.write_bytes(data[:60] + struct.pack("<H", n) + data[62:])
+    return make
+
+
+# Files `stamp` must refuse before any write, on top of those it cannot parse.
+UNSTAMPABLE_ELFS = LYING_ELFS + [
+    pytest.param(_shstrndx_undef, id="shstrndx-undef"),
+    # the name table is section 3 and would itself be named '.note.flagtrace'
+    pytest.param(_named(b"\x00" * 12 + b".note.flagtrace\x00", (0, 0, 12)), id="name-table-is-note"),
+    # .text is named at offset 26, where the stamp would append '.note.flagtrace'
+    pytest.param(_named(b"\x00.text\x00.comment\x00.shstrtab\x00", (26, 7, 16)), id="name-collision"),
+    # adding the note would need SHN_LORESERVE (0xff00) section headers
+    pytest.param(_section_count(0xFEFF), id="0xfeff-sections"),
+]
+
+
 class TestLyingElf:
     @pytest.mark.parametrize("make", LYING_ELFS)
     @pytest.mark.parametrize("comment", [[], ["--comment"]], ids=["plain", "comment"])
@@ -223,7 +266,7 @@ class TestLyingElf:
         assert run(["read-stamp", str(elf), *comment]) == 3
         assert "malformed note" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("make", LYING_ELFS)
+    @pytest.mark.parametrize("make", UNSTAMPABLE_ELFS)
     def test_stamp_exit_3_and_file_untouched(self, tmp_path, capsys, make):
         log = tmp_path / "b.log"
         log.write_text("gcc -c a.c -o a.o\n")
@@ -282,3 +325,94 @@ class TestWideSectionHeaders:
         assert run(["read-stamp", elf, "--comment"]) == 0
         assert read_stamp(elf) == p
         assert read_comment(elf) == ["GCC: (fixture) 13.2.0"]
+
+
+def _note_name_offset(path):
+    """sh_name of the last section header, where a first stamp puts the note."""
+    data = Path(path).read_bytes()
+    (shoff,) = struct.unpack_from("<Q", data, 40)
+    (shnum,) = struct.unpack_from("<H", data, 60)
+    return struct.unpack_from("<I", data, shoff + (shnum - 1) * 64)[0]
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(_named(b"", (0, 0, 0)), id="empty-name-table"),
+    pytest.param(_named(b".note.flagtrace\x00.shstrtab\x00", (16, 16, 16)), id="name-at-offset-0"),
+])
+def test_note_is_never_named_at_offset_0(tmp_path, make):
+    elf = tmp_path / "names.o"
+    make(elf)
+    p = payload_for()
+    stamp(str(elf), p)
+    assert read_stamp(str(elf)) == p
+    assert _note_name_offset(elf) > 0
+    assert elf_reader.read_notes(str(elf), NOTE_SECTION) == [("FLAGTRACE", NOTE_TYPE, p.to_bytes())]
+
+
+def _trailing_bytes(path):
+    build_minimal_elf(path)
+    with open(path, "ab") as fh:
+        fh.write(b"bytes past the section header table\n")
+
+
+class TestAppendOnly:
+    @pytest.mark.parametrize("make", [
+        pytest.param(build_minimal_elf, id="fixture"),
+        pytest.param(_trailing_bytes, id="trailing-bytes"),
+        pytest.param(lambda path: _relay_shdrs(path, 80), id="wide-headers"),
+        pytest.param(_section_count(0xFEFE), id="0xfefe-sections"),
+    ])
+    def test_bytes_past_the_header_never_change(self, tmp_path, make):
+        elf = tmp_path / "a.o"
+        make(elf)
+        for build_id in ("b1", "b2"):  # a first stamp, then a re-stamp
+            old = elf.read_bytes()
+            stamp(str(elf), payload_for(build_id))
+            new = elf.read_bytes()
+            assert new[64:len(old)] == old[64:]
+            assert read_stamp(str(elf)).build_id == build_id
+
+    @pytest.mark.parametrize("restamp", [False, True], ids=["first", "re-stamp"])
+    def test_every_torn_state_reads_old_or_new(self, tmp_path, monkeypatch, restamp):
+        elf = build_minimal_elf(tmp_path / "a.o")
+        old_payload = payload_for("b1") if restamp else None
+        if restamp:
+            stamp(elf, old_payload)
+        old = Path(elf).read_bytes()
+        events = []
+        real_open, real_fsync = open, os.fsync
+
+        class Recording:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def write(self, b):
+                events.append(("write", self.fh.tell(), bytes(b)))
+                return self.fh.write(b)
+
+        monkeypatch.setattr(elfnote, "open", lambda *a: Recording(real_open(*a)), raising=False)
+        monkeypatch.setattr(os, "fsync", lambda fd: (events.append(("fsync",)), real_fsync(fd)))
+        new_payload = payload_for("b2")
+        stamp(elf, new_payload)
+        monkeypatch.undo()
+
+        # Two regions: past the old end of file, then the ELF header, with the fsync between.
+        assert [e[:2] for e in events] == [("write", len(old)), ("fsync",), ("write", 0)]
+        appended, header = events[0][2], events[2][2]
+        assert len(header) == 64 and Path(elf).read_bytes() == header + (old + appended)[64:]
+        # Every byte prefix of the append leaves the old header over the old file. The
+        # header write is replayed whole: it relies on sitting inside one disk sector.
+        torn = tmp_path / "torn.o"
+        for k in range(len(appended) + 1):
+            torn.write_bytes(old + appended[:k])
+            assert read_stamp(str(torn)) == old_payload
+        assert read_stamp(elf) == new_payload

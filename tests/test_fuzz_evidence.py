@@ -6,7 +6,8 @@ them), compile databases and wrapper spool directories; `read-stamp
 values weighted towards its input's syntax, and writes output through
 strict UTF-8, as to a terminal or a pipe. Every ingest that stores a
 build (exit 0) is followed by a `verify` of the store, which must exit 0:
-what ingest writes reads back.
+what ingest writes reads back. Likewise every `stamp` that exits 0 is
+followed by a `read-stamp`, which must return the stamped build and subject.
 """
 
 import json
@@ -15,6 +16,8 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+
+from flagtrace.elfnote import read_stamp
 
 from conftest import build_minimal_elf
 from test_fuzz_lint_audit import _bytes, _run
@@ -142,10 +145,16 @@ def elves(tmp_path_factory):
 
 @settings(max_examples=100, deadline=None)
 @given(which=st.sampled_from(["plain", "stamped"]), edits=_EDITS)
+@example(which="plain", edits=[(61, 0, b"\x00" * 8)])  # e_shstrndx 0: no section name table
 def test_mutated_elf(elves, which, edits):
     root, store, blobs = elves
     elf = root / "mutated.o"
     elf.write_bytes(_mutate(blobs[which], edits))
     for fmt in ("text", "json"):
         assert _run(["--format", fmt, "read-stamp", str(elf), "--comment"]) in {0, 3}
-    assert _run(["--store", store, "stamp", str(elf), "b1", str(root / "a.c")]) in {0, 3}
+    code = _run(["--store", store, "stamp", str(elf), "b1", str(root / "a.c")])
+    assert code in {0, 3}
+    if code == 0:  # a stamp that succeeds reads back
+        assert _run(["read-stamp", str(elf)]) == 0
+        got = read_stamp(str(elf))
+        assert (got.build_id, got.subject) == ("b1", str(root / "a.c"))
