@@ -297,7 +297,7 @@ def run(argv: list[str] | None = None) -> int:
         else:
             sys.stdout.write("".join(line + "\n" for line in lines))
         return code
-    except (FlagtraceError, OSError, json.JSONDecodeError) as exc:
+    except (FlagtraceError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         if args.format == "json" and report is None:  # else stdout itself failed on the report
             sys.stdout.write(json.dumps({"error": str(exc)}) + "\n")

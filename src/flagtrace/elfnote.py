@@ -11,8 +11,8 @@ One fsync follows, then the header is re-pointed at the new table
 barrier: until the header write the old header describes the old file,
 so a crash, a kill or a full disk leaves the old stamp or the new one.
 POSIX does not promise that a 64-byte write is atomic; this relies on
-the header sitting inside one disk sector. A re-stamp with a new
-payload leaves the old note and the old section table as dead bytes,
+the header sitting inside one disk sector. A re-stamp that replaces
+the note leaves the old note and the old section table as dead bytes,
 so the file grows by one note and one table each time. Program headers
 (and therefore loadability) are untouched.
 
@@ -138,33 +138,25 @@ def _encode_note(name: str, note_type: int, desc: bytes) -> bytes:
     return out
 
 
-def _decode_note(section: bytes, base_offset: int) -> tuple[str, int, bytes]:
-    if len(section) < 12:
-        raise MalformedNote(base_offset, "note shorter than its header")
-    namesz, descsz, note_type = struct.unpack_from("<III", section, 0)
-    name_end = 12 + namesz
-    desc_start = 12 + _pad4(namesz)
-    desc_end = desc_start + descsz
-    if desc_end > len(section):
-        raise MalformedNote(base_offset, "descsz exceeds section size")
-    name = section[12:name_end].rstrip(b"\x00").decode("utf-8", "replace")
-    return name, note_type, section[desc_start:desc_end]
-
-
 def read_stamp(elf_path: str) -> NotePayload | None:
     """Parse the flagtrace note if present; absent is not an error."""
     elf = _parse(elf_path, Path(elf_path).read_bytes())
     idx = elf.find(NOTE_SECTION)
     if idx < 0:
         return None
-    shdr = elf.shdrs[idx]
-    name, note_type, desc = _decode_note(elf.section_content(shdr), shdr[4])
-    if name != NOTE_NAME or note_type != NOTE_TYPE:
-        raise MalformedNote(shdr[4], "unexpected note name or type")
+    note, at = elf.section_content(elf.shdrs[idx]), elf.shdrs[idx][4]
+    if len(note) < 12:
+        raise MalformedNote(at, "note shorter than its header")
+    namesz, descsz, note_type = struct.unpack_from("<III", note, 0)
+    desc_start = 12 + _pad4(namesz)
+    if desc_start + descsz > len(note):
+        raise MalformedNote(at, "descsz exceeds section size")
+    if note[12 : 12 + namesz].rstrip(b"\x00") != NOTE_NAME.encode() or note_type != NOTE_TYPE:
+        raise MalformedNote(at, "unexpected note name or type")
     try:
-        return NotePayload.from_bytes(desc)
+        return NotePayload.from_bytes(note[desc_start : desc_start + descsz])
     except (ValueError, KeyError, TypeError) as exc:
-        raise MalformedNote(shdr[4], str(exc)) from None
+        raise MalformedNote(at, str(exc)) from None
 
 
 def read_comment(elf_path: str) -> list[str]:
@@ -180,13 +172,14 @@ def read_comment(elf_path: str) -> list[str]:
 def stamp(elf_path: str, payload: NotePayload) -> None:
     """Embed (or replace) the flagtrace note as the module docstring describes.
 
-    Re-stamping with an equal payload is a byte-level no-op. A file with
+    A file whose note is byte for byte the one this stamp would write is
+    left as it is; any other note is replaced. A file with
     no section name table (`e_shstrndx` 0), one that would need
     SHN_LORESERVE or more section headers, and one in which another
     section would take the note's name are refused with MalformedNote
     before any write. An exclusive advisory lock is held while writing.
     """
-    desc = payload.to_bytes()
+    note = _encode_note(NOTE_NAME, NOTE_TYPE, payload.to_bytes())
     with open(elf_path, "r+b") as fh:
         fcntl.flock(fh, fcntl.LOCK_EX)
         data = fh.read()
@@ -196,7 +189,7 @@ def stamp(elf_path: str, payload: NotePayload) -> None:
         shdrs = [list(sh) for sh in elf.shdrs]
         note_idx = elf.find(NOTE_SECTION)
         if note_idx >= 0:
-            if _decode_note(elf.section_content(shdrs[note_idx]), shdrs[note_idx][4])[2] == desc:
+            if elf.section_content(shdrs[note_idx]) == note:
                 return
         else:
             note_idx = len(shdrs)
@@ -218,7 +211,6 @@ def stamp(elf_path: str, payload: NotePayload) -> None:
             strtab = strtab.ljust(name_off, b"\x00") + name_tag
             shdrs[e_shstrndx][4:6] = [end, len(strtab)]
             tail += strtab
-        note = _encode_note(NOTE_NAME, NOTE_TYPE, desc)
         tail += bytes(-(end + len(tail)) % 4)
         shdrs[note_idx] = [name_off, SHT_NOTE, 0, 0, end + len(tail), len(note), 0, 0, 4, 0]
         if _Elf(data, elf.ehdr, shdrs, strtab).find(NOTE_SECTION) != note_idx:

@@ -196,13 +196,14 @@ def _macro_name(value: str) -> str:
     return value.split("=", 1)[0]
 
 
-@dataclass
+@dataclass(eq=False)
 class EffectiveFlagSet:
     """The resolved flag state after later-wins folding.
 
     scalar_groups holds the winner per exclusive group; defines folds
     -D/-U left to right (an undef removes the macro); ordered fields
-    keep exact command order, which is semantically significant.
+    keep exact command order, which is semantically significant. Sets
+    compare by their `canonical_serialize` bytes; `==` is identity.
     """
 
     scalar_groups: dict[str, FlagEntry] = field(default_factory=dict)
@@ -214,11 +215,6 @@ class EffectiveFlagSet:
 
     def group_value(self, group: str) -> FlagEntry | None:
         return self.scalar_groups.get(group)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EffectiveFlagSet):
-            return NotImplemented
-        return canonical_serialize(self) == canonical_serialize(other)
 
 
 def resolve(entries: list[FlagEntry]) -> EffectiveFlagSet:

@@ -25,15 +25,15 @@ loaded record keeps its stored text and decodes the set from it when
 first read, so a command decodes only the sets it reads; a set that
 fails to decode then raises `CorruptSnapshot` naming its line. A load
 notices neither a rewritten set whose hashes were recomputed nor a
-vocabulary edit since ingest; `drifted()` re-resolves every record to
-find both, for `flagtrace verify`, the only judge of a stored set
-against the current vocabulary.
+vocabulary edit since ingest. `flagtrace verify` finds both through
+`drifted()`, which decodes no stored set: a record's tokens must resolve
+to a set that serializes to exactly its stored text, byte for byte.
 
 The stored text has no token origins, which audit evidence needs, so a
 record with a response-file token is re-resolved when its set is first
-read: if the re-resolved set serializes to the stored text, the record
-takes it, origins and all; otherwise it keeps its stored set, whose
-entries then name only the command line.
+read: if the same rule holds, the record takes the re-resolved set,
+origins and all; otherwise it keeps its stored set, whose entries then
+name only the command line.
 """
 
 from __future__ import annotations
@@ -127,9 +127,9 @@ def _encode_record(rec: Record) -> str:
 
 def _field(d: dict, name: str, kind=str):
     """The value stored in `d` under `name`, which must be of type `kind`."""
-    value = d[name]
+    value = d[name]  # of an exact type: JSON decodes to no subclass, and a bool is an int
     if type(value) is not kind and not (strictjson.is_str_list(value) if type(kind) is GenericAlias
-                                        else isinstance(value, kind)):
+                                        else type(kind) is tuple and type(value) in kind):
         raise TypeError(f"stored {name} has the wrong type: {type(value).__name__}")
     return value
 
@@ -150,6 +150,13 @@ def _unreadable(lineno: int, exc: Exception) -> CorruptSnapshot:
 def _resolve(inv: RawInvocation, memo: dict) -> flagmodel.EffectiveFlagSet:
     """The set the invocation's tokens resolve to under the current vocabulary."""
     return flagmodel.resolve(flagmodel.classify_all(inv.tokens, inv.dialect, memo))
+
+
+def _resolved_as_stored(rec: Record, memo: dict) -> flagmodel.EffectiveFlagSet | None:
+    """The set a loaded record's tokens resolve to now, if it serializes to exactly its stored text."""
+    resolved = _resolve(rec.invocation, memo)
+    as_stored = flagmodel.canonical_serialize(resolved) == rec.effective_text.encode("utf-8")
+    return resolved if as_stored else None
 
 
 class _Load:
@@ -183,13 +190,12 @@ class _Load:
         """The set `rec` stored. A record with a response-file token is re-resolved
         to recover the origins the stored text lacks and takes that set if it
         serializes to the stored text; otherwise it keeps its stored set."""
-        text = rec.effective_text
         try:
             if any(t.origin is not COMMAND_LINE for t in rec.invocation.tokens):
-                resolved = _resolve(rec.invocation, self.classified)
-                if flagmodel.canonical_serialize(resolved) == text.encode("utf-8"):
+                resolved = _resolved_as_stored(rec, self.classified)
+                if resolved is not None:
                     return resolved
-            return flagmodel.canonical_deserialize(text, self.flagset_lines)
+            return flagmodel.canonical_deserialize(rec.effective_text, self.flagset_lines)
         except (AttributeError, LookupError, TypeError, ValueError) as exc:
             raise _unreadable(rec._line, exc) from None
 
@@ -213,15 +219,15 @@ class BuildSnapshot:
         return self.by_subject("tu").get(subject) or self.by_subject("target").get(subject)
 
     def drifted(self) -> list[Record]:
-        """Records whose effective set differs from what their tokens resolve to now.
+        """Loaded records whose stored effective text is not the bytes their tokens resolve to now.
 
-        Re-resolves every record through the function load uses to recover
-        origins, so a rewritten stored set or a vocabulary edit since
-        ingest shows here, and only here.
+        Re-resolves every record by the rule load uses to recover origins,
+        `_resolved_as_stored`, and decodes no stored set. A rewritten or
+        non-canonical stored set, or a vocabulary edit since ingest, shows
+        here, and only here.
         """
         memo: dict = {}
-        # `effective` is read first, so a set that cannot be decoded raises CorruptSnapshot.
-        return [r for r in (*self.tus, *self.targets) if r.effective != _resolve(r.invocation, memo)]
+        return [r for r in (*self.tus, *self.targets) if _resolved_as_stored(r, memo) is None]
 
     def serialize(self) -> bytes:
         """Encode each record once, set content_hash over those lines and return the file."""

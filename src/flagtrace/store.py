@@ -163,9 +163,9 @@ class Store:
         """Load each named build (default: every indexed build) and re-resolve its records.
 
         Returns (build_id, error, drifted subjects) per build, in the
-        order given or else created order: error is why the build could
-        not be loaded, else None; drifted subjects are those whose stored
-        effective set differs from what their tokens resolve to now.
+        order given or else created order: error is why the build, or a
+        drifted record's stored set, could not be read, else None; drifted
+        subjects are those whose stored text is not what they resolve to now.
         Raises NotFound for an unknown id before loading anything.
         """
         entries = self.list_builds()
@@ -177,8 +177,10 @@ class Store:
             entries = [by_id[b] for b in build_ids]
         out = []
         for e in entries:
-            try:  # drifted() builds every set, so a set that cannot be decoded fails here
+            try:
                 drifted = self._load(e).drifted()
+                for rec in drifted:  # decodes its stored set: one that cannot be decoded fails here
+                    rec.effective
             except (CorruptSnapshot, OSError) as exc:
                 out.append((e.build_id, str(exc), []))
                 continue

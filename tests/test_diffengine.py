@@ -3,6 +3,7 @@ import random
 
 from flagtrace.cli import run
 from flagtrace.diffengine import GROUP, DEFINE, diff, render_report
+from flagtrace.flagmodel import canonical_serialize
 from delta_oracle import apply_deltas, swapped
 from tests.test_ingest import log_snapshot
 
@@ -100,7 +101,7 @@ class TestDiffProperties:
             for src in set(tus_a) & set(tus_b):
                 rebuilt = apply_deltas(tus_a[src].effective,
                                        fwd.per_tu_changes.get(src, []))
-                assert rebuilt == tus_b[src].effective, src
+                assert canonical_serialize(rebuilt) == canonical_serialize(tus_b[src].effective), src
 
 
 class TestRender:

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import random
 import shutil
@@ -158,6 +159,16 @@ class TestReadComment:
         path = build_minimal_elf(tmp_path / "two.o", comment=b"A\x00B\x00")
         assert read_comment(path) == ["A", "B"]
 
+    def test_nobits_comment_lists_no_strings(self, tmp_path, capsys):
+        """An SHT_NOBITS .comment occupies no file bytes, whatever its offset and size say."""
+        path = tmp_path / "nobits.o"
+        data = bytearray(Path(build_minimal_elf(path)).read_bytes())
+        (shoff,) = struct.unpack_from("<Q", data, 40)
+        struct.pack_into("<I", data, shoff + 2 * 64 + 4, elfnote.SHT_NOBITS)  # section 2: .comment
+        path.write_bytes(bytes(data))
+        assert run(["--format", "json", "read-stamp", str(path), "--comment"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"payload": None, "comment": []}
+
     @pytest.mark.skipif(shutil.which("gcc") is None, reason="gcc not available")
     def test_real_gcc_object(self, tmp_path):
         src = tmp_path / "one.c"
@@ -213,7 +224,41 @@ LYING_ELFS = [
     pytest.param(_patch_fixture(58, "<H", 32), id="short-shentsize"),
     pytest.param(_patch_fixture(60, "<H", 0xFFFF), id="huge-shnum"),
     pytest.param(_shstrtab_offset, id="shstrtab-past-end"),
+    pytest.param(_patch_fixture(62, "<H", 4), id="shstrndx-past-table"),
 ]
+
+
+def _note_words(edit):
+    """A damage that maps the note's (namesz, descsz, type) words through `edit`."""
+    def damage(data):
+        at = data.rfind(b"FLAGTRACE\x00") - 12
+        struct.pack_into("<III", data, at, *edit(*struct.unpack_from("<III", data, at)))
+    return damage
+
+
+def _short_note_section(data):
+    """The note section, the last of a freshly stamped file, shrunk to 8 bytes."""
+    (shoff,) = struct.unpack_from("<Q", data, 40)
+    (shnum,) = struct.unpack_from("<H", data, 60)
+    struct.pack_into("<Q", data, shoff + (shnum - 1) * 64 + 32, 8)  # sh_size
+
+
+# Damage to a stamped file's note that `read-stamp` rejects. `stamp` replaces such a
+# note, like any other note that is not byte for byte the one it would write.
+UNREADABLE_NOTES = {
+    "zeroed-type": _note_words(lambda namesz, descsz, t: (namesz, descsz, 0)),
+    "inflated-descsz": _note_words(lambda namesz, descsz, t: (namesz, descsz + 4096, t)),
+    "note-shorter-than-header": _short_note_section,
+}
+
+
+def _damaged(damage):
+    def make(path):
+        stamp(build_minimal_elf(path), payload_for())
+        data = bytearray(path.read_bytes())
+        damage(data)
+        path.write_bytes(bytes(data))
+    return make
 
 
 def _shstrndx_undef(path):
@@ -258,7 +303,8 @@ UNSTAMPABLE_ELFS = LYING_ELFS + [
 
 
 class TestLyingElf:
-    @pytest.mark.parametrize("make", LYING_ELFS)
+    @pytest.mark.parametrize("make", LYING_ELFS + [
+        pytest.param(_damaged(damage), id=name) for name, damage in UNREADABLE_NOTES.items()])
     @pytest.mark.parametrize("comment", [[], ["--comment"]], ids=["plain", "comment"])
     def test_read_stamp_exit_3(self, tmp_path, capsys, make, comment):
         elf = tmp_path / "bad.o"
@@ -279,6 +325,35 @@ class TestLyingElf:
         assert run(["--store", store, "stamp", str(elf), "b1", str(tmp_path / "a.c")]) == 3
         assert "malformed note" in capsys.readouterr().err
         assert elf.read_bytes() == before
+
+    @pytest.mark.parametrize("damage", [pytest.param(damage, id=name) for name, damage in {
+        **UNREADABLE_NOTES,
+        # the name's NUL dropped from namesz: read-stamp still reads the note
+        "namesz-less-one": _note_words(lambda namesz, descsz, t: (namesz - 1, descsz, t)),
+    }.items()])
+    def test_stamp_replaces_a_note_it_would_not_write(self, tmp_path, capsys, damage):
+        """A note that is not byte for byte the one stamp writes is replaced and reads
+        back, with exit 0; the replacement, stamped again, is left as it is."""
+        log = tmp_path / "b.log"
+        log.write_text("gcc -O2 -c a.c -o a.o\n")
+        store = str(tmp_path / "store")
+        assert run(["--store", store, "ingest", str(log), "--label", "dev",
+                    "--build-id", "b1"]) == 0
+        elf = build_minimal_elf(tmp_path / "a.o")
+        argv = ["--store", store, "stamp", elf, "b1", str(tmp_path / "a.c")]
+        assert run(argv) == 0
+        data = bytearray(Path(elf).read_bytes())
+        damage(data)
+        Path(elf).write_bytes(bytes(data))
+        assert run(argv) == 0
+        restamped = Path(elf).read_bytes()
+        assert len(restamped) > len(data)  # a new note and table were appended
+        assert run(["read-stamp", elf]) == 0
+        [(name, note_type, desc)] = elf_reader.read_notes(elf, NOTE_SECTION)
+        assert (name, note_type) == ("FLAGTRACE", NOTE_TYPE)
+        assert NotePayload.from_bytes(desc).subject == str(tmp_path / "a.c")
+        assert run(argv) == 0 and Path(elf).read_bytes() == restamped
+        capsys.readouterr()
 
     def test_non_object_payload_is_malformed(self, minimal_elf):
         p = payload_for()

@@ -85,7 +85,7 @@ class TestResolve:
 
     def test_empty(self):
         r = resolve([])
-        assert r == EffectiveFlagSet()
+        assert canonical_serialize(r) == canonical_serialize(EffectiveFlagSet())
 
     def test_undef_after_define_removes(self):
         r = resolve(classify_all(tokenize("-DFOO=1 -UFOO", GNU), GNU))
@@ -126,19 +126,28 @@ def random_entries(rng, n):
     return classify_all(toks, GNU)
 
 
+def _value_identity(fset: EffectiveFlagSet) -> dict:
+    """Each field of a set, every entry as its key, group, polarity, value and spelling."""
+    def ident(e):
+        return e.key, e.group, e.polarity, e.value, e.spelling
+    return {name: {k: ident(e) for k, e in entries.items()} if isinstance(entries, dict)
+            else [ident(e) for e in entries] for name, entries in vars(fset).items()}
+
+
 class TestProperties:
     def test_resolve_idempotence(self):
         rng = random.Random(7)
         for _ in range(50):
             r = resolve(random_entries(rng, rng.randint(0, 20)))
-            assert resolve(canonical_oracle.entries(r)) == r
+            assert canonical_serialize(resolve(canonical_oracle.entries(r))) == canonical_serialize(r)
 
     def test_decomposability(self):
         rng = random.Random(11)
         for _ in range(50):
             l1 = random_entries(rng, rng.randint(0, 12))
             l2 = random_entries(rng, rng.randint(0, 12))
-            assert resolve(l1 + l2) == resolve(canonical_oracle.entries(resolve(l1)) + l2)
+            assert canonical_serialize(resolve(l1 + l2)) == canonical_serialize(
+                resolve(canonical_oracle.entries(resolve(l1)) + l2))
 
     @given(st.integers(0, 2**32 - 1))
     def test_appended_group_member_wins(self, seed):
@@ -165,14 +174,15 @@ class TestCanonicalSerialize:
         assert canonical_serialize(a) != canonical_serialize(b)
 
     def test_injective_on_random_sets(self):
+        """Equal canonical bytes mean equal sets: every entry of every field has
+        the same key, group, polarity, value and spelling (origins aside)."""
         rng = random.Random(3)
         seen = {}
         for _ in range(200):
             r = resolve(random_entries(rng, rng.randint(0, 15)))
             key = canonical_serialize(r)
-            if key in seen:
-                assert seen[key] == r
-            seen[key] = r
+            assert seen.setdefault(key, _value_identity(r)) == _value_identity(r)
+        assert len(seen) > 100  # the property is tested on many distinct sets
 
 
 # Text that JSON escapes (quote, backslash, C0 controls) or leaves alone

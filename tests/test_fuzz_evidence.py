@@ -146,6 +146,7 @@ def elves(tmp_path_factory):
 @settings(max_examples=100, deadline=None)
 @given(which=st.sampled_from(["plain", "stamped"]), edits=_EDITS)
 @example(which="plain", edits=[(61, 0, b"\x00" * 8)])  # e_shstrndx 0: no section name table
+@example(which="stamped", edits=[(452, 1, b"\x00")])  # the note's type word: stamp rewrites it
 def test_mutated_elf(elves, which, edits):
     root, store, blobs = elves
     elf = root / "mutated.o"

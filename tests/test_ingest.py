@@ -128,6 +128,16 @@ class TestParseWrapperSpool:
         assert len(invs) == 1
         assert invs[0].dialect.family is Family.MSVC
 
+    def test_blank_lines_are_passed_over(self, tmp_path, capsys):
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        rec = {"v": 1, "cwd": "/s", "ts": "2026-01-01T00:00:00Z", "tool": "gcc"}
+        (spool / "rec.jsonl").write_text("\n".join([
+            json.dumps({**rec, "argv": ["gcc", "-c", "a.c"]}), "", "  ",
+            json.dumps({**rec, "argv": ["gcc", "-c", "b.c"]}), ""]))
+        assert ingest_exit(tmp_path, spool, "spool") == 0
+        assert "2 TUs" in capsys.readouterr().out
+
     def test_sorted_by_timestamp_across_files(self, tmp_path):
         spool = tmp_path / "spool"
         spool.mkdir()

@@ -1,7 +1,9 @@
+import json
 import random
 
 from hypothesis import given, strategies as st
 
+from flagtrace.cli import run
 from flagtrace.mklint import (
     BUILTIN_VOCABULARY,
     levenshtein,
@@ -84,6 +86,15 @@ class TestScanMakefile:
         p.write_bytes(b"include a\x00b missing.mk\nCXFLAGS = -g\n")
         assignments, _ = scan_makefile(str(p))
         assert [a.name for a in assignments] == ["CXFLAGS"]
+
+    def test_include_name_with_expansion_is_not_followed(self, tmp_path, capsys):
+        """make expands $(GEN) before it reads the name; lint does not guess, so a
+        file literally named $(GEN).mk is never read."""
+        (tmp_path / "$(GEN).mk").write_text("CXFLAGS = -g\n")
+        p = tmp_path / "Makefile"
+        p.write_text("include $(GEN).mk\nall:\n\t$(CXX) $(CXXFLAGS) -c a.cc\n")
+        assert run(["--format", "json", "lint", str(p)]) == 0
+        assert json.loads(capsys.readouterr().out)["findings"] == []
 
     def test_continuation_keeps_first_line_number(self, tmp_path):
         p = tmp_path / "Makefile"

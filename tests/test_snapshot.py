@@ -466,6 +466,7 @@ def test_a_command_builds_only_the_sets_it_reads(tmp_path, capsys, set_builds):
         (["diff", "b1", "b2"], 0, {}),
         (["diff", "b2", "b3"], 4, {"canonical_deserialize": 2}),  # a.c changed
         (["history", "dev", "--key", "opt_level"], 0, {"canonical_deserialize": 3, "_resolve": 1}),
+        (["verify", "b3"], 0, {"_resolve": 4}),  # every record re-resolved, no stored set decoded
     ]:
         set_builds.clear()
         assert run(["--store", store, *argv]) == code, argv
@@ -476,6 +477,28 @@ def test_a_command_builds_only_the_sets_it_reads(tmp_path, capsys, set_builds):
                 "--subject", "/work/proj/src/core.c"]) == 0
     assert set_builds == Counter({"canonical_deserialize": 1})
     capsys.readouterr()
+
+
+def test_verify_compares_stored_bytes(tmp_path, capsys):
+    """A stored set with two group lines swapped, and every hash recomputed, decodes
+    to the set its tokens resolve to, but is not the text ingest writes: verify
+    names its subject."""
+    store = _ingest_log(tmp_path, capsys, "gcc -O2 -DNDEBUG -c a.c -o a.o\n")
+    assert _query_a(store, tmp_path) == 0
+    ingested = capsys.readouterr().out
+
+    def swap_groups(rec):
+        lines = rec["effective"].split("\n")
+        assert [line[:8] for line in lines[1:3]] == ['["group"'] * 2
+        lines[1], lines[2] = lines[2], lines[1]
+        rec["effective"] = "\n".join(lines)
+    _rewrite_record(store, "b1", 0, swap_groups)
+
+    assert _query_a(store, tmp_path) == 0
+    assert capsys.readouterr().out == ingested  # the stored text decodes to the same set
+    assert _verify(store, capsys) == (3, {"report_version": 1, "builds": [
+        {"build_id": "b1", "status": "corrupt", "error": None,
+         "subjects": [str(tmp_path / "a.c")]}]})
 
 
 def test_a_set_that_cannot_be_decoded_fails_when_read(tmp_path, capsys):
@@ -505,6 +528,11 @@ def _set_rsp_token_text(rec):
     rec["invocation"]["tokens"][0]["text"] = 5
 
 
+def _set_rsp_token_index_true(rec):
+    assert rec["invocation"]["tokens"][0]["origin"]["index"] == 0
+    rec["invocation"]["tokens"][0]["origin"]["index"] = True  # a bool, which Python calls an int
+
+
 def _join_tokens(rec):
     rec["invocation"]["tokens"] = " ".join(rec["invocation"]["tokens"])
 
@@ -516,10 +544,11 @@ def _join_tokens(rec):
     ("gcc a.o b.o -o app\n", lambda rec: rec["inputs"].insert(0, 5),
      [["audit", "b2", "--previous", "b1"]]),
     ("gcc @opts.rsp -c a.c -o a.o\n", _set_rsp_token_text, [["audit", "b1"]]),
+    ("gcc @opts.rsp -c a.c -o a.o\n", _set_rsp_token_index_true, [["audit", "b1"]]),
     ("gcc -O2 -c a.c -o a.o\n", _join_tokens, [["query", "find", "--build", "b1",
                                                 "--group", "opt_level", "--value=-O2"]]),
 ], ids=["number-source-file", "number-in-target-inputs", "number-rsp-token-text",
-        "string-tokens"])
+        "bool-rsp-token-index", "string-tokens"])
 def test_mistyped_stored_field_is_unreadable(tmp_path, capsys, log, edit, commands):
     """A stored field of another JSON type, with every hash recomputed, makes its line
     unreadable: each read command exits 3 naming it, and verify reports the build corrupt."""

@@ -157,6 +157,18 @@ class TestIndex:
             assert run(["--store", str(root), *argv]) == 3, argv
             assert f"index.tsv line 2: {reason}" in capsys.readouterr().err
 
+    def test_blank_line_is_passed_over(self, tmp_path, capsys):
+        """A committed blank index line names no build and breaks neither a put nor a read."""
+        root = tmp_path / "store"
+        Store(str(root)).put(log_snapshot(tmp_path, "gcc -c a.c\n", "b1", "ci"))
+        with open(root / "index.tsv", "ab") as fh:
+            fh.write(b"\n")
+        log = tmp_path / "b2.log"
+        log.write_text("gcc -O1 -c a.c\n")
+        for argv in (["ingest", str(log), "--label", "ci", "--build-id", "b2"], ["verify"]):
+            assert run(["--store", str(root), *argv]) == 0, argv
+        assert [e.build_id for e in Store(str(root)).list_builds()] == ["b1", "b2"]
+
     def test_torn_final_line_is_ignored_and_cut(self, tmp_path, capsys):
         """Whatever prefix of its last line, less the LF, a crash during put left, the
         index still reads, the earlier build still loads, and the next put commits after it."""
