@@ -104,8 +104,9 @@ def _prov(inv: RawInvocation, item: FlagEntry | Token | None = None) -> str:
     return inv.source
 
 
-def _member_tus(target: LinkTargetRecord, tus: dict[str, TranslationUnitRecord]):
-    return [tus[s] for s in target.member_tus if s in tus]
+def _member_tus(target: LinkTargetRecord, by_output: dict[str, TranslationUnitRecord]):
+    """The TUs whose output files the target links: the rule ingest fills `member_tus` by."""
+    return [by_output[p] for p in target.inputs if p in by_output]
 
 
 _UNRESOLVED = re.compile(r"\$\(|\$\{|%[A-Za-z_][A-Za-z0-9_]*%")
@@ -134,7 +135,7 @@ def run_audit(
     config = config or AuditConfig()
     findings: list[AnomalyFinding] = []
     is_release = snapshot.label in config.release_labels
-    tus = snapshot.by_subject("tu")
+    by_output = {tu.output_file: tu for tu in snapshot.tus}
     enabled = set(config.rules)
 
     def add(rule: str, subject: str, evidence, message: str) -> None:
@@ -157,7 +158,7 @@ def run_audit(
 
     if "R2" in enabled:
         for target in snapshot.targets:
-            members = _member_tus(target, tus)
+            members = _member_tus(target, by_output)
             winners = {}
             for tu in members:
                 w = tu.effective.group_value("opt_level")
@@ -203,7 +204,7 @@ def run_audit(
 
     if "R5" in enabled:
         for target in snapshot.targets:
-            members = _member_tus(target, tus)
+            members = _member_tus(target, by_output)
             neg = [t for t in members
                    if (w := t.effective.group_value("exceptions")) is not None
                    and w.polarity == NEGATIVE]

@@ -236,10 +236,10 @@ def _cmd_query(args) -> Report:
     # find: TUs where a scalar group resolves to a given value
     snap = store.get(args.build)
     matches = []
-    for tu in snap.tus:
+    for subject, tu in snap.by_subject("tu").items():
         winner = tu.effective.group_value(args.group)
         if winner is not None and (winner.value == args.value or winner.spelling == args.value):
-            matches.append(tu.source_file)
+            matches.append(subject)
     return (EXIT_OK,
             {"build_id": args.build, "group": args.group, "value": args.value,
              "matches": sorted(matches)},

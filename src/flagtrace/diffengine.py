@@ -1,7 +1,8 @@
 """Structured delta between two build snapshots.
 
 Replaces eyeballing two build logs with `diff`: translation units are
-matched by normalized source path, link targets by output path, and
+matched by normalized source path (by object path for a source the
+build compiles twice), link targets by output path, and
 deltas are minimal (one per exclusive group, macro name, or ordered
 field). Timestamps and build ids never influence the result.
 """
@@ -82,7 +83,7 @@ def _entry_dict(e: FlagEntry | None) -> dict | None:
 
 def _diff_records(ra: Record, rb: Record) -> list[FlagDelta]:
     """Deltas between two records' effective sets."""
-    if ra.effective_text is not None and ra.effective_text == rb.effective_text:
+    if ra.effective_text == rb.effective_text:
         return []  # equal stored texts are equal sets; neither is built
     a, b = ra.effective, rb.effective
     deltas: list[FlagDelta] = []

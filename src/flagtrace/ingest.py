@@ -213,7 +213,7 @@ def assemble_snapshot(
     evidence. Nothing is dropped silently: skipped invocations become
     diagnostics, after the `skipped` ones that parsing reported. Each
     record keeps the tokens after `@file` expansion, the ones its
-    effective set was resolved from.
+    effective set was resolved from, and that set's canonical text.
     """
     if created is None:
         created = datetime.now(timezone.utc).strftime(CREATED_FORMAT)
@@ -237,6 +237,7 @@ def assemble_snapshot(
             # An MSVC output that ends in a separator is the objects' directory (/Foobj\).
             out_dir = out if inv.dialect.family is Family.MSVC and out.endswith(("\\", "/")) else ""
             one_file = out and not out_dir and len(effective.sources) == 1
+            text = flagmodel.canonical_serialize(effective).decode("utf-8")
             for src_entry in effective.sources:
                 src = normalize_path(src_entry.value, inv.cwd)
                 obj = out if one_file else out_dir + _default_object_name(src_entry.value, inv.dialect)
@@ -244,7 +245,7 @@ def assemble_snapshot(
                 if out_path in seen_outputs:
                     raise DuplicateOutput(out_path)
                 seen_outputs[out_path] = src
-                snap.tus.append(TranslationUnitRecord(src, out_path, inv, effective))
+                snap.tus.append(TranslationUnitRecord(src, out_path, inv, text))
         elif (is_linker or is_compiler) and effective.link_inputs:
             pending_targets.append((inv, effective))
         else:
@@ -266,6 +267,7 @@ def assemble_snapshot(
                 members.append(seen_outputs[p])
             else:
                 external.append(p)
-        snap.targets.append(LinkTargetRecord(output, inputs, members, external, inv, effective))
+        text = flagmodel.canonical_serialize(effective).decode("utf-8")
+        snap.targets.append(LinkTargetRecord(output, inputs, members, external, inv, text))
 
     return snap

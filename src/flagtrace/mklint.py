@@ -27,20 +27,16 @@ BUILTIN_VOCABULARY = frozenset({
 DEFAULT_THRESHOLD = 2
 
 _ASSIGN = re.compile(
-    r"^\s*(?:export\s+|override\s+)*([^\s:#=$]+?)\s*(\+=|\?=|::=|:=|=)(.*)$"
+    r"^\s*(?:export\s+|override\s+)*([^\s:#=$]+?)\s*(?:\+=|\?=|::=|:=|=)"
 )
 _EXPANSION = re.compile(r"\$[({]([A-Za-z0-9_.%-]+)[)}]")
 _INCLUDE = re.compile(r"^\s*[-s]?include\s+(.+)$")
-
-_OP_NAMES = {"=": "recursive", ":=": "simple", "::=": "simple", "+=": "append", "?=": "conditional"}
 
 
 @dataclass(frozen=True)
 class MacroAssignment:
     name: str
-    op: str  # recursive | simple | append | conditional
     line: int
-    value_text: str
     path: str
 
 
@@ -99,8 +95,7 @@ def scan_makefile(path: str, _depth: int = 0) -> tuple[list[MacroAssignment], se
         m = _ASSIGN.match(stripped)
         if not m:
             continue
-        name, op, value = m.group(1), m.group(2), m.group(3).strip()
-        assignments.append(MacroAssignment(name, _OP_NAMES[op], lineno, value, path))
+        assignments.append(MacroAssignment(m.group(1), lineno, path))
     return assignments, expansions
 
 

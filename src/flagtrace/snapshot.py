@@ -19,15 +19,15 @@ loaded v1 snapshot serializes as v2. Any other version is rejected.
 On load the hash is checked over the record lines as stored, without
 re-serializing them, and every line is JSON-decoded, with each field it
 reads checked for its JSON type. Effective flag sets are stored
-denormalized for query speed, and a load has one rule for them: a
-record's set is the set it stored, which the hash already covers. A
-loaded record keeps its stored text and decodes the set from it when
-first read, so a command decodes only the sets it reads; a set that
-fails to decode then raises `CorruptSnapshot` naming its line. A load
-notices neither a rewritten set whose hashes were recomputed nor a
-vocabulary edit since ingest. `flagtrace verify` finds both through
-`drifted()`, which decodes no stored set: a record's tokens must resolve
-to a set that serializes to exactly its stored text, byte for byte.
+denormalized for query speed. Every record, loaded or assembled, holds
+the canonical text it stores, `effective_text`, which the hash covers
+and writing copies. Its set is the set that text stores, built from it
+by one rule when first read, so a command decodes only the sets it
+reads; a set that fails to decode then raises `CorruptSnapshot` naming
+its line. A load notices neither a rewritten set whose hashes were
+recomputed nor a vocabulary edit since ingest. `flagtrace verify` finds
+both through `drifted()`, which decodes no stored set: a record's tokens
+must resolve to a set that serializes to exactly its text, byte for byte.
 
 The stored text has no token origins, which audit evidence needs, so a
 record with a response-file token is re-resolved when its set is first
@@ -40,7 +40,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import GenericAlias
 
 from . import flagmodel, strictjson
@@ -54,29 +56,26 @@ _READABLE_VERSIONS = (1, 2)
 _canon = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode
 
 
-class _StoredSet:
-    """A loaded record builds its effective set from its stored canonical text,
-    `effective_text`, when `effective` is first read; other records have no text."""
+class _Record:
+    """Both kinds of record hold `effective_text`, and build `effective` from it on first read."""
 
-    effective_text: str | None = None
-    _load: _Load | None = None
+    _load: _Load | None = None  # the load that read the record; None for an assembled one
+    _line = 0  # the line the record was read from
 
-    def __getattr__(self, name):
-        if name != "effective" or self._load is None:
-            raise AttributeError(name)
-        self.effective = self._load.effective(self)
-        return self.effective
+    @cached_property
+    def effective(self) -> flagmodel.EffectiveFlagSet:
+        return (self._load or _Load()).effective(self)
 
 
 @dataclass
-class TranslationUnitRecord(_StoredSet):
+class TranslationUnitRecord(_Record):
     KIND = "tu"
     FIELDS = {"source_file": str, "output_file": (str, type(None))}  # stored name: JSON type
 
     source_file: str
     output_file: str | None
     invocation: RawInvocation
-    effective: flagmodel.EffectiveFlagSet
+    effective_text: str  # canonical_serialize of the effective set
 
     @property
     def subject(self) -> str:
@@ -84,7 +83,7 @@ class TranslationUnitRecord(_StoredSet):
 
 
 @dataclass
-class LinkTargetRecord(_StoredSet):
+class LinkTargetRecord(_Record):
     KIND = "target"
     FIELDS = {"output": str, "inputs": list[str], "member_tus": list[str],
               "external_inputs": list[str]}
@@ -94,7 +93,7 @@ class LinkTargetRecord(_StoredSet):
     member_tus: list[str]  # source files of TUs matched by output object path
     external_inputs: list[str]  # inputs with no TU evidence in this snapshot
     invocation: RawInvocation
-    effective: flagmodel.EffectiveFlagSet
+    effective_text: str  # canonical_serialize of the effective set
 
     @property
     def subject(self) -> str:
@@ -121,7 +120,7 @@ def _encode_record(rec: Record) -> str:
         "source": inv.source,
         "dialect": {"family": inv.dialect.family.value, "tool_kind": inv.dialect.tool_kind.value},
     }
-    d["effective"] = flagmodel.canonical_serialize(rec.effective).decode("utf-8")
+    d["effective"] = rec.effective_text
     return _canon(d)
 
 
@@ -153,7 +152,7 @@ def _resolve(inv: RawInvocation, memo: dict) -> flagmodel.EffectiveFlagSet:
 
 
 def _resolved_as_stored(rec: Record, memo: dict) -> flagmodel.EffectiveFlagSet | None:
-    """The set a loaded record's tokens resolve to now, if it serializes to exactly its stored text."""
+    """The set a record's tokens resolve to now, if it serializes to exactly its stored text."""
     resolved = _resolve(rec.invocation, memo)
     as_stored = flagmodel.canonical_serialize(resolved) == rec.effective_text.encode("utf-8")
     return resolved if as_stored else None
@@ -180,10 +179,9 @@ class _Load:
                            for t in stored)
         inv = RawInvocation(_field(i, "program"), tokens, _field(i, "cwd"), _field(i, "source"),
                             DIALECTS[i["dialect"]["family"], i["dialect"]["tool_kind"]])
-        rec = cls.__new__(cls)  # without __init__, so `effective` is unset until first read
-        vars(rec).update({name: _field(d, name, kind) for name, kind in cls.FIELDS.items()},
-                         invocation=inv, effective_text=_field(d, "effective"), _load=self,
-                         _line=lineno)
+        rec = cls(**{name: _field(d, name, kind) for name, kind in cls.FIELDS.items()},
+                  invocation=inv, effective_text=_field(d, "effective"))
+        rec._load, rec._line = self, lineno
         return rec
 
     def effective(self, rec: Record) -> flagmodel.EffectiveFlagSet:
@@ -211,17 +209,22 @@ class BuildSnapshot:
     content_hash: str = ""
 
     def by_subject(self, scope: str) -> dict[str, Record]:
-        """Records of one scope, "tu" or "target", keyed by subject; a later duplicate wins."""
-        return {r.subject: r for r in (self.targets if scope == "target" else self.tus)}
+        """Records of one scope, "tu" or "target", keyed by subject. A TU whose source
+        another TU of the build shares is keyed by its output file instead."""
+        if scope == "target":
+            return {r.output: r for r in self.targets}
+        shared = Counter(r.source_file for r in self.tus)
+        return {r.output_file if shared[r.source_file] > 1 and r.output_file else r.source_file: r
+                for r in self.tus}
 
     def record(self, subject: str) -> Record | None:
         """The TU with this subject, else the link target with it, else None."""
         return self.by_subject("tu").get(subject) or self.by_subject("target").get(subject)
 
     def drifted(self) -> list[Record]:
-        """Loaded records whose stored effective text is not the bytes their tokens resolve to now.
+        """Records whose effective text is not the bytes their tokens resolve to now.
 
-        Re-resolves every record by the rule load uses to recover origins,
+        Re-resolves every record by the rule `effective` uses to recover origins,
         `_resolved_as_stored`, and decodes no stored set. A rewritten or
         non-canonical stored set, or a vocabulary edit since ingest, shows
         here, and only here.

@@ -94,6 +94,34 @@ class TestResponseFiles:
         assert evidence["R8"] == [[f"log:{log}:1 via {rsp}#1", "-DV=$(VERSION)"]]
 
 
+class TestSourceCompiledTwice:
+    """A source built as a static and a PIC object keeps both TUs, each named by its object."""
+
+    def test_each_object_is_its_own_subject(self, tmp_path, capsys):
+        store = str(tmp_path / "store")
+        for bid, opt in (("b1", "-O2"), ("b2", "-O3")):
+            log = tmp_path / f"{bid}.log"
+            log.write_text(f"gcc {opt} -c a.c -o a.o\ngcc -O0 -fPIC -c a.c -o a_pic.o\n"
+                           "gcc -O2 -c b.c -o b.o\ngcc a.o b.o -o app\n")
+            assert run(["--store", store, "ingest", str(log), "--label", "dev",
+                        "--build-id", bid]) == 0
+        capsys.readouterr()
+
+        def json_of(*argv, code=0):
+            assert run(["--store", store, "--format", "json", *argv]) == code
+            return json.loads(capsys.readouterr().out)
+
+        obj, pic = f"{tmp_path}/a.o", f"{tmp_path}/a_pic.o"
+        assert list(json_of("diff", "b1", "b2", code=4)["per_tu_changes"]) == [obj]
+        summaries = [row["summary"] for row in json_of("history", "dev", "--key", "opt_level")]
+        assert summaries == [{obj: o, pic: "-O0", f"{tmp_path}/b.c": "-O2"} for o in ("-O2", "-O3")]
+        effective = json_of("query", "effective", "--build", "b1", "--subject", obj)["effective"]
+        assert '"-O2"' in effective
+        assert json_of("query", "find", "--build", "b1", "--group", "opt_level",
+                       "--value=-O0")["matches"] == [pic]
+        assert json_of("audit", "b1")["findings"] == []
+
+
 class TestHistoryAndQuery:
     def test_history_text(self, seeded_store, capsys):
         assert run(["--store", seeded_store, "history", "official",

@@ -170,7 +170,8 @@ def test_token_streams_round_trip(streams, version):
         inv = RawInvocation(program, tuple(tokens), "/w", f"log:b.log:{i + 1}",
                             detect_dialect(program))
         eff = flagmodel.resolve(flagmodel.classify_all(tokens, inv.dialect))
-        tus.append(TranslationUnitRecord(f"/w/{i}.c", None, inv, eff))
+        tus.append(TranslationUnitRecord(f"/w/{i}.c", None, inv,
+                                         flagmodel.canonical_serialize(eff).decode()))
     data = BuildSnapshot("b1", "dev", "2026-01-01T00:00:00Z", tus).serialize()
     back = BuildSnapshot.deserialize(as_v1(data) if version == 1 else data)
     assert [r.invocation for r in back.tus] == [r.invocation for r in tus]
@@ -205,10 +206,54 @@ def test_ingested_line_break_path_reads_back(tmp_path, capsys, char):
 
 
 def test_subject_lookup_is_shared(tmp_path):
-    """A source compiled twice: record() returns the TU by_subject() keeps, the last."""
+    """A source compiled twice: record() and by_subject() name each of its TUs by its
+    output file, and the bare source names neither."""
     snap = log_snapshot(tmp_path, "gcc -O1 -c a.c -o a1.o\ngcc -O3 -c a.c -o a3.o\n")
-    subject = snap.tus[1].subject
-    assert snap.record(subject) is snap.by_subject("tu")[subject] is snap.tus[1]
+    outputs = [tu.output_file for tu in snap.tus]
+    assert [o.rsplit("/", 1)[1] for o in outputs] == ["a1.o", "a3.o"]
+    assert list(snap.by_subject("tu")) == outputs
+    for subject, tu in zip(outputs, snap.tus):
+        assert snap.record(subject) is snap.by_subject("tu")[subject] is tu
+    assert snap.record(snap.tus[0].source_file) is None
+
+
+def test_a_shared_source_without_a_stored_output_keeps_its_source_as_key():
+    """A stored TU may have no output file; sharing its source, it is still named by a string."""
+    inv = RawInvocation("gcc", (Token("-c"), Token("a.c")), "/w", "log:b.log:1",
+                        detect_dialect("gcc"))
+    eff = flagmodel.resolve(flagmodel.classify_all(inv.tokens, inv.dialect))
+    text = flagmodel.canonical_serialize(eff).decode()
+    tus = [TranslationUnitRecord("/w/a.c", out, inv, text) for out in (None, "/w/b.o")]
+    data = BuildSnapshot("b1", "dev", "2026-01-01T00:00:00Z", tus).serialize()
+    snap = BuildSnapshot.deserialize(data)
+    assert list(snap.by_subject("tu")) == ["/w/a.c", "/w/b.o"]
+
+
+def _rsp_snapshot(tmp_path):
+    """An assembled build whose one TU takes -O2 and -fno-exceptions from opts.rsp, and its link."""
+    (tmp_path / "opts.rsp").write_text("-O2 -fno-exceptions\n")
+    return log_snapshot(tmp_path, "gcc @opts.rsp -c a.c -o a.o\ngcc a.o -o app\n")
+
+
+def test_an_assembled_build_has_not_drifted(tmp_path):
+    assert _rsp_snapshot(tmp_path).drifted() == []
+
+
+def test_every_record_builds_its_set_on_first_read(tmp_path):
+    """An assembled TU, an assembled target and a loaded TU hold their text, and no set."""
+    snap = _rsp_snapshot(tmp_path)
+    loaded = BuildSnapshot.deserialize(snap.serialize())
+    for rec in (snap.tus[0], snap.targets[0], loaded.tus[0]):
+        assert "effective" not in vars(rec)
+        assert flagmodel.canonical_serialize(rec.effective).decode() == rec.effective_text
+        assert "effective" in vars(rec)
+
+
+def test_an_assembled_response_file_tu_keeps_its_origins(tmp_path):
+    eff = _rsp_snapshot(tmp_path).tus[0].effective
+    rsp = str(tmp_path / "opts.rsp")
+    assert eff.group_value("opt_level").origin == Origin("response-file", rsp, 0)
+    assert eff.group_value("exceptions").origin == Origin("response-file", rsp, 1)
 
 
 # Arguments of a GNU compile line; "-o a.o" and "-I inc" are one argument

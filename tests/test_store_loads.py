@@ -79,13 +79,15 @@ def label_builds(draw):
                 rsp = [draw(_RSP_TOKENS)] if not draw(st.integers(0, 3)) else []
                 extra = [*rsp, draw(_VARIANTS)]
                 inv, eff = _record_parts(tokens + extra, program, f"log:b{b}.log:{i + 1}")
-                tus.append(TranslationUnitRecord(f"/w/{i}.c", f"/w/{i}.o", inv, eff))
+                tus.append(TranslationUnitRecord(f"/w/{i}.c", f"/w/{i}.o", inv,
+                                                 flagmodel.canonical_serialize(eff).decode()))
         targets = []
         if draw(st.booleans()):
             extra = draw(st.lists(st.one_of(_VARIANTS, _RSP_TOKENS), max_size=2))
             inv, eff = _record_parts([Token("a.o"), *extra, Token("-o"), Token("app")], "gcc",
                                      f"log:b{b}.log:9")
-            targets.append(LinkTargetRecord("/w/app", ["/w/a.o"], [], ["/w/a.o"], inv, eff))
+            targets.append(LinkTargetRecord("/w/app", ["/w/a.o"], [], ["/w/a.o"], inv,
+                                            flagmodel.canonical_serialize(eff).decode()))
         builds.append(BuildSnapshot(f"b{b}", "dev", f"2026-01-0{b + 1}T00:00:00Z", tus, targets))
     order = draw(st.lists(st.sampled_from([s.build_id for s in builds]), min_size=2, max_size=8))
     return builds, order
