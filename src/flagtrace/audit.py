@@ -104,8 +104,8 @@ def _prov(inv: RawInvocation, item: FlagEntry | Token | None = None) -> str:
     return inv.source
 
 
-def _member_tus(target: LinkTargetRecord, by_output: dict[str, TranslationUnitRecord]):
-    """The TUs whose output files the target links: the rule ingest fills `member_tus` by."""
+def _member_tus(target: LinkTargetRecord, by_output: dict[str, tuple[str, TranslationUnitRecord]]):
+    """(subject, TU) of each TU whose output file the target links, in link order."""
     return [by_output[p] for p in target.inputs if p in by_output]
 
 
@@ -135,7 +135,8 @@ def run_audit(
     config = config or AuditConfig()
     findings: list[AnomalyFinding] = []
     is_release = snapshot.label in config.release_labels
-    by_output = {tu.output_file: tu for tu in snapshot.tus}
+    tus = snapshot.named("tu")
+    by_output = {tu.output_file: (subject, tu) for subject, tu in tus}
     enabled = set(config.rules)
 
     def add(rule: str, subject: str, evidence, message: str) -> None:
@@ -143,31 +144,27 @@ def run_audit(
                                        tuple(evidence), message))
 
     if "R1" in enabled and is_release:
-        ndebug_haves = [t for t in snapshot.tus if "NDEBUG" in t.effective.defines]
-        for tu in snapshot.tus:
+        ndebug_haves = [t for _, t in tus if "NDEBUG" in t.effective.defines]
+        for subject, tu in tus:
             hits = [tu.effective.defines[m] for m in sorted(config.debug_markers)
                     if m in tu.effective.defines]
             if hits:
-                add("R1", tu.source_file,
-                    [(_prov(tu.invocation, h), h.spelling) for h in hits],
+                add("R1", subject, [(_prov(tu.invocation, h), h.spelling) for h in hits],
                     "release build defines a debug marker")
             elif ndebug_haves and "NDEBUG" not in tu.effective.defines:
-                add("R1", tu.source_file,
-                    [(_prov(tu.invocation), "NDEBUG absent")],
+                add("R1", subject, [(_prov(tu.invocation), "NDEBUG absent")],
                     "release TU lacks NDEBUG while sibling TUs define it")
 
     if "R2" in enabled:
         for target in snapshot.targets:
             members = _member_tus(target, by_output)
             winners = {}
-            for tu in members:
+            for subject, tu in members:
                 w = tu.effective.group_value("opt_level")
-                winners.setdefault(w.spelling if w else "Absent", []).append(tu)
+                winners.setdefault(w.spelling if w else "Absent", []).append((subject, tu))
             if len(winners) > 1:
-                evidence = []
-                for spelling, mem in sorted(winners.items()):
-                    for tu in mem:
-                        evidence.append((_prov(tu.invocation), f"{tu.source_file}: {spelling}"))
+                evidence = [(_prov(tu.invocation), f"{subject}: {spelling}")
+                            for spelling, mem in sorted(winners.items()) for subject, tu in mem]
                 add("R2", target.output, evidence,
                     "member TUs disagree on optimization level: " + ", ".join(sorted(winners)))
 
@@ -190,7 +187,7 @@ def run_audit(
                         f"multiple versions/paths of dependency '{stem}' on one link line")
 
     if "R4" in enabled and is_release:
-        for tu in snapshot.tus:
+        for subject, tu in tus:
             bad = []
             for group in sorted(config.hardening_required):
                 w = tu.effective.group_value(group)
@@ -199,21 +196,19 @@ def run_audit(
                 elif w.polarity == NEGATIVE:
                     bad.append((_prov(tu.invocation, w), w.spelling))
             if bad:
-                add("R4", tu.source_file, bad,
-                    "release TU compiled without required hardening")
+                add("R4", subject, bad, "release TU compiled without required hardening")
 
     if "R5" in enabled:
         for target in snapshot.targets:
             members = _member_tus(target, by_output)
-            neg = [t for t in members
+            neg = [(s, t) for s, t in members
                    if (w := t.effective.group_value("exceptions")) is not None
                    and w.polarity == NEGATIVE]
-            pos = [t for t in members if t not in neg]
+            pos = [m for m in members if m not in neg]
             if neg and pos:
-                evidence = [(_prov(t.invocation), f"{t.source_file}: exceptions disabled")
-                            for t in neg]
-                evidence += [(_prov(t.invocation), f"{t.source_file}: exceptions enabled/default")
-                             for t in pos]
+                evidence = [(_prov(t.invocation), f"{s}: exceptions disabled") for s, t in neg]
+                evidence += [(_prov(t.invocation), f"{s}: exceptions enabled/default")
+                             for s, t in pos]
                 add("R5", target.output, evidence,
                     "link target mixes exception-disabled and exception-enabled TUs")
 
@@ -234,11 +229,10 @@ def run_audit(
                         "link input order changed while the input set is identical")
 
     if "R8" in enabled:
-        for tu in snapshot.tus:
+        for subject, tu in tus:
             hits = [t for t in tu.invocation.tokens if _UNRESOLVED.search(t.text)]
             if hits:
-                add("R8", tu.source_file,
-                    [(_prov(tu.invocation, t), t.text) for t in hits],
+                add("R8", subject, [(_prov(tu.invocation, t), t.text) for t in hits],
                     "unexpanded variable token in compiler command")
 
     findings.sort(key=lambda f: (f.rule, f.subject))

@@ -30,6 +30,9 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_WARNINGS = 4
 
+_SUBJECT_HELP = ("TU source path (its object path when the build compiles that source twice) "
+                 "or link-target output path")
+
 
 def _index_field(value: str) -> str:
     """A build id or label: one tab-separated field of the store index."""
@@ -85,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("stamp", help="embed a provenance note into an ELF binary")
     sp.add_argument("elf")
     sp.add_argument("build_id")
-    sp.add_argument("subject", help="TU source path or link-target output path")
+    sp.add_argument("subject", help=_SUBJECT_HELP)
     sp.add_argument("--no-flags-text", action="store_true",
                     help="store only the digest, not the serialized flags")
 
@@ -99,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     qp.add_argument("--label")
     qp = qsub.add_parser("effective", help="show one subject's effective flag set")
     qp.add_argument("--build", required=True)
-    qp.add_argument("--subject", required=True)
+    qp.add_argument("--subject", required=True, help=_SUBJECT_HELP)
     qp = qsub.add_parser("find", help="TUs where a group resolves to a value")
     qp.add_argument("--build", required=True)
     qp.add_argument("--group", required=True)

@@ -77,10 +77,6 @@ class TranslationUnitRecord(_Record):
     invocation: RawInvocation
     effective_text: str  # canonical_serialize of the effective set
 
-    @property
-    def subject(self) -> str:
-        return self.source_file
-
 
 @dataclass
 class LinkTargetRecord(_Record):
@@ -90,14 +86,10 @@ class LinkTargetRecord(_Record):
 
     output: str
     inputs: list[str]  # normalized paths / library names, command order
-    member_tus: list[str]  # source files of TUs matched by output object path
+    member_tus: list[str]  # bare sources of linked TUs: kept for the stored format, read by nothing
     external_inputs: list[str]  # inputs with no TU evidence in this snapshot
     invocation: RawInvocation
     effective_text: str  # canonical_serialize of the effective set
-
-    @property
-    def subject(self) -> str:
-        return self.output
 
 
 # Both kinds share one codec: a record line holds "kind", the record's own
@@ -208,21 +200,27 @@ class BuildSnapshot:
     diagnostics: list[dict] = field(default_factory=list)
     content_hash: str = ""
 
-    def by_subject(self, scope: str) -> dict[str, Record]:
-        """Records of one scope, "tu" or "target", keyed by subject. A TU whose source
-        another TU of the build shares is keyed by its output file instead."""
+    def named(self, scope: str) -> list[tuple[str, Record]]:
+        """Each record of one scope, "tu" or "target", with its subject, in stored order.
+        A TU whose source another TU shares is named by its output file. A name may
+        repeat: a build that links one output twice lists two targets of that name."""
         if scope == "target":
-            return {r.output: r for r in self.targets}
+            return [(r.output, r) for r in self.targets]
         shared = Counter(r.source_file for r in self.tus)
-        return {r.output_file if shared[r.source_file] > 1 and r.output_file else r.source_file: r
-                for r in self.tus}
+        return [(r.output_file if shared[r.source_file] > 1 and r.output_file else r.source_file, r)
+                for r in self.tus]
+
+    def by_subject(self, scope: str) -> dict[str, Record]:
+        """Records of one scope keyed by subject; of two that share one, the later."""
+        return dict(self.named(scope))
 
     def record(self, subject: str) -> Record | None:
         """The TU with this subject, else the link target with it, else None."""
         return self.by_subject("tu").get(subject) or self.by_subject("target").get(subject)
 
-    def drifted(self) -> list[Record]:
-        """Records whose effective text is not the bytes their tokens resolve to now.
+    def drifted(self) -> list[tuple[str, Record]]:
+        """(subject, record) pairs, TUs then link targets, of the records whose
+        effective text is not the bytes their tokens resolve to now.
 
         Re-resolves every record by the rule `effective` uses to recover origins,
         `_resolved_as_stored`, and decodes no stored set. A rewritten or
@@ -230,7 +228,8 @@ class BuildSnapshot:
         here, and only here.
         """
         memo: dict = {}
-        return [r for r in (*self.tus, *self.targets) if _resolved_as_stored(r, memo) is None]
+        return [(subject, r) for scope in ("tu", "target") for subject, r in self.named(scope)
+                if _resolved_as_stored(r, memo) is None]
 
     def serialize(self) -> bytes:
         """Encode each record once, set content_hash over those lines and return the file."""

@@ -164,8 +164,8 @@ class Store:
 
         Returns (build_id, error, drifted subjects) per build, in the
         order given or else created order: error is why the build, or a
-        drifted record's stored set, could not be read, else None; drifted
-        subjects are those whose stored text is not what they resolve to now.
+        drifted record's stored set, could not be read, else None; drifted subjects
+        name the records whose stored text is not what they resolve to now.
         Raises NotFound for an unknown id before loading anything.
         """
         entries = self.list_builds()
@@ -179,12 +179,12 @@ class Store:
         for e in entries:
             try:
                 drifted = self._load(e).drifted()
-                for rec in drifted:  # decodes its stored set: one that cannot be decoded fails here
+                for _, rec in drifted:  # decodes its stored set: one that cannot be decoded fails here
                     rec.effective
             except (CorruptSnapshot, OSError) as exc:
                 out.append((e.build_id, str(exc), []))
                 continue
-            out.append((e.build_id, None, [r.subject for r in drifted]))
+            out.append((e.build_id, None, [subject for subject, _ in drifted]))
         return out
 
 

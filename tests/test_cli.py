@@ -121,6 +121,31 @@ class TestSourceCompiledTwice:
                        "--value=-O0")["matches"] == [pic]
         assert json_of("audit", "b1")["findings"] == []
 
+    def test_audit_names_each_object(self, tmp_path, capsys):
+        """audit names each TU of the source by its object, in findings and in evidence,
+        and query effective accepts every TU or target it names."""
+        store = str(tmp_path / "store")
+        log = tmp_path / "release.log"
+        log.write_text("gcc -O2 -fno-stack-protector -DV=$(X) -c a.c -o a.o\n"
+                       "gcc -O0 -fPIC -fno-stack-protector -DV=$(X) -c a.c -o a_pic.o\n"
+                       "gcc -O2 -fstack-protector-strong -c b.c -o b.o\n"
+                       "gcc a.o b.o -o app\ngcc a.o a_pic.o -o both\n")
+        assert run(["--store", store, "ingest", str(log), "--label", "release",
+                    "--build-id", "r1"]) == 0
+        capsys.readouterr()
+        assert run(["--store", store, "--format", "json", "audit", "r1"]) == 1
+        findings = json.loads(capsys.readouterr().out)["findings"]
+
+        obj, pic = f"{tmp_path}/a.o", f"{tmp_path}/a_pic.o"
+        for rule in ("R4", "R8"):
+            assert [f["subject"] for f in findings if f["rule"] == rule] == [obj, pic]
+        [r2] = [f for f in findings if f["rule"] == "R2"]
+        assert r2["subject"] == f"{tmp_path}/both"
+        assert sorted(spelling.split(": ")[0] for _, spelling in r2["evidence"]) == [obj, pic]
+        for subject in {f["subject"] for f in findings} - {"r1"}:
+            assert run(["--store", store, "query", "effective", "--build", "r1",
+                        "--subject", subject]) == 0, subject
+
 
 class TestHistoryAndQuery:
     def test_history_text(self, seeded_store, capsys):

@@ -388,6 +388,25 @@ def test_command_line_record_reads_its_stored_set(tmp_path, capsys):
     assert out.startswith("corrupt  b1: 1 stored effective flag sets") and str(tmp_path / "a.c") in out
 
 
+def test_verify_names_a_drifted_tu_as_every_command_does(tmp_path, capsys):
+    """A source compiled twice: verify names the drifted one of its TUs by its object."""
+    store = _ingest_log(tmp_path, capsys, "gcc -O2 -c a.c -o a.o\ngcc -O0 -fPIC -c a.c -o a_pic.o\n")
+    _rewrite_record(store, "b1", 0, _set_opt("-O3"))
+
+    code, doc = _verify(store, capsys)
+    assert code == 3 and doc["builds"][0]["subjects"] == [str(tmp_path / "a.o")]
+
+
+def test_verify_reads_each_link_of_one_output(tmp_path, capsys):
+    """A log that links one output twice stores two targets of one name, and verify
+    re-resolves both: a rewrite of the first shows though the name keys the second."""
+    store = _ingest_log(tmp_path, capsys, "gcc -c a.c -o a.o\ngcc -O2 a.o -o app\ngcc a.o -o app\n")
+    _rewrite_record(store, "b1", 1, _set_opt("-O3"))
+
+    code, doc = _verify(store, capsys)
+    assert code == 3 and doc["builds"][0]["subjects"] == [str(tmp_path / "app")]
+
+
 def test_response_file_record_reads_its_stored_set(tmp_path, capsys):
     """get trusts the hash for a response-file record too, whose entries then lose
     their response-file origins; verify re-resolves it."""
