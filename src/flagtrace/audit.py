@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from .cmdline import RawInvocation, Token
 from .errors import ConfigError
 from .flagmodel import NEGATIVE, FlagEntry
-from .snapshot import BuildSnapshot, LinkTargetRecord, TranslationUnitRecord
+from .snapshot import BuildSnapshot
 
 ERROR = "error"
 WARNING = "warning"
@@ -104,11 +104,6 @@ def _prov(inv: RawInvocation, item: FlagEntry | Token | None = None) -> str:
     return inv.source
 
 
-def _member_tus(target: LinkTargetRecord, by_output: dict[str, tuple[str, TranslationUnitRecord]]):
-    """(subject, TU) of each TU whose output file the target links, in link order."""
-    return [by_output[p] for p in target.inputs if p in by_output]
-
-
 _UNRESOLVED = re.compile(r"\$\(|\$\{|%[A-Za-z_][A-Za-z0-9_]*%")
 
 _LIB_EXT = re.compile(r"\.(a|so|lib|dylib)(\.\d+)*$", re.IGNORECASE)
@@ -155,18 +150,22 @@ def run_audit(
                 add("R1", subject, [(_prov(tu.invocation), "NDEBUG absent")],
                     "release TU lacks NDEBUG while sibling TUs define it")
 
-    if "R2" in enabled:
+    def split_members(rule: str, group: str, kind_of, message) -> None:
+        """Flag each link target whose member TUs (those whose outputs it links) are of two
+        kinds or more by `group`'s winner; evidence lists them by sorted kind, in link order."""
         for target in snapshot.targets:
-            members = _member_tus(target, by_output)
-            winners = {}
-            for subject, tu in members:
-                w = tu.effective.group_value("opt_level")
-                winners.setdefault(w.spelling if w else "Absent", []).append((subject, tu))
-            if len(winners) > 1:
-                evidence = [(_prov(tu.invocation), f"{subject}: {spelling}")
-                            for spelling, mem in sorted(winners.items()) for subject, tu in mem]
-                add("R2", target.output, evidence,
-                    "member TUs disagree on optimization level: " + ", ".join(sorted(winners)))
+            kinds: dict[str, list] = {}
+            for subject, tu in (by_output[p] for p in target.inputs if p in by_output):
+                kind = kind_of(tu.effective.group_value(group))
+                kinds.setdefault(kind, []).append((subject, tu))
+            if len(kinds) > 1:
+                evidence = [(_prov(tu.invocation), f"{subject}: {kind}")
+                            for kind, mem in sorted(kinds.items()) for subject, tu in mem]
+                add(rule, target.output, evidence, message(sorted(kinds)))
+
+    if "R2" in enabled:
+        split_members("R2", "opt_level", lambda w: w.spelling if w else "Absent",
+                      lambda ks: "member TUs disagree on optimization level: " + ", ".join(ks))
 
     if "R3" in enabled:
         if not snapshot.targets:
@@ -179,9 +178,7 @@ def run_audit(
                 stem, version, directory = _lib_stem_version(e.value or "")
                 by_stem.setdefault(stem, []).append((version, directory, e))
             for stem, group in by_stem.items():
-                versions = {v for v, _, _ in group}
-                dirs = {d for _, d, _ in group}
-                if len(group) > 1 and (len(versions) > 1 or len(dirs) > 1):
+                if len({(v, d) for v, d, _ in group}) > 1:
                     add("R3", target.output,
                         [(_prov(target.invocation, e), e.spelling) for _, _, e in group],
                         f"multiple versions/paths of dependency '{stem}' on one link line")
@@ -199,31 +196,24 @@ def run_audit(
                 add("R4", subject, bad, "release TU compiled without required hardening")
 
     if "R5" in enabled:
-        for target in snapshot.targets:
-            members = _member_tus(target, by_output)
-            neg = [(s, t) for s, t in members
-                   if (w := t.effective.group_value("exceptions")) is not None
-                   and w.polarity == NEGATIVE]
-            pos = [m for m in members if m not in neg]
-            if neg and pos:
-                evidence = [(_prov(t.invocation), f"{s}: exceptions disabled") for s, t in neg]
-                evidence += [(_prov(t.invocation), f"{s}: exceptions enabled/default")
-                             for s, t in pos]
-                add("R5", target.output, evidence,
-                    "link target mixes exception-disabled and exception-enabled TUs")
+        split_members("R5", "exceptions",
+                      lambda w: "exceptions disabled" if w and w.polarity == NEGATIVE
+                      else "exceptions enabled/default",
+                      lambda _: "link target mixes exception-disabled and exception-enabled TUs")
 
     if "R7" in enabled and previous is not None:
         if not snapshot.targets or not previous.targets:
             add("R7", snapshot.build_id, [(snapshot.build_id, "no link evidence")],
                 "inconclusive: missing link-target evidence in one of the builds")
         else:
-            prev_targets = previous.by_subject("target")
-            for target in snapshot.targets:
-                before = prev_targets.get(target.output)
-                if before is None:
-                    continue
-                if sorted(before.inputs) == sorted(target.inputs) and before.inputs != target.inputs:
-                    add("R7", target.output,
+            # Both builds' targets by subject, as diff pairs them: an output linked twice
+            # is read at its later link, the file the build leaves.
+            before_of = previous.by_subject("target")
+            for output, target in snapshot.by_subject("target").items():
+                before = before_of.get(output)
+                if (before is not None and sorted(before.inputs) == sorted(target.inputs)
+                        and before.inputs != target.inputs):
+                    add("R7", output,
                         [(_prov(before.invocation), " ".join(before.inputs)),
                          (_prov(target.invocation), " ".join(target.inputs))],
                         "link input order changed while the input set is identical")

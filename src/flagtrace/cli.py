@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import asdict
 from datetime import datetime
 
@@ -126,6 +127,10 @@ def _cmd_ingest(args) -> Report:
     if not invocations:
         sys.stderr.write("warning: no compiler or linker invocations found\n")
     snap = assemble_snapshot(invocations, args.build_id, args.label, args.created, skipped)
+    for output, n in Counter(t.output for t in snap.targets).items():
+        if n > 1:
+            sys.stderr.write(f"warning: {output} is linked {n} times; diff, history, query, "
+                             "stamp and audit R7 read its last link\n")
     content_hash = Store(args.store).put(snap)
     return (EXIT_OK,
             {"build_id": snap.build_id, "label": snap.label, "content_hash": content_hash,

@@ -203,7 +203,8 @@ class BuildSnapshot:
     def named(self, scope: str) -> list[tuple[str, Record]]:
         """Each record of one scope, "tu" or "target", with its subject, in stored order.
         A TU whose source another TU shares is named by its output file. A name may
-        repeat: a build that links one output twice lists two targets of that name."""
+        repeat: a build that links one output twice lists two targets of that name.
+        `drifted` checks every record through it, as audit R2, R3 and R5 check every target."""
         if scope == "target":
             return [(r.output, r) for r in self.targets]
         shared = Counter(r.source_file for r in self.tus)
@@ -211,7 +212,8 @@ class BuildSnapshot:
                 for r in self.tus]
 
     def by_subject(self, scope: str) -> dict[str, Record]:
-        """Records of one scope keyed by subject; of two that share one, the later."""
+        """Records of one scope keyed by subject; of two that share one, the later, the file
+        the build leaves. diff, history, query, stamp and audit R7 read records through it."""
         return dict(self.named(scope))
 
     def record(self, subject: str) -> Record | None:

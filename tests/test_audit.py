@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from flagtrace.audit import (
@@ -175,6 +177,34 @@ class TestRules:
             tmp_path,
             "gcc -O0 -c a.c -o a.o\ngcc -O2 -c b.c -o b.o\ngcc a.o b.o -o app\n")
         assert run_audit(snap, None, RELEASE) == run_audit(snap, None, RELEASE)
+
+
+def test_member_split_evidence_is_by_sorted_kind_in_link_order(tmp_path, capsys):
+    """R2 and R5 list a target's members kind by kind, kinds sorted, each kind's members
+    in link order, an object linked twice once per link."""
+    log = tmp_path / "split.log"
+    log.write_text("gcc -O3 -c a.c -o a.o\n"
+                   "gcc -O2 -fno-exceptions -c b.c -o b.o\n"
+                   "gcc -c c.c -o c.o\n"
+                   "gcc -O2 -fno-exceptions -c d.c -o d.o\n"
+                   "gcc d.o a.o c.o b.o a.o -o app\n")
+    store = str(tmp_path / "store")
+    assert run(["--store", store, "ingest", str(log), "--label", "dev", "--build-id", "b1"]) == 0
+    capsys.readouterr()
+    assert run(["--store", store, "--format", "json", "audit", "b1"]) == 4
+    r2, r5 = json.loads(capsys.readouterr().out)["findings"]
+
+    def member(line, kind):
+        return [f"log:{log}:{line}", f"{tmp_path}/{'_abcd'[line]}.c: {kind}"]
+
+    assert (r2["rule"], r2["subject"]) == ("R2", f"{tmp_path}/app")
+    assert r2["message"] == "member TUs disagree on optimization level: -O2, -O3, Absent"
+    assert r2["evidence"] == [member(4, "-O2"), member(2, "-O2"), member(1, "-O3"),
+                              member(1, "-O3"), member(3, "Absent")]
+    assert (r5["rule"], r5["subject"]) == ("R5", f"{tmp_path}/app")
+    off, on = "exceptions disabled", "exceptions enabled/default"
+    assert r5["evidence"] == [member(4, off), member(2, off),
+                              member(1, on), member(3, on), member(1, on)]
 
 
 class TestExitCode:

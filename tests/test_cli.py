@@ -147,6 +147,53 @@ class TestSourceCompiledTwice:
                         "--subject", subject]) == 0, subject
 
 
+class TestOutputLinkedTwice:
+    """A build that links one output twice is read at its later link by diff and audit R7,
+    and ingest says so."""
+
+    R7_LOG = "gcc -c a.c -o a.o\ngcc -c b.c -o b.o\ngcc a.o b.o -o app\ngcc b.o a.o -o app\n"
+
+    def _ingest(self, store, log, bid, capsys):
+        assert run(["--store", store, "--format", "json", "ingest", str(log), "--label", "dev",
+                    "--build-id", bid]) == 0
+        out, err = capsys.readouterr()
+        return json.loads(out)["content_hash"], err
+
+    def test_r7_pairs_the_later_links(self, tmp_path, capsys):
+        store = str(tmp_path / "store")
+        log = tmp_path / "r7.log"
+        log.write_text(self.R7_LOG)
+        assert self._ingest(store, log, "b1", capsys) == self._ingest(store, log, "b2", capsys)
+
+        assert run(["--store", store, "--format", "json", "audit", "b2", "--previous", "b1"]) == 0
+        assert json.loads(capsys.readouterr().out)["findings"] == []
+        assert run(["--store", store, "diff", "b1", "b2"]) == 0
+
+    def test_r7_flags_a_drifted_later_link(self, tmp_path, capsys):
+        store = str(tmp_path / "store")
+        log1, log2 = tmp_path / "r7.log", tmp_path / "r7b.log"
+        log1.write_text(self.R7_LOG)
+        log2.write_text(self.R7_LOG.replace("gcc b.o a.o -o app", "gcc a.o b.o -o app"))
+        self._ingest(store, log1, "b1", capsys)
+        self._ingest(store, log2, "b2", capsys)
+
+        assert run(["--store", store, "--format", "json", "audit", "b2", "--previous", "b1"]) == 4
+        [r7] = json.loads(capsys.readouterr().out)["findings"]
+        assert r7["rule"] == "R7" and r7["subject"] == f"{tmp_path}/app"
+        assert [prov for prov, _ in r7["evidence"]] == [f"log:{log1}:4", f"log:{log2}:4"]
+
+    def test_ingest_warns_once_per_output_linked_twice(self, tmp_path, capsys):
+        store = str(tmp_path / "store")
+        twice, once = tmp_path / "twice.log", tmp_path / "once.log"
+        twice.write_text("gcc -O2 -c a.c -o a.o\ngcc a.o -o app\ngcc -O2 a.o -o app\n")
+        once.write_text("gcc -O2 -c a.c -o a.o\ngcc a.o -o app\n")
+
+        _, err = self._ingest(store, twice, "b1", capsys)
+        assert err == (f"warning: {tmp_path}/app is linked 2 times; diff, history, query, "
+                       "stamp and audit R7 read its last link\n")
+        assert self._ingest(store, once, "b2", capsys)[1] == ""
+
+
 class TestHistoryAndQuery:
     def test_history_text(self, seeded_store, capsys):
         assert run(["--store", seeded_store, "history", "official",
