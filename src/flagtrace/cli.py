@@ -24,7 +24,7 @@ from . import diffengine, elfnote, mklint
 from .errors import FlagtraceError
 from .flagmodel import canonical_serialize
 from .ingest import CREATED_FORMAT, EvidenceKind, assemble_snapshot, parse_evidence
-from .store import Store
+from .store import FIELD_BREAKS, Store
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -37,7 +37,7 @@ _SUBJECT_HELP = ("TU source path (its object path when the build compiles that s
 
 def _index_field(value: str) -> str:
     """A build id or label: one tab-separated field of the store index."""
-    if any(c in value for c in "\t\r\n"):
+    if any(c in value for c in FIELD_BREAKS):
         raise argparse.ArgumentTypeError("must not contain a tab, CR or LF")
     return value
 

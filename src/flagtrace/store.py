@@ -6,13 +6,15 @@ Layout (frozen, version-headed):
     <root>/index.tsv            tab-separated: build_id label created hash relpath
     <root>/snapshots/<name>.fts line-delimited canonical snapshot file
 
-The directories and VERSION are created by the first put; reading a
-store that does not exist finds no builds and creates nothing.
-Snapshots are immutable once written: there is no delete or compact
-command, and a put never rewrites previously stored bytes. An index
-line is committed by its LF: readers ignore a final line without one,
-which a crash during put can leave, and the next put cuts it. Writes
-are serialized through an advisory lock file; reads take no lock.
+The directories and VERSION are created by the first put; reading a store
+that does not exist finds no builds and creates nothing. Snapshots are
+immutable once written: there is no delete or compact command, and a put
+never rewrites previously stored bytes. LF alone commits an index line:
+readers ignore a torn final line (without an LF, as a crash during put
+leaves, or ending in CR) and the next put cuts it. A committed line
+holding a CR is malformed, and put refuses a TAB, CR or LF in a build id,
+label or created time. Writes are serialized through an advisory lock
+file; reads take no lock.
 """
 
 from __future__ import annotations
@@ -20,20 +22,20 @@ from __future__ import annotations
 import fcntl
 import hashlib
 import os
-import re
-from dataclasses import dataclass
+from pathlib import Path
+from typing import NamedTuple
 
-from .errors import CorruptSnapshot, DuplicateBuildId, MalformedIndex, NotFound
+from .errors import CorruptSnapshot, DuplicateBuildId, FlagtraceError, MalformedIndex, NotFound
 from .flagmodel import EffectiveFlagSet
 from .snapshot import BuildSnapshot
 
 STORE_VERSION = "flagtrace-store v1"
 
 ABSENT = "Absent"
+FIELD_BREAKS = "\t\r\n"  # an index field holds none: each would end the field or its line
 
 
-@dataclass(frozen=True)
-class IndexEntry:
+class IndexEntry(NamedTuple):
     build_id: str
     label: str
     created: str
@@ -49,38 +51,40 @@ class Store:
         self.version_path = os.path.join(root, "VERSION")
         self.lock_path = os.path.join(root, ".lock")
 
-    def _read_index(self) -> list[IndexEntry]:
-        if not os.path.exists(self.index_path):
-            return []
-        with open(self.index_path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            text = fh.read()
-        suspect = "\0" in text or not text.isascii()  # else no line needs the two checks below
+    def _read_index(self, index: bytes | None = None) -> list[IndexEntry]:
+        if index is None:
+            index = Path(self.index_path).read_bytes() if os.path.exists(self.index_path) else b""
         entries = []
-        # The last piece is "" or a torn line that was never committed.
-        for lineno, line in enumerate(text.split("\n")[:-1], start=1):
+        for lineno, line in enumerate(index[:_committed(index)].split(b"\n")[:-1], start=1):
             if not line:
                 continue
-            if suspect and re.search("[\udc80-\udcff]", line):  # a byte surrogateescape kept
-                raise MalformedIndex(self.index_path, lineno, "not UTF-8")
-            fields = line.split("\t")
+            if b"\r" in line:
+                raise MalformedIndex(self.index_path, lineno, "CR in line")
+            try:
+                fields = line.decode("utf-8").split("\t")
+            except UnicodeDecodeError:
+                raise MalformedIndex(self.index_path, lineno, "not UTF-8") from None
             if len(fields) != 5:
                 raise MalformedIndex(self.index_path, lineno)
-            if suspect and "\0" in fields[4]:
+            if "\0" in fields[4]:
                 raise MalformedIndex(self.index_path, lineno, "NUL in snapshot path")
             entries.append(IndexEntry(*fields))
         return entries
 
     def put(self, snapshot: BuildSnapshot) -> str:
         """Durably write a snapshot, then index it; returns the content hash."""
+        for field in ("build_id", "label", "created"):
+            if any(c in getattr(snapshot, field) for c in FIELD_BREAKS):
+                raise FlagtraceError(f"{field} must not contain a tab, CR or LF")
         os.makedirs(self.snap_dir, exist_ok=True)
-        with open(self.lock_path, "w") as lock:
+        with open(self.lock_path, "w") as lock, open(self.index_path, "a+b") as index_fh:
             fcntl.flock(lock, fcntl.LOCK_EX)
             if not os.path.exists(self.version_path):
-                with open(self.version_path, "w", encoding="utf-8") as fh:
-                    fh.write(STORE_VERSION + "\n")
-            for e in self._read_index():
-                if e.build_id == snapshot.build_id:
-                    raise DuplicateBuildId(snapshot.build_id)
+                Path(self.version_path).write_text(STORE_VERSION + "\n", encoding="utf-8")
+            index_fh.seek(0)
+            index = index_fh.read()
+            if any(e.build_id == snapshot.build_id for e in self._read_index(index)):
+                raise DuplicateBuildId(snapshot.build_id)
             name = hashlib.sha256(snapshot.build_id.encode("utf-8")).hexdigest()[:16] + ".fts"
             relpath = os.path.join("snapshots", name)
             final = os.path.join(self.root, relpath)
@@ -98,14 +102,11 @@ class Store:
                 os.close(dir_fd)
             line = "\t".join([snapshot.build_id, snapshot.label, snapshot.created,
                               snapshot.content_hash, relpath]) + "\n"
-            with open(self.index_path, "a+b") as fh:
-                end = fh.seek(0, os.SEEK_END)
-                if end and os.pread(fh.fileno(), 1, end - 1) != b"\n":  # a torn final line
-                    fh.seek(0)
-                    fh.truncate(fh.read().rfind(b"\n") + 1)
-                fh.write(line.encode("utf-8"))
-                fh.flush()
-                os.fsync(fh.fileno())
+            if _committed(index) < len(index):  # a torn final line, as read under the lock
+                index_fh.truncate(_committed(index))
+            index_fh.write(line.encode("utf-8"))
+            index_fh.flush()
+            os.fsync(index_fh.fileno())
         return snapshot.content_hash
 
     def get(self, build_id: str) -> BuildSnapshot:
@@ -124,11 +125,8 @@ class Store:
         return snap
 
     def list_builds(self, label: str | None = None) -> list[IndexEntry]:
-        entries = self._read_index()
-        if label is not None:
-            entries = [e for e in entries if e.label == label]
-        entries.sort(key=lambda e: (e.created, e.build_id))
-        return entries
+        return sorted((e for e in self._read_index() if label is None or e.label == label),
+                      key=lambda e: (e.created, e.build_id))
 
     def history(
         self, label: str, flag_query: tuple[str, str] | None = None
@@ -186,6 +184,10 @@ class Store:
                 continue
             out.append((e.build_id, None, [subject for subject, _ in drifted]))
         return out
+
+
+def _committed(index: bytes) -> int:
+    return index.rfind(b"\n") + 1  # the committed lines of index bytes end at the last LF
 
 
 def _summary_value(eff: EffectiveFlagSet, key: str) -> str:

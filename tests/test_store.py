@@ -2,12 +2,15 @@ import hashlib
 import json
 import os
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flagtrace.cli import run
-from flagtrace.errors import CorruptSnapshot, DuplicateBuildId, MalformedIndex, NotFound
+from flagtrace.errors import (CorruptSnapshot, DuplicateBuildId, FlagtraceError, MalformedIndex,
+                              NotFound)
 from flagtrace.store import ABSENT, Store
 from tests.test_ingest import log_snapshot
 
@@ -140,7 +143,8 @@ class TestIndex:
         (b"b2\tci\t2026\th\tsnapshots/x.fts\textra", "expected 5 tab-separated fields"),
         (b"b2\tc\xffi\t2026\th\tsnapshots/x.fts", "not UTF-8"),
         (b"b2\tci\t2026\th\tsnap\x00shots/x.fts", "NUL in snapshot path"),
-    ], ids=["short", "six-fields", "non-utf8", "nul-in-path"])
+        (b"b2\tci\t2026\th\tsnapshots/x.fts\r", "CR in line"),
+    ], ids=["short", "six-fields", "non-utf8", "nul-in-path", "crlf"])
     def test_malformed_line_is_typed(self, tmp_path, capsys, tail, reason):
         root = tmp_path / "store"
         Store(str(root)).put(log_snapshot(tmp_path, "gcc -c a.c\n", "b1", "ci"))
@@ -193,3 +197,75 @@ class TestIndex:
             assert "-O1" in report("query", "effective", "--build", "b3",
                                    "--subject", str(tmp_path / "b3.c"))["effective"], cut
             assert [e.build_id for e in Store(str(root)).list_builds()] == ["b1", "b3"], cut
+
+    def test_final_line_ending_in_cr_is_torn(self, tmp_path, capsys):
+        """LF alone commits a line: a complete last line that ends in CR is not listed, and
+        the next put cuts it, as it cuts any torn line."""
+        root = tmp_path / "store"
+        for build_id in ("b1", "b2"):
+            Store(str(root)).put(log_snapshot(tmp_path, f"gcc -c {build_id}.c\n", build_id, "ci"))
+        index = root / "index.tsv"
+        index.write_bytes(index.read_bytes()[:-1] + b"\r")
+        log = tmp_path / "b3.log"
+        log.write_text("gcc -O1 -c b3.c\n")
+
+        def builds():
+            assert run(["--store", str(root), "--format", "json", "query", "builds"]) == 0
+            return [b["build_id"] for b in json.loads(capsys.readouterr().out)]
+
+        assert builds() == ["b1"]
+        assert run(["--store", str(root), "ingest", str(log), "--label", "ci", "--build-id", "b3"]) == 0
+        capsys.readouterr()
+        assert builds() == ["b1", "b3"]
+
+    @pytest.fixture(scope="class")
+    def one_build(self, tmp_path_factory):
+        """A store holding build b1, and a snapshot b3 to put on a copy of it."""
+        tmp = tmp_path_factory.mktemp("one-build")
+        Store(str(tmp / "store")).put(log_snapshot(tmp, "gcc -c a.c\n", "b1", "ci"))
+        return tmp / "store", log_snapshot(tmp, "gcc -O1 -c b3.c\n", "b3", "ci")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from([b"b9\tci\t2026-01-02T00:00:00Z\th\tsnapshots/x.fts", b"b9\tci", b"",
+                         b"b9\tc\xffi\t2026\th\tsnapshots/x.fts",
+                         b"b9\tci\t2026\th\tsnap\x00shots/x.fts"]),
+        st.sampled_from([b"\n", b"\r", b"\r\n", b"\t", b""])), max_size=3))
+    def test_reads_and_put_agree_on_what_is_committed(self, one_build, appended):
+        """Whatever lines follow the last build's, put takes as committed what a read does: it
+        fails as a read fails, leaving the index as it was, or adds its build to those read."""
+        template, snap = one_build
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp) / "store"
+            shutil.copytree(template, root)
+            index = root / "index.tsv"
+            index.write_bytes(index.read_bytes() + b"".join(line + end for line, end in appended))
+            before = index.read_bytes()
+            store = Store(str(root))
+            try:
+                builds = [e.build_id for e in store.list_builds()]
+            except MalformedIndex:
+                with pytest.raises(MalformedIndex):
+                    store.put(snap)
+                assert index.read_bytes() == before
+                return
+            store.put(snap)
+            assert sorted(e.build_id for e in store.list_builds()) == sorted(builds + ["b3"])
+
+    @pytest.mark.parametrize("field", ["build_id", "label", "created"])
+    @pytest.mark.parametrize("char", ["\t", "\r", "\n"], ids=["tab", "cr", "lf"])
+    def test_put_refuses_a_field_that_would_break_the_index(self, tmp_path, field, char):
+        """A build id, label or created time holding a TAB, CR or LF is refused before put
+        writes anything: no snapshot file is left, the index is unchanged and still reads."""
+        root = tmp_path / "store"
+        Store(str(root)).put(log_snapshot(tmp_path, "gcc -c a.c\n", "b1", "ci"))
+        index, snapshots = (root / "index.tsv").read_bytes(), os.listdir(root / "snapshots")
+        snap = log_snapshot(tmp_path, "gcc -c b.c\n", "b2", "ci")
+        value = getattr(snap, field)
+        setattr(snap, field, value[:1] + char + value[1:])
+        with pytest.raises(FlagtraceError, match=field):
+            Store(str(root)).put(snap)
+        assert os.listdir(root / "snapshots") == snapshots
+        assert (root / "index.tsv").read_bytes() == index
+        assert [e.build_id for e in Store(str(root)).list_builds()] == ["b1"]
+        Store(str(root)).get("b1")
