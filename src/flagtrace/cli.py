@@ -39,6 +39,8 @@ def _index_field(value: str) -> str:
     """A build id or label: one tab-separated field of the store index."""
     if any(c in value for c in FIELD_BREAKS):
         raise argparse.ArgumentTypeError("must not contain a tab, CR or LF")
+    if any("\ud800" <= c <= "\udfff" for c in value):  # a lone surrogate: argv bytes not UTF-8
+        raise argparse.ArgumentTypeError("must be UTF-8 text")
     return value
 
 

@@ -79,9 +79,9 @@ class Token:
 class RawInvocation:
     """One captured compiler/linker command with provenance.
 
-    ``tokens`` are the arguments after the program name, in exact
-    command-line order; order is load-bearing for later-wins resolution
-    and link-order checks.
+    ``tokens`` are the arguments after the program name, each `@file`
+    replaced by its response file's words, in command-line order; order
+    is load-bearing for later-wins resolution and link-order checks.
     """
 
     program: str

@@ -5,8 +5,9 @@ per logical line, backslash continuations joined), JSON compilation
 databases (directory/file/command-or-arguments), and wrapper spool
 directories (line-delimited JSON argv captures, ordered by timestamp).
 Every kind becomes invocations by one rule: the program is the first
-word, and an empty argument is not a token. Compilation-database entries
-and spool records share one shape check.
+word, an empty argument is not a token, and an `@file` token is expanded
+there, so parsing alone reads files. Compilation-database entries and
+spool records share one shape check.
 
 Interleaved parallel-build logs are handled line-at-a-time: make/ninja
 -j output interleaves at line granularity, so nothing beyond backslash
@@ -16,7 +17,6 @@ continuation spans lines.
 from __future__ import annotations
 
 import os
-from dataclasses import replace
 from datetime import datetime, timezone
 from enum import Enum
 
@@ -71,8 +71,9 @@ def _shape_error(record, argv: str, strings: tuple[str, ...],
 
 def _invocation(words: list[Token], dialect: Dialect, cwd: str, source: str) -> RawInvocation:
     """The one way evidence becomes an invocation: the program is the first
-    word, and an empty argument is not a token."""
-    return RawInvocation(words[0].text, tuple(w for w in words[1:] if w.text), cwd, source, dialect)
+    word, an empty argument is not a token, and `@file` tokens are expanded."""
+    tokens = expand_response_files(tuple(w for w in words[1:] if w.text), cwd, dialect)
+    return RawInvocation(words[0].text, tuple(tokens), cwd, source, dialect)
 
 
 def parse_raw_log(path: str, skipped: list[dict] | None = None) -> list[RawInvocation]:
@@ -82,7 +83,7 @@ def parse_raw_log(path: str, skipped: list[dict] | None = None) -> list[RawInvoc
     known tool kind; everything else (echo, make chatter) is ignored. An
     invocation line that cannot be tokenized (an unterminated quote, as
     in a truncated or garbled log) is appended to `skipped` as a
-    snapshot diagnostic.
+    snapshot diagnostic; a bad response file it names is an error.
     """
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         text = fh.read()
@@ -97,11 +98,12 @@ def parse_raw_log(path: str, skipped: list[dict] | None = None) -> list[RawInvoc
             continue
         source = f"log:{path}:{lineno}"
         try:
-            # A known program is a non-empty first word, so there is one word at least.
-            out.append(_invocation(tokenize(line, dialect, table), dialect, cwd, source))
+            words = tokenize(line, dialect, table)
         except UnterminatedQuote as exc:
             if skipped is not None:
                 skipped.append({"source": source, "program": program, "reason": str(exc)})
+        else:  # a known program is a non-empty first word, so there is one word at least
+            out.append(_invocation(words, dialect, cwd, source))
     return out
 
 
@@ -212,8 +214,8 @@ def assemble_snapshot(
     external inputs, since third-party binaries arrive without TU
     evidence. Nothing is dropped silently: skipped invocations become
     diagnostics, after the `skipped` ones that parsing reported. Each
-    record keeps the tokens after `@file` expansion, the ones its
-    effective set was resolved from, and that set's canonical text.
+    record keeps its invocation's tokens, which parsing expanded (this
+    reads no file), its effective set and that set's canonical text.
     """
     if created is None:
         created = datetime.now(timezone.utc).strftime(CREATED_FORMAT)
@@ -223,11 +225,7 @@ def assemble_snapshot(
     memo: dict = {}  # classify_all memo, shared by this snapshot's invocations
 
     for inv in invocations:
-        tokens = expand_response_files(inv.tokens, inv.cwd, inv.dialect)
-        entries = flagmodel.classify_all(tokens, inv.dialect, memo)
-        effective = flagmodel.resolve(entries)
-        if tokens is not inv.tokens:
-            inv = replace(inv, tokens=tuple(tokens))
+        effective = flagmodel.resolve(flagmodel.classify_all(inv.tokens, inv.dialect, memo))
         is_compiler = inv.dialect.tool_kind is ToolKind.COMPILER
         is_linker = inv.dialect.tool_kind is ToolKind.LINKER
 

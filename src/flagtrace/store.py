@@ -6,15 +6,16 @@ Layout (frozen, version-headed):
     <root>/index.tsv            tab-separated: build_id label created hash relpath
     <root>/snapshots/<name>.fts line-delimited canonical snapshot file
 
-The directories and VERSION are created by the first put; reading a store
-that does not exist finds no builds and creates nothing. Snapshots are
-immutable once written: there is no delete or compact command, and a put
-never rewrites previously stored bytes. LF alone commits an index line:
-readers ignore a torn final line (without an LF, as a crash during put
-leaves, or ending in CR) and the next put cuts it. A committed line
-holding a CR is malformed, and put refuses a TAB, CR or LF in a build id,
-label or created time. Writes are serialized through an advisory lock
-file; reads take no lock.
+The directories and VERSION are created by the first put; reading a store that
+does not exist finds no builds and creates nothing. Snapshots are immutable
+once written: there is no delete or compact command, and a put never rewrites
+previously stored bytes. LF alone commits an index line: readers ignore a torn
+final line (without an LF, as a crash during put leaves, or ending in CR) and
+the next put cuts it; a committed line holding a CR is malformed. Put refuses
+a TAB, CR or LF in a build id, label or created time, and text that is not
+UTF-8, before it creates anything. A load checks the hash, then the header's
+build id, label and created time, against the index line. Writes are
+serialized through an advisory lock file; reads take no lock.
 """
 
 from __future__ import annotations
@@ -76,6 +77,10 @@ class Store:
         for field in ("build_id", "label", "created"):
             if any(c in getattr(snapshot, field) for c in FIELD_BREAKS):
                 raise FlagtraceError(f"{field} must not contain a tab, CR or LF")
+        try:
+            data = snapshot.serialize()  # sets snapshot.content_hash over these bytes
+        except UnicodeEncodeError as exc:  # a lone surrogate: a word or file name not UTF-8
+            raise FlagtraceError(f"not UTF-8, cannot be stored: {exc.object[:exc.end][-60:]!r}") from None
         os.makedirs(self.snap_dir, exist_ok=True)
         with open(self.lock_path, "w") as lock, open(self.index_path, "a+b") as index_fh:
             fcntl.flock(lock, fcntl.LOCK_EX)
@@ -89,7 +94,6 @@ class Store:
             relpath = os.path.join("snapshots", name)
             final = os.path.join(self.root, relpath)
             tmp = final + ".tmp"
-            data = snapshot.serialize()  # sets snapshot.content_hash over these bytes
             with open(tmp, "wb") as fh:
                 fh.write(data)
                 fh.flush()
@@ -117,11 +121,13 @@ class Store:
         raise NotFound(build_id)
 
     def _load(self, e: IndexEntry) -> BuildSnapshot:
-        """Load the snapshot an index entry names, checking it against the entry's hash."""
+        """Load the snapshot an index entry names; its hash, then its header, must match the entry."""
         with open(os.path.join(self.root, e.relpath), "rb") as fh:
             snap = BuildSnapshot.deserialize(fh.read())
         if snap.content_hash != e.content_hash:
             raise CorruptSnapshot(e.content_hash, snap.content_hash)
+        if (header := (snap.build_id, snap.label, snap.created)) != e[:3]:
+            raise CorruptSnapshot(e[:3], header, "snapshot header disagrees with its index line")
         return snap
 
     def list_builds(self, label: str | None = None) -> list[IndexEntry]:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -99,6 +100,18 @@ class TestParseCompilationDb:
         with pytest.raises(MalformedDb) as exc:
             parse_compilation_db(str(db))
         assert exc.value.index == 1
+
+    def test_blank_command_is_empty(self, tmp_path, capsys):
+        db = tmp_path / "cc.json"
+        db.write_text(json.dumps([{"directory": "/src", "file": "a.c", "command": "gcc -c a.c"},
+                                  {"directory": "/src", "file": "b.c", "command": " \t "}]))
+        with pytest.raises(MalformedDb, match="empty command") as exc:
+            parse_compilation_db(str(db))
+        assert exc.value.index == 1
+        assert ingest_exit(tmp_path, db, "compdb") == 3
+        assert capsys.readouterr().err == (
+            "error: malformed compilation database (entry 1): empty command\n")
+        assert not (tmp_path / "store").exists()
 
     def test_deep_nesting_exit_3(self, tmp_path, capsys):
         db = tmp_path / "cc.json"
@@ -209,6 +222,85 @@ class TestParseWrapperSpool:
         assert "malformed wrapper record" in capsys.readouterr().err
 
 
+def _write_evidence(root, kind, argv):
+    """Evidence of `kind` in directory `root` holding one command, `argv`, run in `root`;
+    returns its path and its --kind. "compdb-command" and "compdb-arguments" name the
+    two compile-database forms."""
+    if kind == "raw-log":
+        (root / "b.log").write_text(" ".join(argv) + "\n")
+        return root / "b.log", "raw-log"
+    if kind.startswith("compdb-"):
+        form = kind.removeprefix("compdb-")
+        entry = {"directory": str(root), "file": "a.c",
+                 form: " ".join(argv) if form == "command" else argv}
+        (root / "cc.json").write_text(json.dumps([entry]))
+        return root / "cc.json", "compdb"
+    (root / "spool").mkdir()
+    (root / "spool" / "1.jsonl").write_text(json.dumps(
+        {"v": 1, "argv": argv, "cwd": str(root), "ts": "2026-01-01T00:00:00Z"}) + "\n")
+    return root / "spool", "spool"
+
+
+class TestBadResponseFile:
+    """A response file that cannot be read fails the ingest of every evidence kind with
+    exit 3 and its error, and stores nothing: unlike a garbled log line, it is not skipped."""
+
+    @pytest.mark.parametrize("kind", ["raw-log", "compdb-command", "compdb-arguments", "spool"])
+    @pytest.mark.parametrize("fault", ["unterminated-quote", "missing", "includes-itself"])
+    def test_ingest_exits_3_and_stores_nothing(self, tmp_path, capsys, kind, fault):
+        rsp = tmp_path / "opts.rsp"
+        if fault == "unterminated-quote":
+            rsp.write_text('-O2 "-DX=1\n')
+            error = "unterminated quote at position 4"
+        elif fault == "missing":
+            error = f"response file not found: {rsp}"
+        else:
+            rsp.write_text("-O2 @opts.rsp\n")
+            error = f"response file cycle: {rsp} -> {rsp}"
+        evidence, kind = _write_evidence(tmp_path, kind, ["gcc", "@opts.rsp", "-c", "a.c",
+                                                          "-o", "a.o"])
+        assert ingest_exit(tmp_path, evidence, kind) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {error}\n")
+        assert not (tmp_path / "store").exists()
+
+
+class TestTextThatIsNotUtf8:
+    """A build id, label or evidence path that is not UTF-8 (argv and os.listdir decode its
+    bytes to lone surrogates) ends `ingest` with an error and no traceback, and the store is
+    not created: exit 2 for a build id or label, exit 3 for a path."""
+
+    LOG = "gcc -O2 -c a.c -o a.o\ngcc a.o -o app\n"
+
+    @pytest.mark.parametrize("option", ["--label", "--build-id"])
+    def test_build_id_or_label_exit_2(self, tmp_path, capsys, option):
+        (tmp_path / "b.log").write_text(self.LOG)
+        argv = {"--label": "dev", "--build-id": "b1", option: os.fsdecode(b"x\xff")}
+        assert run(["--store", str(tmp_path / "store"), "ingest", str(tmp_path / "b.log"),
+                    *(word for item in argv.items() for word in item)]) == 2
+        assert "must be UTF-8 text" in capsys.readouterr().err
+        assert not (tmp_path / "store").exists()
+
+    @pytest.mark.parametrize("where", ["log-name", "log-directory", "spool-file-name"])
+    def test_path_exit_3(self, tmp_path, capsys, where):
+        odd = os.fsdecode(b"r\xff")
+        if where == "log-name":
+            evidence, kind = tmp_path / f"{odd}.log", "raw-log"
+            evidence.write_text(self.LOG)
+        elif where == "log-directory":
+            (tmp_path / odd).mkdir()
+            evidence, kind = tmp_path / odd / "b.log", "raw-log"
+            evidence.write_text(self.LOG)
+        else:
+            evidence, kind = tmp_path / "spool", "spool"
+            evidence.mkdir()
+            (evidence / f"{odd}.jsonl").write_text(json.dumps(
+                {"v": 1, "argv": ["gcc", "-c", "a.c"], "cwd": "/w"}) + "\n")
+        assert ingest_exit(tmp_path, evidence, kind) == 3
+        assert capsys.readouterr().err.startswith("error: not UTF-8, cannot be stored: ")
+        assert not (tmp_path / "store").exists()
+
+
 def log_snapshot(tmp_path, text, build_id="b1", label="dev", created="2026-01-01T00:00:00Z"):
     log = tmp_path / f"{build_id}.log"
     log.write_text(text)
@@ -281,6 +373,19 @@ class TestAssembleSnapshot:
         assert Store(str(store)).get("b1").diagnostics == [
             {"source": f"log:{log}:1", "program": "gcc",
              "reason": "unterminated quote at position 7"}]
+
+    def test_reads_no_file(self, tmp_path):
+        """Parsing expands response files; assembling takes the tokens as they are."""
+        rsp = tmp_path / "opts.rsp"
+        rsp.write_text("-O2 -DUSE_X\n")
+        log = tmp_path / "b.log"
+        log.write_text("gcc @opts.rsp -c a.c -o a.o\ngcc a.o -o app\n")
+        expected = assemble_snapshot(parse_raw_log(str(log)), "b1", "dev", "2026-01-01T00:00:00Z")
+        invocations = parse_raw_log(str(log))
+        rsp.unlink()
+        snap = assemble_snapshot(invocations, "b1", "dev", "2026-01-01T00:00:00Z")
+        assert snap.serialize() == expected.serialize()
+        assert [t.origin.kind for t in snap.tus[0].invocation.tokens[:2]] == ["response-file"] * 2
 
     def test_denormalized_effective_revalidates(self, tmp_path):
         from flagtrace.snapshot import BuildSnapshot

@@ -72,6 +72,71 @@ class TestPutGet:
         assert first_file.read_bytes() == before
 
 
+class TestHeaderAgainstIndex:
+    """A load checks the snapshot header's build id, label and created time against the
+    index line, after the hash: the header is not covered by the content hash, and audit
+    reads the label to decide whether a build is a release."""
+
+    RELEASE = "gcc -O2 -fno-stack-protector -c a.c -o a.o\ngcc a.o -o app\n"
+
+    def ingest(self, tmp_path, build_id, label="release"):
+        log = tmp_path / f"{build_id}.log"
+        log.write_text(self.RELEASE)
+        assert run(["--store", str(tmp_path / "store"), "ingest", str(log), "--label", label,
+                    "--build-id", build_id, "--created", "2026-01-01T00:00:00Z"]) == 0
+
+    def snapshot_file(self, tmp_path, build_id):
+        name = hashlib.sha256(build_id.encode()).hexdigest()[:16] + ".fts"
+        return tmp_path / "store" / "snapshots" / name
+
+    def test_relabelled_header_exits_3(self, tmp_path, capsys):
+        self.ingest(tmp_path, "r1")
+        store = str(tmp_path / "store")
+        assert run(["--store", store, "audit", "r1"]) == 1
+        snap_file = self.snapshot_file(tmp_path, "r1")
+        data = snap_file.read_bytes()
+        snap_file.write_bytes(data.replace(b'"label":"release"', b'"label":"dev"', 1))
+        capsys.readouterr()
+        assert run(["--store", store, "audit", "r1"]) == 3
+        error = ("snapshot header disagrees with its index line: expected "
+                 "('r1', 'release', '2026-01-01T00:00:00Z'), got ('r1', 'dev', '2026-01-01T00:00:00Z')")
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+        assert run(["--store", store, "verify"]) == 3
+        assert capsys.readouterr().out == f"corrupt  r1: {error}\n"
+        assert run(["--store", store, "query", "builds"]) == 0  # the index alone still reads
+
+    @pytest.mark.parametrize("field, old, new", [
+        ("build_id", "r1", "r9"), ("label", "release", "dev"),
+        ("created", "2026-01-01T00:00:00Z", "2027-01-01T00:00:00Z")])
+    def test_any_header_field_edit_is_corrupt(self, tmp_path, capsys, field, old, new):
+        self.ingest(tmp_path, "r1")
+        snap_file = self.snapshot_file(tmp_path, "r1")
+        data = snap_file.read_bytes()
+        snap_file.write_bytes(data.replace(f'"{field}":"{old}"'.encode(),
+                                           f'"{field}":"{new}"'.encode(), 1))
+        with pytest.raises(CorruptSnapshot, match="snapshot header disagrees"):
+            Store(str(tmp_path / "store")).get("r1")
+        assert Store(str(tmp_path / "store")).verify()[0][1].startswith(
+            "snapshot header disagrees with its index line")
+
+    def test_index_line_copied_from_another_build_exits_3(self, tmp_path, capsys):
+        self.ingest(tmp_path, "r1")
+        self.ingest(tmp_path, "r2")
+        index = tmp_path / "store" / "index.tsv"
+        first, second = (line.split("\t") for line in index.read_text().splitlines())
+        second[3:] = first[3:]  # r2's line names r1's hash and snapshot file
+        index.write_text("".join("\t".join(f) + "\n" for f in (first, second)))
+        store = str(tmp_path / "store")
+        Store(store).get("r1")
+        with pytest.raises(CorruptSnapshot, match=r"expected \('r2', .* got \('r1', "):
+            Store(store).get("r2")
+        capsys.readouterr()
+        assert run(["--store", store, "audit", "r2"]) == 3
+        assert run(["--store", store, "verify"]) == 3
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "ok       r1" and out[1].startswith("corrupt  r2: snapshot header")
+
+
 class TestHistory:
     def test_timeline_shows_opt_change(self, tmp_path):
         store = Store(str(tmp_path / "store"))
