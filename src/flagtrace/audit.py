@@ -15,10 +15,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .cmdline import RawInvocation, Token
+from .cmdline import Origin
 from .errors import ConfigError
-from .flagmodel import NEGATIVE, FlagEntry
-from .snapshot import BuildSnapshot
+from .flagmodel import NEGATIVE
+from .snapshot import BuildSnapshot, Record
 
 ERROR = "error"
 WARNING = "warning"
@@ -98,10 +98,12 @@ class AnomalyFinding:
     message: str
 
 
-def _prov(inv: RawInvocation, item: FlagEntry | Token | None = None) -> str:
-    if item is not None and item.origin.kind == "response-file":
-        return f"{inv.source} via {item.origin}"
-    return inv.source
+def _prov(rec: Record, origin: Origin | None = None) -> str:
+    """The record's source, and where the cited token came from if a response file; its
+    `origin` is None where the record has no `origins`, and then names the source alone."""
+    if origin is not None and origin.kind == "response-file":
+        return f"{rec.invocation.source} via {origin}"
+    return rec.invocation.source
 
 
 _UNRESOLVED = re.compile(r"\$\(|\$\{|%[A-Za-z_][A-Za-z0-9_]*%")
@@ -141,13 +143,14 @@ def run_audit(
     if "R1" in enabled and is_release:
         ndebug_haves = [t for _, t in tus if "NDEBUG" in t.effective.defines]
         for subject, tu in tus:
-            hits = [tu.effective.defines[m] for m in sorted(config.debug_markers)
-                    if m in tu.effective.defines]
+            defines = tu.effective.defines
+            hits = [m for m in sorted(config.debug_markers) if m in defines]
             if hits:
-                add("R1", subject, [(_prov(tu.invocation, h), h.spelling) for h in hits],
+                add("R1", subject, [(_prov(tu, tu.origins and tu.origins.defines[m]),
+                                     defines[m].spelling) for m in hits],
                     "release build defines a debug marker")
-            elif ndebug_haves and "NDEBUG" not in tu.effective.defines:
-                add("R1", subject, [(_prov(tu.invocation), "NDEBUG absent")],
+            elif ndebug_haves and "NDEBUG" not in defines:
+                add("R1", subject, [(_prov(tu), "NDEBUG absent")],
                     "release TU lacks NDEBUG while sibling TUs define it")
 
     def split_members(rule: str, group: str, kind_of, message) -> None:
@@ -159,7 +162,7 @@ def run_audit(
                 kind = kind_of(tu.effective.group_value(group))
                 kinds.setdefault(kind, []).append((subject, tu))
             if len(kinds) > 1:
-                evidence = [(_prov(tu.invocation), f"{subject}: {kind}")
+                evidence = [(_prov(tu), f"{subject}: {kind}")
                             for kind, mem in sorted(kinds.items()) for subject, tu in mem]
                 add(rule, target.output, evidence, message(sorted(kinds)))
 
@@ -172,15 +175,16 @@ def run_audit(
             add("R3", snapshot.build_id, [(snapshot.build_id, "no link evidence")],
                 "inconclusive: snapshot has no link-target evidence")
         for target in snapshot.targets:
-            libs = [e for e in target.effective.link_inputs if e.key == "link_lib"]
             by_stem: dict[str, list] = {}
-            for e in libs:
-                stem, version, directory = _lib_stem_version(e.value or "")
-                by_stem.setdefault(stem, []).append((version, directory, e))
+            for k, e in enumerate(target.effective.link_inputs):
+                if e.key == "link_lib":
+                    stem, version, directory = _lib_stem_version(e.value or "")
+                    by_stem.setdefault(stem, []).append((version, directory, k, e))
             for stem, group in by_stem.items():
-                if len({(v, d) for v, d, _ in group}) > 1:
+                if len({(v, d) for v, d, _, _ in group}) > 1:
                     add("R3", target.output,
-                        [(_prov(target.invocation, e), e.spelling) for _, _, e in group],
+                        [(_prov(target, target.origins and target.origins.link_inputs[k]), e.spelling)
+                         for _, _, k, e in group],
                         f"multiple versions/paths of dependency '{stem}' on one link line")
 
     if "R4" in enabled and is_release:
@@ -189,9 +193,9 @@ def run_audit(
             for group in sorted(config.hardening_required):
                 w = tu.effective.group_value(group)
                 if w is None:
-                    bad.append((_prov(tu.invocation), f"{group} absent"))
+                    bad.append((_prov(tu), f"{group} absent"))
                 elif w.polarity == NEGATIVE:
-                    bad.append((_prov(tu.invocation, w), w.spelling))
+                    bad.append((_prov(tu, tu.origins and tu.origins.scalar_groups[group]), w.spelling))
             if bad:
                 add("R4", subject, bad, "release TU compiled without required hardening")
 
@@ -214,15 +218,15 @@ def run_audit(
                 if (before is not None and sorted(before.inputs) == sorted(target.inputs)
                         and before.inputs != target.inputs):
                     add("R7", output,
-                        [(_prov(before.invocation), " ".join(before.inputs)),
-                         (_prov(target.invocation), " ".join(target.inputs))],
+                        [(_prov(before), " ".join(before.inputs)),
+                         (_prov(target), " ".join(target.inputs))],
                         "link input order changed while the input set is identical")
 
     if "R8" in enabled:
         for subject, tu in tus:
             hits = [t for t in tu.invocation.tokens if _UNRESOLVED.search(t.text)]
             if hits:
-                add("R8", subject, [(_prov(tu.invocation, t), t.text) for t in hits],
+                add("R8", subject, [(_prov(tu, t.origin), t.text) for t in hits],
                     "unexpanded variable token in compiler command")
 
     findings.sort(key=lambda f: (f.rule, f.subject))

@@ -10,7 +10,6 @@ field). Timestamps and build ids never influence the result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 from .flagmodel import FlagEntry
 from .snapshot import BuildSnapshot, LinkTargetRecord, Record
@@ -68,17 +67,13 @@ class DiffReport:
         return doc
 
 
-# An entry's value identity is everything but its provenance; a delta shows
-# each side as a dict of these fields.
-_VALUE_FIELDS = ("key", "group", "polarity", "value", "spelling")
-_values = attrgetter(*_VALUE_FIELDS)
-
 _KEYED = ((GROUP, "scalar_groups"), (DEFINE, "defines"))
 _ORDERED = ((INCLUDE_ORDER, "include_dirs"), (LINK_ORDER, "link_inputs"), (OPAQUE, "opaque"))
 
 
 def _entry_dict(e: FlagEntry | None) -> dict | None:
-    return None if e is None else dict(zip(_VALUE_FIELDS, _values(e)))
+    """A delta's side: the entry's fields, or None where it is absent."""
+    return None if e is None else dict(vars(e))
 
 
 def _diff_records(ra: Record, rb: Record) -> list[FlagDelta]:
@@ -91,11 +86,11 @@ def _diff_records(ra: Record, rb: Record) -> list[FlagDelta]:
         map_a, map_b = getattr(a, attr), getattr(b, attr)
         for name in sorted(map_a.keys() | map_b.keys()):
             ea, eb = map_a.get(name), map_b.get(name)
-            if ea is None or eb is None or _values(ea) != _values(eb):
+            if ea != eb:
                 deltas.append(FlagDelta(scope, name, _entry_dict(ea), _entry_dict(eb)))
     for scope, attr in _ORDERED:
         seq_a, seq_b = getattr(a, attr), getattr(b, attr)
-        if list(map(_values, seq_a)) != list(map(_values, seq_b)):
+        if seq_a != seq_b:
             deltas.append(FlagDelta(scope, None, [_entry_dict(e) for e in seq_a],
                                     [_entry_dict(e) for e in seq_b]))
     return deltas

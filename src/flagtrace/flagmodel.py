@@ -18,15 +18,15 @@ impossible. The code keeps only how a token is read: MSVC's '-' for
 flag-like token, or one extension lookup for any other, all in
 dicts. A token's entry depends only on its family and text, except for
 a flag that takes the next token (-D FOO), so `classify_all` builds
-the entry for a command-line spelling once and reuses it for every
-later copy of that spelling. Its memo is a plain dict that the caller
-scopes to one snapshot; it is freed with that snapshot.
+the entry for a spelling once and reuses it for every later copy of
+that spelling, from a response file or not. Its memo is a plain dict
+that the caller scopes to one snapshot; it is freed with that snapshot.
 
-`resolve` is the one fold from entries to a set. `canonical_deserialize`
-is the inverse of `canonical_serialize` for a set resolved from
-command-line tokens alone, the one case in which the canonical text
-holds everything the entries do: it parses each line into its entry
-and folds those entries with `resolve`.
+An entry holds no provenance; `token_indices` finds the token it came
+from. `resolve` is the one fold from entries to a set, and folds what a
+caller holds in each entry's place by the same rule.
+`canonical_deserialize` is the exact inverse of `canonical_serialize`:
+it parses each line into its entry and folds those entries with `resolve`.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from importlib import resources
 from json.encoder import encode_basestring
 
 from . import strictjson
-from .cmdline import Dialect, Family, Origin, Token, COMMAND_LINE
+from .cmdline import Dialect, Family, Token
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -50,7 +50,6 @@ class FlagEntry:
     value: str | None
     polarity: str
     spelling: str
-    origin: Origin = COMMAND_LINE
     group: str | None = None
 
 
@@ -101,11 +100,11 @@ def _ext_of(text: str) -> str:
     return name[dot:] if dot > 0 else ""
 
 
-def _entry(row: _VocabRow, value: str | None, spelling: str, origin: Origin) -> FlagEntry:
+def _entry(row: _VocabRow, value: str | None, spelling: str) -> FlagEntry:
     group = row.group
     if group is not None and group.endswith("*"):
         group = group[:-1] + value
-    return FlagEntry(row.key, value, row.polarity, spelling, origin, group)
+    return FlagEntry(row.key, value, row.polarity, spelling, group)
 
 
 def classify(token: Token, dialect: Dialect, next_token: Token | None = None) -> tuple[FlagEntry, bool]:
@@ -143,7 +142,7 @@ def classify(token: Token, dialect: Dialect, next_token: Token | None = None) ->
         if how == "next":
             if next_token is not None:
                 arg = next_token.text
-                return _entry(row, arg, f"{text} {arg}", token.origin), True
+                return _entry(row, arg, f"{text} {arg}"), True
         elif rest or how != "attached":
             if how == "spelling":
                 # Canonical spelling from the table (e.g. '/O2' even when typed '-O2').
@@ -154,42 +153,44 @@ def classify(token: Token, dialect: Dialect, next_token: Token | None = None) ->
                 value = None
             else:
                 value = rest
-            return _entry(row, value, text, token.origin), False
-    return FlagEntry("opaque", None, VALUED, text, token.origin), False
+            return _entry(row, value, text), False
+    return FlagEntry("opaque", None, VALUED, text), False
 
 
 def classify_all(tokens: Sequence[Token], dialect: Dialect, memo: dict | None = None) -> list[FlagEntry]:
     """Classify a token stream; equal to calling `classify` on each token in turn.
-
-    `memo` maps a family to the entries built so far for command-line
-    tokens, by spelling; pass one dict for all commands of a snapshot.
-    Response-file tokens carry their own origin and are never memoized.
-    """
+    `memo` maps a family to the entries built so far, by spelling; pass one dict
+    for all commands of a snapshot."""
     seen = (memo if memo is not None else {}).setdefault(dialect.family, {})
     entries = []
     n = len(tokens)
     i = 0
     while i < n:
-        token = tokens[i]
-        shared = token.origin is COMMAND_LINE
-        if shared:
-            entry = seen.get(token.text)
-            if entry is not None:
-                entries.append(entry)
+        text = tokens[i].text
+        entry = seen.get(text)
+        if entry is None:
+            nxt = tokens[i + 1] if i + 1 < n else None
+            entry, consumed = classify(tokens[i], dialect, nxt)
+            if consumed:
                 i += 1
-                continue
-        nxt = tokens[i + 1] if i + 1 < n else None
-        entry, consumed = classify(token, dialect, nxt)
+            elif nxt is not None:
+                # A `next` row's flag consumes a present next token, so an entry
+                # built with one present depends on the spelling alone.
+                seen[text] = entry
         entries.append(entry)
-        if consumed:
-            i += 2
-            continue
-        # A `next` row's flag consumes a present next token, so an entry
-        # built with one present depends on the spelling alone.
-        if shared and nxt is not None:
-            seen[token.text] = entry
         i += 1
     return entries
+
+
+def token_indices(tokens: Sequence[Token], entries: Sequence[FlagEntry]) -> list[int]:
+    """The index in `tokens` of the token each entry of `classify_all(tokens, ...)` came from.
+    Only a `next` row with a next token spells its entry `f"{text} {arg}"`, so an
+    entry not spelled as its token's text also took the token after it."""
+    out, i = [], 0
+    for e in entries:
+        out.append(i)
+        i += 1 if e.spelling == tokens[i].text else 2
+    return out
 
 
 def _macro_name(value: str) -> str:
@@ -217,24 +218,25 @@ class EffectiveFlagSet:
         return self.scalar_groups.get(group)
 
 
-def resolve(entries: list[FlagEntry]) -> EffectiveFlagSet:
-    """Fold ordered entries into the effective state (later wins per group)."""
+def resolve(entries: Sequence[FlagEntry], held: Sequence | None = None) -> EffectiveFlagSet:
+    """Fold ordered entries into the effective state (later wins per group).
+    `held`, if given, is what the set holds in each entry's place, item for item."""
     out = EffectiveFlagSet()
-    for e in entries:
+    for e, h in zip(entries, entries if held is None else held):
         if e.group is not None:
-            out.scalar_groups[e.group] = e
+            out.scalar_groups[e.group] = h
         elif e.key == "macro_define":
-            out.defines[_macro_name(e.value or "")] = e
+            out.defines[_macro_name(e.value or "")] = h
         elif e.key == "macro_undef":
             out.defines.pop(e.value or "", None)
         elif e.key == "include_dir":
-            out.include_dirs.append(e)
+            out.include_dirs.append(h)
         elif e.key in ("link_obj", "link_lib"):
-            out.link_inputs.append(e)
+            out.link_inputs.append(h)
         elif e.key == "source_file":
-            out.sources.append(e)
+            out.sources.append(h)
         else:
-            out.opaque.append(e)
+            out.opaque.append(h)
     return out
 
 
@@ -276,15 +278,14 @@ _LINE_FIELD_TYPES = {str, type(None)}
 
 
 def _entry_of_line(row) -> FlagEntry:
-    """The entry of a line that `canonical_serialize` wrote for a
-    command-line entry, given the line JSON-decoded."""
+    """The entry of a line that `canonical_serialize` wrote, given the line JSON-decoded."""
     # Every field is a string, and only a value may be null.
     if type(row) is list and row and {*map(type, row)} <= _LINE_FIELD_TYPES:
         tag, n = row[0], len(row)
         if tag == "group":
             if n == 6 and None not in (row[1], row[2], row[3], row[5]):
                 _, gid, key, polarity, value, spelling = row
-                return FlagEntry(key, value, polarity, spelling, COMMAND_LINE, gid)
+                return FlagEntry(key, value, polarity, spelling, gid)
         elif tag == "define":
             # The name must be the key that `resolve` files the entry under.
             if n == 4 and row[3] is not None and row[1] == _macro_name(row[2] or ""):
@@ -305,7 +306,7 @@ def _entry_of_line(row) -> FlagEntry:
 
 
 def canonical_deserialize(text: str, memo: dict) -> EffectiveFlagSet:
-    """The set that `canonical_serialize` wrote as `text`, every entry from the command line.
+    """The set that `canonical_serialize` wrote as `text`.
 
     Each line is parsed into its entry, and `resolve` folds the entries
     in line order; canonical order folds back to the set it came from.

@@ -17,7 +17,8 @@ decoder under one load rule, and the version is then forgotten: a
 loaded v1 snapshot serializes as v2. Any other version is rejected.
 
 On load the hash is checked over the record lines as stored, without
-re-serializing them, and every line is JSON-decoded, with each field it
+re-serializing them; diagnostic lines are outside it, and a line of any
+other kind is unreadable. Every line is JSON-decoded, with each field it
 reads checked for its JSON type. Effective flag sets are stored
 denormalized for query speed. Every record, loaded or assembled, holds
 the canonical text it stores, `effective_text`, which the hash covers
@@ -29,11 +30,11 @@ recomputed nor a vocabulary edit since ingest. `flagtrace verify` finds
 both through `drifted()`, which decodes no stored set: a record's tokens
 must resolve to a set that serializes to exactly its text, byte for byte.
 
-The stored text has no token origins, which audit evidence needs, so a
-record with a response-file token is re-resolved when its set is first
-read: if the same rule holds, the record takes the re-resolved set,
-origins and all; otherwise it keeps its stored set, whose entries then
-name only the command line.
+The stored text has no token origins, which only audit evidence reads.
+A record's `origins` re-classifies its tokens when one came from a
+response file, by the rule `drifted()` checks: while they resolve to the
+stored text, each winner's token origin stands in the winner's place;
+otherwise there are none, and evidence names the source alone.
 """
 
 from __future__ import annotations
@@ -59,12 +60,30 @@ _canon = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", "
 class _Record:
     """Both kinds of record hold `effective_text`, and build `effective` from it on first read."""
 
-    _load: _Load | None = None  # the load that read the record; None for an assembled one
+    _flagset_lines: dict | None = None  # the line memo of the load that read the record
     _line = 0  # the line the record was read from
 
     @cached_property
     def effective(self) -> flagmodel.EffectiveFlagSet:
-        return (self._load or _Load()).effective(self)
+        """The set the record stores."""
+        try:
+            return flagmodel.canonical_deserialize(
+                self.effective_text, {} if self._flagset_lines is None else self._flagset_lines)
+        except (AttributeError, LookupError, TypeError, ValueError) as exc:
+            raise _unreadable(self._line, exc) from None
+
+    @cached_property
+    def origins(self) -> flagmodel.EffectiveFlagSet | None:
+        """`effective` with the origin of each winner's token in the winner's place.
+        None when no token came from a response file, or when the tokens no longer
+        resolve to the stored text; every winner is then cited by its source alone."""
+        tokens = self.invocation.tokens
+        if any(t.origin is not COMMAND_LINE for t in tokens):
+            entries = _classified_as_stored(self, {})
+            if entries is not None:
+                return flagmodel.resolve(entries, [tokens[i].origin
+                                                   for i in flagmodel.token_indices(tokens, entries)])
+        return None
 
 
 @dataclass
@@ -138,27 +157,21 @@ def _unreadable(lineno: int, exc: Exception) -> CorruptSnapshot:
                            f"unreadable snapshot line {lineno}")
 
 
-def _resolve(inv: RawInvocation, memo: dict) -> flagmodel.EffectiveFlagSet:
-    """The set the invocation's tokens resolve to under the current vocabulary."""
-    return flagmodel.resolve(flagmodel.classify_all(inv.tokens, inv.dialect, memo))
-
-
-def _resolved_as_stored(rec: Record, memo: dict) -> flagmodel.EffectiveFlagSet | None:
-    """The set a record's tokens resolve to now, if it serializes to exactly its stored text."""
-    resolved = _resolve(rec.invocation, memo)
-    as_stored = flagmodel.canonical_serialize(resolved) == rec.effective_text.encode("utf-8")
-    return resolved if as_stored else None
+def _classified_as_stored(rec: Record, memo: dict) -> list[flagmodel.FlagEntry] | None:
+    """The entries a record's tokens classify to now, if they resolve to a set
+    that serializes to exactly its stored text; else None."""
+    entries = flagmodel.classify_all(rec.invocation.tokens, rec.invocation.dialect, memo)
+    resolved = flagmodel.canonical_serialize(flagmodel.resolve(entries))
+    return entries if resolved == rec.effective_text.encode("utf-8") else None
 
 
 class _Load:
-    """What the records of one load share, kept by each record to build its set
-    on first read: one Token per command-line text, one FlagEntry per flag-set
-    line and one `classify_all` memo for the records it re-resolves."""
+    """What the records of one load share: one Token per command-line text, and
+    one FlagEntry per flag-set line, which each record keeps to build its set."""
 
     def __init__(self):
         self.tokens = TokenTable()
         self.flagset_lines: dict = {}
-        self.classified: dict = {}
 
     def record(self, cls: type[Record], d: dict, lineno: int) -> Record:
         """The record stored as `d` on line `lineno`, with its set not yet built."""
@@ -173,21 +186,8 @@ class _Load:
                             DIALECTS[i["dialect"]["family"], i["dialect"]["tool_kind"]])
         rec = cls(**{name: _field(d, name, kind) for name, kind in cls.FIELDS.items()},
                   invocation=inv, effective_text=_field(d, "effective"))
-        rec._load, rec._line = self, lineno
+        rec._flagset_lines, rec._line = self.flagset_lines, lineno
         return rec
-
-    def effective(self, rec: Record) -> flagmodel.EffectiveFlagSet:
-        """The set `rec` stored. A record with a response-file token is re-resolved
-        to recover the origins the stored text lacks and takes that set if it
-        serializes to the stored text; otherwise it keeps its stored set."""
-        try:
-            if any(t.origin is not COMMAND_LINE for t in rec.invocation.tokens):
-                resolved = _resolved_as_stored(rec, self.classified)
-                if resolved is not None:
-                    return resolved
-            return flagmodel.canonical_deserialize(rec.effective_text, self.flagset_lines)
-        except (AttributeError, LookupError, TypeError, ValueError) as exc:
-            raise _unreadable(rec._line, exc) from None
 
 
 @dataclass
@@ -224,14 +224,13 @@ class BuildSnapshot:
         """(subject, record) pairs, TUs then link targets, of the records whose
         effective text is not the bytes their tokens resolve to now.
 
-        Re-resolves every record by the rule `effective` uses to recover origins,
-        `_resolved_as_stored`, and decodes no stored set. A rewritten or
-        non-canonical stored set, or a vocabulary edit since ingest, shows
-        here, and only here.
+        Re-resolves every record by the rule `origins` uses, `_classified_as_stored`,
+        and decodes no stored set. A rewritten or non-canonical stored set, or a
+        vocabulary edit since ingest, shows here, and only here.
         """
         memo: dict = {}
         return [(subject, r) for scope in ("tu", "target") for subject, r in self.named(scope)
-                if _resolved_as_stored(r, memo) is None]
+                if _classified_as_stored(r, memo) is None]
 
     def serialize(self) -> bytes:
         """Encode each record once, set content_hash over those lines and return the file."""
@@ -275,7 +274,7 @@ class BuildSnapshot:
             for lineno, line in enumerate(lines[1:], start=2):
                 d = strictjson.loads(line.decode("utf-8"))
                 kind = d.pop("kind")
-                if kind not in _RECORD_TYPES:
+                if kind == "diagnostic":
                     snap.diagnostics.append(d)
                     continue
                 h.update(line)

@@ -2,7 +2,9 @@
 
 `canonical_serialize` is the flag-set encoder as first written: one
 `json.dumps` call per line. `classify_each` classifies a token stream
-with one `classify` call per token and no memo. `classify` is the
+with one `classify` call per token and no memo. `resolve_with_origins`
+folds entries that each carry their token's origin, as every entry once
+did, which `origins` on a snapshot record must agree with. `classify` is the
 classifier as it was while argument flags, the -W warning rule and file
 extensions were tables and branches in code, beside the vocabulary rows
 of the other kinds. `entries` re-linearizes a resolved set. The runtime
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from flagtrace import flagmodel
-from flagtrace.cmdline import Dialect, Family, Token
+from flagtrace.cmdline import COMMAND_LINE, Dialect, Family, Origin, Token
 from flagtrace.flagmodel import NEGATIVE, POSITIVE, VALUED, EffectiveFlagSet, FlagEntry
 
 
@@ -50,6 +52,25 @@ def classify_each(tokens, dialect):
         entries.append(entry)
         i += 2 if consumed else 1
     return entries
+
+
+@dataclass(frozen=True)
+class CarriedEntry(FlagEntry):
+    """An entry with its token's origin, the field every FlagEntry once had."""
+    origin: Origin = COMMAND_LINE
+
+
+def resolve_with_origins(tokens, dialect) -> EffectiveFlagSet:
+    """The set of `tokens` folded from entries that carry their token's origin: each
+    winner is a CarriedEntry, whose origin is that of the token it was classified from."""
+    carried = []
+    i = 0
+    while i < len(tokens):
+        nxt = tokens[i + 1] if i + 1 < len(tokens) else None
+        entry, consumed = flagmodel.classify(tokens[i], dialect, nxt)
+        carried.append(CarriedEntry(**vars(entry), origin=tokens[i].origin))
+        i += 2 if consumed else 1
+    return flagmodel.resolve(carried)
 
 
 def entries(fset: EffectiveFlagSet) -> list[FlagEntry]:
@@ -137,7 +158,7 @@ def _from_row(row: _VocabRow, token: Token) -> FlagEntry:
         value = token.text[len(row.pattern) - 1 :]
     else:
         value = None
-    return FlagEntry(row.key, value, row.polarity, token.text, token.origin, row.group)
+    return FlagEntry(row.key, value, row.polarity, token.text, row.group)
 
 
 def classify(token: Token, dialect: Dialect, next_token: Token | None = None) -> tuple[FlagEntry, bool]:
@@ -159,17 +180,17 @@ def classify(token: Token, dialect: Dialect, next_token: Token | None = None) ->
         if next_token is not None:
             return (
                 FlagEntry(key, next_token.text, VALUED, f"{text} {next_token.text}",
-                          token.origin, _ARG_KEY_GROUPS.get(key)),
+                          _ARG_KEY_GROUPS.get(key)),
                 True,
             )
-        return FlagEntry("opaque", None, VALUED, text, token.origin), False
+        return FlagEntry("opaque", None, VALUED, text), False
     arg_flags = _ARG_FLAGS[family]
     for n in _ARG_PREFIX_LENGTHS[family]:
         if len(lookup) <= n:
             break
         key = arg_flags.get(lookup[:n])
         if key is not None:
-            return FlagEntry(key, lookup[n:], VALUED, text, token.origin,
+            return FlagEntry(key, lookup[n:], VALUED, text,
                              _ARG_KEY_GROUPS.get(key)), False
 
     row = _EXACT.get((family, lookup))
@@ -191,7 +212,7 @@ def classify(token: Token, dialect: Dialect, next_token: Token | None = None) ->
             polarity = NEGATIVE
             name = name[3:]
         if name:
-            return FlagEntry("warning", name, polarity, text, token.origin, f"warning:{name}"), False
+            return FlagEntry("warning", name, polarity, text, f"warning:{name}"), False
 
     # On GNU-likes only '-' marks a flag; a leading '/' is an absolute path.
     is_flag_like = text.startswith("-") or (
@@ -200,10 +221,10 @@ def classify(token: Token, dialect: Dialect, next_token: Token | None = None) ->
     if not is_flag_like:
         ext = _ext_of(text)
         if ext in _SOURCE_EXTS or (ext == ".c" or text.endswith(".C")):
-            return FlagEntry("source_file", text, VALUED, text, token.origin), False
+            return FlagEntry("source_file", text, VALUED, text), False
         if ext in _OBJECT_EXTS:
-            return FlagEntry("link_obj", text, VALUED, text, token.origin), False
+            return FlagEntry("link_obj", text, VALUED, text), False
         if ext in _LIB_EXTS:
-            return FlagEntry("link_lib", text, VALUED, text, token.origin), False
+            return FlagEntry("link_lib", text, VALUED, text), False
 
-    return FlagEntry("opaque", None, VALUED, text, token.origin), False
+    return FlagEntry("opaque", None, VALUED, text), False

@@ -93,6 +93,27 @@ class TestResponseFiles:
         assert evidence["R4"] == [[f"log:{log}:1 via {rsp}#0", "-fno-stack-protector"]]
         assert evidence["R8"] == [[f"log:{log}:1 via {rsp}#1", "-DV=$(VERSION)"]]
 
+    def test_audit_cites_response_file_defines_and_link_inputs(self, tmp_path, capsys):
+        """R1 cites the later of two -DDEBUG and the first token of a split -D; R3 cites
+        each of two equal -lfoo-1.2 entries by its own token."""
+        (tmp_path / "dbg.rsp").write_text("-g -DDEBUG -D DEBUG_TRACING\n")
+        (tmp_path / "libs.rsp").write_text("-L. -lbar-1.0 -lfoo-1.2\n")
+        log = tmp_path / "rel.log"
+        log.write_text("gcc -DDEBUG -O2 -fstack-protector @dbg.rsp -c a.c -o a.o\n"
+                       "gcc a.o @libs.rsp -lfoo-1.3 -lfoo-1.2 -o app\n")
+        store = str(tmp_path / "store")
+        assert run(["--store", store, "ingest", str(log), "--label", "release",
+                    "--build-id", "r1"]) == 0
+        capsys.readouterr()
+        assert run(["--store", store, "--format", "json", "audit", "r1"]) == 4
+        findings = json.loads(capsys.readouterr().out)["findings"]
+        evidence = {f["rule"]: f["evidence"] for f in findings}
+        dbg, libs = tmp_path / "dbg.rsp", tmp_path / "libs.rsp"
+        assert evidence["R1"] == [[f"log:{log}:1 via {dbg}#1", "-DDEBUG"],
+                                  [f"log:{log}:1 via {dbg}#2", "-D DEBUG_TRACING"]]
+        assert evidence["R3"] == [[f"log:{log}:2 via {libs}#2", "-lfoo-1.2"],
+                                  [f"log:{log}:2", "-lfoo-1.3"], [f"log:{log}:2", "-lfoo-1.2"]]
+
 
 class TestSourceCompiledTwice:
     """A source built as a static and a PIC object keeps both TUs, each named by its object."""

@@ -16,6 +16,7 @@ from flagtrace.flagmodel import (
     classify,
     classify_all,
     resolve,
+    token_indices,
 )
 
 GNU = Dialect(Family.GNU_LIKE, ToolKind.COMPILER)
@@ -275,14 +276,21 @@ class TestClassifyAllMemo:
     @given(st.lists(_commands, max_size=8))
     @example([(GNU, [Token("-O2"), Token("-D")]), (GNU, [Token("-D"), Token("FOO"), Token("-c")]),
               (MSVC, [Token("/D")]), (MSVC, [Token("-D"), Token("X")]), (MSVC, [Token("/D")])])
+    @example([(GNU, [Token("-O2", _ORIGINS[2]), Token("-c")]), (GNU, [Token("-c"), Token("-O2")])])
     def test_equals_classify_per_token(self, commands):
         """One memo across a snapshot's commands gives what classify gives.
 
-        FlagEntry equality covers every field, the token's origin included.
+        A spelling an earlier command memoized is that one entry object, whatever
+        the origin of the token it was built from and of the token reusing it.
         """
         memo = {}
         for dialect, tokens in commands:
-            assert classify_all(tokens, dialect, memo) == canonical_oracle.classify_each(tokens, dialect)
+            known = dict(memo.get(dialect.family, {}))
+            entries = classify_all(tokens, dialect, memo)
+            assert entries == canonical_oracle.classify_each(tokens, dialect)
+            for entry, i in zip(entries, token_indices(tokens, entries)):
+                if tokens[i].text in known:
+                    assert entry is known[tokens[i].text]
 
     def test_trailing_separated_flag_then_with_argument(self):
         memo = {}
@@ -303,7 +311,7 @@ _token_texts = st.one_of(
     st.builds(lambda stem, text, ext: stem + text + ext,
               st.sampled_from(_STEMS), _TEXT, st.sampled_from(_EXTS)),
 )
-_command_line_tokens = st.builds(Token, _token_texts)
+_tokens = st.builds(Token, _token_texts, st.sampled_from(_ORIGINS))
 
 _PINNED = [
     "-Wno-", "-W", "-Wl,x", "/OUT:", "-std=", "-std:c++17", "-D", "-isystem", "/Fo",
@@ -313,29 +321,27 @@ _PINNED = [
 
 class TestClassifyOracle:
     @given(st.sampled_from([GNU, MSVC]), st.one_of(st.sampled_from(_PINNED), _token_texts),
-           st.sampled_from([COMMAND_LINE, Origin("response-file", "a.rsp", 1)]),
            st.one_of(st.none(), st.builds(Token, _TEXT)))
-    def test_equals_the_classifier_with_code_side_tables(self, dialect, text, origin, nxt):
+    def test_equals_the_classifier_with_code_side_tables(self, dialect, text, nxt):
         """Every rule as a row gives what the rules in code gave: entry and consumption."""
-        token = Token(text, origin)
+        token = Token(text)
         assert classify(token, dialect, nxt) == canonical_oracle.classify(token, dialect, nxt)
 
     def test_pinned_examples(self):
-        for text, dialect, origin, nxt in itertools.product(
-                _PINNED, [GNU, MSVC], [COMMAND_LINE, Origin("response-file", "a.rsp", 1)],
-                [None, Token("ARG")]):
-            token = Token(text, origin)
+        for text, dialect, nxt in itertools.product(_PINNED, [GNU, MSVC], [None, Token("ARG")]):
+            token = Token(text)
             assert classify(token, dialect, nxt) == canonical_oracle.classify(token, dialect, nxt)
 
 
 class TestCanonicalDeserialize:
     @given(st.lists(st.tuples(st.sampled_from([GNU, MSVC, GNU_LINK, MSVC_LINK]),
-                              st.lists(_command_line_tokens, max_size=12)), max_size=6))
+                              st.lists(_tokens, max_size=12)), max_size=6))
     @example([(GNU, [Token("-D"), Token("X=\"a b\""), Token("-DX"), Token("-UY"), Token("-D")]),
               (MSVC, [Token("/DA=1"), Token("-D"), Token("B"), Token("/Foo\u2028.obj")]),
               (GNU, [Token("-Wno-"), Token("-W\x00"), Token("-l\\"), Token("\u0085.c")])])
     def test_inverts_canonical_serialize(self, commands):
-        """Decoding gives the resolved entries back: every field, origin and dict key.
+        """Decoding gives the resolved entries back, whichever tokens came from a
+        response file: every field and dict key.
 
         One line memo serves every command, as one serves a snapshot.
         """
@@ -348,7 +354,6 @@ class TestCanonicalDeserialize:
             assert back.defines == fset.defines
             assert (back.include_dirs, back.link_inputs, back.sources, back.opaque) == (
                 fset.include_dirs, fset.link_inputs, fset.sources, fset.opaque)
-            assert all(e.origin is COMMAND_LINE for e in canonical_oracle.entries(back))
             assert canonical_serialize(back).decode("utf-8") == text
 
     def test_equal_lines_share_one_entry(self):

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import canonical_oracle
 from conftest import build_minimal_elf
 from flagtrace import flagmodel, snapshot
 from flagtrace.cli import run
@@ -147,6 +148,20 @@ def test_deeply_nested_line_exit_3(tmp_path, capsys):
     assert "unreadable snapshot line 2" in capsys.readouterr().err
 
 
+def test_line_of_unknown_kind_exit_3(tmp_path, capsys):
+    """A line that is not a TU, a link target or a diagnostic is unreadable, though the
+    content hash, which covers only record lines, still matches."""
+    store = install_fixture(tmp_path / "store")
+    snap_file = Path(store.snap_dir) / "fixture.fts"
+    n = snap_file.read_bytes().count(b"\n") + 1
+    with open(snap_file, "ab") as fh:
+        fh.write(b'{"kind":"nonsense","x":1}\n')
+    assert _query_fixture(store) == 3
+    assert f"unreadable snapshot line {n}" in capsys.readouterr().err
+    code, doc = _verify(store, capsys)
+    assert code == 3 and f"unreadable snapshot line {n}" in doc["builds"][0]["error"]
+
+
 _RSP_ORIGINS = st.builds(Origin, st.just("response-file"),
                          st.sampled_from(["/w/a.rsp", "C:\\w\\b.rsp"]), st.integers(0, 9))
 _TOKENS = st.builds(
@@ -250,10 +265,46 @@ def test_every_record_builds_its_set_on_first_read(tmp_path):
 
 
 def test_an_assembled_response_file_tu_keeps_its_origins(tmp_path):
-    eff = _rsp_snapshot(tmp_path).tus[0].effective
+    origins = _rsp_snapshot(tmp_path).tus[0].origins
     rsp = str(tmp_path / "opts.rsp")
-    assert eff.group_value("opt_level").origin == Origin("response-file", rsp, 0)
-    assert eff.group_value("exceptions").origin == Origin("response-file", rsp, 1)
+    assert origins.group_value("opt_level") == Origin("response-file", rsp, 0)
+    assert origins.group_value("exceptions") == Origin("response-file", rsp, 1)
+
+
+# Spellings that win group, define and link-input slots, among others.
+_SLOT_TOKENS = st.builds(
+    Token,
+    st.one_of(st.sampled_from(["-O2", "-O0", "/O2", "-fno-stack-protector", "-fstack-protector",
+                               "-D", "/D", "X", "-DX", "-DX=1", "/DX", "-UX", "-o", "/Fo", "a.o",
+                               "-lfoo-1.2", "-lfoo-1.3", "m.lib", "libz.a", "-c", "a.c", "-g"]),
+              st.text(st.characters(blacklist_categories=("Cs",)), min_size=1)),
+    st.one_of(st.just(COMMAND_LINE), _RSP_ORIGINS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["gcc", "cl", "ld"]), st.lists(_SLOT_TOKENS, max_size=16))
+@example("ld", [Token("-lfoo-1.2", Origin("response-file", "/w/libs.rsp", 2)),
+                Token("-lfoo-1.3"), Token("-lfoo-1.2")])
+@example("gcc", [Token("-DX"), Token("-D", Origin("response-file", "/w/d.rsp", 1)),
+                 Token("X", Origin("response-file", "/w/d.rsp", 2)), Token("-O2")])
+def test_origins_agree_with_an_origin_carrying_fold(program, tokens):
+    """Each winner's origin in `origins`, of an assembled record and of it loaded, is
+    the origin of the winner that entries carrying their token's origin fold to."""
+    dialect = detect_dialect(program)
+    inv = RawInvocation(program, tuple(tokens), "/w", "log:/w/b.log:1", dialect)
+    text = flagmodel.canonical_serialize(flagmodel.resolve(flagmodel.classify_all(inv.tokens, dialect)))
+    snap = BuildSnapshot("b", "dev", "2026-01-01T00:00:00Z",
+                         tus=[TranslationUnitRecord("/w/a.c", "/w/a.o", inv, text.decode())])
+    want = canonical_oracle.resolve_with_origins(inv.tokens, dialect)
+    for rec in (snap.tus[0], BuildSnapshot.deserialize(snap.serialize()).tus[0]):
+        got = rec.origins
+        if got is None:
+            assert all(t.origin is COMMAND_LINE for t in rec.invocation.tokens)
+            assert all(e.origin is COMMAND_LINE for e in canonical_oracle.entries(want))
+            continue
+        assert got.scalar_groups == {g: e.origin for g, e in want.scalar_groups.items()}
+        assert got.defines == {m: e.origin for m, e in want.defines.items()}
+        assert got.link_inputs == [e.origin for e in want.link_inputs]
 
 
 # Arguments of a GNU compile line; "-o a.o" and "-I inc" are one argument
@@ -408,18 +459,18 @@ def test_verify_reads_each_link_of_one_output(tmp_path, capsys):
 
 
 def test_response_file_record_reads_its_stored_set(tmp_path, capsys):
-    """get trusts the hash for a response-file record too, whose entries then lose
-    their response-file origins; verify re-resolves it."""
+    """get trusts the hash for a response-file record too, which then has no
+    origins; verify re-resolves it."""
     store = install_fixture(tmp_path / "store", FIXTURE_V2)
     util = "/work/proj/src/util.c"
-    debug_info = store.get("fixture-v2").tus[1].effective.group_value("debug_info")
-    assert str(debug_info.origin) == "/work/proj/opts.rsp#0"
+    debug_info = store.get("fixture-v2").tus[1].origins.group_value("debug_info")
+    assert str(debug_info) == "/work/proj/opts.rsp#0"
     _rewrite_record(store, "fixture-v2", 1, _set_opt("-O0"))
 
     assert run(["--store", store.root, "query", "effective", "--build", "fixture-v2",
                 "--subject", util]) == 0
     assert '["group","opt_level","opt_level","valued","-O0","-O0"]' in capsys.readouterr().out
-    assert store.get("fixture-v2").tus[1].effective.group_value("debug_info").origin is COMMAND_LINE
+    assert store.get("fixture-v2").tus[1].origins is None
     assert _verify(store, capsys) == (3, {"report_version": 1, "builds": [
         {"build_id": "fixture-v2", "status": "corrupt", "error": None, "subjects": [util]}]})
 
@@ -498,7 +549,7 @@ def set_builds(monkeypatch) -> Counter:
     """Counts of the calls that build a loaded record's set: decoding its stored
     text, or re-resolving its tokens."""
     calls = Counter()
-    for owner, name in ((flagmodel, "canonical_deserialize"), (snapshot, "_resolve")):
+    for owner, name in ((flagmodel, "canonical_deserialize"), (snapshot, "_classified_as_stored")):
         def counted(*args, _original=getattr(owner, name), _name=name):
             calls[_name] += 1
             return _original(*args)
@@ -525,12 +576,12 @@ def test_a_command_builds_only_the_sets_it_reads(tmp_path, capsys, set_builds):
     elf = build_minimal_elf(tmp_path / "a.o.elf")
     for argv, code, want in [
         (["query", "effective", "--build", "b3", "--subject", a], 0, {"canonical_deserialize": 1}),
-        (["query", "effective", "--build", "b3", "--subject", r], 0, {"_resolve": 1}),
+        (["query", "effective", "--build", "b3", "--subject", r], 0, {"canonical_deserialize": 1}),
         (["stamp", elf, "b3", a], 0, {"canonical_deserialize": 1}),
         (["diff", "b1", "b2"], 0, {}),
         (["diff", "b2", "b3"], 4, {"canonical_deserialize": 2}),  # a.c changed
-        (["history", "dev", "--key", "opt_level"], 0, {"canonical_deserialize": 3, "_resolve": 1}),
-        (["verify", "b3"], 0, {"_resolve": 4}),  # every record re-resolved, no stored set decoded
+        (["history", "dev", "--key", "opt_level"], 0, {"canonical_deserialize": 4}),
+        (["verify", "b3"], 0, {"_classified_as_stored": 4}),  # every record re-resolved, no stored set decoded
     ]:
         set_builds.clear()
         assert run(["--store", store, *argv]) == code, argv
