@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .cmdline import Origin
 from .errors import ConfigError
-from .flagmodel import NEGATIVE
+from .flagmodel import ABSENT, NEGATIVE
 from .snapshot import BuildSnapshot, Record
 
 ERROR = "error"
@@ -133,7 +133,7 @@ def run_audit(
     findings: list[AnomalyFinding] = []
     is_release = snapshot.label in config.release_labels
     tus = snapshot.named("tu")
-    by_output = {tu.output_file: (subject, tu) for subject, tu in tus}
+    by_output = snapshot.by_output()
     enabled = set(config.rules)
 
     def add(rule: str, subject: str, evidence, message: str) -> None:
@@ -167,7 +167,7 @@ def run_audit(
                 add(rule, target.output, evidence, message(sorted(kinds)))
 
     if "R2" in enabled:
-        split_members("R2", "opt_level", lambda w: w.spelling if w else "Absent",
+        split_members("R2", "opt_level", lambda w: w.spelling if w else ABSENT,
                       lambda ks: "member TUs disagree on optimization level: " + ", ".join(ks))
 
     if "R3" in enabled:

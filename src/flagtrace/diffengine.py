@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .flagmodel import FlagEntry
+from .flagmodel import ABSENT, FlagEntry
 from .snapshot import BuildSnapshot, LinkTargetRecord, Record
 
 REPORT_VERSION = 1
@@ -146,7 +146,7 @@ def diff(a: BuildSnapshot, b: BuildSnapshot) -> DiffReport:
 
 def _display(side) -> str:
     if side is None:
-        return "Absent"
+        return ABSENT
     if isinstance(side, list):
         return " ".join(x["spelling"] if isinstance(x, dict) else str(x) for x in side)
     return side["spelling"]

@@ -42,6 +42,7 @@ from .cmdline import Dialect, Family, Token
 POSITIVE = "positive"
 NEGATIVE = "negative"
 VALUED = "valued"
+ABSENT = "Absent"  # how reports show a group or macro that has no winner
 
 
 @dataclass(frozen=True)

@@ -209,10 +209,10 @@ def assemble_snapshot(
 
     Compiler invocations with recognized source inputs become TU
     records; linker invocations (and source-less compiler-driver link
-    steps) become link-target records. Member TUs are matched by exact
-    cwd-normalized object path; unmatched link inputs are retained as
-    external inputs, since third-party binaries arrive without TU
-    evidence. Nothing is dropped silently: skipped invocations become
+    steps) become link-target records. Writing finds a target's member
+    TUs by exact cwd-normalized object path, wherever their compile
+    lines stand (`BuildSnapshot.by_output`); other inputs are external.
+    Nothing is dropped silently: skipped invocations become
     diagnostics, after the `skipped` ones that parsing reported. Each
     record keeps its invocation's tokens, which parsing expanded (this
     reads no file), its effective set and that set's canonical text.
@@ -220,17 +220,16 @@ def assemble_snapshot(
     if created is None:
         created = datetime.now(timezone.utc).strftime(CREATED_FORMAT)
     snap = BuildSnapshot(build_id, label, created, diagnostics=list(skipped or ()))
-    seen_outputs: dict[str, str] = {}
-    pending_targets: list[tuple[RawInvocation, flagmodel.EffectiveFlagSet]] = []
+    seen_outputs: set[str] = set()
     memo: dict = {}  # classify_all memo, shared by this snapshot's invocations
 
     for inv in invocations:
         effective = flagmodel.resolve(flagmodel.classify_all(inv.tokens, inv.dialect, memo))
         is_compiler = inv.dialect.tool_kind is ToolKind.COMPILER
         is_linker = inv.dialect.tool_kind is ToolKind.LINKER
+        out_entry = effective.group_value("output")
 
         if is_compiler and effective.sources:
-            out_entry = effective.group_value("output")
             out = out_entry.value if out_entry is not None else ""
             # An MSVC output that ends in a separator is the objects' directory (/Foobj\).
             out_dir = out if inv.dialect.family is Family.MSVC and out.endswith(("\\", "/")) else ""
@@ -242,30 +241,19 @@ def assemble_snapshot(
                 out_path = normalize_path(obj, inv.cwd)
                 if out_path in seen_outputs:
                     raise DuplicateOutput(out_path)
-                seen_outputs[out_path] = src
+                seen_outputs.add(out_path)
                 snap.tus.append(TranslationUnitRecord(src, out_path, inv, text))
         elif (is_linker or is_compiler) and effective.link_inputs:
-            pending_targets.append((inv, effective))
+            default = "a.exe" if inv.dialect.family is Family.MSVC else "a.out"
+            output = normalize_path(out_entry.value if out_entry else default, inv.cwd)
+            inputs = [normalize_path(e.value, inv.cwd) if e.key == "link_obj" else e.value
+                      for e in effective.link_inputs]
+            text = flagmodel.canonical_serialize(effective).decode("utf-8")
+            snap.targets.append(LinkTargetRecord(output, inputs, inv, text))
         else:
             snap.diagnostics.append({
                 "source": inv.source,
                 "program": inv.program,
                 "reason": "no recognized source or link inputs",
             })
-
-    for inv, effective in pending_targets:
-        out_entry = effective.group_value("output")
-        default = "a.exe" if inv.dialect.family is Family.MSVC else "a.out"
-        output = normalize_path(out_entry.value if out_entry else default, inv.cwd)
-        inputs, members, external = [], [], []
-        for e in effective.link_inputs:
-            p = normalize_path(e.value, inv.cwd) if e.key == "link_obj" else e.value
-            inputs.append(p)
-            if p in seen_outputs:
-                members.append(seen_outputs[p])
-            else:
-                external.append(p)
-        text = flagmodel.canonical_serialize(effective).decode("utf-8")
-        snap.targets.append(LinkTargetRecord(output, inputs, members, external, inv, text))
-
     return snap

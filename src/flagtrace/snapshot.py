@@ -6,8 +6,9 @@ canonical JSON (UTF-8, LF) so stored snapshots stay diffable with plain
 text tools. A record holds the tokens its effective flag set was
 resolved from: its invocation's tokens after `@file` expansion, each
 with its origin. `serialize()` encodes each record once and sets the
-content hash, SHA-256 over the record lines it writes. This module
-alone knows how tokens, origins and dialects are stored.
+content hash, SHA-256 over the record lines it writes; a target's member
+lists are written from `by_output`, and a load type-checks them but keeps
+neither. This module alone knows how tokens, origins and dialects are stored.
 
 The header's `snapshot_version` says how tokens are stored. Version 2,
 which every snapshot is written in, stores a command-line token as its
@@ -60,6 +61,7 @@ _canon = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", "
 class _Record:
     """Both kinds of record hold `effective_text`, and build `effective` from it on first read."""
 
+    DERIVED: dict = {}  # stored name: JSON type, of what writing derives and a load only checks
     _flagset_lines: dict | None = None  # the line memo of the load that read the record
     _line = 0  # the line the record was read from
 
@@ -100,26 +102,27 @@ class TranslationUnitRecord(_Record):
 @dataclass
 class LinkTargetRecord(_Record):
     KIND = "target"
-    FIELDS = {"output": str, "inputs": list[str], "member_tus": list[str],
-              "external_inputs": list[str]}
+    FIELDS = {"output": str, "inputs": list[str]}
+    DERIVED = {"member_tus": list[str], "external_inputs": list[str]}  # from by_output
 
     output: str
     inputs: list[str]  # normalized paths / library names, command order
-    member_tus: list[str]  # bare sources of linked TUs: kept for the stored format, read by nothing
-    external_inputs: list[str]  # inputs with no TU evidence in this snapshot
     invocation: RawInvocation
     effective_text: str  # canonical_serialize of the effective set
 
 
 # Both kinds share one codec: a record line holds "kind", the record's own
-# FIELDS under their names, the invocation and the canonical effective text.
+# FIELDS and DERIVED under their names, the invocation and the canonical effective text.
 Record = TranslationUnitRecord | LinkTargetRecord
 
 _RECORD_TYPES = {cls.KIND: cls for cls in (TranslationUnitRecord, LinkTargetRecord)}
 
 
-def _encode_record(rec: Record) -> str:
+def _encode_record(rec: Record, by_output: dict) -> str:
     d = {name: getattr(rec, name) for name in rec.FIELDS}
+    if rec.DERIVED:  # the sources of the TUs a target links, in link order, and its other inputs
+        d["member_tus"] = [by_output[p][1].source_file for p in rec.inputs if p in by_output]
+        d["external_inputs"] = [p for p in rec.inputs if p not in by_output]
     d["kind"] = rec.KIND
     inv = rec.invocation
     d["invocation"] = {
@@ -184,6 +187,8 @@ class _Load:
                            for t in stored)
         inv = RawInvocation(_field(i, "program"), tokens, _field(i, "cwd"), _field(i, "source"),
                             DIALECTS[i["dialect"]["family"], i["dialect"]["tool_kind"]])
+        for name, kind in cls.DERIVED.items():
+            _field(d, name, kind)
         rec = cls(**{name: _field(d, name, kind) for name, kind in cls.FIELDS.items()},
                   invocation=inv, effective_text=_field(d, "effective"))
         rec._flagset_lines, rec._line = self.flagset_lines, lineno
@@ -216,6 +221,10 @@ class BuildSnapshot:
         the build leaves. diff, history, query, stamp and audit R7 read records through it."""
         return dict(self.named(scope))
 
+    def by_output(self) -> dict[str, tuple[str, TranslationUnitRecord]]:
+        """(subject, TU) by output file: the TUs a link target's inputs name are its members."""
+        return {tu.output_file: (subject, tu) for subject, tu in self.named("tu")}
+
     def record(self, subject: str) -> Record | None:
         """The TU with this subject, else the link target with it, else None."""
         return self.by_subject("tu").get(subject) or self.by_subject("target").get(subject)
@@ -234,7 +243,8 @@ class BuildSnapshot:
 
     def serialize(self) -> bytes:
         """Encode each record once, set content_hash over those lines and return the file."""
-        lines = [_encode_record(r).encode("utf-8") for r in (*self.tus, *self.targets)]
+        by_output = self.by_output()
+        lines = [_encode_record(r, by_output).encode("utf-8") for r in (*self.tus, *self.targets)]
         h = hashlib.sha256()
         for line in lines:
             h.update(line)

@@ -13,7 +13,8 @@ previously stored bytes. LF alone commits an index line: readers ignore a torn
 final line (without an LF, as a crash during put leaves, or ending in CR) and
 the next put cuts it; a committed line holding a CR is malformed. Put refuses
 a TAB, CR or LF in a build id, label or created time, and text that is not
-UTF-8, before it creates anything. A load checks the hash, then the header's
+UTF-8, before it creates anything, and a build id whose file another holds.
+A load opens only the file put names, and checks the hash, then the header's
 build id, label and created time, against the index line. Writes are
 serialized through an advisory lock file; reads take no lock.
 """
@@ -27,12 +28,11 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import CorruptSnapshot, DuplicateBuildId, FlagtraceError, MalformedIndex, NotFound
-from .flagmodel import EffectiveFlagSet
+from .flagmodel import ABSENT, EffectiveFlagSet
 from .snapshot import BuildSnapshot
 
 STORE_VERSION = "flagtrace-store v1"
 
-ABSENT = "Absent"
 FIELD_BREAKS = "\t\r\n"  # an index field holds none: each would end the field or its line
 
 
@@ -88,10 +88,12 @@ class Store:
                 Path(self.version_path).write_text(STORE_VERSION + "\n", encoding="utf-8")
             index_fh.seek(0)
             index = index_fh.read()
-            if any(e.build_id == snapshot.build_id for e in self._read_index(index)):
-                raise DuplicateBuildId(snapshot.build_id)
-            name = hashlib.sha256(snapshot.build_id.encode("utf-8")).hexdigest()[:16] + ".fts"
-            relpath = os.path.join("snapshots", name)
+            relpath = _snapshot_relpath(snapshot.build_id)
+            for e in self._read_index(index):
+                if e.build_id == snapshot.build_id:
+                    raise DuplicateBuildId(snapshot.build_id)
+                if e.relpath == relpath:  # two build ids whose names share 64 bits of hash
+                    raise FlagtraceError(f"{relpath} already holds the snapshot of {e.build_id}")
             final = os.path.join(self.root, relpath)
             tmp = final + ".tmp"
             with open(tmp, "wb") as fh:
@@ -122,6 +124,8 @@ class Store:
 
     def _load(self, e: IndexEntry) -> BuildSnapshot:
         """Load the snapshot an index entry names; its hash, then its header, must match the entry."""
+        if e.relpath != (relpath := _snapshot_relpath(e.build_id)):  # before anything is opened
+            raise CorruptSnapshot(relpath, e.relpath, "index line names another snapshot file")
         with open(os.path.join(self.root, e.relpath), "rb") as fh:
             snap = BuildSnapshot.deserialize(fh.read())
         if snap.content_hash != e.content_hash:
@@ -190,6 +194,11 @@ class Store:
                 continue
             out.append((e.build_id, None, [subject for subject, _ in drifted]))
         return out
+
+
+def _snapshot_relpath(build_id: str) -> str:
+    """The one file, relative to the root, that holds a build's snapshot."""
+    return os.path.join("snapshots", hashlib.sha256(build_id.encode()).hexdigest()[:16] + ".fts")
 
 
 def _committed(index: bytes) -> int:

@@ -307,12 +307,31 @@ def log_snapshot(tmp_path, text, build_id="b1", label="dev", created="2026-01-01
     return assemble_snapshot(parse_raw_log(str(log)), build_id, label, created=created)
 
 
+def stored_targets(snap) -> list[dict]:
+    """The link-target lines of the snapshot as written, decoded."""
+    lines = [json.loads(line) for line in snap.serialize().split(b"\n")[1:] if line]
+    return [d for d in lines if d["kind"] == "target"]
+
+
 class TestAssembleSnapshot:
     def test_tu_and_target_with_membership(self, tmp_path):
         snap = log_snapshot(tmp_path, "gcc -c a.c -o a.o\ngcc a.o -o app\n")
         assert len(snap.tus) == 1 and len(snap.targets) == 1
-        assert snap.targets[0].member_tus == [snap.tus[0].source_file]
-        assert snap.targets[0].external_inputs == []
+        [target] = stored_targets(snap)
+        assert target["member_tus"] == [snap.tus[0].source_file]
+        assert target["external_inputs"] == []
+
+    def test_membership_of_a_link_line_before_its_compiles(self, tmp_path):
+        """Members are the sources of the TUs whose objects the target links, in link
+        order, wherever the compile lines stand: a source compiled twice is listed once
+        per object linked, and a library or an object with no TU is external."""
+        snap = log_snapshot(tmp_path, "gcc a.o a_pic.o b.o vendor.o -lm -o app\n"
+                                      "gcc -c a.c -o a.o\ngcc -fPIC -c a.c -o a_pic.o\n"
+                                      "gcc -c b.c -o b.o\n")
+        [target] = stored_targets(snap)
+        a, b = str(tmp_path / "a.c"), str(tmp_path / "b.c")
+        assert target["member_tus"] == [a, a, b]
+        assert target["external_inputs"] == [str(tmp_path / "vendor.o"), "m"]
 
     def test_empty(self, tmp_path):
         snap = log_snapshot(tmp_path, "echo hi\n")
@@ -342,8 +361,9 @@ class TestAssembleSnapshot:
         ]))
         snap = assemble_snapshot(parse_compilation_db(str(db)), "b1", "dev")
         assert [t.output_file for t in snap.tus] == ["C:/w/obj/a.obj", "C:/w/obj/b.obj"]
-        assert snap.targets[0].member_tus == ["C:/w/a.c", "C:/w/b.c"]
-        assert snap.targets[0].external_inputs == []
+        [target] = stored_targets(snap)
+        assert target["member_tus"] == ["C:/w/a.c", "C:/w/b.c"]
+        assert target["external_inputs"] == []
 
     def test_gnu_output_ending_in_a_separator_is_a_file(self, tmp_path):
         snap = log_snapshot(tmp_path, "gcc -c a.c -o out/\n")
@@ -353,7 +373,9 @@ class TestAssembleSnapshot:
 
     def test_external_inputs_flagged(self, tmp_path):
         snap = log_snapshot(tmp_path, "gcc vendor.o -o app\n")
-        assert snap.targets[0].external_inputs == snap.targets[0].inputs
+        [target] = stored_targets(snap)
+        assert target["external_inputs"] == target["inputs"] == [str(tmp_path / "vendor.o")]
+        assert target["member_tus"] == []
 
     def test_nothing_dropped_silently(self, tmp_path):
         log = tmp_path / "b.log"

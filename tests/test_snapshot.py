@@ -19,7 +19,7 @@ from flagtrace.cli import run
 from flagtrace.cmdline import COMMAND_LINE, Family, Origin, RawInvocation, Token, detect_dialect
 from flagtrace.ingest import assemble_snapshot
 from flagtrace.snapshot import BuildSnapshot, TranslationUnitRecord
-from flagtrace.store import Store
+from flagtrace.store import Store, _snapshot_relpath
 from tests.test_ingest import DEEP_JSON, log_snapshot
 
 # One build in the v1 line format: a gcc TU, an MSVC TU whose path is not
@@ -55,13 +55,18 @@ def install_fixture(root, fixture=FIXTURE) -> Store:
     """A store whose only build is the fixture, indexed the way put() does."""
     store = Store(str(root))
     data = fixture.read_bytes()
-    Path(store.snap_dir).mkdir(parents=True)  # Store() creates nothing; put() would
-    (Path(store.snap_dir) / "fixture.fts").write_bytes(data)
     snap = BuildSnapshot.deserialize(data)
+    relpath = _snapshot_relpath(snap.build_id)
+    Path(store.snap_dir).mkdir(parents=True)  # Store() creates nothing; put() would
+    (Path(store.root) / relpath).write_bytes(data)
     Path(store.index_path).write_text("\t".join(
-        [snap.build_id, snap.label, snap.created, snap.content_hash, "snapshots/fixture.fts"]
+        [snap.build_id, snap.label, snap.created, snap.content_hash, relpath]
     ) + "\n", encoding="utf-8")
     return store
+
+
+def _fixture_file(store: Store) -> Path:
+    return Path(store.root) / store.list_builds()[0].relpath
 
 
 class TestV1Fixture:
@@ -75,7 +80,9 @@ class TestV1Fixture:
         assert [t.source_file for t in snap.tus] == [
             "/work/proj/src/core.c", "C:/work/proj/src/naïve_ü.cpp"]
         assert [t.output for t in snap.targets] == ["/work/proj/build/app"]
-        assert snap.targets[0].member_tus == ["/work/proj/src/core.c"]
+        by_output = snap.by_output()  # the target's members, as its stored line lists them
+        assert [by_output[p][1].source_file for p in snap.targets[0].inputs
+                if p in by_output] == ["/work/proj/src/core.c"]
         assert [d["program"] for d in snap.diagnostics] == ["ar"]
         assert as_v1(snap.serialize()) == FIXTURE.read_bytes()
 
@@ -123,7 +130,7 @@ def test_new_snapshots_are_v2(tmp_path):
 
 def _rewrite_line(store: Store, n: int, edit) -> None:
     """Replace line n (0 is the header) of the only stored snapshot, keeping every hash."""
-    snap_file = Path(store.snap_dir) / "fixture.fts"
+    snap_file = _fixture_file(store)
     lines = snap_file.read_bytes().split(b"\n")
     lines[n] = edit(lines[n])
     snap_file.write_bytes(b"\n".join(lines))
@@ -152,7 +159,7 @@ def test_line_of_unknown_kind_exit_3(tmp_path, capsys):
     """A line that is not a TU, a link target or a diagnostic is unreadable, though the
     content hash, which covers only record lines, still matches."""
     store = install_fixture(tmp_path / "store")
-    snap_file = Path(store.snap_dir) / "fixture.fts"
+    snap_file = _fixture_file(store)
     n = snap_file.read_bytes().count(b"\n") + 1
     with open(snap_file, "ab") as fh:
         fh.write(b'{"kind":"nonsense","x":1}\n')
@@ -636,6 +643,20 @@ def test_a_set_that_cannot_be_decoded_fails_when_read(tmp_path, capsys):
     assert code == 3
     [build] = doc["builds"]
     assert build["status"] == "corrupt" and "unreadable snapshot line 3" in build["error"]
+
+
+@pytest.mark.parametrize("name, value", [("member_tus", "a.c"), ("external_inputs", [5])],
+                         ids=["string-member-tus", "number-in-external-inputs"])
+def test_mistyped_stored_member_list_is_unreadable(tmp_path, capsys, name, value):
+    """A target's member lists are written from the TUs it links and not kept on
+    load, but a load still checks their JSON types: with every hash recomputed, a
+    mistyped one makes its line unreadable."""
+    store = _ingest_log(tmp_path, capsys, "gcc -c a.c -o a.o\ngcc a.o b.o -o app\n")
+    _rewrite_record(store, "b1", 1, lambda rec: rec.update({name: value}))
+    assert run(["--store", store.root, "audit", "b1"]) == 3
+    assert "unreadable snapshot line 3" in capsys.readouterr().err
+    code, doc = _verify(store, capsys)
+    assert code == 3 and "unreadable snapshot line 3" in doc["builds"][0]["error"]
 
 
 def _set_rsp_token_text(rec):

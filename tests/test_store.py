@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from flagtrace.cli import run
 from flagtrace.errors import (CorruptSnapshot, DuplicateBuildId, FlagtraceError, MalformedIndex,
                               NotFound)
-from flagtrace.store import ABSENT, Store
+from flagtrace.store import ABSENT, Store, _snapshot_relpath
 from tests.test_ingest import log_snapshot
 
 
@@ -40,6 +40,21 @@ class TestPutGet:
         store.put(log_snapshot(tmp_path, "gcc -c a.c\n"))
         with pytest.raises(DuplicateBuildId):
             store.put(log_snapshot(tmp_path, "gcc -c b.c\n"))
+
+    def test_put_refuses_a_build_whose_file_another_holds(self, tmp_path, monkeypatch, capsys):
+        """Two build ids whose file names collide: the second put exits 3 and leaves the
+        first build's snapshot and the index as they were."""
+        root = tmp_path / "store"
+        Store(str(root)).put(log_snapshot(tmp_path, "gcc -O2 -c a.c -o a.o\n", "b1"))
+        before = tree_digest(root)
+        monkeypatch.setattr("flagtrace.store._snapshot_relpath",
+                            lambda b: _snapshot_relpath("b1" if b == "b2" else b))
+        (tmp_path / "b2.log").write_text("gcc -O0 -c a.c -o a.o\n")
+        assert run(["--store", str(root), "ingest", str(tmp_path / "b2.log"), "--label", "dev",
+                    "--build-id", "b2"]) == 3
+        assert f"{_snapshot_relpath('b1')} already holds the snapshot of b1" in capsys.readouterr().err
+        assert tree_digest(root) == before
+        assert Store(str(root)).verify() == [("b1", None, [])]
 
     def test_get_unknown(self, tmp_path):
         with pytest.raises(NotFound):
@@ -119,6 +134,27 @@ class TestHeaderAgainstIndex:
         assert Store(str(tmp_path / "store")).verify()[0][1].startswith(
             "snapshot header disagrees with its index line")
 
+    @pytest.mark.parametrize("outside", ["../outside.fts", "{tmp}/outside.fts"],
+                             ids=["relative", "absolute"])
+    def test_index_line_naming_a_file_outside_the_store_exits_3(self, tmp_path, capsys, outside):
+        """A load opens only the file put names for the build id: an index line naming a
+        byte copy of the snapshot outside the store is refused, though the copy would verify."""
+        self.ingest(tmp_path, "r1")
+        outside = outside.format(tmp=tmp_path)
+        shutil.copy(self.snapshot_file(tmp_path, "r1"), tmp_path / "outside.fts")
+        index = tmp_path / "store" / "index.tsv"
+        fields = index.read_text().split("\t")
+        index.write_text("\t".join([*fields[:4], outside]) + "\n")
+        store = str(tmp_path / "store")
+        capsys.readouterr()
+        assert run(["--store", store, "query", "effective", "--build", "r1",
+                    "--subject", str(tmp_path / "a.c")]) == 3
+        error = ("index line names another snapshot file: "
+                 f"expected snapshots/{self.snapshot_file(tmp_path, 'r1').name}, got {outside}")
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+        assert run(["--store", store, "verify"]) == 3
+        assert capsys.readouterr().out == f"corrupt  r1: {error}\n"
+
     def test_index_line_copied_from_another_build_exits_3(self, tmp_path, capsys):
         self.ingest(tmp_path, "r1")
         self.ingest(tmp_path, "r2")
@@ -128,13 +164,15 @@ class TestHeaderAgainstIndex:
         index.write_text("".join("\t".join(f) + "\n" for f in (first, second)))
         store = str(tmp_path / "store")
         Store(store).get("r1")
-        with pytest.raises(CorruptSnapshot, match=r"expected \('r2', .* got \('r1', "):
+        own = f"snapshots/{self.snapshot_file(tmp_path, 'r2').name}"
+        with pytest.raises(CorruptSnapshot, match=rf"^index line names another snapshot file: "
+                                                  rf"expected {own}, got {first[4]}$"):
             Store(store).get("r2")
         capsys.readouterr()
         assert run(["--store", store, "audit", "r2"]) == 3
         assert run(["--store", store, "verify"]) == 3
         out = capsys.readouterr().out.splitlines()
-        assert out[0] == "ok       r1" and out[1].startswith("corrupt  r2: snapshot header")
+        assert out[0] == "ok       r1" and out[1].startswith("corrupt  r2: index line names another")
 
 
 class TestHistory:

@@ -86,7 +86,7 @@ def label_builds(draw):
             extra = draw(st.lists(st.one_of(_VARIANTS, _RSP_TOKENS), max_size=2))
             inv, eff = _record_parts([Token("a.o"), *extra, Token("-o"), Token("app")], "gcc",
                                      f"log:b{b}.log:9")
-            targets.append(LinkTargetRecord("/w/app", ["/w/a.o"], [], ["/w/a.o"], inv,
+            targets.append(LinkTargetRecord("/w/app", ["/w/a.o"], inv,
                                             flagmodel.canonical_serialize(eff).decode()))
         builds.append(BuildSnapshot(f"b{b}", "dev", f"2026-01-0{b + 1}T00:00:00Z", tus, targets))
     order = draw(st.lists(st.sampled_from([s.build_id for s in builds]), min_size=2, max_size=8))
