@@ -49,17 +49,12 @@ class DiffReport:
     def is_empty(self) -> bool:
         return not any(added or removed or changed for _, added, removed, changed in self.scopes())
 
-    def summary(self) -> dict:
-        counts = {}
-        for kind, added, removed, changed in self.scopes():
-            counts[f"added_{kind}s"] = len(added)
-            counts[f"removed_{kind}s"] = len(removed)
-            counts[f"changed_{kind}s"] = len(changed)
-        return counts
-
     def to_dict(self) -> dict:
-        doc = {"report_version": REPORT_VERSION, "summary": self.summary(), "notes": list(self.notes)}
+        summary: dict[str, int] = {}
+        doc = {"report_version": REPORT_VERSION, "summary": summary, "notes": list(self.notes)}
         for kind, added, removed, changed in self.scopes():
+            summary.update({f"added_{kind}s": len(added), f"removed_{kind}s": len(removed),
+                            f"changed_{kind}s": len(changed)})
             doc[f"added_{kind}s"] = sorted(added)
             doc[f"removed_{kind}s"] = sorted(removed)
             doc[f"per_{kind}_changes"] = {subject: [vars(d) for d in deltas]
@@ -114,31 +109,21 @@ def _diff_scope(recs_a: dict, recs_b: dict, diff_pair) -> tuple[list, list, dict
     return sorted(recs_a.keys() - recs_b.keys()), sorted(recs_b.keys() - recs_a.keys()), changed
 
 
-def _drive_note(paths_a: set[str], paths_b: set[str], notes: list[str]) -> None:
-    # Cross-OS comparisons: X:/p vs /p equivalence is heuristic, so it is
-    # surfaced as a note instead of silently merging the records.
-    def strip_drive(p: str) -> str | None:
-        if len(p) >= 2 and p[1] == ":":
-            return p[2:]
-        return None
-
-    only_a, only_b = paths_a - paths_b, paths_b - paths_a
-    for p in sorted(only_a):
-        s = strip_drive(p)
-        if s is not None and s in only_b:
-            notes.append(f"possible drive-letter alias: {p} vs {s}")
-    for p in sorted(only_b):
-        s = strip_drive(p)
-        if s is not None and s in only_a:
-            notes.append(f"possible drive-letter alias: {s} vs {p}")
+def _drive_notes(removed: list[str], added: list[str]) -> list[str]:
+    """A note on each subject one build alone has that, without its drive letter, the other
+    alone has: in the order of `removed` then `added`, the first build's path first. X:/p vs
+    /p across OSes is heuristic, so it is surfaced instead of silently merging the records."""
+    def aliases(drives: list[str], other: set[str]) -> list[tuple[str, str]]:
+        return [(p, p[2:]) for p in drives if p[1:2] == ":" and p[2:] in other]
+    return [*(f"possible drive-letter alias: {p} vs {s}" for p, s in aliases(removed, set(added))),
+            *(f"possible drive-letter alias: {s} vs {p}" for p, s in aliases(added, set(removed)))]
 
 
 def diff(a: BuildSnapshot, b: BuildSnapshot) -> DiffReport:
     report = DiffReport()
-    tus_a, tus_b = a.by_subject("tu"), b.by_subject("tu")
     report.removed_tus, report.added_tus, report.per_tu_changes = \
-        _diff_scope(tus_a, tus_b, _diff_records)
-    _drive_note(set(tus_a), set(tus_b), report.notes)
+        _diff_scope(a.by_subject("tu"), b.by_subject("tu"), _diff_records)
+    report.notes = _drive_notes(report.removed_tus, report.added_tus)
     report.removed_targets, report.added_targets, report.per_target_changes = \
         _diff_scope(a.by_subject("target"), b.by_subject("target"), _diff_targets)
     return report

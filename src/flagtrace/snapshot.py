@@ -7,7 +7,7 @@ text tools. A record holds the tokens its effective flag set was
 resolved from: its invocation's tokens after `@file` expansion, each
 with its origin. `serialize()` encodes each record once and sets the
 content hash, SHA-256 over the record lines it writes; a target's member
-lists are written from `by_output`, and a load type-checks them but keeps
+lists are written by `_members`, and a load refuses any others and keeps
 neither. This module alone knows how tokens, origins and dialects are stored.
 
 The header's `snapshot_version` says how tokens are stored. Version 2,
@@ -61,7 +61,6 @@ _canon = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", "
 class _Record:
     """Both kinds of record hold `effective_text`, and build `effective` from it on first read."""
 
-    DERIVED: dict = {}  # stored name: JSON type, of what writing derives and a load only checks
     _flagset_lines: dict | None = None  # the line memo of the load that read the record
     _line = 0  # the line the record was read from
 
@@ -103,7 +102,6 @@ class TranslationUnitRecord(_Record):
 class LinkTargetRecord(_Record):
     KIND = "target"
     FIELDS = {"output": str, "inputs": list[str]}
-    DERIVED = {"member_tus": list[str], "external_inputs": list[str]}  # from by_output
 
     output: str
     inputs: list[str]  # normalized paths / library names, command order
@@ -111,18 +109,24 @@ class LinkTargetRecord(_Record):
     effective_text: str  # canonical_serialize of the effective set
 
 
-# Both kinds share one codec: a record line holds "kind", the record's own
-# FIELDS and DERIVED under their names, the invocation and the canonical effective text.
+# Both kinds share one codec: a record line holds "kind", the record's own FIELDS
+# under their names, a target's `_members`, the invocation and the canonical effective text.
 Record = TranslationUnitRecord | LinkTargetRecord
 
 _RECORD_TYPES = {cls.KIND: cls for cls in (TranslationUnitRecord, LinkTargetRecord)}
 
 
+def _members(target: LinkTargetRecord, by_output: dict) -> dict[str, list[str]]:
+    """A target's member lists as stored: the sources of the TUs it links, in link
+    order, and its other inputs. Writing stores them; a load refuses any others."""
+    return {"member_tus": [by_output[p][1].source_file for p in target.inputs if p in by_output],
+            "external_inputs": [p for p in target.inputs if p not in by_output]}
+
+
 def _encode_record(rec: Record, by_output: dict) -> str:
     d = {name: getattr(rec, name) for name in rec.FIELDS}
-    if rec.DERIVED:  # the sources of the TUs a target links, in link order, and its other inputs
-        d["member_tus"] = [by_output[p][1].source_file for p in rec.inputs if p in by_output]
-        d["external_inputs"] = [p for p in rec.inputs if p not in by_output]
+    if rec.KIND == "target":
+        d.update(_members(rec, by_output))
     d["kind"] = rec.KIND
     inv = rec.invocation
     d["invocation"] = {
@@ -150,9 +154,12 @@ def _field(d: dict, name: str, kind=str):
 def _stored_token(t: dict, tokens: TokenTable) -> Token:
     """The token stored as the object `t`; a command-line one is the load's Token for its text."""
     text, o = _field(t, "text"), t["origin"]
-    if _field(o, "kind") == "command-line":
+    kind = _field(o, "kind")
+    if kind == "command-line":
         return tokens[text]
-    return Token(text, Origin(o["kind"], _field(o, "path"), _field(o, "index", int)))
+    if kind != "response-file":
+        raise ValueError(f"stored origin kind {kind!r} is none that writing stores")
+    return Token(text, Origin(kind, _field(o, "path"), _field(o, "index", int)))
 
 
 def _unreadable(lineno: int, exc: Exception) -> CorruptSnapshot:
@@ -168,31 +175,18 @@ def _classified_as_stored(rec: Record, memo: dict) -> list[flagmodel.FlagEntry] 
     return entries if resolved == rec.effective_text.encode("utf-8") else None
 
 
-class _Load:
-    """What the records of one load share: one Token per command-line text, and
-    one FlagEntry per flag-set line, which each record keeps to build its set."""
-
-    def __init__(self):
-        self.tokens = TokenTable()
-        self.flagset_lines: dict = {}
-
-    def record(self, cls: type[Record], d: dict, lineno: int) -> Record:
-        """The record stored as `d` on line `lineno`, with its set not yet built."""
-        i = d["invocation"]
-        stored = _field(i, "tokens", list)  # a string would read as one token per character
-        try:  # a bare string is a command-line token, one per text; an object is any token
-            tokens = tuple(map(self.tokens.__getitem__, stored))
-        except TypeError:  # an object token is unhashable
-            tokens = tuple(self.tokens[t] if type(t) is str else _stored_token(t, self.tokens)
-                           for t in stored)
-        inv = RawInvocation(_field(i, "program"), tokens, _field(i, "cwd"), _field(i, "source"),
-                            DIALECTS[i["dialect"]["family"], i["dialect"]["tool_kind"]])
-        for name, kind in cls.DERIVED.items():
-            _field(d, name, kind)
-        rec = cls(**{name: _field(d, name, kind) for name, kind in cls.FIELDS.items()},
-                  invocation=inv, effective_text=_field(d, "effective"))
-        rec._flagset_lines, rec._line = self.flagset_lines, lineno
-        return rec
+def _decode_record(cls: type[Record], d: dict, tokens: TokenTable) -> Record:
+    """The record stored as `d`, with its set not yet built; `tokens` is the load's table."""
+    i = d["invocation"]
+    stored = _field(i, "tokens", list)  # a string would read as one token per character
+    try:  # a bare string is a command-line token, one per text; an object is any token
+        toks = tuple(map(tokens.__getitem__, stored))
+    except TypeError:  # an object token is unhashable
+        toks = tuple(tokens[t] if type(t) is str else _stored_token(t, tokens) for t in stored)
+    inv = RawInvocation(_field(i, "program"), toks, _field(i, "cwd"), _field(i, "source"),
+                        DIALECTS[i["dialect"]["family"], i["dialect"]["tool_kind"]])
+    return cls(**{name: _field(d, name, kind) for name, kind in cls.FIELDS.items()},
+               invocation=inv, effective_text=_field(d, "effective"))
 
 
 @dataclass
@@ -263,7 +257,7 @@ class BuildSnapshot:
 
     @classmethod
     def deserialize(cls, data: bytes) -> "BuildSnapshot":
-        """Decode stored bytes, hashing each record line as read.
+        """Decode stored bytes, hashing each record line as read; check targets' member lists.
 
         Lines split on LF only: paths may hold U+0085 or U+2028, which
         canonical JSON leaves unescaped. A line whose JSON gives a lone
@@ -280,7 +274,7 @@ class BuildSnapshot:
                                       "unsupported snapshot version")
             snap = cls(_field(header, "build_id"), _field(header, "label"), _field(header, "created"),
                        content_hash=_field(header, "content_hash"))
-            load = _Load()
+            tokens, flagset_lines, target_lines = TokenTable(), {}, []
             for lineno, line in enumerate(lines[1:], start=2):
                 d = strictjson.loads(line.decode("utf-8"))
                 kind = d.pop("kind")
@@ -289,11 +283,18 @@ class BuildSnapshot:
                     continue
                 h.update(line)
                 h.update(b"\n")
-                rec = load.record(_RECORD_TYPES[kind], d, lineno)
+                rec = _decode_record(_RECORD_TYPES[kind], d, tokens)
+                rec._flagset_lines, rec._line = flagset_lines, lineno
                 (snap.tus if kind == "tu" else snap.targets).append(rec)
+                if kind == "target":
+                    target_lines.append(d)
         except (AttributeError, LookupError, TypeError, ValueError) as exc:
             raise _unreadable(lineno, exc) from None
         actual = h.hexdigest()
         if actual != snap.content_hash:
             raise CorruptSnapshot(snap.content_hash, actual)
+        by_output = snap.by_output()
+        for rec, d in zip(snap.targets, target_lines):
+            if any(d.get(name) != value for name, value in _members(rec, by_output).items()):
+                raise _unreadable(rec._line, ValueError("member lists differ from its inputs' TUs"))
         return snap

@@ -384,14 +384,13 @@ def test_response_file_builds_read_back(build):
             assert Store(store).get(entry.build_id).serialize() == written
 
 
-def _rewrite_record(store: Store, build_id: str, n: int, edit) -> None:
-    """Apply edit to record n of a build, then recompute the header and index hashes."""
+def _rewrite_lines(store: Store, build_id: str, edit) -> None:
+    """Replace a build's lines after its header with what edit returns for them, then
+    recompute the header and index hashes."""
     entry = next(e for e in store.list_builds() if e.build_id == build_id)
     snap_file = Path(store.root) / entry.relpath
     header, *rest = snap_file.read_bytes().removesuffix(b"\n").split(b"\n")
-    rec = json.loads(rest[n])
-    edit(rec)
-    rest[n] = json.dumps(rec, sort_keys=True, separators=(",", ":")).encode()
+    rest = edit(rest)
     content_hash = hashlib.sha256(b"".join(
         line + b"\n" for line in rest if json.loads(line)["kind"] != "diagnostic")).hexdigest()
     snap_file.write_bytes(b"\n".join(
@@ -401,6 +400,16 @@ def _rewrite_record(store: Store, build_id: str, n: int, edit) -> None:
     index.write_text("".join(line.replace(entry.content_hash, content_hash)
                              if line.split("\t", 1)[0] == build_id else line for line in lines),
                      encoding="utf-8")
+
+
+def _rewrite_record(store: Store, build_id: str, n: int, edit) -> None:
+    """Apply edit to record n of a build, then recompute the header and index hashes."""
+    def edit_line(rest: list[bytes]) -> list[bytes]:
+        rec = json.loads(rest[n])
+        edit(rec)
+        rest[n] = json.dumps(rec, sort_keys=True, separators=(",", ":")).encode()
+        return rest
+    _rewrite_lines(store, build_id, edit_line)
 
 
 def _set_opt(spelling: str):
@@ -659,6 +668,49 @@ def test_mistyped_stored_member_list_is_unreadable(tmp_path, capsys, name, value
     assert code == 3 and "unreadable snapshot line 3" in doc["builds"][0]["error"]
 
 
+_LINKED = "gcc -c a.c -o a.o\ngcc -c b.c -o b.o\ngcc a.o b.o -lm -o app\n"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda rec: rec.update(member_tus=[]),
+    lambda rec: rec.update(external_inputs=["/nowhere.o"]),
+    lambda rec: rec["member_tus"].reverse(),
+], ids=["no-members", "an-input-it-does-not-link", "members-reversed"])
+def test_stored_member_lists_other_than_writing_derives_are_unreadable(tmp_path, capsys, edit):
+    """With every hash recomputed, a target line whose member lists are not the ones
+    writing derives from the build's TUs is unreadable, for every read and for verify."""
+    store = _ingest_log(tmp_path, capsys, _LINKED)
+    _rewrite_record(store, "b1", 2, edit)
+    for argv in (["audit", "b1"],
+                 ["query", "effective", "--build", "b1", "--subject", str(tmp_path / "app")]):
+        assert run(["--store", store.root, *argv]) == 3, argv
+        assert "unreadable snapshot line 4" in capsys.readouterr().err
+    code, doc = _verify(store, capsys)
+    assert code == 3 and doc["builds"][0]["status"] == "corrupt"
+    assert "unreadable snapshot line 4" in doc["builds"][0]["error"]
+
+
+def test_a_target_line_before_its_tu_lines_reads_back(tmp_path, capsys):
+    """A load checks member lists against every TU of the build, wherever its line
+    is: a target line moved before the TUs it links, with every hash recomputed, reads
+    back as before and verifies."""
+    store = _ingest_log(tmp_path, capsys, _LINKED)
+    app = ["query", "effective", "--build", "b1", "--subject", str(tmp_path / "app")]
+    assert run(["--store", store.root, *app]) == 0
+    before = capsys.readouterr().out
+    _rewrite_lines(store, "b1", lambda rest: [rest[2], *rest[:2], *rest[3:]])
+    assert [t.output for t in store.get("b1").targets] == [str(tmp_path / "app")]
+    assert run(["--store", store.root, *app]) == 0
+    assert capsys.readouterr().out == before
+    assert _verify(store, capsys) == (0, {"report_version": 1, "builds": [
+        {"build_id": "b1", "status": "ok", "error": None, "subjects": []}]})
+
+
+def _set_rsp_origin_kind(rec):
+    assert rec["invocation"]["tokens"][0]["origin"]["kind"] == "response-file"
+    rec["invocation"]["tokens"][0]["origin"]["kind"] = "bogus"
+
+
 def _set_rsp_token_text(rec):
     assert rec["invocation"]["tokens"][0]["origin"]["kind"] == "response-file"
     rec["invocation"]["tokens"][0]["text"] = 5
@@ -681,13 +733,15 @@ def _join_tokens(rec):
      [["audit", "b2", "--previous", "b1"]]),
     ("gcc @opts.rsp -c a.c -o a.o\n", _set_rsp_token_text, [["audit", "b1"]]),
     ("gcc @opts.rsp -c a.c -o a.o\n", _set_rsp_token_index_true, [["audit", "b1"]]),
+    ("gcc @opts.rsp -c a.c -o a.o\n", _set_rsp_origin_kind, [["audit", "b1"]]),
     ("gcc -O2 -c a.c -o a.o\n", _join_tokens, [["query", "find", "--build", "b1",
                                                 "--group", "opt_level", "--value=-O2"]]),
 ], ids=["number-source-file", "number-in-target-inputs", "number-rsp-token-text",
-        "bool-rsp-token-index", "string-tokens"])
+        "bool-rsp-token-index", "unknown-rsp-origin-kind", "string-tokens"])
 def test_mistyped_stored_field_is_unreadable(tmp_path, capsys, log, edit, commands):
-    """A stored field of another JSON type, with every hash recomputed, makes its line
-    unreadable: each read command exits 3 naming it, and verify reports the build corrupt."""
+    """A stored field of another JSON type, or an origin kind writing never stores, with
+    every hash recomputed, makes its line unreadable: each read command exits 3 naming
+    it, and verify reports the build corrupt."""
     (tmp_path / "opts.rsp").write_text("-O2\n")
     (tmp_path / "b.log").write_text(log)
     store = Store(str(tmp_path / "store"))
