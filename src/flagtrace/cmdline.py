@@ -6,9 +6,10 @@ GNU-ish toolchains (gcc, clang, ld, ar) and the MSVC argv rules
 regex pass over one logical line, whose backslash continuations
 `logical_lines` has joined (for build logs and makefiles alike); the
 character-at-a-time reference they must agree with lives in
-tests/cmdline_oracle.py. Response files (@path) are expanded recursively
-with cycle and depth protection. How a snapshot stores tokens, origins
-and dialects is known only to `snapshot.py`.
+tests/cmdline_oracle.py. A `TokenTable` unquotes each distinct raw word
+once, as a build log repeats its words. Response files (@path) are
+expanded recursively with cycle and depth protection. How a snapshot
+stores tokens, origins and dialects is known only to `snapshot.py`.
 
 No environment-variable expansion is ever performed: the original
 environment is not available when working from archived logs, so
@@ -24,6 +25,7 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 from .errors import NestingTooDeep, ResponseFileCycle, ResponseFileNotFound, UnterminatedQuote
 
@@ -87,7 +89,7 @@ class RawInvocation:
     program: str
     tokens: tuple[Token, ...]
     cwd: str
-    source: str  # provenance tag: "log:<path>:<line>", "compdb:<path>#<i>", "spool:<file>:<line>"
+    source: str  # provenance: "log:<path>:<line>", "compdb:<path>#<i>" or "spool:<file>:<line>", paths absolute
     dialect: Dialect
 
 
@@ -146,15 +148,6 @@ def _unquote_posix(m: re.Match) -> str:
     return "" if escaped == "\n" else escaped or "\\"
 
 
-def _tokenize_posix(line: str) -> list[str]:
-    words = _POSIX_WORD.findall(line)
-    try:
-        return [_POSIX_PIECE.sub(_unquote_posix, w) if "'" in w or '"' in w or "\\" in w else w
-                for w in words]
-    except UnterminatedQuote as exc:  # raised for the last word, which ends the line
-        raise UnterminatedQuote(len(line) - len(words[-1]) + exc.position) from None
-
-
 # CommandLineToArgvW rules: 2n backslashes + quote -> n backslashes and a
 # quote toggle; 2n+1 backslashes + quote -> n backslashes and a literal
 # quote; backslashes not before a quote are literal. Pairs are taken
@@ -169,26 +162,25 @@ def _unquote_msvc(m: re.Match) -> str:
     return "\\" * (n // 2) + ('"' if n % 2 else "")
 
 
-def _tokenize_msvc(line: str) -> list[str]:
-    words = _MSVC_WORD.findall(line)
-    if words and '"' in words[-1]:
-        open_at = None  # the last word's unclosed quote, if any
-        for m in _MSVC_QUOTE.finditer(words[-1]):
-            if len(m.group(1)) % 2 == 0:
-                open_at = m.end() - 1 if open_at is None else None
-        if open_at is not None:
-            raise UnterminatedQuote(len(line) - len(words[-1]) + open_at)
-    return [_MSVC_QUOTE.sub(_unquote_msvc, w) if '"' in w else w for w in words]
+def _unquote_msvc_word(word: str) -> str:
+    toggles = [m.end() - 1 for m in _MSVC_QUOTE.finditer(word) if len(m.group(1)) % 2 == 0]
+    if len(toggles) % 2:  # the last one opens a quote; only a last word can hold one
+        raise UnterminatedQuote(toggles[-1])
+    return _MSVC_QUOTE.sub(_unquote_msvc, word)
 
 
-def _words(line: str, dialect: Dialect) -> list[str]:
-    """The line's non-empty words under the dialect's quoting rules."""
-    words = _tokenize_msvc(line) if dialect.family is Family.MSVC else _tokenize_posix(line)
-    return [w for w in words if w]
+# Each family's word finder and its unquoting of one word, which raises at an open quote.
+_SYNTAX = {Family.GNU_LIKE: (_POSIX_WORD.findall, lambda word: _POSIX_PIECE.sub(_unquote_posix, word)),
+           Family.MSVC: (_MSVC_WORD.findall, _unquote_msvc_word)}
 
 
 class TokenTable(dict):
-    """Word -> its one command-line Token; keep one table per evidence parse or snapshot load."""
+    """Word -> its one command-line Token; keep one table per evidence parse or snapshot load.
+    It unquotes each distinct raw word once per family and keeps each response file's expansion."""
+
+    def __init__(self):
+        self.unquote = {family: cache(unquote) for family, (_, unquote) in _SYNTAX.items()}
+        self.files: dict[tuple, Sequence[Token]] = {}
 
     def __missing__(self, word: str) -> Token:
         if type(word) is not str:  # a stored token that is neither a word nor an object
@@ -206,19 +198,23 @@ def logical_lines(text: str):
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if lines[-1] == "":
         lines.pop()
-    pending = ""
-    start = None
+    start, pending = 1, ""
     for idx, line in enumerate(lines, start=1):
-        if start is None:
-            start = idx
         if line.endswith("\\"):
             pending += line[:-1] + " "
             continue
         yield start, pending + line
-        pending = ""
-        start = None
+        start, pending = idx + 1, ""
     if pending:
         yield start, pending[:-1]  # less the space that stood for the last backslash
+
+
+def _tokens(line: str, family: Family, table: TokenTable) -> list[Token]:
+    words = _SYNTAX[family][0](line)
+    try:  # the filter drops the empty text of a quoted-empty word
+        return list(map(table.__getitem__, filter(None, map(table.unquote[family], words))))
+    except UnterminatedQuote as exc:  # raised for the last word, which ends the line
+        raise UnterminatedQuote(len(line) - len(words[-1]) + exc.position) from None
 
 
 def tokenize(line: str, dialect: Dialect, table: TokenTable | None = None) -> list[Token]:
@@ -226,43 +222,48 @@ def tokenize(line: str, dialect: Dialect, table: TokenTable | None = None) -> li
 
     Continuation backslashes must already have been joined by the caller.
     Quoted-empty arguments are dropped (a token's text is never empty).
-    Equal words share the Token that `table` holds for them.
+    Equal words share the Token `table` holds; it unquotes each raw word once.
     """
-    table = TokenTable() if table is None else table
-    return [table[w] for w in _words(line, dialect)]
+    return _tokens(line, dialect.family, TokenTable() if table is None else table)
 
 
-def expand_response_files(
-    tokens: Sequence[Token], cwd: str, dialect: Dialect, _chain: tuple[str, ...] = ()
-) -> Sequence[Token]:
+def expand_response_files(tokens: Sequence[Token], cwd: str, dialect: Dialect,
+                          table: TokenTable | None = None, _chain: tuple[str, ...] = ()) -> Sequence[Token]:
     """Replace every @path token in place by the tokenized file contents.
 
     Recursive with a cycle check and a nesting cap of MAX_RESPONSE_DEPTH.
     Files are read as UTF-8 with lossy replacement; LF and CRLF both work.
-    Without an @path token, `tokens` itself is returned.
+    Without an @path token, `tokens` itself is returned; `table` keeps each file's expansion.
     """
     if len(_chain) > MAX_RESPONSE_DEPTH:
         raise NestingTooDeep(MAX_RESPONSE_DEPTH)
-    if not any(tok.text[:1] == "@" and len(tok.text) > 1 for tok in tokens):
+    for tok in tokens:
+        if tok.text[:1] == "@" and len(tok.text) > 1:
+            break
+    else:
         return tokens
+    table = TokenTable() if table is None else table
     out: list[Token] = []
     for tok in tokens:
         if not tok.text.startswith("@") or len(tok.text) < 2:
             out.append(tok)
             continue
-        rel = tok.text[1:]
-        path = rel if os.path.isabs(rel) else os.path.join(cwd, rel)
-        path = os.path.normpath(path)
+        path = os.path.normpath(os.path.join(cwd, tok.text[1:]))  # an absolute path stays itself
         if path in _chain:
             raise ResponseFileCycle(list(_chain) + [path])
-        try:
-            with open(path, "r", encoding="utf-8", errors="replace") as fh:
-                body = fh.read()
-        except (FileNotFoundError, ValueError):  # ValueError: a NUL in the path names no file
-            raise ResponseFileNotFound(path) from None
-        inner = [Token(w, Origin("response-file", path, idx))
-                 for idx, w in enumerate(_words(body, dialect))]
-        out.extend(expand_response_files(inner, os.path.dirname(path) or cwd, dialect, _chain + (path,)))
+        # An expansion that succeeded once reaches no cycle, so only its depth can change it.
+        key = (path, dialect.family, len(_chain))
+        if key not in table.files:
+            try:
+                with open(path, "r", encoding="utf-8", errors="replace") as fh:
+                    body = fh.read()
+            except (FileNotFoundError, ValueError):  # ValueError: a NUL in the path names no file
+                raise ResponseFileNotFound(path) from None
+            inner = [Token(t.text, Origin("response-file", path, idx))
+                     for idx, t in enumerate(_tokens(body, dialect.family, table))]
+            table.files[key] = expand_response_files(inner, os.path.dirname(path) or cwd, dialect,
+                                                     table, _chain + (path,))
+        out.extend(table.files[key])
     return out
 
 

@@ -5,9 +5,10 @@ per logical line, backslash continuations joined), JSON compilation
 databases (directory/file/command-or-arguments), and wrapper spool
 directories (line-delimited JSON argv captures, ordered by timestamp).
 Every kind becomes invocations by one rule: the program is the first
-word, an empty argument is not a token, and an `@file` token is expanded
-there, so parsing alone reads files. Compilation-database entries and
-spool records share one shape check.
+word, an empty argument is not a token, an `@file` token is expanded
+there, so parsing alone reads files, and the source names the evidence
+file by its absolute path. Compilation-database entries and spool
+records share one shape check.
 
 Interleaved parallel-build logs are handled line-at-a-time: make/ninja
 -j output interleaves at line granularity, so nothing beyond backslash
@@ -69,11 +70,11 @@ def _shape_error(record, argv: str, strings: tuple[str, ...],
     return None if bad is None else f"{bad} is not a string"
 
 
-def _invocation(words: list[Token], dialect: Dialect, cwd: str, source: str) -> RawInvocation:
-    """The one way evidence becomes an invocation: the program is the first
-    word, an empty argument is not a token, and `@file` tokens are expanded."""
-    tokens = expand_response_files(tuple(w for w in words[1:] if w.text), cwd, dialect)
-    return RawInvocation(words[0].text, tuple(tokens), cwd, source, dialect)
+def _invocation(program: str, args: list[Token], dialect: Dialect, cwd: str, source: str,
+                table: TokenTable) -> RawInvocation:
+    """The one way evidence becomes an invocation: its tokens are `args`, the non-empty
+    words after the program, with `@file` tokens expanded."""
+    return RawInvocation(program, tuple(expand_response_files(args, cwd, dialect, table)), cwd, source, dialect)
 
 
 def parse_raw_log(path: str, skipped: list[dict] | None = None) -> list[RawInvocation]:
@@ -85,9 +86,10 @@ def parse_raw_log(path: str, skipped: list[dict] | None = None) -> list[RawInvoc
     in a truncated or garbled log) is appended to `skipped` as a
     snapshot diagnostic; a bad response file it names is an error.
     """
+    path = os.path.abspath(path)
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         text = fh.read()
-    cwd = os.path.dirname(os.path.abspath(path))
+    cwd = os.path.dirname(path)
     table = TokenTable()
     out: list[RawInvocation] = []
     for lineno, line in logical_lines(text):
@@ -103,7 +105,7 @@ def parse_raw_log(path: str, skipped: list[dict] | None = None) -> list[RawInvoc
             if skipped is not None:
                 skipped.append({"source": source, "program": program, "reason": str(exc)})
         else:  # a known program is a non-empty first word, so there is one word at least
-            out.append(_invocation(words, dialect, cwd, source))
+            out.append(_invocation(words[0].text, words[1:], dialect, cwd, source, table))
     return out
 
 
@@ -114,6 +116,7 @@ def parse_compilation_db(path: str) -> list[RawInvocation]:
     or command (a string holding a word), whose directory and file, where
     present, are strings.
     """
+    path = os.path.abspath(path)
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         try:
             entries = strictjson.loads(fh.read())
@@ -129,8 +132,8 @@ def parse_compilation_db(path: str) -> list[RawInvocation]:
         if reason is not None:
             raise MalformedDb(reason, idx)
         if "arguments" in entry:
-            dialect = detect_dialect(entry["arguments"][0])
-            words = [table[a] for a in entry["arguments"]]
+            program, *argv = entry["arguments"]
+            dialect, args = detect_dialect(program), [table[a] for a in argv if a]
         else:
             dialect = detect_dialect(command_program(entry["command"]))
             try:
@@ -139,7 +142,8 @@ def parse_compilation_db(path: str) -> list[RawInvocation]:
                 raise MalformedDb(f"unterminated quote: {exc}", idx) from None
             if not words:
                 raise MalformedDb("empty command", idx)
-        out.append(_invocation(words, dialect, entry.get("directory", ""), f"compdb:{path}#{idx}"))
+            program, args = words[0].text, words[1:]
+        out.append(_invocation(program, args, dialect, entry.get("directory", ""), f"compdb:{path}#{idx}", table))
     return out
 
 
@@ -153,7 +157,7 @@ def parse_wrapper_spool(dirpath: str) -> list[RawInvocation]:
     passed over. Output is ordered by (ts, filename, line); argv is taken
     verbatim.
     """
-    table = TokenTable()
+    dirpath, table = os.path.abspath(dirpath), TokenTable()
     keyed: list[tuple[tuple, RawInvocation]] = []
     for name in sorted(os.listdir(dirpath)):
         fpath = os.path.join(dirpath, name)
@@ -176,8 +180,8 @@ def parse_wrapper_spool(dirpath: str) -> list[RawInvocation]:
                     raise MalformedRecord(fpath, lineno, f"unsupported version {version!r}")
                 argv = rec["argv"]
                 dialect = detect_dialect(rec.get("tool") or argv[0])
-                inv = _invocation([table[a] for a in argv], dialect, rec.get("cwd", ""),
-                                  f"spool:{fpath}:{lineno}")
+                inv = _invocation(argv[0], [table[a] for a in argv[1:] if a], dialect,
+                                  rec.get("cwd", ""), f"spool:{fpath}:{lineno}", table)
                 keyed.append(((rec.get("ts", ""), name, lineno), inv))
     keyed.sort(key=lambda kv: kv[0])
     return [inv for _, inv in keyed]

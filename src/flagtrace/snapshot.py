@@ -2,13 +2,15 @@
 
 A snapshot captures every translation unit and link target observed in
 one build of one configuration. Records serialize to line-delimited
-canonical JSON (UTF-8, LF) so stored snapshots stay diffable with plain
-text tools. A record holds the tokens its effective flag set was
-resolved from: its invocation's tokens after `@file` expansion, each
-with its origin. `serialize()` encodes each record once and sets the
-content hash, SHA-256 over the record lines it writes; a target's member
-lists are written by `_members`, and a load refuses any others and keeps
-neither. This module alone knows how tokens, origins and dialects are stored.
+canonical JSON (UTF-8, LF, keys sorted) so stored snapshots stay diffable
+with plain text tools. `_encode_record` writes each line from its parts,
+escaping each string once: "kind", the record's KEYS (a target's member
+lists from `_members`), and in the invocation, dialect, token and origin
+objects the keys `_KEYS` and `_ORIGIN_KEYS` name; a load refuses any
+other key set and any other member lists. A record holds its invocation's
+tokens after `@file` expansion, each with its origin. `serialize()` sets
+the content hash, SHA-256 over the record lines it writes. This module
+alone knows how tokens, origins and dialects are stored.
 
 The header's `snapshot_version` says how tokens are stored. Version 2,
 which every snapshot is written in, stores a command-line token as its
@@ -20,16 +22,15 @@ loaded v1 snapshot serializes as v2. Any other version is rejected.
 On load the hash is checked over the record lines as stored, without
 re-serializing them; diagnostic lines are outside it, and a line of any
 other kind is unreadable. Every line is JSON-decoded, with each field it
-reads checked for its JSON type. Effective flag sets are stored
-denormalized for query speed. Every record, loaded or assembled, holds
-the canonical text it stores, `effective_text`, which the hash covers
-and writing copies. Its set is the set that text stores, built from it
-by one rule when first read, so a command decodes only the sets it
-reads; a set that fails to decode then raises `CorruptSnapshot` naming
-its line. A load notices neither a rewritten set whose hashes were
-recomputed nor a vocabulary edit since ingest. `flagtrace verify` finds
-both through `drifted()`, which decodes no stored set: a record's tokens
-must resolve to a set that serializes to exactly its text, byte for byte.
+reads checked for its JSON type. Every record, loaded or assembled, holds
+the canonical text of its effective set, `effective_text`, which the
+hash covers and writing copies; the set is built from that text when
+first read, so a command decodes only the sets it reads, and one that
+fails to decode raises `CorruptSnapshot` naming its line. A load notices
+neither a rewritten set whose hashes were recomputed nor a vocabulary
+edit since ingest. `flagtrace verify` finds both through `drifted()`,
+which decodes no stored set: a record's tokens must resolve to a set
+that serializes to exactly its text, byte for byte.
 
 The stored text has no token origins, which only audit evidence reads.
 A record's `origins` re-classifies its tokens when one came from a
@@ -45,6 +46,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from json.encoder import encode_basestring as _q  # a string as `_canon` writes it
 from types import GenericAlias
 
 from . import flagmodel, strictjson
@@ -91,6 +93,7 @@ class _Record:
 class TranslationUnitRecord(_Record):
     KIND = "tu"
     FIELDS = {"source_file": str, "output_file": (str, type(None))}  # stored name: JSON type
+    KEYS = {"effective", "invocation", *FIELDS}  # the keys of its line besides "kind"
 
     source_file: str
     output_file: str | None
@@ -102,6 +105,7 @@ class TranslationUnitRecord(_Record):
 class LinkTargetRecord(_Record):
     KIND = "target"
     FIELDS = {"output": str, "inputs": list[str]}
+    KEYS = {"effective", "external_inputs", "invocation", "member_tus", *FIELDS}
 
     output: str
     inputs: list[str]  # normalized paths / library names, command order
@@ -109,11 +113,13 @@ class LinkTargetRecord(_Record):
     effective_text: str  # canonical_serialize of the effective set
 
 
-# Both kinds share one codec: a record line holds "kind", the record's own FIELDS
-# under their names, a target's `_members`, the invocation and the canonical effective text.
-Record = TranslationUnitRecord | LinkTargetRecord
+Record = TranslationUnitRecord | LinkTargetRecord  # both kinds share one codec
 
 _RECORD_TYPES = {cls.KIND: cls for cls in (TranslationUnitRecord, LinkTargetRecord)}
+# The keys of each object in a record line; a command-line token object is read in v1 only.
+_KEYS = {"invocation": {"cwd", "dialect", "program", "source", "tokens"}, "dialect": {"family", "tool_kind"},
+         "token": {"origin", "text"}}
+_ORIGIN_KEYS = {"command-line": {"kind"}, "response-file": {"index", "kind", "path"}}
 
 
 def _members(target: LinkTargetRecord, by_output: dict) -> dict[str, list[str]]:
@@ -124,22 +130,24 @@ def _members(target: LinkTargetRecord, by_output: dict) -> dict[str, list[str]]:
 
 
 def _encode_record(rec: Record, by_output: dict) -> str:
-    d = {name: getattr(rec, name) for name in rec.FIELDS}
-    if rec.KIND == "target":
-        d.update(_members(rec, by_output))
-    d["kind"] = rec.KIND
-    inv = rec.invocation
-    d["invocation"] = {
-        "program": inv.program,
-        # A command-line token is stored as its bare text, any other as an object.
-        "tokens": [t.text if t.origin.kind == "command-line" else
-                   {"text": t.text, "origin": vars(t.origin)} for t in inv.tokens],
-        "cwd": inv.cwd,
-        "source": inv.source,
-        "dialect": {"family": inv.dialect.family.value, "tool_kind": inv.dialect.tool_kind.value},
-    }
-    d["effective"] = rec.effective_text
-    return _canon(d)
+    """The line `_canon` writes for the record, written from its parts in sorted key order."""
+    inv, dialect = rec.invocation, rec.invocation.dialect
+    # A command-line token is stored as its bare text, any other as an object.
+    tokens = ",".join([_q(t.text) if t.origin.kind == "command-line" else
+                       '{"origin":{"index":%d,"kind":%s,"path":%s},"text":%s}'
+                       % (t.origin.index, _q(t.origin.kind), _q(t.origin.path), _q(t.text))
+                       for t in inv.tokens])
+    invocation = (f'"invocation":{{"cwd":{_q(inv.cwd)},"dialect":{{"family":"{dialect.family.value}",'
+                  f'"tool_kind":"{dialect.tool_kind.value}"}},"program":{_q(inv.program)},'
+                  f'"source":{_q(inv.source)},"tokens":[{tokens}]}}')
+    effective = f'{{"effective":{_q(rec.effective_text)}'
+    if rec.KIND == "tu":
+        return (f'{effective},{invocation},"kind":"tu","output_file":{_canon(rec.output_file)},'
+                f'"source_file":{_q(rec.source_file)}}}')
+    members = _members(rec, by_output)
+    return (f'{effective},"external_inputs":{_canon(members["external_inputs"])},'
+            f'"inputs":{_canon(rec.inputs)},{invocation},"kind":"target",'
+            f'"member_tus":{_canon(members["member_tus"])},"output":{_q(rec.output)}}}')
 
 
 def _field(d: dict, name: str, kind=str):
@@ -155,10 +163,10 @@ def _stored_token(t: dict, tokens: TokenTable) -> Token:
     """The token stored as the object `t`; a command-line one is the load's Token for its text."""
     text, o = _field(t, "text"), t["origin"]
     kind = _field(o, "kind")
+    if t.keys() != _KEYS["token"] or o.keys() != _ORIGIN_KEYS.get(kind):
+        raise ValueError(f"stored token {t!r} is none that writing stores")
     if kind == "command-line":
         return tokens[text]
-    if kind != "response-file":
-        raise ValueError(f"stored origin kind {kind!r} is none that writing stores")
     return Token(text, Origin(kind, _field(o, "path"), _field(o, "index", int)))
 
 
@@ -178,6 +186,8 @@ def _classified_as_stored(rec: Record, memo: dict) -> list[flagmodel.FlagEntry] 
 def _decode_record(cls: type[Record], d: dict, tokens: TokenTable) -> Record:
     """The record stored as `d`, with its set not yet built; `tokens` is the load's table."""
     i = d["invocation"]
+    if d.keys() != cls.KEYS or i.keys() != _KEYS["invocation"] or i["dialect"].keys() != _KEYS["dialect"]:
+        raise ValueError("stored keys differ from the ones writing writes")
     stored = _field(i, "tokens", list)  # a string would read as one token per character
     try:  # a bare string is a command-line token, one per text; an object is any token
         toks = tuple(map(tokens.__getitem__, stored))

@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +59,30 @@ class TestIngestAndDiff:
     def test_unknown_build_exit_3(self, seeded_store, capsys):
         assert run(["--store", seeded_store, "diff", "official-1", "ghost"]) == 3
         assert "error" in capsys.readouterr().err
+
+
+class TestEvidencePath:
+    @pytest.mark.parametrize("kind, name, write", [
+        ("raw-log", "b.log", lambda p: p.write_text(OFFICIAL_LOG)),
+        ("compdb", "cc.json", lambda p: p.write_text(json.dumps(
+            [{"directory": "/w", "command": "gcc -O2 -c a.c -o a.o"}]))),
+        ("spool", "spool", lambda p: (p.mkdir(), (p / "cc.jsonl").write_text(json.dumps(
+            {"v": 1, "argv": ["gcc", "-O2", "-c", "a.c"], "cwd": "/w"}) + "\n"))),
+    ], ids=["raw-log", "compdb", "spool"])
+    def test_one_file_by_any_path_stores_one_hash(self, tmp_path, monkeypatch, capsys,
+                                                  kind, name, write):
+        """Provenance names the evidence by its absolute path, however it was given."""
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / name)
+        hashes = set()
+        for i, path in enumerate([name, f"./{name}", str(tmp_path / name)]):
+            assert run(["--store", "store", "--format", "json", "ingest", path, "--kind", kind,
+                        "--label", "dev", "--build-id", f"b{i}", "--created",
+                        "2026-01-01T00:00:00Z"]) == 0
+            hashes.add(json.loads(capsys.readouterr().out)["content_hash"])
+        assert len(hashes) == 1
+        source = Store("store").get("b0").tus[0].invocation.source
+        assert source.split(":")[1].startswith(f"{Path.cwd()}/{name}")
 
 
 class TestAudit:

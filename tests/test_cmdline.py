@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 import cmdline_oracle
 
 from flagtrace.cmdline import (
+    MAX_RESPONSE_DEPTH,
     Dialect,
     Family,
     Origin,
@@ -196,6 +197,32 @@ class TestTokenTable:
     def test_tokens_equal_without_a_table(self):
         assert tokenize("gcc -c a.c", GNU, TokenTable()) == tokenize("gcc -c a.c", GNU)
 
+    # A few pieces that lines repeat, joined with nothing between them, so that a
+    # piece may open, close, escape or split a word, or make a quoted-empty one.
+    PIECES = st.lists(st.one_of(
+        st.sampled_from(["''", '""', 'a""', "\\", '\\"', "\\\\", "'a b'", '"x\\"y"', " ", "-O2"]),
+        QUOTING_TEXT.map(lambda text: text[:6]),
+    ), min_size=1, max_size=8)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_a_shared_table_gives_each_line_its_own_words(self, data):
+        """Lines tokenized in turn through one table each give the reference words of
+        the line alone, or its open quote's position; equal texts share one Token."""
+        pieces = data.draw(self.PIECES)
+        lines = data.draw(st.lists(st.tuples(
+            st.sampled_from([GNU, MSVC]), st.lists(st.sampled_from(pieces), max_size=6).map("".join)),
+            min_size=1, max_size=8))
+        table, shared = TokenTable(), {}
+        for dialect, line in lines:
+            try:
+                tokens = tokenize(line, dialect, table)
+            except UnterminatedQuote as exc:
+                assert ("open", exc.position) == oracle_result(line, dialect) == runtime_result(line, dialect)
+                continue
+            assert texts(tokens) == oracle_result(line, dialect)
+            assert all(shared.setdefault(t.text, t) is t for t in tokens)
+
 
 class TestCommandProgram:
     @pytest.mark.parametrize("line, program", [
@@ -251,6 +278,23 @@ class TestResponseFiles:
         (tmp_path / "r20").write_text("-O2")
         with pytest.raises(NestingTooDeep):
             expand_response_files(tokenize("gcc @r0", GNU), str(tmp_path), GNU)
+
+    def test_depth_cap_holds_for_an_expansion_a_table_keeps(self, tmp_path):
+        """A file expanded once within the cap is expanded again, deeper, past it."""
+        for i in range(MAX_RESPONSE_DEPTH + 1):
+            (tmp_path / f"r{i}").write_text(f"@r{i + 1}" if i < MAX_RESPONSE_DEPTH else "-O2")
+        table = TokenTable()
+        shallow = expand_response_files(tokenize("gcc @r1", GNU, table), str(tmp_path), GNU, table)
+        assert texts(shallow) == ["gcc", "-O2"]
+        with pytest.raises(NestingTooDeep):
+            expand_response_files(tokenize("gcc @r0", GNU, table), str(tmp_path), GNU, table)
+
+    def test_a_table_expands_each_file_once(self, tmp_path):
+        (tmp_path / "rsp").write_text("-O2 -g")
+        table = TokenTable()
+        a, b = (expand_response_files(tokenize(f"gcc @rsp {src}", GNU, table), str(tmp_path), GNU, table)
+                for src in ("a.c", "b.c"))
+        assert [x is y for x, y in zip(a, b)] == [True, True, True, False]
 
     def test_idempotent_on_own_output(self, tmp_path):
         (tmp_path / "rsp").write_text("-O2 -I include")

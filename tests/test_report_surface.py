@@ -3,9 +3,10 @@
 A small store is built from compile databases through `cli.run`, and a
 fixed list of commands runs against it, once in text and once in JSON.
 The transcript of each run (exit codes, stdout and stderr) is compared with tests/data/report-surface.<fmt>.
-Inputs are named by paths relative to the working directory, so the
-stored snapshots, their content hashes and every report are the same
-wherever the test runs.
+Evidence is stored under its absolute path, so the transcript writes the
+working directory as $TMP, and each content hash as the hash of its
+snapshot's record lines with $TMP written there too: the stored bytes
+are pinned wherever the test runs.
 
 The commands cover what the other CLI tests do not render: diff lines
 for added, removed and changed targets and TUs, drive-letter alias
@@ -128,7 +129,18 @@ def _write_inputs(root: Path) -> None:
         build_minimal_elf(root / name)
 
 
-def _transcript(fmt: str, capsys) -> str:
+def _placeholder_hashes(root: Path) -> dict[str, str]:
+    """Each stored content hash -> the hash of its record lines with `root` written as $TMP."""
+    out = {}
+    for fts in (root / "store" / "snapshots").glob("*.fts"):
+        header, *rest = fts.read_bytes().removesuffix(b"\n").split(b"\n")
+        lines = b"".join(line + b"\n" for line in rest if json.loads(line)["kind"] != "diagnostic")
+        out[json.loads(header)["content_hash"]] = hashlib.sha256(
+            lines.replace(str(root).encode(), b"$TMP")).hexdigest()
+    return out
+
+
+def _transcript(fmt: str, capsys, root: Path) -> str:
     out = []
 
     def call(argv):
@@ -143,14 +155,17 @@ def _transcript(fmt: str, capsys) -> str:
               "--build-id", build_id, "--created", created])
     for argv in COMMANDS:
         call(argv)
-    return "".join(out)
+    text = "".join(out).replace(str(root), "$TMP")
+    for stored, placeholder in _placeholder_hashes(root).items():
+        text = text.replace(stored, placeholder)
+    return text
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_report_surface_is_unchanged(fmt, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     _write_inputs(tmp_path)
-    got = _transcript(fmt, capsys)
+    got = _transcript(fmt, capsys, Path.cwd())  # the directory as abspath finds it
     assert got == (DATA / f"report-surface.{fmt}").read_text(encoding="utf-8")
 
 

@@ -13,12 +13,21 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import canonical_oracle
+import record_oracle
 from conftest import build_minimal_elf
 from flagtrace import flagmodel, snapshot
 from flagtrace.cli import run
-from flagtrace.cmdline import COMMAND_LINE, Family, Origin, RawInvocation, Token, detect_dialect
+from flagtrace.cmdline import (
+    COMMAND_LINE,
+    DIALECTS,
+    Family,
+    Origin,
+    RawInvocation,
+    Token,
+    detect_dialect,
+)
 from flagtrace.ingest import assemble_snapshot
-from flagtrace.snapshot import BuildSnapshot, TranslationUnitRecord
+from flagtrace.snapshot import BuildSnapshot, LinkTargetRecord, TranslationUnitRecord
 from flagtrace.store import Store, _snapshot_relpath
 from tests.test_ingest import DEEP_JSON, log_snapshot
 
@@ -736,12 +745,17 @@ def _join_tokens(rec):
     ("gcc @opts.rsp -c a.c -o a.o\n", _set_rsp_origin_kind, [["audit", "b1"]]),
     ("gcc -O2 -c a.c -o a.o\n", _join_tokens, [["query", "find", "--build", "b1",
                                                 "--group", "opt_level", "--value=-O2"]]),
+    ("gcc -O2 -c a.c -o a.o\n", lambda rec: rec.update(bogus=1),
+     [["query", "find", "--build", "b1", "--group", "opt_level", "--value=-O2"]]),
+    ("gcc -O2 -c a.c -o a.o\n", lambda rec: rec["invocation"].update(env="X=1"),
+     [["history", "dev", "--key", "opt_level"]]),
 ], ids=["number-source-file", "number-in-target-inputs", "number-rsp-token-text",
-        "bool-rsp-token-index", "unknown-rsp-origin-kind", "string-tokens"])
+        "bool-rsp-token-index", "unknown-rsp-origin-kind", "string-tokens",
+        "record-key-never-written", "invocation-key-never-written"])
 def test_mistyped_stored_field_is_unreadable(tmp_path, capsys, log, edit, commands):
-    """A stored field of another JSON type, or an origin kind writing never stores, with
-    every hash recomputed, makes its line unreadable: each read command exits 3 naming
-    it, and verify reports the build corrupt."""
+    """A stored field of another JSON type, a key or an origin kind writing never
+    stores, with every hash recomputed, makes its line unreadable: each read command
+    exits 3 naming it, and verify reports the build corrupt."""
     (tmp_path / "opts.rsp").write_text("-O2\n")
     (tmp_path / "b.log").write_text(log)
     store = Store(str(tmp_path / "store"))
@@ -759,3 +773,45 @@ def test_mistyped_stored_field_is_unreadable(tmp_path, capsys, log, edit, comman
     assert code == 3 and doc["builds"][0]["build_id"] == "b1"
     assert doc["builds"][0]["status"] == "corrupt"
     assert "unreadable snapshot line 2" in doc["builds"][0]["error"]
+
+
+# Text a record line must escape or keep as it is, each kind weighted above
+# the rest of Unicode: quotes, backslashes, control characters, the line
+# breaks JSON leaves unescaped, and text outside the BMP.
+LINE_TEXT = st.text(alphabet=st.one_of(
+    st.sampled_from(list('"\\/\x00\x1f\x7f\n\r\t\x85\u2028\u2029')),
+    st.sampled_from(["\U0001f600", "\U00010000", "\xe9", "a", "."]),
+    st.characters(blacklist_categories=("Cs",)),  # a lone surrogate is no UTF-8 text
+), max_size=10)
+_ORIGINS = st.one_of(st.just(COMMAND_LINE), st.builds(
+    lambda path, index: Origin("response-file", path, index), LINE_TEXT, st.integers(0, 10**9)))
+_INVOCATIONS = st.builds(RawInvocation, LINE_TEXT,
+                         st.lists(st.builds(Token, LINE_TEXT.filter(bool), _ORIGINS),
+                                  max_size=4).map(tuple),
+                         LINE_TEXT, LINE_TEXT, st.sampled_from(list(DIALECTS.values())))
+
+
+@st.composite
+def _snapshots(draw) -> BuildSnapshot:
+    """TUs whose outputs are None or drawn from a few names, and targets whose inputs
+    name some of those outputs, their members, and other text, their external inputs."""
+    outputs = draw(st.lists(LINE_TEXT, min_size=1, max_size=3))
+    tus = draw(st.lists(st.builds(TranslationUnitRecord, LINE_TEXT,
+                                  st.none() | st.sampled_from(outputs), _INVOCATIONS, LINE_TEXT),
+                        max_size=3))
+    targets = draw(st.lists(st.builds(LinkTargetRecord, LINE_TEXT,
+                                      st.lists(st.sampled_from(outputs) | LINE_TEXT, max_size=4),
+                                      _INVOCATIONS, LINE_TEXT), max_size=2))
+    return BuildSnapshot("b1", "dev", "2026-01-01T00:00:00Z", tus, targets)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_snapshots())
+def test_record_line_is_json_dumps_of_its_dict_form(snap):
+    """Each record line, written from its parts, is the sorted-key compact JSON of the
+    record's dict form, and reads back to the same record."""
+    by_output = snap.by_output()
+    for rec in (*snap.tus, *snap.targets):
+        assert snapshot._encode_record(rec, by_output) == record_oracle.encode_record(rec, by_output)
+    loaded = BuildSnapshot.deserialize(snap.serialize())
+    assert (loaded.tus, loaded.targets) == (snap.tus, snap.targets)
