@@ -99,9 +99,9 @@ class AnomalyFinding:
 
 
 def _prov(rec: Record, origin: Origin | None = None) -> str:
-    """The record's source, and where the cited token came from if a response file; its
-    `origin` is None where the record has no `origins`, and then names the source alone."""
-    if origin is not None and origin.kind == "response-file":
+    """The record's source, and the response file the cited token came from, `origin`; it is
+    None for a command-line token, or where the record has no `origins`: the source alone."""
+    if origin is not None:
         return f"{rec.invocation.source} via {origin}"
     return rec.invocation.source
 
@@ -224,9 +224,10 @@ def run_audit(
 
     if "R8" in enabled:
         for subject, tu in tus:
-            hits = [t for t in tu.invocation.tokens if _UNRESOLVED.search(t.text)]
+            inv = tu.invocation
+            hits = [(_prov(tu, o), t) for t, o in zip(inv.tokens, inv.origins) if _UNRESOLVED.search(t)]
             if hits:
-                add("R8", subject, [(_prov(tu, t.origin), t.text) for t in hits],
+                add("R8", subject, hits,
                     "unexpanded variable token in compiler command")
 
     findings.sort(key=lambda f: (f.rule, f.subject))

@@ -6,10 +6,11 @@ GNU-ish toolchains (gcc, clang, ld, ar) and the MSVC argv rules
 regex pass over one logical line, whose backslash continuations
 `logical_lines` has joined (for build logs and makefiles alike); the
 character-at-a-time reference they must agree with lives in
-tests/cmdline_oracle.py. A `TokenTable` unquotes each distinct raw word
-once, as a build log repeats its words. Response files (@path) are
-expanded recursively with cycle and depth protection. How a snapshot
-stores tokens, origins and dialects is known only to `snapshot.py`.
+tests/cmdline_oracle.py. A token is its text, a str; a `TokenTable`
+unquotes each distinct raw word once, as a build log repeats its words.
+Response files (@path) are expanded recursively with cycle and depth
+protection; each word's response-file `Origin` is kept beside it. How a
+snapshot stores tokens, origins and dialects is known only to `snapshot.py`.
 
 No environment-variable expansion is ever performed: the original
 environment is not available when working from archived logs, so
@@ -56,38 +57,28 @@ DIALECTS = {(f.value, k.value): Dialect(f, k) for f in Family for k in ToolKind}
 
 @dataclass(frozen=True)
 class Origin:
-    """Where a token came from: the command line itself or a response file."""
+    """The response file a word came from, and the word's index among that file's words."""
 
-    kind: str  # "command-line" | "response-file"
-    path: str | None = None
-    index: int | None = None
+    path: str
+    index: int
 
     def __str__(self) -> str:
-        if self.kind == "command-line":
-            return "command-line"
         return f"{self.path}#{self.index}"
-
-
-COMMAND_LINE = Origin("command-line")
-
-
-@dataclass(frozen=True)
-class Token:
-    text: str
-    origin: Origin = COMMAND_LINE
 
 
 @dataclass(frozen=True)
 class RawInvocation:
     """One captured compiler/linker command with provenance.
 
-    ``tokens`` are the arguments after the program name, each `@file`
+    ``tokens`` are the words after the program name, each `@file`
     replaced by its response file's words, in command-line order; order
     is load-bearing for later-wins resolution and link-order checks.
+    ``origins``, aligned with them, holds each word's response-file `Origin`, None on the command line.
     """
 
     program: str
-    tokens: tuple[Token, ...]
+    tokens: tuple[str, ...]
+    origins: tuple[Origin | None, ...]
     cwd: str
     source: str  # provenance: "log:<path>:<line>", "compdb:<path>#<i>" or "spool:<file>:<line>", paths absolute
     dialect: Dialect
@@ -174,19 +165,13 @@ _SYNTAX = {Family.GNU_LIKE: (_POSIX_WORD.findall, lambda word: _POSIX_PIECE.sub(
            Family.MSVC: (_MSVC_WORD.findall, _unquote_msvc_word)}
 
 
-class TokenTable(dict):
-    """Word -> its one command-line Token; keep one table per evidence parse or snapshot load.
-    It unquotes each distinct raw word once per family and keeps each response file's expansion."""
+class TokenTable:
+    """The memo of one evidence parse: each family's unquoting of a distinct raw word,
+    which gives equal words one str, and each response file's expansion (`files`)."""
 
     def __init__(self):
         self.unquote = {family: cache(unquote) for family, (_, unquote) in _SYNTAX.items()}
-        self.files: dict[tuple, Sequence[Token]] = {}
-
-    def __missing__(self, word: str) -> Token:
-        if type(word) is not str:  # a stored token that is neither a word nor an object
-            raise TypeError(f"not a word: {word!r}")
-        token = self[word] = Token(word)
-        return token
+        self.files: dict[tuple, tuple[list[str], list[Origin | None]]] = {}
 
 
 def logical_lines(text: str):
@@ -209,46 +194,50 @@ def logical_lines(text: str):
         yield start, pending[:-1]  # less the space that stood for the last backslash
 
 
-def _tokens(line: str, family: Family, table: TokenTable) -> list[Token]:
+def _tokens(line: str, family: Family, table: TokenTable) -> list[str]:
     words = _SYNTAX[family][0](line)
     try:  # the filter drops the empty text of a quoted-empty word
-        return list(map(table.__getitem__, filter(None, map(table.unquote[family], words))))
+        return list(filter(None, map(table.unquote[family], words)))
     except UnterminatedQuote as exc:  # raised for the last word, which ends the line
         raise UnterminatedQuote(len(line) - len(words[-1]) + exc.position) from None
 
 
-def tokenize(line: str, dialect: Dialect, table: TokenTable | None = None) -> list[Token]:
-    """Split one logical command line into tokens under the dialect's rules.
+def tokenize(line: str, dialect: Dialect, table: TokenTable | None = None) -> list[str]:
+    """Split one logical command line into its words under the dialect's rules.
 
     Continuation backslashes must already have been joined by the caller.
-    Quoted-empty arguments are dropped (a token's text is never empty).
-    Equal words share the Token `table` holds; it unquotes each raw word once.
+    Quoted-empty arguments are dropped (a word is never empty). `table`
+    unquotes each distinct raw word once, so equal words share one str.
     """
     return _tokens(line, dialect.family, TokenTable() if table is None else table)
 
 
-def expand_response_files(tokens: Sequence[Token], cwd: str, dialect: Dialect,
-                          table: TokenTable | None = None, _chain: tuple[str, ...] = ()) -> Sequence[Token]:
-    """Replace every @path token in place by the tokenized file contents.
+def expand_response_files(tokens: Sequence[str], cwd: str, dialect: Dialect, table: TokenTable | None = None,
+                          _chain: tuple[str, ...] = ()) -> tuple[Sequence[str], Sequence[Origin | None]]:
+    """Replace every @path word in place by the words of that file: (words, origins).
 
+    A word's origin is None on the command line, else `Origin(path, i)`, the i-th word of file `path`.
     Recursive with a cycle check and a nesting cap of MAX_RESPONSE_DEPTH.
     Files are read as UTF-8 with lossy replacement; LF and CRLF both work.
-    Without an @path token, `tokens` itself is returned; `table` keeps each file's expansion.
+    Without an @path word, `tokens` itself is returned; `table` keeps each file's expansion.
     """
     if len(_chain) > MAX_RESPONSE_DEPTH:
         raise NestingTooDeep(MAX_RESPONSE_DEPTH)
-    for tok in tokens:
-        if tok.text[:1] == "@" and len(tok.text) > 1:
+    # `tokens` are the words of the file that ends `_chain`, or of the command line.
+    here = [Origin(_chain[-1], i) for i in range(len(tokens))] if _chain else (None,) * len(tokens)
+    for word in tokens:
+        if word[:1] == "@" and len(word) > 1:
             break
     else:
-        return tokens
+        return tokens, here
     table = TokenTable() if table is None else table
-    out: list[Token] = []
-    for tok in tokens:
-        if not tok.text.startswith("@") or len(tok.text) < 2:
-            out.append(tok)
+    out, origins = [], []
+    for word, origin in zip(tokens, here):
+        if word[:1] != "@" or len(word) < 2:
+            out.append(word)
+            origins.append(origin)
             continue
-        path = os.path.normpath(os.path.join(cwd, tok.text[1:]))  # an absolute path stays itself
+        path = os.path.normpath(os.path.join(cwd, word[1:]))  # an absolute path stays itself
         if path in _chain:
             raise ResponseFileCycle(list(_chain) + [path])
         # An expansion that succeeded once reaches no cycle, so only its depth can change it.
@@ -259,12 +248,17 @@ def expand_response_files(tokens: Sequence[Token], cwd: str, dialect: Dialect,
                     body = fh.read()
             except (FileNotFoundError, ValueError):  # ValueError: a NUL in the path names no file
                 raise ResponseFileNotFound(path) from None
-            inner = [Token(t.text, Origin("response-file", path, idx))
-                     for idx, t in enumerate(_tokens(body, dialect.family, table))]
-            table.files[key] = expand_response_files(inner, os.path.dirname(path) or cwd, dialect,
-                                                     table, _chain + (path,))
-        out.extend(table.files[key])
-    return out
+            table.files[key] = expand_response_files(_tokens(body, dialect.family, table),
+                                                     os.path.dirname(path) or cwd, dialect, table, _chain + (path,))
+        words, where = table.files[key]
+        out.extend(words)
+        origins.extend(where)
+    return out, origins
+
+
+def is_absolute(path: str) -> bool:
+    """Whether a path, on any host, starts with a slash or backslash or with a drive (`C:`)."""
+    return path[:1] in ("/", "\\") or path[1:2] == ":"
 
 
 def normalize_path(path: str, cwd: str = "") -> str:
@@ -275,7 +269,6 @@ def normalize_path(path: str, cwd: str = "") -> str:
     """
     p = path.replace("\\", "/")
     c = cwd.replace("\\", "/")
-    is_abs = p.startswith("/") or (len(p) >= 2 and p[1] == ":")
-    if not is_abs and c:
+    if not is_absolute(p) and c:
         p = c.rstrip("/") + "/" + p
     return posixpath.normpath(p)

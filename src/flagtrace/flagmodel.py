@@ -37,7 +37,7 @@ from importlib import resources
 from json.encoder import encode_basestring
 
 from . import strictjson
-from .cmdline import Dialect, Family, Token
+from .cmdline import Dialect, Family
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -108,7 +108,7 @@ def _entry(row: _VocabRow, value: str | None, spelling: str) -> FlagEntry:
     return FlagEntry(row.key, value, row.polarity, spelling, group)
 
 
-def classify(token: Token, dialect: Dialect, next_token: Token | None = None) -> tuple[FlagEntry, bool]:
+def classify(text: str, dialect: Dialect, next_token: str | None = None) -> tuple[FlagEntry, bool]:
     """Map one token onto the canonical vocabulary.
 
     A flag-like token is looked up as an exact spelling, then by the
@@ -117,7 +117,6 @@ def classify(token: Token, dialect: Dialect, next_token: Token | None = None) ->
     flag's argument (a `next` row: -D FOO, -I dir, /D FOO).
     Unknown tokens never fail; they degrade to key=opaque.
     """
-    text = token.text
     family = dialect.family
     lookup = text
     if family is Family.MSVC and text.startswith("-") and len(text) > 1:
@@ -142,8 +141,7 @@ def classify(token: Token, dialect: Dialect, next_token: Token | None = None) ->
         how = row.value_from
         if how == "next":
             if next_token is not None:
-                arg = next_token.text
-                return _entry(row, arg, f"{text} {arg}"), True
+                return _entry(row, next_token, f"{text} {next_token}"), True
         elif rest or how != "attached":
             if how == "spelling":
                 # Canonical spelling from the table (e.g. '/O2' even when typed '-O2').
@@ -158,7 +156,7 @@ def classify(token: Token, dialect: Dialect, next_token: Token | None = None) ->
     return FlagEntry("opaque", None, VALUED, text), False
 
 
-def classify_all(tokens: Sequence[Token], dialect: Dialect, memo: dict | None = None) -> list[FlagEntry]:
+def classify_all(tokens: Sequence[str], dialect: Dialect, memo: dict | None = None) -> list[FlagEntry]:
     """Classify a token stream; equal to calling `classify` on each token in turn.
     `memo` maps a family to the entries built so far, by spelling; pass one dict
     for all commands of a snapshot."""
@@ -167,11 +165,11 @@ def classify_all(tokens: Sequence[Token], dialect: Dialect, memo: dict | None = 
     n = len(tokens)
     i = 0
     while i < n:
-        text = tokens[i].text
+        text = tokens[i]
         entry = seen.get(text)
         if entry is None:
             nxt = tokens[i + 1] if i + 1 < n else None
-            entry, consumed = classify(tokens[i], dialect, nxt)
+            entry, consumed = classify(text, dialect, nxt)
             if consumed:
                 i += 1
             elif nxt is not None:
@@ -183,14 +181,14 @@ def classify_all(tokens: Sequence[Token], dialect: Dialect, memo: dict | None = 
     return entries
 
 
-def token_indices(tokens: Sequence[Token], entries: Sequence[FlagEntry]) -> list[int]:
+def token_indices(tokens: Sequence[str], entries: Sequence[FlagEntry]) -> list[int]:
     """The index in `tokens` of the token each entry of `classify_all(tokens, ...)` came from.
     Only a `next` row with a next token spells its entry `f"{text} {arg}"`, so an
     entry not spelled as its token's text also took the token after it."""
     out, i = [], 0
     for e in entries:
         out.append(i)
-        i += 1 if e.spelling == tokens[i].text else 2
+        i += 1 if e.spelling == tokens[i] else 2
     return out
 
 

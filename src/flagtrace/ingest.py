@@ -7,8 +7,9 @@ directories (line-delimited JSON argv captures, ordered by timestamp).
 Every kind becomes invocations by one rule: the program is the first
 word, an empty argument is not a token, an `@file` token is expanded
 there, so parsing alone reads files, and the source names the evidence
-file by its absolute path. Compilation-database entries and spool
-records share one shape check.
+file by its absolute path. A relative or absent working directory is
+the evidence file's directory joined with it. Compilation-database
+entries and spool records share one shape check.
 
 Interleaved parallel-build logs are handled line-at-a-time: make/ninja
 -j output interleaves at line granularity, so nothing beyond backslash
@@ -26,12 +27,12 @@ from .cmdline import (
     Dialect,
     Family,
     RawInvocation,
-    Token,
     TokenTable,
     ToolKind,
     command_program,
     detect_dialect,
     expand_response_files,
+    is_absolute,
     logical_lines,
     normalize_path,
     tokenize,
@@ -70,11 +71,14 @@ def _shape_error(record, argv: str, strings: tuple[str, ...],
     return None if bad is None else f"{bad} is not a string"
 
 
-def _invocation(program: str, args: list[Token], dialect: Dialect, cwd: str, source: str,
+def _invocation(program: str, args: list[str], dialect: Dialect, cwd: str, home: str, source: str,
                 table: TokenTable) -> RawInvocation:
-    """The one way evidence becomes an invocation: its tokens are `args`, the non-empty
-    words after the program, with `@file` tokens expanded."""
-    return RawInvocation(program, tuple(expand_response_files(args, cwd, dialect, table)), cwd, source, dialect)
+    """The one way evidence becomes an invocation: its tokens are `args`, the non-empty words after
+    the program, `@file` words expanded; a relative `cwd` is joined onto `home`, the evidence file's."""
+    if not is_absolute(cwd):
+        cwd = os.path.normpath(os.path.join(home, cwd))
+    tokens, origins = expand_response_files(args, cwd, dialect, table)
+    return RawInvocation(program, tuple(tokens), tuple(origins), cwd, source, dialect)
 
 
 def parse_raw_log(path: str, skipped: list[dict] | None = None) -> list[RawInvocation]:
@@ -89,8 +93,7 @@ def parse_raw_log(path: str, skipped: list[dict] | None = None) -> list[RawInvoc
     path = os.path.abspath(path)
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         text = fh.read()
-    cwd = os.path.dirname(path)
-    table = TokenTable()
+    home, table = os.path.dirname(path), TokenTable()
     out: list[RawInvocation] = []
     for lineno, line in logical_lines(text):
         # Not stripped: words end only at the tokenizers' spaces, which they skip.
@@ -105,7 +108,7 @@ def parse_raw_log(path: str, skipped: list[dict] | None = None) -> list[RawInvoc
             if skipped is not None:
                 skipped.append({"source": source, "program": program, "reason": str(exc)})
         else:  # a known program is a non-empty first word, so there is one word at least
-            out.append(_invocation(words[0].text, words[1:], dialect, cwd, source, table))
+            out.append(_invocation(words[0], words[1:], dialect, "", home, source, table))
     return out
 
 
@@ -114,7 +117,7 @@ def parse_compilation_db(path: str) -> list[RawInvocation]:
 
     An entry is an object with arguments (a non-empty array of strings)
     or command (a string holding a word), whose directory and file, where
-    present, are strings.
+    present, are strings. A relative directory is relative to the database's.
     """
     path = os.path.abspath(path)
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
@@ -124,7 +127,7 @@ def parse_compilation_db(path: str) -> list[RawInvocation]:
             raise MalformedDb(str(exc)) from None
     if not isinstance(entries, list):
         raise MalformedDb("top-level value is not an array")
-    table = TokenTable()
+    home, table = os.path.dirname(path), TokenTable()
     out: list[RawInvocation] = []
     for idx, entry in enumerate(entries):
         reason = _shape_error(entry, "arguments", ("directory", "file", "command"),
@@ -133,7 +136,7 @@ def parse_compilation_db(path: str) -> list[RawInvocation]:
             raise MalformedDb(reason, idx)
         if "arguments" in entry:
             program, *argv = entry["arguments"]
-            dialect, args = detect_dialect(program), [table[a] for a in argv if a]
+            dialect, args = detect_dialect(program), [a for a in argv if a]
         else:
             dialect = detect_dialect(command_program(entry["command"]))
             try:
@@ -142,8 +145,9 @@ def parse_compilation_db(path: str) -> list[RawInvocation]:
                 raise MalformedDb(f"unterminated quote: {exc}", idx) from None
             if not words:
                 raise MalformedDb("empty command", idx)
-            program, args = words[0].text, words[1:]
-        out.append(_invocation(program, args, dialect, entry.get("directory", ""), f"compdb:{path}#{idx}", table))
+            program, args = words[0], words[1:]
+        out.append(_invocation(program, args, dialect, entry.get("directory", ""), home,
+                               f"compdb:{path}#{idx}", table))
     return out
 
 
@@ -155,7 +159,7 @@ def parse_wrapper_spool(dirpath: str) -> list[RawInvocation]:
     that is a non-empty array of strings, or with a cwd, ts or tool that
     is not a string is malformed. Files that are not regular files are
     passed over. Output is ordered by (ts, filename, line); argv is taken
-    verbatim.
+    verbatim, and a relative cwd is relative to the spool directory.
     """
     dirpath, table = os.path.abspath(dirpath), TokenTable()
     keyed: list[tuple[tuple, RawInvocation]] = []
@@ -180,8 +184,8 @@ def parse_wrapper_spool(dirpath: str) -> list[RawInvocation]:
                     raise MalformedRecord(fpath, lineno, f"unsupported version {version!r}")
                 argv = rec["argv"]
                 dialect = detect_dialect(rec.get("tool") or argv[0])
-                inv = _invocation(argv[0], [table[a] for a in argv[1:] if a], dialect,
-                                  rec.get("cwd", ""), f"spool:{fpath}:{lineno}", table)
+                inv = _invocation(argv[0], [a for a in argv[1:] if a], dialect,
+                                  rec.get("cwd", ""), dirpath, f"spool:{fpath}:{lineno}", table)
                 keyed.append(((rec.get("ts", ""), name, lineno), inv))
     keyed.sort(key=lambda kv: kv[0])
     return [inv for _, inv in keyed]

@@ -8,9 +8,9 @@ escaping each string once: "kind", the record's KEYS (a target's member
 lists from `_members`), and in the invocation, dialect, token and origin
 objects the keys `_KEYS` and `_ORIGIN_KEYS` name; a load refuses any
 other key set and any other member lists. A record holds its invocation's
-tokens after `@file` expansion, each with its origin. `serialize()` sets
-the content hash, SHA-256 over the record lines it writes. This module
-alone knows how tokens, origins and dialects are stored.
+tokens after `@file` expansion, each a str, with their origins beside
+them. `serialize()` sets the content hash, SHA-256 over the record lines
+it writes. This module alone knows how tokens, origins and dialects are stored.
 
 The header's `snapshot_version` says how tokens are stored. Version 2,
 which every snapshot is written in, stores a command-line token as its
@@ -22,15 +22,16 @@ loaded v1 snapshot serializes as v2. Any other version is rejected.
 On load the hash is checked over the record lines as stored, without
 re-serializing them; diagnostic lines are outside it, and a line of any
 other kind is unreadable. Every line is JSON-decoded, with each field it
-reads checked for its JSON type. Every record, loaded or assembled, holds
-the canonical text of its effective set, `effective_text`, which the
-hash covers and writing copies; the set is built from that text when
-first read, so a command decodes only the sets it reads, and one that
-fails to decode raises `CorruptSnapshot` naming its line. A load notices
-neither a rewritten set whose hashes were recomputed nor a vocabulary
-edit since ingest. `flagtrace verify` finds both through `drifted()`,
-which decodes no stored set: a record's tokens must resolve to a set
-that serializes to exactly its text, byte for byte.
+reads checked for its JSON type; a load keeps one str per command-line
+word. Every record, loaded or assembled, holds the canonical text of its
+effective set, `effective_text`, which the hash covers and writing
+copies; the set is built from that text when first read, so a command
+decodes only the sets it reads, and one that fails to decode raises
+`CorruptSnapshot` naming its line. A load notices neither a rewritten
+set whose hashes were recomputed nor a vocabulary edit since ingest.
+`flagtrace verify` finds both through `drifted()`, which decodes no
+stored set: a record's tokens must resolve to a set that serializes to
+exactly its text, byte for byte.
 
 The stored text has no token origins, which only audit evidence reads.
 A record's `origins` re-classifies its tokens when one came from a
@@ -50,7 +51,7 @@ from json.encoder import encode_basestring as _q  # a string as `_canon` writes 
 from types import GenericAlias
 
 from . import flagmodel, strictjson
-from .cmdline import COMMAND_LINE, DIALECTS, Origin, RawInvocation, Token, TokenTable
+from .cmdline import DIALECTS, Origin, RawInvocation
 from .errors import CorruptSnapshot
 
 SNAPSHOT_VERSION = 2  # the version every snapshot is written in
@@ -80,12 +81,12 @@ class _Record:
         """`effective` with the origin of each winner's token in the winner's place.
         None when no token came from a response file, or when the tokens no longer
         resolve to the stored text; every winner is then cited by its source alone."""
-        tokens = self.invocation.tokens
-        if any(t.origin is not COMMAND_LINE for t in tokens):
+        inv = self.invocation
+        if any(inv.origins):
             entries = _classified_as_stored(self, {})
             if entries is not None:
-                return flagmodel.resolve(entries, [tokens[i].origin
-                                                   for i in flagmodel.token_indices(tokens, entries)])
+                return flagmodel.resolve(entries, [inv.origins[i]
+                                                   for i in flagmodel.token_indices(inv.tokens, entries)])
         return None
 
 
@@ -132,11 +133,11 @@ def _members(target: LinkTargetRecord, by_output: dict) -> dict[str, list[str]]:
 def _encode_record(rec: Record, by_output: dict) -> str:
     """The line `_canon` writes for the record, written from its parts in sorted key order."""
     inv, dialect = rec.invocation, rec.invocation.dialect
-    # A command-line token is stored as its bare text, any other as an object.
-    tokens = ",".join([_q(t.text) if t.origin.kind == "command-line" else
-                       '{"origin":{"index":%d,"kind":%s,"path":%s},"text":%s}'
-                       % (t.origin.index, _q(t.origin.kind), _q(t.origin.path), _q(t.text))
-                       for t in inv.tokens])
+    # A command-line token is stored as its bare text, a response-file one as an object.
+    tokens = ",".join([_q(t) if o is None else
+                       '{"origin":{"index":%d,"kind":"response-file","path":%s},"text":%s}'
+                       % (o.index, _q(o.path), _q(t))
+                       for t, o in zip(inv.tokens, inv.origins)])
     invocation = (f'"invocation":{{"cwd":{_q(inv.cwd)},"dialect":{{"family":"{dialect.family.value}",'
                   f'"tool_kind":"{dialect.tool_kind.value}"}},"program":{_q(inv.program)},'
                   f'"source":{_q(inv.source)},"tokens":[{tokens}]}}')
@@ -159,15 +160,17 @@ def _field(d: dict, name: str, kind=str):
     return value
 
 
-def _stored_token(t: dict, tokens: TokenTable) -> Token:
-    """The token stored as the object `t`; a command-line one is the load's Token for its text."""
+def _stored_token(t, words: dict[str, str]) -> tuple[str, Origin | None]:
+    """The token stored as `t`, a bare word or an object, and its origin; `words` as in `_decode_record`."""
+    if type(t) is str:
+        return words.setdefault(t, t), None
     text, o = _field(t, "text"), t["origin"]
     kind = _field(o, "kind")
     if t.keys() != _KEYS["token"] or o.keys() != _ORIGIN_KEYS.get(kind):
         raise ValueError(f"stored token {t!r} is none that writing stores")
     if kind == "command-line":
-        return tokens[text]
-    return Token(text, Origin(kind, _field(o, "path"), _field(o, "index", int)))
+        return words.setdefault(text, text), None
+    return text, Origin(_field(o, "path"), _field(o, "index", int))
 
 
 def _unreadable(lineno: int, exc: Exception) -> CorruptSnapshot:
@@ -183,17 +186,17 @@ def _classified_as_stored(rec: Record, memo: dict) -> list[flagmodel.FlagEntry] 
     return entries if resolved == rec.effective_text.encode("utf-8") else None
 
 
-def _decode_record(cls: type[Record], d: dict, tokens: TokenTable) -> Record:
-    """The record stored as `d`, with its set not yet built; `tokens` is the load's table."""
+def _decode_record(cls: type[Record], d: dict, words: dict[str, str]) -> Record:
+    """The record stored as `d`, with its set not yet built; `words` keeps one str per word in the load."""
     i = d["invocation"]
     if d.keys() != cls.KEYS or i.keys() != _KEYS["invocation"] or i["dialect"].keys() != _KEYS["dialect"]:
         raise ValueError("stored keys differ from the ones writing writes")
     stored = _field(i, "tokens", list)  # a string would read as one token per character
-    try:  # a bare string is a command-line token, one per text; an object is any token
-        toks = tuple(map(tokens.__getitem__, stored))
-    except TypeError:  # an object token is unhashable
-        toks = tuple(tokens[t] if type(t) is str else _stored_token(t, tokens) for t in stored)
-    inv = RawInvocation(_field(i, "program"), toks, _field(i, "cwd"), _field(i, "source"),
+    if {*map(type, stored)} <= {str}:  # only command-line words
+        toks, origins = tuple(map(words.setdefault, stored, stored)), (None,) * len(stored)
+    else:
+        toks, origins = zip(*[_stored_token(t, words) for t in stored])
+    inv = RawInvocation(_field(i, "program"), toks, origins, _field(i, "cwd"), _field(i, "source"),
                         DIALECTS[i["dialect"]["family"], i["dialect"]["tool_kind"]])
     return cls(**{name: _field(d, name, kind) for name, kind in cls.FIELDS.items()},
                invocation=inv, effective_text=_field(d, "effective"))
@@ -284,7 +287,7 @@ class BuildSnapshot:
                                       "unsupported snapshot version")
             snap = cls(_field(header, "build_id"), _field(header, "label"), _field(header, "created"),
                        content_hash=_field(header, "content_hash"))
-            tokens, flagset_lines, target_lines = TokenTable(), {}, []
+            words, flagset_lines, target_lines = {}, {}, []
             for lineno, line in enumerate(lines[1:], start=2):
                 d = strictjson.loads(line.decode("utf-8"))
                 kind = d.pop("kind")
@@ -293,7 +296,7 @@ class BuildSnapshot:
                     continue
                 h.update(line)
                 h.update(b"\n")
-                rec = _decode_record(_RECORD_TYPES[kind], d, tokens)
+                rec = _decode_record(_RECORD_TYPES[kind], d, words)
                 rec._flagset_lines, rec._line = flagset_lines, lineno
                 (snap.tus if kind == "tu" else snap.targets).append(rec)
                 if kind == "target":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from flagtrace import flagmodel
-from flagtrace.cmdline import COMMAND_LINE, Dialect, Family, Origin, Token
+from flagtrace.cmdline import Dialect, Family, Origin
 from flagtrace.flagmodel import NEGATIVE, POSITIVE, VALUED, EffectiveFlagSet, FlagEntry
 
 
@@ -57,18 +57,19 @@ def classify_each(tokens, dialect):
 @dataclass(frozen=True)
 class CarriedEntry(FlagEntry):
     """An entry with its token's origin, the field every FlagEntry once had."""
-    origin: Origin = COMMAND_LINE
+    origin: Origin | None = None
 
 
-def resolve_with_origins(tokens, dialect) -> EffectiveFlagSet:
-    """The set of `tokens` folded from entries that carry their token's origin: each
-    winner is a CarriedEntry, whose origin is that of the token it was classified from."""
+def resolve_with_origins(tokens, origins, dialect) -> EffectiveFlagSet:
+    """The set of `tokens` folded from entries that carry their token's origin, from the
+    aligned `origins`: each winner is a CarriedEntry, whose origin is that of the token
+    it was classified from."""
     carried = []
     i = 0
     while i < len(tokens):
         nxt = tokens[i + 1] if i + 1 < len(tokens) else None
         entry, consumed = flagmodel.classify(tokens[i], dialect, nxt)
-        carried.append(CarriedEntry(**vars(entry), origin=tokens[i].origin))
+        carried.append(CarriedEntry(**vars(entry), origin=origins[i]))
         i += 2 if consumed else 1
     return flagmodel.resolve(carried)
 
@@ -150,25 +151,24 @@ def _ext_of(text: str) -> str:
     return name[dot:].lower() if dot > 0 else ""
 
 
-def _from_row(row: _VocabRow, token: Token) -> FlagEntry:
+def _from_row(row: _VocabRow, text: str) -> FlagEntry:
     if row.value_from == "spelling":
         # Canonical spelling from the table (e.g. '/O2' even when typed '-O2').
         value = row.pattern
     elif row.value_from == "suffix":
-        value = token.text[len(row.pattern) - 1 :]
+        value = text[len(row.pattern) - 1 :]
     else:
         value = None
-    return FlagEntry(row.key, value, row.polarity, token.text, row.group)
+    return FlagEntry(row.key, value, row.polarity, text, row.group)
 
 
-def classify(token: Token, dialect: Dialect, next_token: Token | None = None) -> tuple[FlagEntry, bool]:
+def classify(text: str, dialect: Dialect, next_token: str | None = None) -> tuple[FlagEntry, bool]:
     """Map one token onto the canonical vocabulary.
 
     Returns the entry plus whether the next token was consumed as this
     flag's argument (separated forms: -D FOO, -I dir, /D FOO).
     Unknown tokens never fail; they degrade to key=opaque.
     """
-    text = token.text
     family = dialect.family
     lookup = text
     if family is Family.MSVC and text.startswith("-") and len(text) > 1:
@@ -179,7 +179,7 @@ def classify(token: Token, dialect: Dialect, next_token: Token | None = None) ->
     if key is not None:
         if next_token is not None:
             return (
-                FlagEntry(key, next_token.text, VALUED, f"{text} {next_token.text}",
+                FlagEntry(key, next_token, VALUED, f"{text} {next_token}",
                           _ARG_KEY_GROUPS.get(key)),
                 True,
             )
@@ -195,10 +195,10 @@ def classify(token: Token, dialect: Dialect, next_token: Token | None = None) ->
 
     row = _EXACT.get((family, lookup))
     if row is not None:
-        return _from_row(row, token), False
+        return _from_row(row, text), False
     for row in _PREFIXES[family]:
         if lookup.startswith(row.pattern[:-1]):
-            return _from_row(row, token), False
+            return _from_row(row, text), False
 
     if (
         family is Family.GNU_LIKE

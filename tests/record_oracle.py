@@ -20,8 +20,8 @@ def record_dict(rec, by_output: dict) -> dict:
     inv = rec.invocation
     d.update(kind=rec.KIND, effective=rec.effective_text, invocation={
         "program": inv.program,
-        "tokens": [t.text if t.origin.kind == "command-line" else
-                   {"text": t.text, "origin": vars(t.origin)} for t in inv.tokens],
+        "tokens": [t if o is None else {"text": t, "origin": {"kind": "response-file", **vars(o)}}
+                   for t, o in zip(inv.tokens, inv.origins)],
         "cwd": inv.cwd,
         "source": inv.source,
         "dialect": {"family": inv.dialect.family.value, "tool_kind": inv.dialect.tool_kind.value},

@@ -111,22 +111,22 @@ def test_criterion_3_parsing_properties(tmp_path):
             # tokenize round trip (no quote-requiring characters here)
             line = " ".join(words)
             tokens = tokenize(line, GNU)
-            assert [t.text for t in tokens] == words
-            rendered = " ".join(t.text for t in tokens)
-            assert [t.text for t in tokenize(rendered, GNU)] == words
+            assert tokens == words
+            rendered = " ".join(tokens)
+            assert tokenize(rendered, GNU) == words
 
             # quoting: a space-bearing define survives as one token
             if i % 10 == 0:
                 quoted = 'gcc -DMSG="a b" ' + line
-                toks = [t.text for t in tokenize(quoted, GNU)]
+                toks = tokenize(quoted, GNU)
                 assert toks[:2] == ["gcc", "-DMSG=a b"]
 
             # response files expand in place
             if i % 10 == 5:
                 from flagtrace.cmdline import expand_response_files
                 with_rsp = tokenize("gcc @args.rsp " + line, GNU)
-                expanded = expand_response_files(with_rsp, str(tmp_path), GNU)
-                assert [t.text for t in expanded] == ["gcc", "-O1", "-DFROM_RSP"] + words
+                expanded, _ = expand_response_files(with_rsp, str(tmp_path), GNU)
+                assert expanded == ["gcc", "-O1", "-DFROM_RSP"] + words
 
             entries = classify_all(tokens, GNU)
             resolved = resolve(entries)

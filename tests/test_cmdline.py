@@ -1,4 +1,7 @@
+import os
 import subprocess
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +13,6 @@ from flagtrace.cmdline import (
     Dialect,
     Family,
     Origin,
-    Token,
     TokenTable,
     ToolKind,
     command_program,
@@ -51,16 +53,12 @@ class TestDetectDialect:
         assert detect_dialect(r"C:\tools\CL.EXE") == Dialect(Family.MSVC, ToolKind.COMPILER)
 
 
-def texts(tokens):
-    return [t.text for t in tokens]
-
-
 class TestTokenizeGnu:
     def test_plain_split(self):
-        assert texts(tokenize("gcc -O2 -c foo.c", GNU)) == ["gcc", "-O2", "-c", "foo.c"]
+        assert tokenize("gcc -O2 -c foo.c", GNU) == ["gcc", "-O2", "-c", "foo.c"]
 
     def test_double_quoted_define_is_one_token(self):
-        got = texts(tokenize('gcc -DMSG="a b" -c foo.c', GNU))
+        got = tokenize('gcc -DMSG="a b" -c foo.c', GNU)
         # oracle: what a POSIX shell itself would split this into
         shell = subprocess.run(
             ["sh", "-c", 'printf "%s\\n" gcc -DMSG="a b" -c foo.c'],
@@ -69,10 +67,10 @@ class TestTokenizeGnu:
         assert got == shell == ["gcc", "-DMSG=a b", "-c", "foo.c"]
 
     def test_single_quotes_are_literal(self):
-        assert texts(tokenize("gcc -DX='$(a)' f.c", GNU)) == ["gcc", "-DX=$(a)", "f.c"]
+        assert tokenize("gcc -DX='$(a)' f.c", GNU) == ["gcc", "-DX=$(a)", "f.c"]
 
     def test_backslash_escapes_space(self):
-        assert texts(tokenize(r"gcc a\ b.c", GNU)) == ["gcc", "a b.c"]
+        assert tokenize(r"gcc a\ b.c", GNU) == ["gcc", "a b.c"]
 
     def test_unterminated_quote(self):
         with pytest.raises(UnterminatedQuote):
@@ -85,7 +83,7 @@ class TestTokenizeGnu:
         min_size=1, max_size=10), min_size=0, max_size=8))
     def test_round_trip(self, words):
         line = " ".join(words)
-        assert texts(tokenize(line, GNU)) == words
+        assert tokenize(line, GNU) == words
 
     def test_shell_oracle_on_varied_lines(self):
         lines = [
@@ -99,22 +97,22 @@ class TestTokenizeGnu:
                 ["sh", "-c", f'printf "%s\\n" {line}'],
                 capture_output=True, text=True, check=True,
             ).stdout.splitlines()
-            assert texts(tokenize(line, GNU)) == shell, line
+            assert tokenize(line, GNU) == shell, line
 
 
 class TestTokenizeMsvc:
     def test_plain_split(self):
-        assert texts(tokenize("cl /GS /O2 foo.cxx", MSVC)) == ["cl", "/GS", "/O2", "foo.cxx"]
+        assert tokenize("cl /GS /O2 foo.cxx", MSVC) == ["cl", "/GS", "/O2", "foo.cxx"]
 
     def test_quoted_path(self):
-        assert texts(tokenize('cl /I"C:\\Program Files\\inc" a.cxx', MSVC)) == \
+        assert tokenize('cl /I"C:\\Program Files\\inc" a.cxx', MSVC) == \
             ["cl", "/IC:\\Program Files\\inc", "a.cxx"]
 
     def test_backslash_quote_rules(self):
         # 2n backslashes before a quote -> n backslashes, quote toggles
-        assert texts(tokenize(r'cl "a\\" b', MSVC)) == ["cl", "a\\", "b"]
+        assert tokenize(r'cl "a\\" b', MSVC) == ["cl", "a\\", "b"]
         # 2n+1 backslashes before a quote -> n backslashes + literal quote
-        assert texts(tokenize(r'cl a\"b', MSVC)) == ["cl", 'a"b']
+        assert tokenize(r'cl a\"b', MSVC) == ["cl", 'a"b']
 
     def test_unterminated_quote(self):
         with pytest.raises(UnterminatedQuote):
@@ -122,7 +120,7 @@ class TestTokenizeMsvc:
 
     def test_determinism(self):
         line = 'cl /DMSG="a b" /O2 x.cxx'
-        assert texts(tokenize(line, MSVC)) == texts(tokenize(line, MSVC))
+        assert tokenize(line, MSVC) == tokenize(line, MSVC)
 
 
 def oracle_result(line, dialect):
@@ -136,7 +134,7 @@ def oracle_result(line, dialect):
 
 def runtime_result(line, dialect):
     try:
-        return texts(tokenize(line, dialect))
+        return tokenize(line, dialect)
     except UnterminatedQuote as exc:
         return ("open", exc.position)
 
@@ -192,7 +190,6 @@ class TestTokenTable:
         first = tokenize("gcc -O2 -c a.c", GNU, table)
         second = tokenize("gcc -O2 -c b.c", GNU, table)
         assert [a is b for a, b in zip(first, second)] == [True, True, True, False]
-        assert table["-O2"] == Token("-O2")
 
     def test_tokens_equal_without_a_table(self):
         assert tokenize("gcc -c a.c", GNU, TokenTable()) == tokenize("gcc -c a.c", GNU)
@@ -208,20 +205,22 @@ class TestTokenTable:
     @given(st.data())
     def test_a_shared_table_gives_each_line_its_own_words(self, data):
         """Lines tokenized in turn through one table each give the reference words of
-        the line alone, or its open quote's position; equal texts share one Token."""
+        the line alone, or its open quote's position; a line read again in one family
+        gives the same strs, as the table unquotes each raw word of a family once."""
         pieces = data.draw(self.PIECES)
         lines = data.draw(st.lists(st.tuples(
             st.sampled_from([GNU, MSVC]), st.lists(st.sampled_from(pieces), max_size=6).map("".join)),
             min_size=1, max_size=8))
-        table, shared = TokenTable(), {}
+        table, seen = TokenTable(), {}
         for dialect, line in lines:
             try:
                 tokens = tokenize(line, dialect, table)
             except UnterminatedQuote as exc:
                 assert ("open", exc.position) == oracle_result(line, dialect) == runtime_result(line, dialect)
                 continue
-            assert texts(tokens) == oracle_result(line, dialect)
-            assert all(shared.setdefault(t.text, t) is t for t in tokens)
+            assert tokens == oracle_result(line, dialect)
+            earlier = seen.setdefault((dialect.family, line), tokens)
+            assert all(a is b for a, b in zip(earlier, tokens))
 
 
 class TestCommandProgram:
@@ -241,23 +240,25 @@ class TestResponseFiles:
     def test_expansion(self, tmp_path):
         (tmp_path / "rsp").write_text("-O2 -fno-exceptions\n")
         tokens = tokenize("g++ @rsp foo.cpp", GNU)
-        out = expand_response_files(tokens, str(tmp_path), GNU)
-        assert texts(out) == ["g++", "-O2", "-fno-exceptions", "foo.cpp"]
+        out, origins = expand_response_files(tokens, str(tmp_path), GNU)
+        assert out == ["g++", "-O2", "-fno-exceptions", "foo.cpp"]
         # response tokens match a direct tokenize of the file body
-        assert texts(out)[1:3] == texts(tokenize("-O2 -fno-exceptions", GNU))
-        assert out[1].origin.kind == "response-file"
-        assert out[1].origin.index == 0
-        assert out[0].origin == Origin("command-line")
+        assert out[1:3] == tokenize("-O2 -fno-exceptions", GNU)
+        rsp = str(tmp_path / "rsp")
+        assert origins == [None, Origin(rsp, 0), Origin(rsp, 1), None]
 
     def test_identity_without_at_tokens(self, tmp_path):
         tokens = tokenize("gcc -c a.c", GNU)
-        assert expand_response_files(tokens, str(tmp_path), GNU) is tokens
+        out, origins = expand_response_files(tokens, str(tmp_path), GNU)
+        assert out is tokens and origins == (None,) * 3
 
     def test_nested(self, tmp_path):
         (tmp_path / "outer").write_text("@inner -g")
         (tmp_path / "inner").write_text("-O2")
-        out = expand_response_files(tokenize("gcc @outer a.c", GNU), str(tmp_path), GNU)
-        assert texts(out) == ["gcc", "-O2", "-g", "a.c"]
+        out, origins = expand_response_files(tokenize("gcc @outer a.c", GNU), str(tmp_path), GNU)
+        assert out == ["gcc", "-O2", "-g", "a.c"]
+        # a nested file's word keeps its own file's origin
+        assert origins == [None, Origin(str(tmp_path / "inner"), 0), Origin(str(tmp_path / "outer"), 1), None]
 
     def test_self_cycle(self, tmp_path):
         (tmp_path / "a").write_text("@a")
@@ -284,27 +285,63 @@ class TestResponseFiles:
         for i in range(MAX_RESPONSE_DEPTH + 1):
             (tmp_path / f"r{i}").write_text(f"@r{i + 1}" if i < MAX_RESPONSE_DEPTH else "-O2")
         table = TokenTable()
-        shallow = expand_response_files(tokenize("gcc @r1", GNU, table), str(tmp_path), GNU, table)
-        assert texts(shallow) == ["gcc", "-O2"]
+        shallow, _ = expand_response_files(tokenize("gcc @r1", GNU, table), str(tmp_path), GNU, table)
+        assert shallow == ["gcc", "-O2"]
         with pytest.raises(NestingTooDeep):
             expand_response_files(tokenize("gcc @r0", GNU, table), str(tmp_path), GNU, table)
 
     def test_a_table_expands_each_file_once(self, tmp_path):
         (tmp_path / "rsp").write_text("-O2 -g")
         table = TokenTable()
-        a, b = (expand_response_files(tokenize(f"gcc @rsp {src}", GNU, table), str(tmp_path), GNU, table)
+        a, b = (expand_response_files(tokenize(f"gcc @rsp {src}", GNU, table), str(tmp_path), GNU, table)[0]
                 for src in ("a.c", "b.c"))
         assert [x is y for x, y in zip(a, b)] == [True, True, True, False]
 
     def test_idempotent_on_own_output(self, tmp_path):
         (tmp_path / "rsp").write_text("-O2 -I include")
-        out = expand_response_files(tokenize("gcc @rsp a.c", GNU), str(tmp_path), GNU)
-        assert expand_response_files(out, str(tmp_path), GNU) == out
+        out, _ = expand_response_files(tokenize("gcc @rsp a.c", GNU), str(tmp_path), GNU)
+        assert expand_response_files(out, str(tmp_path), GNU)[0] == out
 
     def test_crlf_body(self, tmp_path):
         (tmp_path / "rsp").write_bytes(b"-O1\r\n-g\r\n")
-        out = expand_response_files(tokenize("gcc @rsp a.c", GNU), str(tmp_path), GNU)
-        assert texts(out) == ["gcc", "-O1", "-g", "a.c"]
+        out, _ = expand_response_files(tokenize("gcc @rsp a.c", GNU), str(tmp_path), GNU)
+        assert out == ["gcc", "-O1", "-g", "a.c"]
+
+    # Files a, b and c, where a file may name only a later one, and a chain deep/r0 ->
+    # deep/r1 -> ... whose head nests one file deeper than MAX_RESPONSE_DEPTH allows.
+    FLAT = ("a", "b", "c")
+    WORDS = ("-O2", "-g", "-DX", "a.c", "-o")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_every_word_keeps_its_origin(self, data):
+        """Each expanded word has one origin: None for a word of the command line, else
+        `Origin(p, i)` for the i-th word of file p, through nested files and a table that
+        keeps each expansion; an expansion past the depth cap raises, kept or not."""
+        with tempfile.TemporaryDirectory() as tmp:
+            for i, name in enumerate(self.FLAT):
+                later = [f"@{n}" for n in self.FLAT[i + 1:]]
+                words = data.draw(st.lists(st.sampled_from(self.WORDS + tuple(later)), max_size=5))
+                Path(tmp, name).write_text(" ".join(words))
+            os.mkdir(os.path.join(tmp, "deep"))
+            for i in range(MAX_RESPONSE_DEPTH + 1):
+                Path(tmp, "deep", f"r{i}").write_text(f"-g @r{i + 1}" if i < MAX_RESPONSE_DEPTH else "-O2")
+            at = [f"@{n}" for n in self.FLAT] + ["@deep/r1", "@deep/r0"]
+            lines = data.draw(st.lists(st.lists(st.sampled_from(self.WORDS + tuple(at)), max_size=6),
+                                       min_size=1, max_size=4))
+            table = TokenTable()
+            for words in lines:
+                tokens = tokenize(" ".join(["gcc", *words]), GNU, table)
+                if "@deep/r0" in words:
+                    with pytest.raises(NestingTooDeep):
+                        expand_response_files(tokens, tmp, GNU, table)
+                    continue
+                out, origins = expand_response_files(tokens, tmp, GNU, table)
+                assert len(origins) == len(out)
+                assert [w for w, o in zip(out, origins) if o is None] == [w for w in tokens if w not in at]
+                for word, origin in zip(out, origins):
+                    if origin is not None:
+                        assert tokenize(Path(origin.path).read_text(), GNU)[origin.index] == word
 
 
 class TestNormalizePath:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import canonical_oracle
-from flagtrace.cmdline import COMMAND_LINE, Dialect, Family, Origin, Token, ToolKind, tokenize
+from flagtrace.cmdline import Dialect, Family, ToolKind, tokenize
 from flagtrace.flagmodel import (
     NEGATIVE,
     POSITIVE,
@@ -24,7 +24,7 @@ MSVC = Dialect(Family.MSVC, ToolKind.COMPILER)
 
 
 def c1(text, dialect=GNU, nxt=None):
-    entry, consumed = classify(Token(text), dialect, Token(nxt) if nxt else None)
+    entry, consumed = classify(text, dialect, nxt or None)
     return entry, consumed
 
 
@@ -264,24 +264,21 @@ _SPELLINGS = [
     "-std:c++17", "-march=native", "-Wall", "-Wno-unused", "-Wl,-z", "-lm", "-c", "/c",
     "a.c", "b.cpp", "/abs/x.c", "C:\\s\\y.cxx", "util.lib", "libz.a", "-fPIC", "-",
 ]
-_ORIGINS = [COMMAND_LINE, Origin("command-line"),
-            Origin("response-file", "a.rsp", 0), Origin("response-file", "b.rsp", 3)]
 _commands = st.tuples(
     st.sampled_from([GNU, MSVC, GNU_LINK, MSVC_LINK]),
-    st.lists(st.builds(Token, st.sampled_from(_SPELLINGS), st.sampled_from(_ORIGINS)), max_size=8),
+    st.lists(st.sampled_from(_SPELLINGS), max_size=8),
 )
 
 
 class TestClassifyAllMemo:
     @given(st.lists(_commands, max_size=8))
-    @example([(GNU, [Token("-O2"), Token("-D")]), (GNU, [Token("-D"), Token("FOO"), Token("-c")]),
-              (MSVC, [Token("/D")]), (MSVC, [Token("-D"), Token("X")]), (MSVC, [Token("/D")])])
-    @example([(GNU, [Token("-O2", _ORIGINS[2]), Token("-c")]), (GNU, [Token("-c"), Token("-O2")])])
+    @example([(GNU, ["-O2", "-D"]), (GNU, ["-D", "FOO", "-c"]),
+              (MSVC, ["/D"]), (MSVC, ["-D", "X"]), (MSVC, ["/D"])])
+    @example([(GNU, ["-O2", "-c"]), (GNU, ["-c", "-O2"])])
     def test_equals_classify_per_token(self, commands):
         """One memo across a snapshot's commands gives what classify gives.
 
-        A spelling an earlier command memoized is that one entry object, whatever
-        the origin of the token it was built from and of the token reusing it.
+        A spelling an earlier command memoized is that one entry object.
         """
         memo = {}
         for dialect, tokens in commands:
@@ -289,13 +286,13 @@ class TestClassifyAllMemo:
             entries = classify_all(tokens, dialect, memo)
             assert entries == canonical_oracle.classify_each(tokens, dialect)
             for entry, i in zip(entries, token_indices(tokens, entries)):
-                if tokens[i].text in known:
-                    assert entry is known[tokens[i].text]
+                if tokens[i] in known:
+                    assert entry is known[tokens[i]]
 
     def test_trailing_separated_flag_then_with_argument(self):
         memo = {}
-        first = classify_all([Token("-O2"), Token("-D")], GNU, memo)
-        later = classify_all([Token("-D"), Token("FOO"), Token("-O2")], GNU, memo)
+        first = classify_all(["-O2", "-D"], GNU, memo)
+        later = classify_all(["-D", "FOO", "-O2"], GNU, memo)
         assert first[1].key == "opaque"
         assert later[0].key == "macro_define" and later[0].value == "FOO"
         assert later[1] is first[0]
@@ -311,7 +308,6 @@ _token_texts = st.one_of(
     st.builds(lambda stem, text, ext: stem + text + ext,
               st.sampled_from(_STEMS), _TEXT, st.sampled_from(_EXTS)),
 )
-_tokens = st.builds(Token, _token_texts, st.sampled_from(_ORIGINS))
 
 _PINNED = [
     "-Wno-", "-W", "-Wl,x", "/OUT:", "-std=", "-std:c++17", "-D", "-isystem", "/Fo",
@@ -321,27 +317,24 @@ _PINNED = [
 
 class TestClassifyOracle:
     @given(st.sampled_from([GNU, MSVC]), st.one_of(st.sampled_from(_PINNED), _token_texts),
-           st.one_of(st.none(), st.builds(Token, _TEXT)))
+           st.one_of(st.none(), _TEXT))
     def test_equals_the_classifier_with_code_side_tables(self, dialect, text, nxt):
         """Every rule as a row gives what the rules in code gave: entry and consumption."""
-        token = Token(text)
-        assert classify(token, dialect, nxt) == canonical_oracle.classify(token, dialect, nxt)
+        assert classify(text, dialect, nxt) == canonical_oracle.classify(text, dialect, nxt)
 
     def test_pinned_examples(self):
-        for text, dialect, nxt in itertools.product(_PINNED, [GNU, MSVC], [None, Token("ARG")]):
-            token = Token(text)
-            assert classify(token, dialect, nxt) == canonical_oracle.classify(token, dialect, nxt)
+        for text, dialect, nxt in itertools.product(_PINNED, [GNU, MSVC], [None, "ARG"]):
+            assert classify(text, dialect, nxt) == canonical_oracle.classify(text, dialect, nxt)
 
 
 class TestCanonicalDeserialize:
     @given(st.lists(st.tuples(st.sampled_from([GNU, MSVC, GNU_LINK, MSVC_LINK]),
-                              st.lists(_tokens, max_size=12)), max_size=6))
-    @example([(GNU, [Token("-D"), Token("X=\"a b\""), Token("-DX"), Token("-UY"), Token("-D")]),
-              (MSVC, [Token("/DA=1"), Token("-D"), Token("B"), Token("/Foo\u2028.obj")]),
-              (GNU, [Token("-Wno-"), Token("-W\x00"), Token("-l\\"), Token("\u0085.c")])])
+                              st.lists(_token_texts, max_size=12)), max_size=6))
+    @example([(GNU, ["-D", "X=\"a b\"", "-DX", "-UY", "-D"]),
+              (MSVC, ["/DA=1", "-D", "B", "/Foo\u2028.obj"]),
+              (GNU, ["-Wno-", "-W\x00", "-l\\", "\u0085.c"])])
     def test_inverts_canonical_serialize(self, commands):
-        """Decoding gives the resolved entries back, whichever tokens came from a
-        response file: every field and dict key.
+        """Decoding gives the resolved entries back: every field and dict key.
 
         One line memo serves every command, as one serves a snapshot.
         """

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from flagtrace.cli import run
-from flagtrace.cmdline import Family
+from flagtrace.cmdline import Family, Origin
 from flagtrace.errors import DuplicateOutput, MalformedDb, MalformedRecord
 from flagtrace.ingest import (
     assemble_snapshot,
@@ -32,7 +32,7 @@ class TestParseRawLog:
         invs = parse_raw_log(str(log))
         assert len(invs) == 1
         assert invs[0].program == "gcc"
-        assert [t.text for t in invs[0].tokens] == ["-O2", "-c", "a.c"]
+        assert invs[0].tokens == ("-O2", "-c", "a.c")
         assert invs[0].source.endswith(":1")
 
     def test_backslash_continuation(self, tmp_path):
@@ -64,7 +64,7 @@ class TestParseCompilationDb:
         invs = parse_compilation_db(str(db))
         assert len(invs) == 1
         assert invs[0].cwd == "/src"
-        assert [t.text for t in invs[0].tokens] == ["-c", "a.c"]
+        assert invs[0].tokens == ("-c", "a.c")
 
     def test_command_form_quoting(self, tmp_path):
         db = tmp_path / "cc.json"
@@ -72,7 +72,7 @@ class TestParseCompilationDb:
             {"directory": "/src", "file": "a.c", "command": 'gcc -DMSG="a b" -c a.c'},
         ]))
         invs = parse_compilation_db(str(db))
-        assert [t.text for t in invs[0].tokens] == ["-DMSG=a b", "-c", "a.c"]
+        assert invs[0].tokens == ("-DMSG=a b", "-c", "a.c")
 
     def test_empty_array(self, tmp_path):
         db = tmp_path / "cc.json"
@@ -161,7 +161,7 @@ class TestParseWrapperSpool:
             {"v": 1, "argv": ["gcc", "-c", "second.c"], "cwd": "/s",
              "ts": "2026-01-01T00:00:02Z", "tool": "gcc"}) + "\n")
         invs = parse_wrapper_spool(str(spool))
-        got = [t.text for inv in invs for t in inv.tokens if t.text.endswith(".c")]
+        got = [t for inv in invs for t in inv.tokens if t.endswith(".c")]
         assert got == ["first.c", "second.c"]
 
     def test_empty_dir(self, tmp_path):
@@ -239,6 +239,49 @@ def _write_evidence(root, kind, argv):
     (root / "spool" / "1.jsonl").write_text(json.dumps(
         {"v": 1, "argv": argv, "cwd": str(root), "ts": "2026-01-01T00:00:00Z"}) + "\n")
     return root / "spool", "spool"
+
+
+class TestRelativeDirectory:
+    """A compdb `directory` or spool `cwd` that is not absolute is the evidence file's
+    directory joined with it, whatever the working directory of the ingest."""
+
+    @pytest.mark.parametrize("kind, name", [("compdb", "cc.json"), ("spool", ".")])
+    def test_one_database_from_two_directories_stores_one_hash(self, tmp_path, monkeypatch, capsys,
+                                                               kind, name):
+        db = tmp_path / "db"
+        (db / "sub").mkdir(parents=True)
+        (tmp_path / "sibling").mkdir()
+        (db / "sub" / "opts.rsp").write_text("-O2\n")
+        if kind == "compdb":
+            (db / name).write_text(json.dumps([{"directory": "sub", "command": "gcc @opts.rsp -c a.c -o a.o"}]))
+        else:
+            (db / "cc.jsonl").write_text(json.dumps(
+                {"v": 1, "argv": ["gcc", "@opts.rsp", "-c", "a.c", "-o", "a.o"], "cwd": "sub"}) + "\n")
+        hashes = set()
+        for i, (where, path) in enumerate([(db, name), (tmp_path / "sibling", f"../db/{name}")]):
+            monkeypatch.chdir(where)
+            assert run(["--store", str(tmp_path / "store"), "--format", "json", "ingest", path,
+                        "--kind", kind, "--label", "dev", "--build-id", f"b{i}",
+                        "--created", "2026-01-01T00:00:00Z"]) == 0
+            hashes.add(json.loads(capsys.readouterr().out)["content_hash"])
+        assert len(hashes) == 1
+        tu = Store(str(tmp_path / "store")).get("b0").tus[0]
+        assert tu.source_file == str(db / "sub" / "a.c")
+        assert tu.invocation.origins[0] == Origin(str(db / "sub" / "opts.rsp"), 0)
+
+    @pytest.mark.parametrize("entry, cwd", [
+        ({"directory": "/src"}, "/src"),
+        ({"directory": "C:\\proj"}, "C:\\proj"),
+        ({"directory": "\\\\srv\\w"}, "\\\\srv\\w"),
+        ({"directory": "sub/../x"}, "{db}/x"),
+        ({"directory": ""}, "{db}"),
+        ({}, "{db}"),
+    ], ids=["posix", "drive", "unc", "relative", "empty", "absent"])
+    def test_absolute_by_the_path_rule_else_joined(self, tmp_path, entry, cwd):
+        """Absolute by `normalize_path`'s rule, on any host, is kept as it is given."""
+        db = tmp_path / "cc.json"
+        db.write_text(json.dumps([{**entry, "arguments": ["gcc", "-c", "a.c"]}]))
+        assert parse_compilation_db(str(db))[0].cwd == cwd.format(db=tmp_path)
 
 
 class TestBadResponseFile:
@@ -407,7 +450,7 @@ class TestAssembleSnapshot:
         rsp.unlink()
         snap = assemble_snapshot(invocations, "b1", "dev", "2026-01-01T00:00:00Z")
         assert snap.serialize() == expected.serialize()
-        assert [t.origin.kind for t in snap.tus[0].invocation.tokens[:2]] == ["response-file"] * 2
+        assert snap.tus[0].invocation.origins[:3] == (Origin(str(rsp), 0), Origin(str(rsp), 1), None)
 
     def test_denormalized_effective_revalidates(self, tmp_path):
         from flagtrace.snapshot import BuildSnapshot

@@ -18,12 +18,10 @@ from conftest import build_minimal_elf
 from flagtrace import flagmodel, snapshot
 from flagtrace.cli import run
 from flagtrace.cmdline import (
-    COMMAND_LINE,
     DIALECTS,
     Family,
     Origin,
     RawInvocation,
-    Token,
     detect_dialect,
 )
 from flagtrace.ingest import assemble_snapshot
@@ -96,11 +94,12 @@ class TestV1Fixture:
         assert as_v1(snap.serialize()) == FIXTURE.read_bytes()
 
     def test_command_line_tokens_are_shared(self):
-        """A v1 load keeps one Token per command-line text across records, as a v2 load does."""
+        """A v1 load keeps one str per command-line text across records, as a v2 load does."""
         snap = BuildSnapshot.deserialize(FIXTURE.read_bytes())
-        core_o, target_o = (next(t for t in r.invocation.tokens if t.text == "-o")
+        core_o, target_o = (next(t for t in r.invocation.tokens if t == "-o")
                             for r in (snap.tus[0], snap.targets[0]))
         assert core_o is target_o
+        assert snap.tus[0].invocation.origins == (None,) * len(snap.tus[0].invocation.tokens)
 
 
 class TestV2Fixture:
@@ -114,9 +113,8 @@ class TestV2Fixture:
             "/work/proj/src/core.c", "/work/proj/src/util.c", "C:/work/proj/src/naïve_ü.cpp"]
         assert [t.output for t in snap.targets] == ["/work/proj/build/app"]
         assert [d["program"] for d in snap.diagnostics] == ["ar"]
-        assert [str(t.origin) for t in snap.tus[1].invocation.tokens[1:5]] == [
-            "command-line", "/work/proj/opts.rsp#0", "/work/proj/opts.rsp#1",
-            "/work/proj/opts.rsp#2"]
+        assert snap.tus[1].invocation.origins[1:5] == (
+            None, *(Origin("/work/proj/opts.rsp", i) for i in range(3)))
         assert snap.serialize() == FIXTURE_V2.read_bytes()
 
     def test_command_line_tokens_are_bare_and_shared(self):
@@ -127,7 +125,9 @@ class TestV2Fixture:
                                             "text": "-g"}]
         core, util = BuildSnapshot.deserialize(data).tus[:2]
         assert core.invocation.tokens[0] is util.invocation.tokens[0]  # "-O2"
-        assert util.invocation.tokens[1] is not util.invocation.tokens[2]  # "-g" twice
+        # "-g" twice: the origins tell the command line's from the response file's
+        assert util.invocation.tokens[1] == util.invocation.tokens[2] == "-g"
+        assert util.invocation.origins[1:3] == (None, Origin("/work/proj/opts.rsp", 0))
 
 
 def test_new_snapshots_are_v2(tmp_path):
@@ -178,37 +178,41 @@ def test_line_of_unknown_kind_exit_3(tmp_path, capsys):
     assert code == 3 and f"unreadable snapshot line {n}" in doc["builds"][0]["error"]
 
 
-_RSP_ORIGINS = st.builds(Origin, st.just("response-file"),
-                         st.sampled_from(["/w/a.rsp", "C:\\w\\b.rsp"]), st.integers(0, 9))
-_TOKENS = st.builds(
-    Token,
+_RSP_ORIGINS = st.builds(Origin, st.sampled_from(["/w/a.rsp", "C:\\w\\b.rsp"]), st.integers(0, 9))
+# (text, origin) pairs: None is the command line's origin
+_TOKENS = st.tuples(
     st.one_of(st.sampled_from(["-O2", "-g", "-D", "-DX=1", "-o", "a.o", "/O2", "/Fo", "@x.rsp"]),
               st.text(st.characters(blacklist_categories=("Cs",)), min_size=1)),
-    st.one_of(st.just(COMMAND_LINE), _RSP_ORIGINS))
+    st.one_of(st.none(), _RSP_ORIGINS))
+_RSP_G = ("-g", Origin("/w/a.rsp", 0))
+
+
+def _split(pairs) -> tuple[tuple, tuple]:
+    """The tokens and the origins of (text, origin) `pairs`."""
+    return tuple(t for t, _ in pairs), tuple(o for _, o in pairs)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(["gcc", "cl"]), st.lists(_TOKENS, max_size=12)),
                 min_size=1, max_size=4),
        st.sampled_from([1, 2]))
-@example([("gcc", [Token("-g"), Token("-g", Origin("response-file", "/w/a.rsp", 0)), Token("-g")]),
-          ("gcc", [Token("-g", Origin("response-file", "/w/a.rsp", 0)), Token("-g")])], 2)
+@example([("gcc", [("-g", None), _RSP_G, ("-g", None)]), ("gcc", [_RSP_G, ("-g", None)])], 2)
 def test_token_streams_round_trip(streams, version):
     """Any mix of command-line and response-file tokens reads back from either
     version and is written back as v2."""
     tus = []
-    for i, (program, tokens) in enumerate(streams):
-        inv = RawInvocation(program, tuple(tokens), "/w", f"log:b.log:{i + 1}",
-                            detect_dialect(program))
-        eff = flagmodel.resolve(flagmodel.classify_all(tokens, inv.dialect))
+    for i, (program, pairs) in enumerate(streams):
+        inv = RawInvocation(program, *_split(pairs), "/w", f"log:b.log:{i + 1}", detect_dialect(program))
+        eff = flagmodel.resolve(flagmodel.classify_all(inv.tokens, inv.dialect))
         tus.append(TranslationUnitRecord(f"/w/{i}.c", None, inv,
                                          flagmodel.canonical_serialize(eff).decode()))
     data = BuildSnapshot("b1", "dev", "2026-01-01T00:00:00Z", tus).serialize()
     back = BuildSnapshot.deserialize(as_v1(data) if version == 1 else data)
     assert [r.invocation for r in back.tus] == [r.invocation for r in tus]
     assert [vars(r.effective) for r in back.tus] == [vars(r.effective) for r in tus]
-    assert all(t.origin is COMMAND_LINE for r in back.tus for t in r.invocation.tokens
-               if t.origin.kind == "command-line")
+    words = {}  # one str per command-line text across the load
+    assert all(words.setdefault(t, t) is t for r in back.tus
+               for t, o in zip(r.invocation.tokens, r.invocation.origins) if o is None)
     assert back.serialize() == data
 
 
@@ -216,7 +220,7 @@ def test_token_streams_round_trip(streams, version):
 @example("c\u0085d")
 @example("c\u2028d")
 def test_any_source_path_round_trips(name):
-    inv = RawInvocation("gcc", (Token("-c"), Token(f"src/{name}.c")), "/w",
+    inv = RawInvocation("gcc", ("-c", f"src/{name}.c"), (None, None), "/w",
                         "compdb:compile_commands.json#0", detect_dialect("gcc"))
     data = assemble_snapshot([inv], "b1", "dev", created="2026-01-01T00:00:00Z").serialize()
     assert BuildSnapshot.deserialize(data).serialize() == data
@@ -250,7 +254,7 @@ def test_subject_lookup_is_shared(tmp_path):
 
 def test_a_shared_source_without_a_stored_output_keeps_its_source_as_key():
     """A stored TU may have no output file; sharing its source, it is still named by a string."""
-    inv = RawInvocation("gcc", (Token("-c"), Token("a.c")), "/w", "log:b.log:1",
+    inv = RawInvocation("gcc", ("-c", "a.c"), (None, None), "/w", "log:b.log:1",
                         detect_dialect("gcc"))
     eff = flagmodel.resolve(flagmodel.classify_all(inv.tokens, inv.dialect))
     text = flagmodel.canonical_serialize(eff).decode()
@@ -283,40 +287,37 @@ def test_every_record_builds_its_set_on_first_read(tmp_path):
 def test_an_assembled_response_file_tu_keeps_its_origins(tmp_path):
     origins = _rsp_snapshot(tmp_path).tus[0].origins
     rsp = str(tmp_path / "opts.rsp")
-    assert origins.group_value("opt_level") == Origin("response-file", rsp, 0)
-    assert origins.group_value("exceptions") == Origin("response-file", rsp, 1)
+    assert origins.group_value("opt_level") == Origin(rsp, 0)
+    assert origins.group_value("exceptions") == Origin(rsp, 1)
 
 
 # Spellings that win group, define and link-input slots, among others.
-_SLOT_TOKENS = st.builds(
-    Token,
+_SLOT_TOKENS = st.tuples(
     st.one_of(st.sampled_from(["-O2", "-O0", "/O2", "-fno-stack-protector", "-fstack-protector",
                                "-D", "/D", "X", "-DX", "-DX=1", "/DX", "-UX", "-o", "/Fo", "a.o",
                                "-lfoo-1.2", "-lfoo-1.3", "m.lib", "libz.a", "-c", "a.c", "-g"]),
               st.text(st.characters(blacklist_categories=("Cs",)), min_size=1)),
-    st.one_of(st.just(COMMAND_LINE), _RSP_ORIGINS))
+    st.one_of(st.none(), _RSP_ORIGINS))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(["gcc", "cl", "ld"]), st.lists(_SLOT_TOKENS, max_size=16))
-@example("ld", [Token("-lfoo-1.2", Origin("response-file", "/w/libs.rsp", 2)),
-                Token("-lfoo-1.3"), Token("-lfoo-1.2")])
-@example("gcc", [Token("-DX"), Token("-D", Origin("response-file", "/w/d.rsp", 1)),
-                 Token("X", Origin("response-file", "/w/d.rsp", 2)), Token("-O2")])
-def test_origins_agree_with_an_origin_carrying_fold(program, tokens):
+@example("ld", [("-lfoo-1.2", Origin("/w/libs.rsp", 2)), ("-lfoo-1.3", None), ("-lfoo-1.2", None)])
+@example("gcc", [("-DX", None), ("-D", Origin("/w/d.rsp", 1)), ("X", Origin("/w/d.rsp", 2)), ("-O2", None)])
+def test_origins_agree_with_an_origin_carrying_fold(program, pairs):
     """Each winner's origin in `origins`, of an assembled record and of it loaded, is
     the origin of the winner that entries carrying their token's origin fold to."""
     dialect = detect_dialect(program)
-    inv = RawInvocation(program, tuple(tokens), "/w", "log:/w/b.log:1", dialect)
+    inv = RawInvocation(program, *_split(pairs), "/w", "log:/w/b.log:1", dialect)
     text = flagmodel.canonical_serialize(flagmodel.resolve(flagmodel.classify_all(inv.tokens, dialect)))
     snap = BuildSnapshot("b", "dev", "2026-01-01T00:00:00Z",
                          tus=[TranslationUnitRecord("/w/a.c", "/w/a.o", inv, text.decode())])
-    want = canonical_oracle.resolve_with_origins(inv.tokens, dialect)
+    want = canonical_oracle.resolve_with_origins(inv.tokens, inv.origins, dialect)
     for rec in (snap.tus[0], BuildSnapshot.deserialize(snap.serialize()).tus[0]):
         got = rec.origins
         if got is None:
-            assert all(t.origin is COMMAND_LINE for t in rec.invocation.tokens)
-            assert all(e.origin is COMMAND_LINE for e in canonical_oracle.entries(want))
+            assert rec.invocation.origins == (None,) * len(rec.invocation.tokens)
+            assert all(e.origin is None for e in canonical_oracle.entries(want))
             continue
         assert got.scalar_groups == {g: e.origin for g, e in want.scalar_groups.items()}
         assert got.defines == {m: e.origin for m, e in want.defines.items()}
@@ -555,7 +556,7 @@ def test_vocabulary_edit_does_not_brick_stored_builds(tmp_path, capsys, monkeypa
         store, build_id = _ingest_log(tmp_path, capsys, log), "b1"
         opt_levels = {str(tmp_path / "a.c"): "-O2", str(tmp_path / "b.c"): "-O2"}
     monkeypatch.delitem(flagmodel._EXACT, (Family.GNU_LIKE, "-O2"))
-    assert flagmodel.classify(Token("-O2"), detect_dialect("gcc"))[0].key == "opaque"
+    assert flagmodel.classify("-O2", detect_dialect("gcc"))[0].key == "opaque"
 
     for subject, opt in opt_levels.items():
         assert run(["--store", store.root, "query", "effective", "--build", build_id,
@@ -734,6 +735,10 @@ def _join_tokens(rec):
     rec["invocation"]["tokens"] = " ".join(rec["invocation"]["tokens"])
 
 
+def _append_token(value):
+    return lambda rec: rec["invocation"]["tokens"].append(value)
+
+
 @pytest.mark.parametrize("log, edit, commands", [
     ("gcc -O2 -c a.c -o a.o\n", lambda rec: rec.update(source_file=5),
      [["diff", "b1", "b2"], ["history", "dev", "--key", "opt_level"],
@@ -745,12 +750,16 @@ def _join_tokens(rec):
     ("gcc @opts.rsp -c a.c -o a.o\n", _set_rsp_origin_kind, [["audit", "b1"]]),
     ("gcc -O2 -c a.c -o a.o\n", _join_tokens, [["query", "find", "--build", "b1",
                                                 "--group", "opt_level", "--value=-O2"]]),
+    *(("gcc -O2 -c a.c -o a.o\n", _append_token(value), [["query", "find", "--build", "b1",
+                                                         "--group", "opt_level", "--value=-O2"]])
+      for value in (5, True, None)),
     ("gcc -O2 -c a.c -o a.o\n", lambda rec: rec.update(bogus=1),
      [["query", "find", "--build", "b1", "--group", "opt_level", "--value=-O2"]]),
     ("gcc -O2 -c a.c -o a.o\n", lambda rec: rec["invocation"].update(env="X=1"),
      [["history", "dev", "--key", "opt_level"]]),
 ], ids=["number-source-file", "number-in-target-inputs", "number-rsp-token-text",
         "bool-rsp-token-index", "unknown-rsp-origin-kind", "string-tokens",
+        "number-token", "bool-token", "null-token",
         "record-key-never-written", "invocation-key-never-written"])
 def test_mistyped_stored_field_is_unreadable(tmp_path, capsys, log, edit, commands):
     """A stored field of another JSON type, a key or an origin kind writing never
@@ -783,11 +792,9 @@ LINE_TEXT = st.text(alphabet=st.one_of(
     st.sampled_from(["\U0001f600", "\U00010000", "\xe9", "a", "."]),
     st.characters(blacklist_categories=("Cs",)),  # a lone surrogate is no UTF-8 text
 ), max_size=10)
-_ORIGINS = st.one_of(st.just(COMMAND_LINE), st.builds(
-    lambda path, index: Origin("response-file", path, index), LINE_TEXT, st.integers(0, 10**9)))
-_INVOCATIONS = st.builds(RawInvocation, LINE_TEXT,
-                         st.lists(st.builds(Token, LINE_TEXT.filter(bool), _ORIGINS),
-                                  max_size=4).map(tuple),
+_ORIGINS = st.one_of(st.none(), st.builds(Origin, LINE_TEXT, st.integers(0, 10**9)))
+_INVOCATIONS = st.builds(lambda program, pairs, *rest: RawInvocation(program, *_split(pairs), *rest),
+                         LINE_TEXT, st.lists(st.tuples(LINE_TEXT.filter(bool), _ORIGINS), max_size=4),
                          LINE_TEXT, LINE_TEXT, st.sampled_from(list(DIALECTS.values())))
 
 

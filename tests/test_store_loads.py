@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from flagtrace import flagmodel
 from flagtrace.cli import run
-from flagtrace.cmdline import Origin, RawInvocation, Token, detect_dialect
+from flagtrace.cmdline import Origin, RawInvocation, detect_dialect
 from flagtrace.errors import CorruptSnapshot
 from flagtrace.snapshot import BuildSnapshot, LinkTargetRecord, TranslationUnitRecord
 from flagtrace.store import Store
@@ -50,17 +50,16 @@ def _assert_reads_as_alone(store: Store, build_id: str) -> None:
 
 _SPELLINGS = ["-O0", "-O2", "-g", "-DX=1", "-DX=2", "-UX", "-Iinc", "-fPIC", "-fweird", "-o", "a.o",
               "-lz", "/O2", "/MD"]
-# Command-line tokens of one length, so builds differ in sets of equal size.
-_VARIANTS = st.sampled_from(["-O0", "-O2", "-O3", "-DX=1", "-DX=2"]).map(Token)
-_RSP_TOKENS = st.builds(Token, st.sampled_from(_SPELLINGS),
-                        st.builds(Origin, st.just("response-file"), st.just("/w/a.rsp"),
-                                  st.integers(0, 3)))
+# (text, origin) pairs. Command-line tokens of one length, so builds differ in sets of equal size.
+_VARIANTS = st.sampled_from(["-O0", "-O2", "-O3", "-DX=1", "-DX=2"]).map(lambda t: (t, None))
+_RSP_TOKENS = st.tuples(st.sampled_from(_SPELLINGS), st.builds(Origin, st.just("/w/a.rsp"), st.integers(0, 3)))
 
 
-def _record_parts(tokens: list, program: str, source: str):
-    """An invocation of `program` with these tokens, and the set they resolve to."""
-    inv = RawInvocation(program, tuple(tokens), "/w", source, detect_dialect(program))
-    return inv, flagmodel.resolve(flagmodel.classify_all(tokens, inv.dialect))
+def _record_parts(pairs: list, program: str, source: str):
+    """An invocation of `program` with these (text, origin) pairs, and the set it resolves to."""
+    inv = RawInvocation(program, tuple(t for t, _ in pairs), tuple(o for _, o in pairs), "/w", source,
+                        detect_dialect(program))
+    return inv, flagmodel.resolve(flagmodel.classify_all(inv.tokens, inv.dialect))
 
 
 @st.composite
@@ -69,7 +68,8 @@ def label_builds(draw):
     each command, appends a variant token and may append a response-file token to
     it, and may link. Then an order to load them in."""
     pool = draw(st.lists(st.tuples(st.sampled_from(["gcc", "cl"]),
-                                   st.lists(st.sampled_from(_SPELLINGS).map(Token), max_size=6)),
+                                   st.lists(st.sampled_from(_SPELLINGS).map(lambda t: (t, None)),
+                                            max_size=6)),
                          min_size=1, max_size=5))
     builds = []
     for b in range(draw(st.integers(2, 4))):
@@ -84,7 +84,7 @@ def label_builds(draw):
         targets = []
         if draw(st.booleans()):
             extra = draw(st.lists(st.one_of(_VARIANTS, _RSP_TOKENS), max_size=2))
-            inv, eff = _record_parts([Token("a.o"), *extra, Token("-o"), Token("app")], "gcc",
+            inv, eff = _record_parts([("a.o", None), *extra, ("-o", None), ("app", None)], "gcc",
                                      f"log:b{b}.log:9")
             targets.append(LinkTargetRecord("/w/app", ["/w/a.o"], inv,
                                             flagmodel.canonical_serialize(eff).decode()))
