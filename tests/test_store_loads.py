@@ -19,7 +19,7 @@ from flagtrace.cmdline import Origin, RawInvocation, detect_dialect
 from flagtrace.errors import CorruptSnapshot
 from flagtrace.snapshot import BuildSnapshot, LinkTargetRecord, TranslationUnitRecord
 from flagtrace.store import Store
-from tests.test_snapshot import _rewrite_record
+from tests.test_snapshot import _rewrite_record, _split
 
 
 def _record_view(rec) -> tuple:
@@ -57,8 +57,7 @@ _RSP_TOKENS = st.tuples(st.sampled_from(_SPELLINGS), st.builds(Origin, st.just("
 
 def _record_parts(pairs: list, program: str, source: str):
     """An invocation of `program` with these (text, origin) pairs, and the set it resolves to."""
-    inv = RawInvocation(program, tuple(t for t, _ in pairs), tuple(o for _, o in pairs), "/w", source,
-                        detect_dialect(program))
+    inv = RawInvocation(program, *_split(pairs), "/w", source, detect_dialect(program))
     return inv, flagmodel.resolve(flagmodel.classify_all(inv.tokens, inv.dialect))
 
 
