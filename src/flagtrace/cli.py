@@ -204,8 +204,8 @@ def _cmd_stamp(args) -> Report:
     payload = elfnote.NotePayload(
         build_id=args.build_id,
         subject=args.subject,
-        effective_digest=hashlib.sha256(text).hexdigest(),
-        flags_text=None if args.no_flags_text else text.decode("utf-8"),
+        effective_digest=hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        flags_text=None if args.no_flags_text else text,
     )
     elfnote.stamp(args.elf, payload)
     return (EXIT_OK, {"stamped": args.elf, "build_id": args.build_id, "subject": args.subject},
@@ -240,7 +240,7 @@ def _cmd_query(args) -> Report:
                 [f"{e.created}  {e.build_id}  {e.label}  {e.content_hash}" for e in entries])
     if args.query_kind == "effective":
         rec = _subject_record(args.store, args.build, args.subject)
-        text = canonical_serialize(rec.effective).decode("utf-8")
+        text = canonical_serialize(rec.effective)
         return (EXIT_OK, {"build_id": args.build, "subject": args.subject, "effective": text},
                 text.splitlines())
     # find: TUs where a scalar group resolves to a given value

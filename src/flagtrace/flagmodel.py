@@ -25,8 +25,9 @@ that the caller scopes to one snapshot; it is freed with that snapshot.
 An entry holds no provenance; `token_indices` finds the token it came
 from. `resolve` is the one fold from entries to a set, and folds what a
 caller holds in each entry's place by the same rule.
-`canonical_deserialize` is the exact inverse of `canonical_serialize`:
-it parses each line into its entry and folds those entries with `resolve`.
+`_LINES` writes each kind of set line for both directions, so a set line
+reads only as written; whether a set's lines are in canonical order, and
+are what its tokens resolve to, is `verify`'s question.
 """
 
 from __future__ import annotations
@@ -203,7 +204,7 @@ class EffectiveFlagSet:
     scalar_groups holds the winner per exclusive group; defines folds
     -D/-U left to right (an undef removes the macro); ordered fields
     keep exact command order, which is semantically significant. Sets
-    compare by their `canonical_serialize` bytes; `==` is identity.
+    compare by their `canonical_serialize` text; `==` is identity.
     """
 
     scalar_groups: dict[str, FlagEntry] = field(default_factory=dict)
@@ -239,82 +240,65 @@ def resolve(entries: Sequence[FlagEntry], held: Sequence | None = None) -> Effec
     return out
 
 
-def _opt(value: str | None) -> str:
-    return "null" if value is None else encode_basestring(value)
+_q = encode_basestring
+# The writer of each kind of set line, for both directions: the line of entry `e` filed
+# under `name`, its group or the macro it defines, as the compact JSON array that
+# `json.dumps(..., ensure_ascii=False, separators=(",", ":"))` writes; only a value may be null.
+_LINES = {
+    "group": lambda e, name: (f'["group",{_q(name)},{_q(e.key)},{_q(e.polarity)},'
+                              f'{"null" if e.value is None else _q(e.value)},{_q(e.spelling)}]'),
+    "define": lambda e, name: (f'["define",{_q(name)},'
+                               f'{"null" if e.value is None else _q(e.value)},{_q(e.spelling)}]'),
+    "include": lambda e, _: f'["include",{"null" if e.value is None else _q(e.value)},{_q(e.spelling)}]',
+    "link": lambda e, _: (f'["link","{"obj" if e.key == "link_obj" else "lib"}",'
+                          f'{"null" if e.value is None else _q(e.value)},{_q(e.spelling)}]'),
+    "source": lambda e, _: f'["source",{"null" if e.value is None else _q(e.value)}]',
+    "opaque": lambda e, _: f'["opaque",{_q(e.spelling)}]',
+}
+# Named for `canonical_serialize`'s loops, which would otherwise look one up per line.
+_group_line, _define_line, _include_line, _link_line, _source_line, _opaque_line = _LINES.values()
+# The entry of each kind of set line, built by position from the decoded line.
+_ENTRIES = {
+    "group": lambda r: FlagEntry(r[2], r[4], r[3], r[5], r[1]),
+    "define": lambda r: FlagEntry("macro_define", r[2], VALUED, r[3]),
+    "include": lambda r: FlagEntry("include_dir", r[1], VALUED, r[2]),
+    "link": lambda r: FlagEntry("link_" + r[1], r[2], VALUED, r[3]),
+    "source": lambda r: FlagEntry("source_file", r[1], VALUED, r[1]),
+    "opaque": lambda r: FlagEntry("opaque", None, VALUED, r[1]),
+}
 
 
-def canonical_serialize(fset: EffectiveFlagSet) -> bytes:
-    """Deterministic byte encoding of a resolved set, fit for hashing.
-
-    Scalar groups are sorted by group id; order-significant fields keep
-    their order. Equal values produce identical bytes and vice versa.
-    Each line is the compact JSON array that `json.dumps(...,
-    ensure_ascii=False, separators=(",", ":"))` would write, built with
-    the same string escaper.
-    """
-    q = encode_basestring
+def canonical_serialize(fset: EffectiveFlagSet) -> str:
+    """Deterministic text of a resolved set, fit for hashing, which a record stores.
+    Groups are sorted by group id and defines by macro name; order-significant
+    fields keep their order. Equal sets produce identical text and vice versa."""
     lines = ['["flagset",1]']
+    add = lines.append
     for gid in sorted(fset.scalar_groups):
-        e = fset.scalar_groups[gid]
-        lines.append(f'["group",{q(gid)},{q(e.key)},{q(e.polarity)},{_opt(e.value)},{q(e.spelling)}]')
+        add(_group_line(fset.scalar_groups[gid], gid))
     for name in sorted(fset.defines):
-        e = fset.defines[name]
-        lines.append(f'["define",{q(name)},{_opt(e.value)},{q(e.spelling)}]')
+        add(_define_line(fset.defines[name], name))
     for e in fset.include_dirs:
-        lines.append(f'["include",{_opt(e.value)},{q(e.spelling)}]')
+        add(_include_line(e, None))
     for e in fset.link_inputs:
-        kind = "obj" if e.key == "link_obj" else "lib"
-        lines.append(f'["link","{kind}",{_opt(e.value)},{q(e.spelling)}]')
+        add(_link_line(e, None))
     for e in fset.sources:
-        lines.append(f'["source",{_opt(e.value)}]')
+        add(_source_line(e, None))
     for e in fset.opaque:
-        lines.append(f'["opaque",{q(e.spelling)}]')
-    lines.append("")
-    return "\n".join(lines).encode("utf-8")
-
-
-_LINE_FIELD_TYPES = {str, type(None)}
-
-
-def _entry_of_line(row) -> FlagEntry:
-    """The entry of a line that `canonical_serialize` wrote, given the line JSON-decoded."""
-    # Every field is a string, and only a value may be null.
-    if type(row) is list and row and {*map(type, row)} <= _LINE_FIELD_TYPES:
-        tag, n = row[0], len(row)
-        if tag == "group":
-            if n == 6 and None not in (row[1], row[2], row[3], row[5]):
-                _, gid, key, polarity, value, spelling = row
-                return FlagEntry(key, value, polarity, spelling, gid)
-        elif tag == "define":
-            # The name must be the key that `resolve` files the entry under.
-            if n == 4 and row[3] is not None and row[1] == _macro_name(row[2] or ""):
-                return FlagEntry("macro_define", row[2], VALUED, row[3])
-        elif tag == "include":
-            if n == 3 and row[2] is not None:
-                return FlagEntry("include_dir", row[1], VALUED, row[2])
-        elif tag == "link":
-            if n == 4 and row[1] in ("obj", "lib") and row[3] is not None:
-                return FlagEntry(f"link_{row[1]}", row[2], VALUED, row[3])
-        elif tag == "source":
-            if n == 2 and row[1] is not None:
-                return FlagEntry("source_file", row[1], VALUED, row[1])
-        elif tag == "opaque":
-            if n == 2 and row[1] is not None:
-                return FlagEntry("opaque", None, VALUED, row[1])
-    raise ValueError(f"not a canonical flag-set line: {row!r}")
+        add(_opaque_line(e, None))
+    add("")
+    return "\n".join(lines)
 
 
 def canonical_deserialize(text: str, memo: dict) -> EffectiveFlagSet:
-    """The set that `canonical_serialize` wrote as `text`.
+    """The set that `canonical_serialize` wrote as `text`, folded by `resolve` in line order.
 
-    Each line is parsed into its entry, and `resolve` folds the entries
-    in line order; canonical order folds back to the set it came from.
-    `memo` maps a line to its entry; pass one dict for all records of a
-    snapshot, so equal lines share one FlagEntry. The lines it lacks
-    are JSON-decoded in one call.
-    Raises ValueError on text that `canonical_serialize` cannot have
-    written, given text that holds no lone surrogate, as a string that
-    `strictjson.loads` returned does not.
+    A line reads only as written: its kind's writer must write exactly that line
+    for the entry built from it, filed under the name `resolve` files it by (a
+    source line writes no spelling, but its value is one, and every entry has one).
+    `memo` maps a line to its entry; pass one dict for all records of a snapshot,
+    so each distinct line is decoded and checked once. Raises ValueError on text
+    `canonical_serialize` cannot have written that holds no lone surrogate.
     """
     lines = text.split("\n")
     if lines[0] != '["flagset",1]' or lines[-1]:
@@ -326,6 +310,14 @@ def canonical_deserialize(text: str, memo: dict) -> EffectiveFlagSet:
         rows = strictjson.loads("[" + ",".join(new) + "]")
         if len(rows) != len(new):
             raise ValueError("not a canonical flag set")
-        for line, row in zip(new, rows):
-            memo[line] = _entry_of_line(row)
+        try:
+            for line, row in zip(new, rows):
+                tag = row[0]
+                e = _ENTRIES[tag](row)
+                name = e.group if tag == "group" else _macro_name(e.value) if tag == "define" else None
+                if type(e.spelling) is not str or _LINES[tag](e, name) != line:
+                    raise ValueError(f"not a line canonical_serialize writes: {line}")
+                memo[line] = e
+        except (AttributeError, LookupError, TypeError) as exc:  # no kind's entry or writer fits
+            raise ValueError(f"not a canonical flag-set line: {exc!r}") from None
     return resolve([memo[line] for line in lines])

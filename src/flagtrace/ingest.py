@@ -242,7 +242,7 @@ def assemble_snapshot(
             # An MSVC output that ends in a separator is the objects' directory (/Foobj\).
             out_dir = out if inv.dialect.family is Family.MSVC and out.endswith(("\\", "/")) else ""
             one_file = out and not out_dir and len(effective.sources) == 1
-            text = flagmodel.canonical_serialize(effective).decode("utf-8")
+            text = flagmodel.canonical_serialize(effective)
             for src_entry in effective.sources:
                 src = normalize_path(src_entry.value, inv.cwd)
                 obj = out if one_file else out_dir + _default_object_name(src_entry.value, inv.dialect)
@@ -256,7 +256,7 @@ def assemble_snapshot(
             output = normalize_path(out_entry.value if out_entry else default, inv.cwd)
             inputs = [normalize_path(e.value, inv.cwd) if e.key == "link_obj" else e.value
                       for e in effective.link_inputs]
-            text = flagmodel.canonical_serialize(effective).decode("utf-8")
+            text = flagmodel.canonical_serialize(effective)
             snap.targets.append(LinkTargetRecord(output, inputs, inv, text))
         else:
             snap.diagnostics.append({

@@ -15,9 +15,12 @@ it writes. This module alone knows how tokens, origins and dialects are stored.
 The header's `snapshot_version` says how tokens are stored. Version 2,
 which every snapshot is written in, stores a command-line token as its
 bare text and a response-file token as a {"text", "origin"} object;
-version 1 stores every token as an object. Both read through one
-decoder under one load rule, and the version is then forgotten: a
-loaded v1 snapshot serializes as v2. Any other version is rejected.
+version 1 stores every token as an object. A token is read by its
+snapshot's version: a command-line token object in v2, or a bare word in
+v1, is unreadable. Both read through one decoder, and the version is then
+forgotten: a loaded v1 snapshot serializes as v2. Any other version is
+rejected. The header, outside the content hash, reads only as written:
+a load refuses one that is not the line `_header` writes for its fields.
 
 On load the hash is checked over the record lines as stored, without
 re-serializing them; diagnostic lines are outside it, and a line of any
@@ -27,7 +30,8 @@ word. Every record, loaded or assembled, holds the canonical text of its
 effective set, `effective_text`, which the hash covers and writing
 copies; the set is built from that text when first read, so a command
 decodes only the sets it reads, and one that fails to decode raises
-`CorruptSnapshot` naming its line. A load notices neither a rewritten
+`CorruptSnapshot` naming its line; so does a set line that is not the
+line `flagmodel` writes for its entry. A load notices neither a rewritten
 set whose hashes were recomputed nor a vocabulary edit since ingest.
 `flagtrace verify` finds both through `drifted()`, which decodes no
 stored set: a record's tokens must resolve to a set that serializes to
@@ -117,10 +121,12 @@ class LinkTargetRecord(_Record):
 Record = TranslationUnitRecord | LinkTargetRecord  # both kinds share one codec
 
 _RECORD_TYPES = {cls.KIND: cls for cls in (TranslationUnitRecord, LinkTargetRecord)}
-# The keys of each object in a record line; a command-line token object is read in v1 only.
+# The keys of each object in a record line.
 _KEYS = {"invocation": {"cwd", "dialect", "program", "source", "tokens"}, "dialect": {"family", "tool_kind"},
          "token": {"origin", "text"}}
-_ORIGIN_KEYS = {"command-line": {"kind"}, "response-file": {"index", "kind", "path"}}
+# The keys of a token's origin by version and kind: a v2 command-line token is a bare word.
+_ORIGIN_KEYS = {1: {"command-line": {"kind"}, "response-file": {"index", "kind", "path"}},
+                2: {"response-file": {"index", "kind", "path"}}}
 
 
 def _members(target: LinkTargetRecord, by_output: dict) -> dict[str, list[str]]:
@@ -160,14 +166,14 @@ def _field(d: dict, name: str, kind=str):
     return value
 
 
-def _stored_token(t, words: dict[str, str]) -> tuple[str, Origin | None]:
-    """The token stored as `t`, a bare word or an object, and its origin; `words` as in `_decode_record`."""
-    if type(t) is str:
+def _stored_token(t, words: dict[str, str], version: int) -> tuple[str, Origin | None]:
+    """The token stored as `t` in a snapshot of `version`, and its origin; `words` as in `_decode_record`."""
+    if type(t) is str and version == 2:
         return words.setdefault(t, t), None
     text, o = _field(t, "text"), t["origin"]
     kind = _field(o, "kind")
-    if t.keys() != _KEYS["token"] or o.keys() != _ORIGIN_KEYS.get(kind):
-        raise ValueError(f"stored token {t!r} is none that writing stores")
+    if t.keys() != _KEYS["token"] or o.keys() != _ORIGIN_KEYS[version].get(kind):
+        raise ValueError(f"stored token {t!r} is none that writing stores in version {version}")
     if kind == "command-line":
         return words.setdefault(text, text), None
     return text, Origin(_field(o, "path"), _field(o, "index", int))
@@ -183,19 +189,19 @@ def _classified_as_stored(rec: Record, memo: dict) -> list[flagmodel.FlagEntry] 
     that serializes to exactly its stored text; else None."""
     entries = flagmodel.classify_all(rec.invocation.tokens, rec.invocation.dialect, memo)
     resolved = flagmodel.canonical_serialize(flagmodel.resolve(entries))
-    return entries if resolved == rec.effective_text.encode("utf-8") else None
+    return entries if resolved == rec.effective_text else None
 
 
-def _decode_record(cls: type[Record], d: dict, words: dict[str, str]) -> Record:
-    """The record stored as `d`, with its set not yet built; `words` keeps one str per word in the load."""
+def _decode_record(cls: type[Record], d: dict, words: dict[str, str], version: int) -> Record:
+    """The record stored as `d` in `version`, its set not yet built; `words` keeps one str per word."""
     i = d["invocation"]
     if d.keys() != cls.KEYS or i.keys() != _KEYS["invocation"] or i["dialect"].keys() != _KEYS["dialect"]:
         raise ValueError("stored keys differ from the ones writing writes")
     stored = _field(i, "tokens", list)  # a string would read as one token per character
-    if {*map(type, stored)} <= {str}:  # only command-line words
+    if not stored or version == 2 and {*map(type, stored)} <= {str}:  # only command-line words
         toks, origins = tuple(map(words.setdefault, stored, stored)), (None,) * len(stored)
     else:
-        toks, origins = zip(*[_stored_token(t, words) for t in stored])
+        toks, origins = zip(*[_stored_token(t, words, version) for t in stored])
     inv = RawInvocation(_field(i, "program"), toks, origins, _field(i, "cwd"), _field(i, "source"),
                         DIALECTS[i["dialect"]["family"], i["dialect"]["tool_kind"]])
     return cls(**{name: _field(d, name, kind) for name, kind in cls.FIELDS.items()},
@@ -248,6 +254,11 @@ class BuildSnapshot:
         return [(subject, r) for scope in ("tu", "target") for subject, r in self.named(scope)
                 if _classified_as_stored(r, memo) is None]
 
+    def _header(self, version: int) -> str:
+        """The header line of this snapshot in `version`, as `_canon` writes its fields."""
+        return ('{"build_id":%s,"content_hash":%s,"created":%s,"label":%s,"snapshot_version":%d}'
+                % (_q(self.build_id), _q(self.content_hash), _q(self.created), _q(self.label), version))
+
     def serialize(self) -> bytes:
         """Encode each record once, set content_hash over those lines and return the file."""
         by_output = self.by_output()
@@ -257,13 +268,7 @@ class BuildSnapshot:
             h.update(line)
             h.update(b"\n")
         self.content_hash = h.hexdigest()
-        lines.insert(0, _canon({
-            "snapshot_version": SNAPSHOT_VERSION,
-            "build_id": self.build_id,
-            "label": self.label,
-            "created": self.created,
-            "content_hash": self.content_hash,
-        }).encode("utf-8"))
+        lines.insert(0, self._header(SNAPSHOT_VERSION).encode("utf-8"))
         lines.extend(_canon({"kind": "diagnostic", **d}).encode("utf-8") for d in self.diagnostics)
         lines.append(b"")
         return b"\n".join(lines)
@@ -280,13 +285,15 @@ class BuildSnapshot:
         h = hashlib.sha256()
         lineno = 1
         try:
-            header = strictjson.loads(lines[0].decode("utf-8"))
+            header = strictjson.loads(text := lines[0].decode("utf-8"))
             version = header["snapshot_version"]
             if type(version) is not int or version not in _READABLE_VERSIONS:
                 raise CorruptSnapshot(" or ".join(map(str, _READABLE_VERSIONS)), repr(version),
                                       "unsupported snapshot version")
-            snap = cls(_field(header, "build_id"), _field(header, "label"), _field(header, "created"),
-                       content_hash=_field(header, "content_hash"))
+            snap = cls(header["build_id"], header["label"], header["created"],
+                       content_hash=header["content_hash"])
+            if snap._header(version) != text:
+                raise ValueError("the header is not the line writing writes for its fields")
             words, flagset_lines, target_lines = {}, {}, []
             for lineno, line in enumerate(lines[1:], start=2):
                 d = strictjson.loads(line.decode("utf-8"))
@@ -296,7 +303,7 @@ class BuildSnapshot:
                     continue
                 h.update(line)
                 h.update(b"\n")
-                rec = _decode_record(_RECORD_TYPES[kind], d, words)
+                rec = _decode_record(_RECORD_TYPES[kind], d, words, version)
                 rec._flagset_lines, rec._line = flagset_lines, lineno
                 (snap.tus if kind == "tu" else snap.targets).append(rec)
                 if kind == "target":

@@ -24,7 +24,7 @@ def _line(*parts) -> str:
     return json.dumps(list(parts), ensure_ascii=False, separators=(",", ":"))
 
 
-def canonical_serialize(fset: EffectiveFlagSet) -> bytes:
+def canonical_serialize(fset: EffectiveFlagSet) -> str:
     lines = [_line("flagset", 1)]
     for gid in sorted(fset.scalar_groups):
         e = fset.scalar_groups[gid]
@@ -40,7 +40,7 @@ def canonical_serialize(fset: EffectiveFlagSet) -> bytes:
         lines.append(_line("source", e.value))
     for e in fset.opaque:
         lines.append(_line("opaque", e.spelling))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return "\n".join(lines) + "\n"
 
 
 def classify_each(tokens, dialect):

@@ -1,8 +1,9 @@
 import itertools
+import json
 import random
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import canonical_oracle
 from flagtrace.cmdline import Dialect, Family, ToolKind, tokenize
@@ -162,7 +163,7 @@ class TestProperties:
 class TestCanonicalSerialize:
     def test_empty_is_stable(self):
         assert canonical_serialize(resolve([])) == canonical_serialize(resolve([]))
-        assert canonical_serialize(resolve([])) == b'["flagset",1]\n'
+        assert canonical_serialize(resolve([])) == '["flagset",1]\n'
 
     def test_equal_values_equal_bytes(self):
         a = resolve(classify_all(tokenize("-O2 -DX -Ia", GNU), GNU))
@@ -327,6 +328,15 @@ class TestClassifyOracle:
             assert classify(text, dialect, nxt) == canonical_oracle.classify(text, dialect, nxt)
 
 
+# Other JSON for the values of a set line than the compact, unescaped line writing writes.
+_OTHER_JSON = {
+    "spaced": lambda row: json.dumps(row, ensure_ascii=False),
+    "spaced-after-commas": lambda row: json.dumps(row, ensure_ascii=False, separators=(", ", ":")),
+    "escaped": lambda row: json.dumps(row, separators=(",", ":")),
+    "spaced-and-escaped": json.dumps,
+}
+
+
 class TestCanonicalDeserialize:
     @given(st.lists(st.tuples(st.sampled_from([GNU, MSVC, GNU_LINK, MSVC_LINK]),
                               st.lists(_token_texts, max_size=12)), max_size=6))
@@ -341,13 +351,13 @@ class TestCanonicalDeserialize:
         lines = {}
         for dialect, tokens in commands:
             fset = resolve(classify_all(tokens, dialect))
-            text = canonical_serialize(fset).decode("utf-8")
+            text = canonical_serialize(fset)
             back = canonical_deserialize(text, lines)
             assert back.scalar_groups == fset.scalar_groups
             assert back.defines == fset.defines
             assert (back.include_dirs, back.link_inputs, back.sources, back.opaque) == (
                 fset.include_dirs, fset.link_inputs, fset.sources, fset.opaque)
-            assert canonical_serialize(back).decode("utf-8") == text
+            assert canonical_serialize(back) == text
 
     def test_equal_lines_share_one_entry(self):
         lines = {}
@@ -369,10 +379,35 @@ class TestCanonicalDeserialize:
         '["opaque",[["opaque"]]]',
         '["opaque","\\ud800"]',  # a lone surrogate, which no UTF-8 text holds
         '["source","a\\uDFFF.c"]',
+        # Each decodes to an entry, but is not the line writing writes for it.
+        '["opaque", "x"]',
+        '["opaque","\\u0078"]',
+        '["source","a\\/b.c"]',
+        '["define","X","X=1", "-DX=1"]',
     ])
     def test_rejects_a_line_it_cannot_have_written(self, line):
         with pytest.raises(ValueError):
             canonical_deserialize(f'["flagset",1]\n{line}\n', {})
+
+    @given(st.sampled_from([GNU, MSVC, GNU_LINK, MSVC_LINK]), st.lists(_token_texts, max_size=12),
+           st.integers(0, 99), st.sampled_from(list(_OTHER_JSON)))
+    @example(GNU, ["-O2", "-Dé", "a.c"], 1, "escaped")  # its define line
+    def test_reads_a_line_only_as_written(self, dialect, tokens, pick, other):
+        """The text as written reads back to a set written as that text. Any one line
+        written as other JSON of the same values (with spaces, or with the escapes of
+        ensure_ascii=True) does not read, wherever that changes the line's bytes."""
+        text = canonical_serialize(resolve(classify_all(tokens, dialect)))
+        assert canonical_serialize(canonical_deserialize(text, {})) == text
+        lines = text.split("\n")
+        assume(len(lines) > 2)
+        i = 1 + pick % (len(lines) - 2)
+        edited = _OTHER_JSON[other](json.loads(lines[i]))
+        lines[i], written = edited, lines[i]
+        if edited == written:
+            assert canonical_serialize(canonical_deserialize(text, {})) == text
+        else:
+            with pytest.raises(ValueError):
+                canonical_deserialize("\n".join(lines), {})
 
     @pytest.mark.parametrize("text", ["", '["flagset",1]', '["flagset",2]\n', '["opaque","a"]\n',
                                       '["flagset",1]\n\n'])

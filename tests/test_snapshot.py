@@ -157,6 +157,27 @@ def test_unknown_snapshot_version_exit_3(tmp_path, capsys):
     assert "unsupported snapshot version: expected 1 or 2, got 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit", [
+    lambda h: h[:-1] + b',"zz_extra":1}',
+    lambda h: b"{ " + h[1:],
+    lambda h: h.replace(b'"label":"dev"', b'"label":"d\\u0065v"'),
+], ids=["extra-key", "space-after-brace", "escaped-label"])
+def test_a_header_reads_only_as_written(tmp_path, capsys, edit):
+    """A header that is not the line writing writes for the fields it decodes to is
+    unreadable, though the content hash does not cover it: every read and verify exit 3."""
+    store = _ingest_log(tmp_path, capsys, "gcc -O2 -c a.c -o a.o\n")
+    _rewrite_line(store, 0, edit)
+    a = str(tmp_path / "a.c")
+    for argv in (["query", "effective", "--build", "b1", "--subject", a],
+                 ["query", "find", "--build", "b1", "--group", "opt_level", "--value=-O2"],
+                 ["audit", "b1"], ["diff", "b1", "b1"], ["history", "dev", "--key", "opt_level"],
+                 ["stamp", build_minimal_elf(tmp_path / "a.o.elf"), "b1", a]):
+        assert run(["--store", store.root, *argv]) == 3, argv
+        assert "unreadable snapshot line 1" in capsys.readouterr().err
+    code, doc = _verify(store, capsys)
+    assert code == 3 and "unreadable snapshot line 1" in doc["builds"][0]["error"]
+
+
 def test_deeply_nested_line_exit_3(tmp_path, capsys):
     store = install_fixture(tmp_path / "store")
     _rewrite_line(store, 1, lambda _: DEEP_JSON.encode())
@@ -205,7 +226,7 @@ def test_token_streams_round_trip(streams, version):
         inv = RawInvocation(program, *_split(pairs), "/w", f"log:b.log:{i + 1}", detect_dialect(program))
         eff = flagmodel.resolve(flagmodel.classify_all(inv.tokens, inv.dialect))
         tus.append(TranslationUnitRecord(f"/w/{i}.c", None, inv,
-                                         flagmodel.canonical_serialize(eff).decode()))
+                                         flagmodel.canonical_serialize(eff)))
     data = BuildSnapshot("b1", "dev", "2026-01-01T00:00:00Z", tus).serialize()
     back = BuildSnapshot.deserialize(as_v1(data) if version == 1 else data)
     assert [r.invocation for r in back.tus] == [r.invocation for r in tus]
@@ -257,7 +278,7 @@ def test_a_shared_source_without_a_stored_output_keeps_its_source_as_key():
     inv = RawInvocation("gcc", ("-c", "a.c"), (None, None), "/w", "log:b.log:1",
                         detect_dialect("gcc"))
     eff = flagmodel.resolve(flagmodel.classify_all(inv.tokens, inv.dialect))
-    text = flagmodel.canonical_serialize(eff).decode()
+    text = flagmodel.canonical_serialize(eff)
     tus = [TranslationUnitRecord("/w/a.c", out, inv, text) for out in (None, "/w/b.o")]
     data = BuildSnapshot("b1", "dev", "2026-01-01T00:00:00Z", tus).serialize()
     snap = BuildSnapshot.deserialize(data)
@@ -280,7 +301,7 @@ def test_every_record_builds_its_set_on_first_read(tmp_path):
     loaded = BuildSnapshot.deserialize(snap.serialize())
     for rec in (snap.tus[0], snap.targets[0], loaded.tus[0]):
         assert "effective" not in vars(rec)
-        assert flagmodel.canonical_serialize(rec.effective).decode() == rec.effective_text
+        assert flagmodel.canonical_serialize(rec.effective) == rec.effective_text
         assert "effective" in vars(rec)
 
 
@@ -311,7 +332,7 @@ def test_origins_agree_with_an_origin_carrying_fold(program, pairs):
     inv = RawInvocation(program, *_split(pairs), "/w", "log:/w/b.log:1", dialect)
     text = flagmodel.canonical_serialize(flagmodel.resolve(flagmodel.classify_all(inv.tokens, dialect)))
     snap = BuildSnapshot("b", "dev", "2026-01-01T00:00:00Z",
-                         tus=[TranslationUnitRecord("/w/a.c", "/w/a.o", inv, text.decode())])
+                         tus=[TranslationUnitRecord("/w/a.c", "/w/a.o", inv, text)])
     want = canonical_oracle.resolve_with_origins(inv.tokens, inv.origins, dialect)
     for rec in (snap.tus[0], BuildSnapshot.deserialize(snap.serialize()).tus[0]):
         got = rec.origins
@@ -394,9 +415,9 @@ def test_response_file_builds_read_back(build):
             assert Store(store).get(entry.build_id).serialize() == written
 
 
-def _rewrite_lines(store: Store, build_id: str, edit) -> None:
+def _rewrite_lines(store: Store, build_id: str, edit, header_fields: dict | None = None) -> None:
     """Replace a build's lines after its header with what edit returns for them, then
-    recompute the header and index hashes."""
+    set `header_fields` in the header and recompute the header and index hashes."""
     entry = next(e for e in store.list_builds() if e.build_id == build_id)
     snap_file = Path(store.root) / entry.relpath
     header, *rest = snap_file.read_bytes().removesuffix(b"\n").split(b"\n")
@@ -404,7 +425,8 @@ def _rewrite_lines(store: Store, build_id: str, edit) -> None:
     content_hash = hashlib.sha256(b"".join(
         line + b"\n" for line in rest if json.loads(line)["kind"] != "diagnostic")).hexdigest()
     snap_file.write_bytes(b"\n".join(
-        [_canon_line({**json.loads(header), "content_hash": content_hash}), *rest]) + b"\n")
+        [_canon_line({**json.loads(header), **(header_fields or {}), "content_hash": content_hash}),
+         *rest]) + b"\n")
     index = Path(store.index_path)
     lines = index.read_text(encoding="utf-8").splitlines(keepends=True)
     index.write_text("".join(line.replace(entry.content_hash, content_hash)
@@ -413,13 +435,16 @@ def _rewrite_lines(store: Store, build_id: str, edit) -> None:
 
 
 def _rewrite_record(store: Store, build_id: str, n: int, edit) -> None:
-    """Apply edit to record n of a build, then recompute the header and index hashes."""
+    """Apply edit to record n of a build, then recompute the header and index hashes.
+    The header fields that edit returns, if any, are set too."""
+    header_fields = {}
+
     def edit_line(rest: list[bytes]) -> list[bytes]:
         rec = json.loads(rest[n])
-        edit(rec)
+        header_fields.update(edit(rec) or {})
         rest[n] = json.dumps(rec, sort_keys=True, separators=(",", ":")).encode()
         return rest
-    _rewrite_lines(store, build_id, edit_line)
+    _rewrite_lines(store, build_id, edit_line, header_fields)
 
 
 def _set_opt(spelling: str):
@@ -664,6 +689,43 @@ def test_a_set_that_cannot_be_decoded_fails_when_read(tmp_path, capsys):
     assert build["status"] == "corrupt" and "unreadable snapshot line 3" in build["error"]
 
 
+def _respell_set_line(old: str, new: str):
+    """An edit that rewrites part of the stored effective text."""
+    def edit(rec):
+        assert old in rec["effective"]
+        rec["effective"] = rec["effective"].replace(old, new)
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _respell_set_line('"-O2","-O2"]', '"-O2", "-O2"]'),
+    _respell_set_line('"-O2","-O2"]', '"-O2","-O\\u0032"]'),
+], ids=["spaced", "escaped-digit"])
+def test_a_set_line_reads_only_as_written(tmp_path, capsys, edit):
+    """A stored set line that decodes to the entry writing wrote, but is not the line
+    writing writes for it, with every hash recomputed, is unreadable: each read of its
+    set exits 3 naming the record's line, and verify reports it as the build's error."""
+    (tmp_path / "b.log").write_text("gcc -O2 -c a.c -o a.o\n")
+    store = str(tmp_path / "store")
+    for i in (1, 2):
+        assert run(["--store", store, "ingest", str(tmp_path / "b.log"), "--label", "dev",
+                    "--build-id", f"b{i}", "--created", f"2026-01-0{i}T00:00:00Z"]) == 0
+    _rewrite_record(Store(store), "b1", 0, edit)
+    capsys.readouterr()
+    a = str(tmp_path / "a.c")
+    for argv in (["query", "effective", "--build", "b1", "--subject", a],
+                 ["stamp", build_minimal_elf(tmp_path / "a.o.elf"), "b1", a],
+                 ["query", "find", "--build", "b1", "--group", "opt_level", "--value=-O2"],
+                 ["diff", "b1", "b2"], ["history", "dev", "--key", "opt_level"]):
+        assert run(["--store", store, *argv]) == 3, argv
+        assert "unreadable snapshot line 2" in capsys.readouterr().err
+    code, doc = _verify(Store(store), capsys)
+    assert code == 3
+    assert doc["builds"][0]["status"] == "corrupt" and doc["builds"][0]["subjects"] == []
+    assert "unreadable snapshot line 2" in doc["builds"][0]["error"]
+    assert doc["builds"][1] == {"build_id": "b2", "status": "ok", "error": None, "subjects": []}
+
+
 @pytest.mark.parametrize("name, value", [("member_tus", "a.c"), ("external_inputs", [5])],
                          ids=["string-member-tus", "number-in-external-inputs"])
 def test_mistyped_stored_member_list_is_unreadable(tmp_path, capsys, name, value):
@@ -739,6 +801,17 @@ def _append_token(value):
     return lambda rec: rec["invocation"]["tokens"].append(value)
 
 
+def _command_line_token_object(rec):
+    """The first token stored as v1 stores a command-line token, which v2 never does."""
+    assert rec["invocation"]["tokens"][0] == "-O2"
+    rec["invocation"]["tokens"][0] = {"origin": {"kind": "command-line"}, "text": "-O2"}
+
+
+def _header_version_1(rec):
+    """The header says version 1, where every token is an object; the line is left as v2 wrote it."""
+    return {"snapshot_version": 1}
+
+
 @pytest.mark.parametrize("log, edit, commands", [
     ("gcc -O2 -c a.c -o a.o\n", lambda rec: rec.update(source_file=5),
      [["diff", "b1", "b2"], ["history", "dev", "--key", "opt_level"],
@@ -757,10 +830,15 @@ def _append_token(value):
      [["query", "find", "--build", "b1", "--group", "opt_level", "--value=-O2"]]),
     ("gcc -O2 -c a.c -o a.o\n", lambda rec: rec["invocation"].update(env="X=1"),
      [["history", "dev", "--key", "opt_level"]]),
+    *(("gcc -O2 -c a.c -o a.o\n", edit, [["diff", "b1", "b2"], ["history", "dev", "--key", "opt_level"],
+                                         ["query", "find", "--build", "b1", "--group", "opt_level",
+                                          "--value=-O2"]])
+      for edit in (_command_line_token_object, _header_version_1)),
 ], ids=["number-source-file", "number-in-target-inputs", "number-rsp-token-text",
         "bool-rsp-token-index", "unknown-rsp-origin-kind", "string-tokens",
         "number-token", "bool-token", "null-token",
-        "record-key-never-written", "invocation-key-never-written"])
+        "record-key-never-written", "invocation-key-never-written",
+        "command-line-token-object-in-v2", "v2-line-under-a-v1-header"])
 def test_mistyped_stored_field_is_unreadable(tmp_path, capsys, log, edit, commands):
     """A stored field of another JSON type, a key or an origin kind writing never
     stores, with every hash recomputed, makes its line unreadable: each read command

@@ -24,7 +24,7 @@ from tests.test_snapshot import _rewrite_record, _split
 
 def _record_view(rec) -> tuple:
     """Everything a record holds: kind, stored fields, invocation and tokens, the
-    canonical bytes of its set and the set's entries with their origins."""
+    canonical text of its set and the set's entries with their origins."""
     return (type(rec), [getattr(rec, name) for name in rec.FIELDS], rec.invocation,
             flagmodel.canonical_serialize(rec.effective), vars(rec.effective))
 
@@ -79,14 +79,14 @@ def label_builds(draw):
                 extra = [*rsp, draw(_VARIANTS)]
                 inv, eff = _record_parts(tokens + extra, program, f"log:b{b}.log:{i + 1}")
                 tus.append(TranslationUnitRecord(f"/w/{i}.c", f"/w/{i}.o", inv,
-                                                 flagmodel.canonical_serialize(eff).decode()))
+                                                 flagmodel.canonical_serialize(eff)))
         targets = []
         if draw(st.booleans()):
             extra = draw(st.lists(st.one_of(_VARIANTS, _RSP_TOKENS), max_size=2))
             inv, eff = _record_parts([("a.o", None), *extra, ("-o", None), ("app", None)], "gcc",
                                      f"log:b{b}.log:9")
             targets.append(LinkTargetRecord("/w/app", ["/w/a.o"], inv,
-                                            flagmodel.canonical_serialize(eff).decode()))
+                                            flagmodel.canonical_serialize(eff)))
         builds.append(BuildSnapshot(f"b{b}", "dev", f"2026-01-0{b + 1}T00:00:00Z", tus, targets))
     order = draw(st.lists(st.sampled_from([s.build_id for s in builds]), min_size=2, max_size=8))
     return builds, order
