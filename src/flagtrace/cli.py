@@ -190,16 +190,16 @@ def _cmd_lint(args) -> Report:
     return EXIT_WARNINGS if findings else EXIT_OK, doc, lines
 
 
-def _subject_record(store: str, build_id: str, subject: str):
+def _subject_record(store: Store, build_id: str, subject: str):
     """The build's TU or link target `subject`."""
-    rec = Store(store).get(build_id).record(subject)
+    rec = store.get(build_id).record(subject)
     if rec is None:
         raise FlagtraceError(f"no TU or target '{subject}' in build {build_id}")
     return rec
 
 
 def _cmd_stamp(args) -> Report:
-    rec = _subject_record(args.store, args.build_id, args.subject)
+    rec = _subject_record(Store(args.store), args.build_id, args.subject)
     text = canonical_serialize(rec.effective)
     payload = elfnote.NotePayload(
         build_id=args.build_id,
@@ -239,7 +239,7 @@ def _cmd_query(args) -> Report:
                   "content_hash": e.content_hash} for e in entries],
                 [f"{e.created}  {e.build_id}  {e.label}  {e.content_hash}" for e in entries])
     if args.query_kind == "effective":
-        rec = _subject_record(args.store, args.build, args.subject)
+        rec = _subject_record(store, args.build, args.subject)
         text = canonical_serialize(rec.effective)
         return (EXIT_OK, {"build_id": args.build, "subject": args.subject, "effective": text},
                 text.splitlines())

@@ -24,18 +24,18 @@ a load refuses one that is not the line `_header` writes for its fields.
 
 On load the hash is checked over the record lines as stored, without
 re-serializing them; diagnostic lines are outside it, and a line of any
-other kind is unreadable. Every line is JSON-decoded, with each field it
-reads checked for its JSON type; a load keeps one str per command-line
-word. Every record, loaded or assembled, holds the canonical text of its
-effective set, `effective_text`, which the hash covers and writing
-copies; the set is built from that text when first read, so a command
-decodes only the sets it reads, and one that fails to decode raises
-`CorruptSnapshot` naming its line; so does a set line that is not the
-line `flagmodel` writes for its entry. A load notices neither a rewritten
-set whose hashes were recomputed nor a vocabulary edit since ingest.
-`flagtrace verify` finds both through `drifted()`, which decodes no
-stored set: a record's tokens must resolve to a set that serializes to
-exactly its text, byte for byte.
+other kind is unreadable. Every line is JSON-decoded and each field checked
+for its JSON type at load, which keeps one str per command-line word and
+builds an invocation only when read. Every record, loaded or assembled,
+holds the canonical text of its effective set, `effective_text`, which the
+hash covers and writing copies; the set is built from that text when first
+read, so a command decodes only the sets it reads, each set line once per
+`Store`, and one that fails to decode raises `CorruptSnapshot` naming its
+line; so does a set line that is not the line `flagmodel` writes for its
+entry. A load notices neither a rewritten set whose hashes were recomputed
+nor a vocabulary edit since ingest. `flagtrace verify` finds both through
+`drifted()`, which decodes no stored set: a record's tokens must resolve to
+a set that serializes to exactly its text, byte for byte.
 
 The stored text has no token origins, which only audit evidence reads.
 A record's `origins` re-classifies its tokens when one came from a
@@ -68,8 +68,15 @@ _canon = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", "
 class _Record:
     """Both kinds of record hold `effective_text`, and build `effective` from it on first read."""
 
-    _flagset_lines: dict | None = None  # the line memo of the load that read the record
+    _flagset_lines: dict | None = None  # the set-line memo of the load that read the record
     _line = 0  # the line the record was read from
+
+    def __getattr__(self, name: str):
+        """A loaded record's `invocation`, built on first read from the parts its load checked."""
+        if name != "invocation":
+            raise AttributeError(name)
+        self.invocation = inv = RawInvocation(*self._invocation_parts)
+        return inv
 
     @cached_property
     def effective(self) -> flagmodel.EffectiveFlagSet:
@@ -193,19 +200,24 @@ def _classified_as_stored(rec: Record, memo: dict) -> list[flagmodel.FlagEntry] 
 
 
 def _decode_record(cls: type[Record], d: dict, words: dict[str, str], version: int) -> Record:
-    """The record stored as `d` in `version`, its set not yet built; `words` keeps one str per word."""
+    """The record stored as `d` in `version`, its set and invocation unbuilt; `words` interns its words."""
     i = d["invocation"]
     if d.keys() != cls.KEYS or i.keys() != _KEYS["invocation"] or i["dialect"].keys() != _KEYS["dialect"]:
         raise ValueError("stored keys differ from the ones writing writes")
-    stored = _field(i, "tokens", list)  # a string would read as one token per character
+    program, cwd, source, text, stored = i["program"], i["cwd"], i["source"], d["effective"], i["tokens"]
+    if not (type(program) is type(cwd) is type(source) is type(text) is str and type(stored) is list):
+        for o, name, *kind in [(i, "tokens", list), (i, "program"), (i, "cwd"), (i, "source"), (d, "effective")]:
+            _field(o, name, *kind)  # raises for the first of the wrong type
     if not stored or version == 2 and {*map(type, stored)} <= {str}:  # only command-line words
         toks, origins = tuple(map(words.setdefault, stored, stored)), (None,) * len(stored)
     else:
         toks, origins = zip(*[_stored_token(t, words, version) for t in stored])
-    inv = RawInvocation(_field(i, "program"), toks, origins, _field(i, "cwd"), _field(i, "source"),
-                        DIALECTS[i["dialect"]["family"], i["dialect"]["tool_kind"]])
-    return cls(**{name: _field(d, name, kind) for name, kind in cls.FIELDS.items()},
-               invocation=inv, effective_text=_field(d, "effective"))
+    rec = cls.__new__(cls)
+    for name, kind in cls.FIELDS.items():
+        setattr(rec, name, _field(d, name, kind))
+    rec.effective_text, rec._invocation_parts = text, (
+        program, toks, origins, cwd, source, DIALECTS[i["dialect"]["family"], i["dialect"]["tool_kind"]])
+    return rec
 
 
 @dataclass
@@ -274,12 +286,12 @@ class BuildSnapshot:
         return b"\n".join(lines)
 
     @classmethod
-    def deserialize(cls, data: bytes) -> "BuildSnapshot":
+    def deserialize(cls, data: bytes, flagset_lines: dict | None = None) -> "BuildSnapshot":
         """Decode stored bytes, hashing each record line as read; check targets' member lists.
 
         Lines split on LF only: paths may hold U+0085 or U+2028, which
         canonical JSON leaves unescaped. A line whose JSON gives a lone
-        surrogate is as unreadable as one that is not JSON.
+        surrogate is as unreadable as one that is not JSON; sets decode through `flagset_lines`.
         """
         lines = data.removesuffix(b"\n").split(b"\n")
         h = hashlib.sha256()
@@ -294,7 +306,7 @@ class BuildSnapshot:
                        content_hash=header["content_hash"])
             if snap._header(version) != text:
                 raise ValueError("the header is not the line writing writes for its fields")
-            words, flagset_lines, target_lines = {}, {}, []
+            words, target_lines, flagset_lines = {}, [], {} if flagset_lines is None else flagset_lines
             for lineno, line in enumerate(lines[1:], start=2):
                 d = strictjson.loads(line.decode("utf-8"))
                 kind = d.pop("kind")

@@ -7,16 +7,17 @@ Layout (frozen, version-headed):
     <root>/snapshots/<name>.fts line-delimited canonical snapshot file
 
 The directories and VERSION are created by the first put; reading a store that
-does not exist finds no builds and creates nothing. Snapshots are immutable
-once written: there is no delete or compact command, and a put never rewrites
+does not exist finds no builds and creates nothing. Snapshots are immutable once
+written: there is no delete or compact command, and a put never rewrites
 previously stored bytes. LF alone commits an index line: readers ignore a torn
 final line (without an LF, as a crash during put leaves, or ending in CR) and
-the next put cuts it; a committed line holding a CR is malformed. Put refuses
-a TAB, CR or LF in a build id, label or created time, and text that is not
-UTF-8, before it creates anything, and a build id whose file another holds.
-A load opens only the file put names, and checks the hash, then the header's
-build id, label and created time, against the index line. Writes are
-serialized through an advisory lock file; reads take no lock.
+the next put cuts it; a committed line holding a CR is malformed. Put refuses a
+TAB, CR or LF in a build id, label or created time, and text that is not UTF-8,
+before it creates anything, and a build id whose file another holds. A load
+opens only the file put names, and checks the hash, then the header's build id,
+label and created time, against the index line. It checks each record line in
+full, builds invocations when read, and shares one set-line memo among a Store's
+loads. Writes are serialized through an advisory lock file; reads take no lock.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ class Store:
         self.index_path = os.path.join(root, "index.tsv")
         self.version_path = os.path.join(root, "VERSION")
         self.lock_path = os.path.join(root, ".lock")
+        self._flagset_lines: dict = {}  # the set-line memo of every load, as `deserialize` takes it
 
     def _read_index(self, index: bytes | None = None) -> list[IndexEntry]:
         if index is None:
@@ -127,7 +129,7 @@ class Store:
         if e.relpath != (relpath := _snapshot_relpath(e.build_id)):  # before anything is opened
             raise CorruptSnapshot(relpath, e.relpath, "index line names another snapshot file")
         with open(os.path.join(self.root, e.relpath), "rb") as fh:
-            snap = BuildSnapshot.deserialize(fh.read())
+            snap = BuildSnapshot.deserialize(fh.read(), self._flagset_lines)
         if snap.content_hash != e.content_hash:
             raise CorruptSnapshot(e.content_hash, snap.content_hash)
         if (header := (snap.build_id, snap.label, snap.created)) != e[:3]:

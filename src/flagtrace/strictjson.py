@@ -15,6 +15,7 @@ import re
 # What a \u escape of a surrogate looks like. It also matches an escaped
 # backslash before "ud800"; the check it lets through is exact.
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_scan_once = json.JSONDecoder().scan_once  # json.loads's scanner, raising its errors for a value
 
 
 def loads(text: str):
@@ -24,7 +25,12 @@ def loads(text: str):
     text that holds a surrogate escape pays for the check.
     """
     try:
-        value = json.loads(text)
+        try:  # text that ends in a space is json.loads's alone, not scanned twice
+            value, end = (None, -1) if text[-1:].isspace() else _scan_once(text, 0)
+        except StopIteration:  # no value starts at index 0, as where text starts with a space
+            end = -1
+        if end != len(text):  # not one value alone: json.loads's rules and errors
+            value = json.loads(text)
     except RecursionError as exc:
         raise ValueError(str(exc)) from None
     if "\\u" in text and _SURROGATE_ESCAPE.search(text):

@@ -645,6 +645,49 @@ def test_a_command_builds_only_the_sets_it_reads(tmp_path, capsys, set_builds):
     capsys.readouterr()
 
 
+def test_a_command_builds_only_the_invocations_it_reads(tmp_path, capsys, monkeypatch):
+    """history --key, diff, query and stamp build no invocation from a load; audit builds
+    one per record whose invocation it reads, verify one per record. history over three
+    builds decodes each distinct flag-set line once."""
+    (tmp_path / "opts.rsp").write_text("-O2 -DUSE_X\n")
+    store = str(tmp_path / "store")
+    logs = {"b1": _THREE_TUS, "b2": _THREE_TUS, "b3": _THREE_TUS.replace("-O2 -DA", "-O3 -DA")}
+    for i, (build_id, text) in enumerate(logs.items()):
+        (tmp_path / f"{build_id}.log").write_text(text)
+        assert run(["--store", store, "ingest", str(tmp_path / f"{build_id}.log"), "--label", "dev",
+                    "--build-id", build_id, "--created", f"2026-01-0{i + 1}T00:00:00Z"]) == 0
+    built, decoded = Counter(), Counter()  # invocations a load built; set lines decoded
+
+    def build(*parts, _original=snapshot.RawInvocation):
+        built["RawInvocation"] += 1
+        return _original(*parts)
+
+    def deserialize(text, memo, _original=flagmodel.canonical_deserialize):
+        decoded.update(set(text.split("\n")[1:-1]).difference(memo))
+        return _original(text, memo)
+    monkeypatch.setattr(snapshot, "RawInvocation", build)
+    monkeypatch.setattr(flagmodel, "canonical_deserialize", deserialize)
+    a = str(tmp_path / "a.c")
+    elf = build_minimal_elf(tmp_path / "a.o.elf")
+    for argv, code, want in [
+        (["history", "dev", "--key", "opt_level"], 0, 0),
+        (["diff", "b2", "b3"], 4, 0),
+        (["query", "effective", "--build", "b3", "--subject", a], 0, 0),
+        (["query", "find", "--build", "b3", "--group", "opt_level", "--value=-O2"], 0, 0),
+        (["stamp", elf, "b3", a], 0, 0),
+        (["audit", "b3", "--previous", "b2"], 4, 3),  # R8 reads each TU of b3; no finding cites its target
+        (["verify", "b3"], 0, 4),
+    ]:
+        built.clear()
+        assert run(["--store", store, *argv]) == code, argv
+        assert built["RawInvocation"] == want, argv
+    decoded.clear()
+    assert run(["--store", store, "history", "dev", "--key", "opt_level"]) == 0
+    assert set(decoded.values()) == {1}  # b1's lines, then b3's one new line, each once
+    assert '["group","opt_level","opt_level","valued","-O3","-O3"]' in decoded
+    capsys.readouterr()
+
+
 def test_verify_compares_stored_bytes(tmp_path, capsys):
     """A stored set with two group lines swapped, and every hash recomputed, decodes
     to the set its tokens resolve to, but is not the text ingest writes: verify
