@@ -1,41 +1,38 @@
 """Immutable build-snapshot records and their canonical serialization.
 
-A snapshot captures every translation unit and link target observed in
-one build of one configuration. Records serialize to line-delimited
-canonical JSON (UTF-8, LF, keys sorted) so stored snapshots stay diffable
-with plain text tools. `_encode_record` writes each line from its parts,
-escaping each string once: "kind", the record's KEYS (a target's member
-lists from `_members`), and in the invocation, dialect, token and origin
-objects the keys `_KEYS` and `_ORIGIN_KEYS` name; a load refuses any
-other key set and any other member lists. A record holds its invocation's
-tokens after `@file` expansion, each a str, with their origins beside
-them. `serialize()` sets the content hash, SHA-256 over the record lines
-it writes. This module alone knows how tokens, origins and dialects are stored.
+A snapshot captures every translation unit and link target observed in one
+build of one configuration. Records serialize to line-delimited canonical
+JSON (UTF-8, LF, keys sorted) so stored snapshots stay diffable with plain
+text tools; `_encode_record` writes each line from its parts, escaping each
+string once. A record holds its invocation's tokens after `@file`
+expansion, each a str, with their origins beside them. The content hash is
+SHA-256 over the record lines. This module alone knows how tokens, origins
+and dialects are stored.
 
 The header's `snapshot_version` says how tokens are stored. Version 2,
-which every snapshot is written in, stores a command-line token as its
-bare text and a response-file token as a {"text", "origin"} object;
-version 1 stores every token as an object. A token is read by its
-snapshot's version: a command-line token object in v2, or a bare word in
-v1, is unreadable. Both read through one decoder, and the version is then
-forgotten: a loaded v1 snapshot serializes as v2. Any other version is
-rejected. The header, outside the content hash, reads only as written:
-a load refuses one that is not the line `_header` writes for its fields.
+which every snapshot is written in, stores a command-line token as its bare
+text and a response-file token as a {"text", "origin"} object; version 1
+stores every token as an object. Both read through one decoder, and a
+loaded v1 snapshot serializes as v2; any other version is rejected. The
+header, outside the hash, reads only as the line `_header` writes.
 
-On load the hash is checked over the record lines as stored, without
-re-serializing them; diagnostic lines are outside it, and a line of any
-other kind is unreadable. Every line is JSON-decoded and each field checked
-for its JSON type at load, which keeps one str per command-line word and
-builds an invocation only when read. Every record, loaded or assembled,
-holds the canonical text of its effective set, `effective_text`, which the
-hash covers and writing copies; the set is built from that text when first
-read, so a command decodes only the sets it reads, each set line once per
-`Store`, and one that fails to decode raises `CorruptSnapshot` naming its
-line; so does a set line that is not the line `flagmodel` writes for its
-entry. A load notices neither a rewritten set whose hashes were recomputed
-nor a vocabulary edit since ingest. `flagtrace verify` finds both through
-`drifted()`, which decodes no stored set: a record's tokens must resolve to
-a set that serializes to exactly its text, byte for byte.
+A load reads each other line only in writing's layout: every JSON object in
+it (a line by its kind, an invocation, a dialect, a token and, by the
+version, its origin) holds exactly its layout's keys, in sorted order, each
+value of the JSON type named there; a target's member lists are the ones
+`_members` derives. Spaces, escapes and a repeated key are not compared:
+comparing each record line with `_encode_record` made a load 53-56% slower.
+Diagnostic lines are outside the hash: one can be deleted or reworded, in
+its layout, unnoticed. A load interns command-line words and builds an
+invocation only when read. Every record holds the canonical text of its
+effective set, `effective_text`, which the hash covers and writing copies;
+the set is built from it when first read, so a command decodes only the
+sets it reads, each set line once per `Store`. A set line that does not
+decode, or is not the line `flagmodel` writes for its entry, raises
+`CorruptSnapshot` naming its line. A load notices neither a rewritten set
+whose hashes were recomputed nor a vocabulary edit since ingest; `verify`
+finds both through `drifted()`, which decodes no stored set: a record's
+tokens must resolve to a set that serializes to exactly its text.
 
 The stored text has no token origins, which only audit evidence reads.
 A record's `origins` re-classifies its tokens when one came from a
@@ -52,7 +49,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring as _q  # a string as `_canon` writes it
-from types import GenericAlias
 
 from . import flagmodel, strictjson
 from .cmdline import DIALECTS, Origin, RawInvocation
@@ -104,8 +100,7 @@ class _Record:
 @dataclass
 class TranslationUnitRecord(_Record):
     KIND = "tu"
-    FIELDS = {"source_file": str, "output_file": (str, type(None))}  # stored name: JSON type
-    KEYS = {"effective", "invocation", *FIELDS}  # the keys of its line besides "kind"
+    FIELDS = ("source_file", "output_file")  # the record's own stored fields
 
     source_file: str
     output_file: str | None
@@ -116,8 +111,7 @@ class TranslationUnitRecord(_Record):
 @dataclass
 class LinkTargetRecord(_Record):
     KIND = "target"
-    FIELDS = {"output": str, "inputs": list[str]}
-    KEYS = {"effective", "external_inputs", "invocation", "member_tus", *FIELDS}
+    FIELDS = ("output", "inputs")
 
     output: str
     inputs: list[str]  # normalized paths / library names, command order
@@ -127,13 +121,36 @@ class LinkTargetRecord(_Record):
 
 Record = TranslationUnitRecord | LinkTargetRecord  # both kinds share one codec
 
-_RECORD_TYPES = {cls.KIND: cls for cls in (TranslationUnitRecord, LinkTargetRecord)}
-# The keys of each object in a record line.
-_KEYS = {"invocation": {"cwd", "dialect", "program", "source", "tokens"}, "dialect": {"family", "tool_kind"},
-         "token": {"origin", "text"}}
-# The keys of a token's origin by version and kind: a v2 command-line token is a bare word.
-_ORIGIN_KEYS = {1: {"command-line": {"kind"}, "response-file": {"index", "kind", "path"}},
-                2: {"response-file": {"index", "kind", "path"}}}
+
+class _JSONType(type):
+    """A JSON type that no Python type is, such as an int but no bool: `isinstance` asks its `test`."""
+
+    def __instancecheck__(cls, value) -> bool:
+        return cls.test(value)
+
+
+def _layout(**types):
+    """The check that an object is laid out as writing writes it: exactly these keys, in
+    this order, each value of its JSON type. JSON decodes to no subclass of str, list or dict."""
+    keys, json_types = tuple(types), tuple(types.values())
+    def laid_out(d: dict) -> dict:
+        if tuple(d) != keys or not all(map(isinstance, d.values(), json_types)):
+            raise ValueError(f"stored object is not laid out as writing writes {keys}")
+        return d
+    return laid_out
+
+
+_INT = _JSONType("int", (), {"test": lambda value: type(value) is int})
+_STRS = _JSONType("list[str]", (), {"test": strictjson.is_str_list})
+# A line's layout by its kind, a token origin's by its version and kind: a v2 command-line token is a bare word.
+_LINES = {"tu": _layout(effective=str, invocation=dict, kind=str, output_file=(str, type(None)), source_file=str),
+          "target": _layout(effective=str, external_inputs=_STRS, inputs=_STRS, invocation=dict, kind=str,
+                            member_tus=_STRS, output=str),
+          "diagnostic": _layout(kind=str, program=str, reason=str, source=str)}
+_INVOCATION = _layout(cwd=str, dialect=dict, program=str, source=str, tokens=list)
+_DIALECT, _TOKEN = _layout(family=str, tool_kind=str), _layout(origin=dict, text=str)
+_RSP_ORIGIN = _layout(index=_INT, kind=str, path=str)
+_ORIGINS = {(1, "command-line"): _layout(kind=str), **{(v, "response-file"): _RSP_ORIGIN for v in (1, 2)}}
 
 
 def _members(target: LinkTargetRecord, by_output: dict) -> dict[str, list[str]]:
@@ -164,26 +181,14 @@ def _encode_record(rec: Record, by_output: dict) -> str:
             f'"member_tus":{_canon(members["member_tus"])},"output":{_q(rec.output)}}}')
 
 
-def _field(d: dict, name: str, kind=str):
-    """The value stored in `d` under `name`, which must be of type `kind`."""
-    value = d[name]  # of an exact type: JSON decodes to no subclass, and a bool is an int
-    if type(value) is not kind and not (strictjson.is_str_list(value) if type(kind) is GenericAlias
-                                        else type(kind) is tuple and type(value) in kind):
-        raise TypeError(f"stored {name} has the wrong type: {type(value).__name__}")
-    return value
-
-
 def _stored_token(t, words: dict[str, str], version: int) -> tuple[str, Origin | None]:
     """The token stored as `t` in a snapshot of `version`, and its origin; `words` as in `_decode_record`."""
     if type(t) is str and version == 2:
         return words.setdefault(t, t), None
-    text, o = _field(t, "text"), t["origin"]
-    kind = _field(o, "kind")
-    if t.keys() != _KEYS["token"] or o.keys() != _ORIGIN_KEYS[version].get(kind):
-        raise ValueError(f"stored token {t!r} is none that writing stores in version {version}")
-    if kind == "command-line":
+    o, text = _TOKEN(t).values()
+    if _ORIGINS[version, o.get("kind")](o)["kind"] == "command-line":
         return words.setdefault(text, text), None
-    return text, Origin(_field(o, "path"), _field(o, "index", int))
+    return text, Origin(o["path"], o["index"])
 
 
 def _unreadable(lineno: int, exc: Exception) -> CorruptSnapshot:
@@ -199,24 +204,18 @@ def _classified_as_stored(rec: Record, memo: dict) -> list[flagmodel.FlagEntry] 
     return entries if resolved == rec.effective_text else None
 
 
-def _decode_record(cls: type[Record], d: dict, words: dict[str, str], version: int) -> Record:
-    """The record stored as `d` in `version`, its set and invocation unbuilt; `words` interns its words."""
-    i = d["invocation"]
-    if d.keys() != cls.KEYS or i.keys() != _KEYS["invocation"] or i["dialect"].keys() != _KEYS["dialect"]:
-        raise ValueError("stored keys differ from the ones writing writes")
-    program, cwd, source, text, stored = i["program"], i["cwd"], i["source"], d["effective"], i["tokens"]
-    if not (type(program) is type(cwd) is type(source) is type(text) is str and type(stored) is list):
-        for o, name, *kind in [(i, "tokens", list), (i, "program"), (i, "cwd"), (i, "source"), (d, "effective")]:
-            _field(o, name, *kind)  # raises for the first of the wrong type
+def _decode_record(kind: str, d: dict, words: dict[str, str], version: int) -> Record:
+    """The `kind` record stored as `d` in `version`, its set and invocation unbuilt; `words` interns its words."""
+    cwd, dialect, program, source, stored = _INVOCATION(d["invocation"]).values()
     if not stored or version == 2 and {*map(type, stored)} <= {str}:  # only command-line words
         toks, origins = tuple(map(words.setdefault, stored, stored)), (None,) * len(stored)
     else:
         toks, origins = zip(*[_stored_token(t, words, version) for t in stored])
-    rec = cls.__new__(cls)
-    for name, kind in cls.FIELDS.items():
-        setattr(rec, name, _field(d, name, kind))
-    rec.effective_text, rec._invocation_parts = text, (
-        program, toks, origins, cwd, source, DIALECTS[i["dialect"]["family"], i["dialect"]["tool_kind"]])
+    rec = object.__new__(TranslationUnitRecord if kind == "tu" else LinkTargetRecord)
+    for name in rec.FIELDS:
+        setattr(rec, name, d[name])
+    rec.effective_text, rec._invocation_parts = d["effective"], (
+        program, toks, origins, cwd, source, DIALECTS[tuple(_DIALECT(dialect).values())])
     return rec
 
 
@@ -309,13 +308,13 @@ class BuildSnapshot:
             words, target_lines, flagset_lines = {}, [], {} if flagset_lines is None else flagset_lines
             for lineno, line in enumerate(lines[1:], start=2):
                 d = strictjson.loads(line.decode("utf-8"))
-                kind = d.pop("kind")
+                kind = _LINES[d["kind"]](d).pop("kind")
                 if kind == "diagnostic":
                     snap.diagnostics.append(d)
                     continue
                 h.update(line)
                 h.update(b"\n")
-                rec = _decode_record(_RECORD_TYPES[kind], d, words, version)
+                rec = _decode_record(kind, d, words, version)
                 rec._flagset_lines, rec._line = flagset_lines, lineno
                 (snap.tus if kind == "tu" else snap.targets).append(rec)
                 if kind == "target":

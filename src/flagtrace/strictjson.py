@@ -21,8 +21,8 @@ _scan_once = json.JSONDecoder().scan_once  # json.loads's scanner, raising its e
 def loads(text: str):
     """`json.loads(text)`, raising ValueError if a string in it holds a lone surrogate.
 
-    `text` must itself hold none, as text decoded from UTF-8 does. Only
-    text that holds a surrogate escape pays for the check.
+    `text` must itself hold none, as text decoded from UTF-8 does. Each text
+    is searched once for a surrogate escape; only text with one is re-encoded.
     """
     try:
         try:  # text that ends in a space is json.loads's alone, not scanned twice
@@ -33,7 +33,7 @@ def loads(text: str):
             value = json.loads(text)
     except RecursionError as exc:
         raise ValueError(str(exc)) from None
-    if "\\u" in text and _SURROGATE_ESCAPE.search(text):
+    if _SURROGATE_ESCAPE.search(text):
         try:
             json.dumps(value, ensure_ascii=False).encode("utf-8")
         except UnicodeEncodeError:

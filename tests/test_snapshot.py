@@ -1,12 +1,13 @@
 """Snapshot codec: stored bytes read back exactly, and damage is caught."""
 
+import functools
 import hashlib
 import io
 import json
 import shlex
 import tempfile
 from collections import Counter
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -185,15 +186,28 @@ def test_deeply_nested_line_exit_3(tmp_path, capsys):
     assert "unreadable snapshot line 2" in capsys.readouterr().err
 
 
-def test_line_of_unknown_kind_exit_3(tmp_path, capsys):
-    """A line that is not a TU, a link target or a diagnostic is unreadable, though the
-    content hash, which covers only record lines, still matches."""
+@pytest.mark.parametrize("line", [
+    b'{"kind":"nonsense","x":1}',
+    b'{"kind":"diagnostic","reason":5,"x":[1,2]}',
+    b'{"kind":"diagnostic","reason":5}',
+    b'{"kind":"diagnostic","program":"ar","reason":"r","source":"s","x":1}',
+    b'{"kind":"diagnostic","program":"ar","reason":null,"source":"s"}',
+    b'{"kind":"diagnostic","source":"s","reason":"r","program":"ar"}',
+], ids=["unknown-kind", "diagnostic-number-reason-and-extra-key", "diagnostic-number-reason-alone",
+        "diagnostic-extra-key", "diagnostic-null-reason", "diagnostic-keys-reversed"])
+def test_line_of_unknown_kind_exit_3(tmp_path, capsys, line):
+    """A line that is not a TU, a link target or a diagnostic is unreadable, and so is a
+    diagnostic line other than writing writes: keys kind, program, reason and source, in
+    that order, each a string. The content hash covers only record lines, so it still matches."""
     store = install_fixture(tmp_path / "store")
     snap_file = _fixture_file(store)
     n = snap_file.read_bytes().count(b"\n") + 1
     with open(snap_file, "ab") as fh:
-        fh.write(b'{"kind":"nonsense","x":1}\n')
+        fh.write(line + b"\n")
     assert _query_fixture(store) == 3
+    assert f"unreadable snapshot line {n}" in capsys.readouterr().err
+    assert run(["--store", store.root, "query", "find", "--build", "fixture-v1",
+                "--group", "opt_level", "--value=-O2"]) == 3
     assert f"unreadable snapshot line {n}" in capsys.readouterr().err
     code, doc = _verify(store, capsys)
     assert code == 3 and f"unreadable snapshot line {n}" in doc["builds"][0]["error"]
@@ -903,6 +917,119 @@ def test_mistyped_stored_field_is_unreadable(tmp_path, capsys, log, edit, comman
     assert code == 3 and doc["builds"][0]["build_id"] == "b1"
     assert doc["builds"][0]["status"] == "corrupt"
     assert "unreadable snapshot line 2" in doc["builds"][0]["error"]
+
+
+# One build with a response-file token and a link target: a.c's TU line (line 2)
+# holds command-line and response-file tokens, b.c's is line 3 and app's line 4.
+_LAYOUT_LOG = "gcc @opts.rsp -O2 -c a.c -o a.o\ngcc -O2 -c b.c -o b.o\ngcc a.o b.o -lm -o app\n"
+_LAYOUT_READS = (["query", "find", "--build", "b1", "--group", "opt_level", "--value=-O2"],
+                 ["history", "dev", "--key", "opt_level"])
+
+
+def _in_order(d: dict) -> bytes:
+    """A decoded line written back compactly, with its keys in the order they stand in."""
+    return json.dumps(d, ensure_ascii=False, separators=(",", ":")).encode()
+
+
+def _run_quietly(store: str, argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one command on `store`."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(["--store", store, *argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+@functools.lru_cache(maxsize=None)
+def _layout_store() -> tuple[dict, list[bytes]]:
+    """The files of a store holding `_LAYOUT_LOG` as build b1, by path within it, and
+    the build's record lines. Every read of it exits 0, and `_in_order` writes each
+    record line back byte for byte."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "opts.rsp").write_text("-g -DUSE_X\n")
+        (root / "b.log").write_text(_LAYOUT_LOG)
+        store = root / "store"
+        assert _run_quietly(str(store), ["ingest", str(root / "b.log"), "--label", "dev",
+                                         "--build-id", "b1"])[0] == 0
+        for argv in (*_LAYOUT_READS, ["verify"]):
+            assert _run_quietly(str(store), argv)[0] == 0, argv
+        files = {str(p.relative_to(store)): p.read_bytes() for p in store.rglob("*") if p.is_file()}
+    lines = next(data for rel, data in files.items() if rel.endswith(".fts")).split(b"\n")[1:-1]
+    assert len(lines) == 3 and all(_in_order(json.loads(line)) == line for line in lines)
+    return files, lines
+
+
+def _objects(value):
+    """Every JSON object in a decoded value, outermost first."""
+    if type(value) is dict:
+        yield value
+    for v in value.values() if type(value) is dict else value if type(value) is list else ():
+        yield from _objects(v)
+
+
+def _set_items(d: dict, items: list) -> None:
+    """Make `items` the keys and values of `d`, in their order."""
+    d.clear()
+    d.update(items)
+
+
+@st.composite
+def _layout_edits(draw) -> tuple[int, bytes]:
+    """A record line of `_layout_store`'s build, by its index after the header, with one
+    edit writing never makes: a key added to one of its objects, a value given a JSON type
+    writing never writes there, two keys of one object swapped, or a command-line word
+    stored as a v1 token object."""
+    n = draw(st.integers(0, 2))
+    line = json.loads(_layout_store()[1][n])
+    objects, tokens = list(_objects(line)), line["invocation"]["tokens"]
+    edit = draw(st.sampled_from(["add-key", "mistype", "swap-keys", "v1-token"]))
+    if edit == "add-key":
+        d = draw(st.sampled_from(objects))
+        items = list(d.items())
+        items.insert(draw(st.integers(0, len(items))),
+                     (draw(st.sampled_from(["a", "env", "kind", "zz"]).filter(lambda k: k not in d)),
+                      draw(st.sampled_from(["x", 1, None]))))
+        _set_items(d, items)
+    elif edit == "swap-keys":
+        d = draw(st.sampled_from([d for d in objects if len(d) > 1]))
+        items = list(d.items())
+        i, j = draw(st.lists(st.integers(0, len(items) - 1), min_size=2, max_size=2, unique=True))
+        items[i], items[j] = items[j], items[i]
+        _set_items(d, items)
+    elif edit == "mistype":
+        slots = [(d, k) for d in objects for k in d]
+        slots += [(v, i) for d in objects for v in d.values() if type(v) is list for i in range(len(v))]
+        container, key = draw(st.sampled_from(slots))
+        written = {type(container[key])}  # and null for a TU's output, an object for a token
+        written |= {type(None)} if key == "output_file" else {str, dict} if container is tokens else set()
+        container[key] = draw(st.sampled_from([v for v in ("x", 5, 1.5, True, None, [], {})
+                                               if type(v) not in written]))
+    else:
+        i = draw(st.sampled_from([i for i, t in enumerate(tokens) if type(t) is str]))
+        tokens[i] = {"origin": {"kind": "command-line"}, "text": tokens[i]}
+    return n, _in_order(line)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_layout_edits())
+def test_a_record_line_writing_never_writes_is_unreadable(edit):
+    """A record line with one edit that writing never makes, and every hash recomputed,
+    is unreadable: query find and history --key exit 3 naming its line, and verify
+    reports the build corrupt. Key sets alone do not tell a line whose keys are swapped."""
+    n, edited = edit
+    files, _ = _layout_store()
+    with tempfile.TemporaryDirectory() as tmp:
+        for rel, data in files.items():
+            (Path(tmp) / rel).parent.mkdir(parents=True, exist_ok=True)
+            (Path(tmp) / rel).write_bytes(data)
+        _rewrite_lines(Store(tmp), "b1", lambda rest: [*rest[:n], edited, *rest[n + 1:]])
+        for argv in _LAYOUT_READS:
+            code, _, err = _run_quietly(tmp, argv)
+            assert code == 3 and f"unreadable snapshot line {n + 2}" in err, argv
+        code, out, _ = _run_quietly(tmp, ["--format", "json", "verify"])
+        build = json.loads(out)["builds"][0]
+        assert code == 3 and build["status"] == "corrupt"
+        assert f"unreadable snapshot line {n + 2}" in build["error"]
 
 
 # Text a record line must escape or keep as it is, each kind weighted above
