@@ -183,7 +183,7 @@ def _cmd_lint(args) -> Report:
         expansions.update(e)
     vocab = set(mklint.BUILTIN_VOCABULARY) | set(args.vocab)
     findings = mklint.lint(assignments, expansions, vocab)
-    doc = {"report_version": 1, "findings": [asdict(f) for f in findings]}
+    doc = {"report_version": 1, "findings": [vars(f) for f in findings]}
     lines = [f"{f.path}:{f.line}: '{f.name}' looks like a typo for "
              f"'{f.suggestion}' (distance {f.distance}) and is never expanded"
              for f in findings] or ["no findings"]

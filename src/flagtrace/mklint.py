@@ -9,6 +9,17 @@ The scan is purely lexical: conditional branches are not evaluated, so
 a typo inside a platform conditional we cannot take on this host is
 still caught. Lines are joined by `cmdline.logical_lines`, the joiner
 build logs use, so linting needs no more of flagtrace than `cmdline`.
+
+A name counts as expanded where `$(NAME)` or `${NAME}` appears anywhere
+in a scanned file, recipes and comments included, or where it starts a
+substitution reference, `$(NAME:a=b)` or `${NAME:a=b}`, as GNU make reads
+one. A name holds no blank, line break or backslash, the only characters
+the joiner changes, so one scan of the file's whole text finds the names
+a scan of each logical line would.
+
+The distance is the exact Levenshtein distance (insert, delete,
+substitute), computed by Myers' bit-vector algorithm (J. ACM 46(3), 1999)
+in Hyyrö's form for edit distance (2001).
 """
 
 from __future__ import annotations
@@ -16,6 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from os.path import commonprefix
+from typing import NamedTuple
 
 from .cmdline import logical_lines
 
@@ -29,12 +41,11 @@ DEFAULT_THRESHOLD = 2
 _ASSIGN = re.compile(
     r"^\s*(?:export\s+|override\s+)*([^\s:#=$]+?)\s*(?:\+=|\?=|::=|:=|=)"
 )
-_EXPANSION = re.compile(r"\$[({]([A-Za-z0-9_.%-]+)[)}]")
+_EXPANSION = re.compile(r"\$[({]([A-Za-z0-9_.%-]+)[:)}]")
 _INCLUDE = re.compile(r"^\s*[-s]?include\s+(.+)$")
 
 
-@dataclass(frozen=True)
-class MacroAssignment:
+class MacroAssignment(NamedTuple):
     name: str
     line: int
     path: str
@@ -50,16 +61,38 @@ class LintFinding:
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Standard dynamic-programming edit distance (insert/delete/substitute)."""
+    """Edit distance (insert/delete/substitute) by Hyyrö's bit-vector algorithm.
+
+    Bit i of each vector stands for row i + 1 of the dynamic-programming
+    table, whose rows follow the shorter string. `pv`/`mv` mark the rows
+    whose vertical difference is +1/-1, and `score` follows the last row,
+    so the distance is exact for strings of any length.
+    """
     if len(a) < len(b):
         a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
+    if not b:
+        return len(a)
+    peq: dict[str, int] = {}
+    for i, c in enumerate(b):
+        peq[c] = peq.get(c, 0) | 1 << i
+    mask = (1 << len(b)) - 1
+    last = 1 << (len(b) - 1)
+    pv, mv, score = mask, 0, len(b)
+    for c in a:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        ph = ph << 1 | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
 
 
 def scan_makefile(path: str, _depth: int = 0) -> tuple[list[MacroAssignment], set[str]]:
@@ -72,9 +105,8 @@ def scan_makefile(path: str, _depth: int = 0) -> tuple[list[MacroAssignment], se
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         text = fh.read()
     assignments: list[MacroAssignment] = []
-    expansions: set[str] = set()
+    expansions = set(_EXPANSION.findall(text))
     for lineno, line in logical_lines(text):
-        expansions.update(_EXPANSION.findall(line))
         if line.startswith("\t"):
             continue  # recipe line: shell territory, not make macros
         stripped = line.split("#", 1)[0]

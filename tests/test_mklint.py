@@ -1,16 +1,21 @@
 import json
 import random
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flagtrace.cli import run
+from flagtrace.cmdline import logical_lines
 from flagtrace.mklint import (
+    _ASSIGN,
+    _EXPANSION,
+    _INCLUDE,
     BUILTIN_VOCABULARY,
     levenshtein,
     lint,
     scan_makefile,
     suggest,
 )
+from test_fuzz_lint_audit import MAKEFILE
 
 
 def brute_levenshtein(a, b):
@@ -25,6 +30,58 @@ def brute_levenshtein(a, b):
         brute_levenshtein(a, b[1:]) + 1,
         brute_levenshtein(a[1:], b[1:]) + cost,
     )
+
+
+def dp_levenshtein(a, b):
+    """Dynamic-programming edit distance, one table row at a time; oracle for
+    the bit-vector version on strings too long for the brute force."""
+    if len(a) < len(b):
+        a, b = b, a
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        cur = [i]
+        for j, cb in enumerate(b, start=1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
+
+
+def per_line_scan(path, _depth=0):
+    """`scan_makefile` as a scan of each logical line for expansions; oracle for
+    the one scan of the whole text."""
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        text = fh.read()
+    assignments, expansions = [], set()
+    for lineno, line in logical_lines(text):
+        expansions.update(_EXPANSION.findall(line))
+        if line.startswith("\t"):
+            continue
+        stripped = line.split("#", 1)[0]
+        inc = _INCLUDE.match(stripped)
+        if inc and _depth < 1:
+            base = path.replace("\\", "/").rsplit("/", 1)[0] if "/" in path.replace("\\", "/") else "."
+            for name in inc.group(1).split():
+                if "$" in name:
+                    continue
+                sub = name if name.startswith("/") else f"{base}/{name}"
+                try:
+                    sub_assign, sub_expand = per_line_scan(sub, _depth + 1)
+                except (OSError, ValueError):
+                    continue
+                assignments.extend(sub_assign)
+                expansions.update(sub_expand)
+            continue
+        m = _ASSIGN.match(stripped)
+        if m:
+            assignments.append((m.group(1), lineno, path))
+    return assignments, expansions
+
+
+# names from a small alphabet share many letters; the wide alphabet holds
+# non-ASCII, astral and NUL characters, each one bit-vector key
+NAMES = st.one_of(st.text(alphabet="ABCF_", max_size=150),
+                  st.text(alphabet="CXFLAGSé\u00a0\U0001d53b\U0001f600\x00", max_size=150),
+                  st.text(max_size=40))
 
 
 class TestLevenshtein:
@@ -43,6 +100,12 @@ class TestLevenshtein:
            st.text(alphabet="AB", max_size=5))
     def test_triangle_inequality(self, a, b, c):
         assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
+
+    @settings(max_examples=300, deadline=None)
+    @given(NAMES, NAMES)
+    @example("PROJ_" + "AB" * 70 + "_FLAGS", "PROJ_" + "BA" * 70 + "_FLAG")  # wider than 64 bits
+    def test_equals_dynamic_programming(self, a, b):
+        assert levenshtein(a, b) == dp_levenshtein(a, b)
 
 
 class TestScanMakefile:
@@ -96,6 +159,26 @@ class TestScanMakefile:
         assert run(["--format", "json", "lint", str(p)]) == 0
         assert json.loads(capsys.readouterr().out)["findings"] == []
 
+    def test_substitution_reference_counts_as_expansion(self, tmp_path):
+        p = tmp_path / "Makefile"
+        p.write_text("all:\n\techo $(CXFLAG:-O2=-O3) $(OBJS:.o=.d)\n")
+        assert scan_makefile(str(p))[1] == {"CXFLAG", "OBJS"}
+
+    def test_braced_substitution_reference_counts_as_expansion(self, tmp_path):
+        p = tmp_path / "Makefile"
+        p.write_text("all:\n\techo ${LDFLAG:-s=} ${SRCS:%.c=%.o}\n")
+        assert scan_makefile(str(p))[1] == {"LDFLAG", "SRCS"}
+
+    @settings(max_examples=200, deadline=None)
+    @given(makefile=MAKEFILE, included=MAKEFILE)
+    @example(makefile=b"X = $(CFLAGS\\\n) ${A\rB} $(C\r\n)\n", included=b"")
+    def test_one_scan_equals_scan_per_line(self, tmp_path_factory, makefile, included):
+        d = tmp_path_factory.mktemp("scan")
+        (d / "Makefile").write_bytes(makefile)
+        (d / "common.mk").write_bytes(included)
+        # an assignment is a named tuple, so it equals the oracle's (name, line, path)
+        assert scan_makefile(str(d / "Makefile")) == per_line_scan(str(d / "Makefile"))
+
     def test_continuation_keeps_first_line_number(self, tmp_path):
         p = tmp_path / "Makefile"
         p.write_text("# header\nCFLAGS = -O2 \\\n  -g\n")
@@ -126,6 +209,13 @@ class TestLint:
         p.write_text("CXXFLAGS = -O2\n")
         assignments, expansions = scan_makefile(str(p))
         assert lint(assignments, expansions) == []
+
+    def test_substitution_reference_suppresses(self, tmp_path, capsys):
+        p = tmp_path / "Makefile"
+        p.write_text("CXFLAG = -O2\nLDFLAG := -s\nall:\n\techo $(CXFLAG:-O2=-O3) ${LDFLAG:-s=}\n")
+        assert lint(*scan_makefile(str(p))) == []
+        assert run(["lint", str(p)]) == 0
+        assert capsys.readouterr().out == "no findings\n"
 
     def test_expansion_anywhere_suppresses(self, tmp_path):
         p = tmp_path / "Makefile"
