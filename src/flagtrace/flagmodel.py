@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from importlib import resources
-from json.encoder import encode_basestring
+from json.encoder import encode_basestring as _q  # a string as JSON writes it
 
 from . import strictjson
 from .cmdline import Dialect, Family
@@ -240,7 +240,6 @@ def resolve(entries: Sequence[FlagEntry], held: Sequence | None = None) -> Effec
     return out
 
 
-_q = encode_basestring
 # The writer of each kind of set line, for both directions: the line of entry `e` filed
 # under `name`, its group or the macro it defines, as the compact JSON array that
 # `json.dumps(..., ensure_ascii=False, separators=(",", ":"))` writes; only a value may be null.
@@ -255,8 +254,6 @@ _LINES = {
     "source": lambda e, _: f'["source",{"null" if e.value is None else _q(e.value)}]',
     "opaque": lambda e, _: f'["opaque",{_q(e.spelling)}]',
 }
-# Named for `canonical_serialize`'s loops, which would otherwise look one up per line.
-_group_line, _define_line, _include_line, _link_line, _source_line, _opaque_line = _LINES.values()
 # The entry of each kind of set line, built by position from the decoded line.
 _ENTRIES = {
     "group": lambda r: FlagEntry(r[2], r[4], r[3], r[5], r[1]),
@@ -272,20 +269,21 @@ def canonical_serialize(fset: EffectiveFlagSet) -> str:
     """Deterministic text of a resolved set, fit for hashing, which a record stores.
     Groups are sorted by group id and defines by macro name; order-significant
     fields keep their order. Equal sets produce identical text and vice versa."""
+    group_line, define_line, include_line, link_line, source_line, opaque_line = _LINES.values()
     lines = ['["flagset",1]']
     add = lines.append
     for gid in sorted(fset.scalar_groups):
-        add(_group_line(fset.scalar_groups[gid], gid))
+        add(group_line(fset.scalar_groups[gid], gid))
     for name in sorted(fset.defines):
-        add(_define_line(fset.defines[name], name))
+        add(define_line(fset.defines[name], name))
     for e in fset.include_dirs:
-        add(_include_line(e, None))
+        add(include_line(e, None))
     for e in fset.link_inputs:
-        add(_link_line(e, None))
+        add(link_line(e, None))
     for e in fset.sources:
-        add(_source_line(e, None))
+        add(source_line(e, None))
     for e in fset.opaque:
-        add(_opaque_line(e, None))
+        add(opaque_line(e, None))
     add("")
     return "\n".join(lines)
 
@@ -304,20 +302,15 @@ def canonical_deserialize(text: str, memo: dict) -> EffectiveFlagSet:
     if lines[0] != '["flagset",1]' or lines[-1]:
         raise ValueError("not a canonical flag set")
     del lines[0], lines[-1]
-    new = set(lines).difference(memo)
-    if new:
-        new = list(new)
-        rows = strictjson.loads("[" + ",".join(new) + "]")
-        if len(rows) != len(new):
-            raise ValueError("not a canonical flag set")
+    for line in set(lines).difference(memo):
+        row = strictjson.loads(line)
         try:
-            for line, row in zip(new, rows):
-                tag = row[0]
-                e = _ENTRIES[tag](row)
-                name = e.group if tag == "group" else _macro_name(e.value) if tag == "define" else None
-                if type(e.spelling) is not str or _LINES[tag](e, name) != line:
-                    raise ValueError(f"not a line canonical_serialize writes: {line}")
-                memo[line] = e
+            tag = row[0]
+            e = _ENTRIES[tag](row)
+            name = e.group if tag == "group" else _macro_name(e.value) if tag == "define" else None
+            if type(e.spelling) is not str or _LINES[tag](e, name) != line:
+                raise ValueError(f"not a line canonical_serialize writes: {line}")
+            memo[line] = e
         except (AttributeError, LookupError, TypeError) as exc:  # no kind's entry or writer fits
             raise ValueError(f"not a canonical flag-set line: {exc!r}") from None
     return resolve([memo[line] for line in lines])

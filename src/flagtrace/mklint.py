@@ -12,10 +12,11 @@ build logs use, so linting needs no more of flagtrace than `cmdline`.
 
 A name counts as expanded where `$(NAME)` or `${NAME}` appears anywhere
 in a scanned file, recipes and comments included, or where it starts a
-substitution reference, `$(NAME:a=b)` or `${NAME:a=b}`, as GNU make reads
-one. A name holds no blank, line break or backslash, the only characters
-the joiner changes, so one scan of the file's whole text finds the names
-a scan of each logical line would.
+substitution reference, `$(NAME:a=b)` or `${NAME:a=b}`, as GNU make
+reads one; `$$` is a literal dollar, so `$$(NAME)` is none. A name holds
+no blank, line break or backslash, the only characters the joiner
+changes, so one scan of the file's whole text finds the names a scan of
+each logical line would.
 
 The distance is the exact Levenshtein distance (insert, delete,
 substitute), computed by Myers' bit-vector algorithm (J. ACM 46(3), 1999)
@@ -38,10 +39,8 @@ BUILTIN_VOCABULARY = frozenset({
 
 DEFAULT_THRESHOLD = 2
 
-_ASSIGN = re.compile(
-    r"^\s*(?:export\s+|override\s+)*([^\s:#=$]+?)\s*(?:\+=|\?=|::=|:=|=)"
-)
-_EXPANSION = re.compile(r"\$[({]([A-Za-z0-9_.%-]+)[:)}]")
+_ASSIGN = re.compile(r"^\s*(?:export\s+|override\s+)*([^\s:#=$]+?)\s*(?:\+=|\?=|::=|:=|=)")
+_EXPANSION = re.compile(r"\$(?:\$|[({]([A-Za-z0-9_.%-]+)[:)}])")  # `$$` gives the empty name
 _INCLUDE = re.compile(r"^\s*[-s]?include\s+(.+)$")
 
 
@@ -105,7 +104,7 @@ def scan_makefile(path: str, _depth: int = 0) -> tuple[list[MacroAssignment], se
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         text = fh.read()
     assignments: list[MacroAssignment] = []
-    expansions = set(_EXPANSION.findall(text))
+    expansions = set(_EXPANSION.findall(text)) - {""}
     for lineno, line in logical_lines(text):
         if line.startswith("\t"):
             continue  # recipe line: shell territory, not make macros

@@ -9,30 +9,33 @@ expansion, each a str, with their origins beside them. The content hash is
 SHA-256 over the record lines. This module alone knows how tokens, origins
 and dialects are stored.
 
-The header's `snapshot_version` says how tokens are stored. Version 2,
-which every snapshot is written in, stores a command-line token as its bare
-text and a response-file token as a {"text", "origin"} object; version 1
-stores every token as an object. Both read through one decoder, and a
-loaded v1 snapshot serializes as v2; any other version is rejected. The
-header, outside the hash, reads only as the line `_header` writes.
+The header's `snapshot_version` says how tokens are stored. Version 2, which
+every snapshot is written in, stores a command-line token as its bare text
+and a response-file token as a {"text", "origin"} object; version 1 stores
+every token as an object, a command-line one with the origin {"kind":
+"command-line"}. Both read through one decoder, and a loaded v1 snapshot
+serializes as v2; any other version is rejected. The header, outside the
+hash, reads only as the line `_header` writes.
 
 A load reads each other line only in writing's layout: every JSON object in
-it (a line by its kind, an invocation, a dialect, a token and, by the
-version, its origin) holds exactly its layout's keys, in sorted order, each
-value of the JSON type named there; a target's member lists are the ones
-`_members` derives. Spaces, escapes and a repeated key are not compared:
-comparing each record line with `_encode_record` made a load 53-56% slower.
-Diagnostic lines are outside the hash: one can be deleted or reworded, in
-its layout, unnoticed. A load interns command-line words and builds an
-invocation only when read. Every record holds the canonical text of its
-effective set, `effective_text`, which the hash covers and writing copies;
-the set is built from it when first read, so a command decodes only the
-sets it reads, each set line once per `Store`. A set line that does not
-decode, or is not the line `flagmodel` writes for its entry, raises
-`CorruptSnapshot` naming its line. A load notices neither a rewritten set
-whose hashes were recomputed nor a vocabulary edit since ingest; `verify`
-finds both through `drifted()`, which decodes no stored set: a record's
-tokens must resolve to a set that serializes to exactly its text.
+it (a line by its kind, an invocation, a dialect, a token and its origin)
+holds exactly its layout's keys, in sorted order, each value of the type
+named there, an origin's index an int that is no bool; a target's inputs are
+strs and its member lists the ones `_members` derives. A load does not
+compare spaces, escapes or a repeated key (comparing each line with
+`_encode_record` made it 53-56% slower); `verify` compares each line of a v2
+file through `check_as_written`. Diagnostic lines are outside the hash: one
+can be deleted or reworded, as written, unnoticed. A load interns
+command-line words and builds an invocation only when read. Every record
+holds the canonical text of its effective set, `effective_text`, which the
+hash covers and writing copies; the set is built from it when first read, so
+a command decodes only the sets it reads, each set line once per `Store`. A
+set line that does not decode, or is not the line `flagmodel` writes for its
+entry, raises `CorruptSnapshot` naming its line. A load notices neither a
+rewritten set whose hashes were recomputed nor a vocabulary edit since
+ingest; `verify` finds both through `drifted()`, which decodes no stored
+set: a record's tokens must resolve to a set that serializes to exactly its
+text.
 
 The stored text has no token origins, which only audit evidence reads.
 A record's `origins` re-classifies its tokens when one came from a
@@ -54,8 +57,7 @@ from . import flagmodel, strictjson
 from .cmdline import DIALECTS, Origin, RawInvocation
 from .errors import CorruptSnapshot
 
-SNAPSHOT_VERSION = 2  # the version every snapshot is written in
-_READABLE_VERSIONS = (1, 2)
+SNAPSHOT_VERSION = 2  # the version every snapshot is written in; 1 and 2 read
 
 
 _canon = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode
@@ -122,16 +124,9 @@ class LinkTargetRecord(_Record):
 Record = TranslationUnitRecord | LinkTargetRecord  # both kinds share one codec
 
 
-class _JSONType(type):
-    """A JSON type that no Python type is, such as an int but no bool: `isinstance` asks its `test`."""
-
-    def __instancecheck__(cls, value) -> bool:
-        return cls.test(value)
-
-
 def _layout(**types):
     """The check that an object is laid out as writing writes it: exactly these keys, in
-    this order, each value of its JSON type. JSON decodes to no subclass of str, list or dict."""
+    this order, each value of its type. JSON decodes to no subclass of str, list or dict."""
     keys, json_types = tuple(types), tuple(types.values())
     def laid_out(d: dict) -> dict:
         if tuple(d) != keys or not all(map(isinstance, d.values(), json_types)):
@@ -140,17 +135,14 @@ def _layout(**types):
     return laid_out
 
 
-_INT = _JSONType("int", (), {"test": lambda value: type(value) is int})
-_STRS = _JSONType("list[str]", (), {"test": strictjson.is_str_list})
-# A line's layout by its kind, a token origin's by its version and kind: a v2 command-line token is a bare word.
+# A line's layout by its kind; a target's lists are tested as `_members` reads and derives them.
 _LINES = {"tu": _layout(effective=str, invocation=dict, kind=str, output_file=(str, type(None)), source_file=str),
-          "target": _layout(effective=str, external_inputs=_STRS, inputs=_STRS, invocation=dict, kind=str,
-                            member_tus=_STRS, output=str),
+          "target": _layout(effective=str, external_inputs=list, inputs=list, invocation=dict, kind=str,
+                            member_tus=list, output=str),
           "diagnostic": _layout(kind=str, program=str, reason=str, source=str)}
 _INVOCATION = _layout(cwd=str, dialect=dict, program=str, source=str, tokens=list)
 _DIALECT, _TOKEN = _layout(family=str, tool_kind=str), _layout(origin=dict, text=str)
-_RSP_ORIGIN = _layout(index=_INT, kind=str, path=str)
-_ORIGINS = {(1, "command-line"): _layout(kind=str), **{(v, "response-file"): _RSP_ORIGIN for v in (1, 2)}}
+_RSP_ORIGIN = _layout(index=int, kind=str, path=str)
 
 
 def _members(target: LinkTargetRecord, by_output: dict) -> dict[str, list[str]]:
@@ -186,9 +178,12 @@ def _stored_token(t, words: dict[str, str], version: int) -> tuple[str, Origin |
     if type(t) is str and version == 2:
         return words.setdefault(t, t), None
     o, text = _TOKEN(t).values()
-    if _ORIGINS[version, o.get("kind")](o)["kind"] == "command-line":
+    if version == 1 and o == {"kind": "command-line"}:
         return words.setdefault(text, text), None
-    return text, Origin(o["path"], o["index"])
+    index, kind, path = _RSP_ORIGIN(o).values()
+    if kind != "response-file" or type(index) is not int:  # a bool is an int to isinstance
+        raise ValueError(f"stored origin is not one writing writes: {o}")
+    return text, Origin(path, index)
 
 
 def _unreadable(lineno: int, exc: Exception) -> CorruptSnapshot:
@@ -207,7 +202,7 @@ def _classified_as_stored(rec: Record, memo: dict) -> list[flagmodel.FlagEntry] 
 def _decode_record(kind: str, d: dict, words: dict[str, str], version: int) -> Record:
     """The `kind` record stored as `d` in `version`, its set and invocation unbuilt; `words` interns its words."""
     cwd, dialect, program, source, stored = _INVOCATION(d["invocation"]).values()
-    if not stored or version == 2 and {*map(type, stored)} <= {str}:  # only command-line words
+    if not stored or version == 2 and strictjson.is_str_list(stored):  # only command-line words
         toks, origins = tuple(map(words.setdefault, stored, stored)), (None,) * len(stored)
     else:
         toks, origins = zip(*[_stored_token(t, words, version) for t in stored])
@@ -298,9 +293,8 @@ class BuildSnapshot:
         try:
             header = strictjson.loads(text := lines[0].decode("utf-8"))
             version = header["snapshot_version"]
-            if type(version) is not int or version not in _READABLE_VERSIONS:
-                raise CorruptSnapshot(" or ".join(map(str, _READABLE_VERSIONS)), repr(version),
-                                      "unsupported snapshot version")
+            if type(version) is not int or version not in (1, 2):
+                raise CorruptSnapshot("1 or 2", repr(version), "unsupported snapshot version")
             snap = cls(header["build_id"], header["label"], header["created"],
                        content_hash=header["content_hash"])
             if snap._header(version) != text:
@@ -326,6 +320,18 @@ class BuildSnapshot:
             raise CorruptSnapshot(snap.content_hash, actual)
         by_output = snap.by_output()
         for rec, d in zip(snap.targets, target_lines):
-            if any(d.get(name) != value for name, value in _members(rec, by_output).items()):
-                raise _unreadable(rec._line, ValueError("member lists differ from its inputs' TUs"))
+            if not strictjson.is_str_list(rec.inputs) or any(  # strs before `_members` reads them
+                    d.get(name) != value for name, value in _members(rec, by_output).items()):
+                raise _unreadable(rec._line, ValueError("inputs or member lists are not as written"))
         return snap
+
+    def check_as_written(self, data: bytes) -> None:
+        """Raise CorruptSnapshot naming the first line of the loaded v2 file `data` not as written."""
+        header, *lines = data.removesuffix(b"\n").split(b"\n")
+        if header != self._header(SNAPSHOT_VERSION).encode():
+            return
+        by_output, diagnostics = self.by_output(), iter(self.diagnostics)
+        written = {r._line: _encode_record(r, by_output) for r in (*self.tus, *self.targets)}
+        for lineno, line in enumerate(lines, start=2):
+            if line != (written.get(lineno) or _canon({"kind": "diagnostic", **next(diagnostics)})).encode():
+                raise CorruptSnapshot("writing's bytes", "other bytes", f"snapshot line {lineno} is not as written")

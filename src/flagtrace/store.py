@@ -124,16 +124,19 @@ class Store:
                 return self._load(e)
         raise NotFound(build_id)
 
-    def _load(self, e: IndexEntry) -> BuildSnapshot:
-        """Load the snapshot an index entry names; its hash, then its header, must match the entry."""
+    def _load(self, e: IndexEntry, as_written: bool = False) -> BuildSnapshot:
+        """Load the snapshot an index entry names; its hash, then its header, must match the entry.
+        With `as_written`, which only verify sets, each line must be the line writing writes."""
         if e.relpath != (relpath := _snapshot_relpath(e.build_id)):  # before anything is opened
             raise CorruptSnapshot(relpath, e.relpath, "index line names another snapshot file")
         with open(os.path.join(self.root, e.relpath), "rb") as fh:
-            snap = BuildSnapshot.deserialize(fh.read(), self._flagset_lines)
+            snap = BuildSnapshot.deserialize(data := fh.read(), self._flagset_lines)
         if snap.content_hash != e.content_hash:
             raise CorruptSnapshot(e.content_hash, snap.content_hash)
         if (header := (snap.build_id, snap.label, snap.created)) != e[:3]:
             raise CorruptSnapshot(e[:3], header, "snapshot header disagrees with its index line")
+        if as_written:
+            snap.check_as_written(data)
         return snap
 
     def list_builds(self, label: str | None = None) -> list[IndexEntry]:
@@ -188,13 +191,12 @@ class Store:
         out = []
         for e in entries:
             try:
-                drifted = self._load(e).drifted()
+                drifted = self._load(e, as_written=True).drifted()
                 for _, rec in drifted:  # decodes its stored set: one that cannot be decoded fails here
                     rec.effective
+                out.append((e.build_id, None, [subject for subject, _ in drifted]))
             except (CorruptSnapshot, OSError) as exc:
                 out.append((e.build_id, str(exc), []))
-                continue
-            out.append((e.build_id, None, [subject for subject, _ in drifted]))
         return out
 
 

@@ -53,7 +53,7 @@ def per_line_scan(path, _depth=0):
         text = fh.read()
     assignments, expansions = [], set()
     for lineno, line in logical_lines(text):
-        expansions.update(_EXPANSION.findall(line))
+        expansions.update(name for name in _EXPANSION.findall(line) if name)
         if line.startswith("\t"):
             continue
         stripped = line.split("#", 1)[0]
@@ -169,9 +169,17 @@ class TestScanMakefile:
         p.write_text("all:\n\techo ${LDFLAG:-s=} ${SRCS:%.c=%.o}\n")
         assert scan_makefile(str(p))[1] == {"LDFLAG", "SRCS"}
 
+    def test_double_dollar_is_a_literal_dollar(self, tmp_path):
+        """make passes `$$` on as one `$`: `$$(CXFLAGS)` is the shell's, and
+        `$$$(LDFLAG)` a dollar before an expansion."""
+        p = tmp_path / "Makefile"
+        p.write_text("all:\n\techo $$(CXFLAGS) $$$(LDFLAG) $$$${CFLAG}\n")
+        assert scan_makefile(str(p))[1] == {"LDFLAG"}
+
     @settings(max_examples=200, deadline=None)
     @given(makefile=MAKEFILE, included=MAKEFILE)
     @example(makefile=b"X = $(CFLAGS\\\n) ${A\rB} $(C\r\n)\n", included=b"")
+    @example(makefile=b"X = $$(CFLAGS) $$$(LDFLAGS) $\\\n$(A) $$\\\n(B)\n", included=b"")
     def test_one_scan_equals_scan_per_line(self, tmp_path_factory, makefile, included):
         d = tmp_path_factory.mktemp("scan")
         (d / "Makefile").write_bytes(makefile)
@@ -222,6 +230,12 @@ class TestLint:
         p.write_text("CXFLAGS = -O2\nall:\n\techo $(CXFLAGS)\n")
         assignments, expansions = scan_makefile(str(p))
         assert lint(assignments, expansions) == []
+
+    def test_shell_substitution_does_not_suppress(self, tmp_path):
+        p = tmp_path / "Makefile"
+        p.write_text("CXFLAGS = -O2\nLDFLAG = -s\nall:\n\techo $$(CXFLAGS) $$$(LDFLAG)\n")
+        assert [f.name for f in lint(*scan_makefile(str(p)))] == ["CXFLAGS"]
+        assert run(["lint", str(p)]) == 4
 
     def test_distance_beyond_threshold_clean(self):
         # PLATFORM_CXXFLAGS is 9 edits from CXXFLAGS: far beyond threshold 2

@@ -102,6 +102,25 @@ class TestV1Fixture:
         assert core_o is target_o
         assert snap.tus[0].invocation.origins == (None,) * len(snap.tus[0].invocation.tokens)
 
+    @pytest.mark.parametrize("origin, readable", [
+        ({"kind": "command-line", "x": 1}, False),
+        ({"index": True, "kind": "response-file", "path": "/work/proj/opts.rsp"}, False),
+        ({"index": 0, "kind": "response-file", "path": "/work/proj/opts.rsp"}, True),
+    ], ids=["command-line-with-another-key", "bool-index", "response-file"])
+    def test_a_token_origin_reads_only_as_v1_wrote_it(self, tmp_path, capsys, origin, readable):
+        """With every hash recomputed, the first token's origin reads as the command line's
+        only as {"kind": "command-line"}, and as a response file's only with an int index."""
+        store = install_fixture(tmp_path / "store")
+        _rewrite_record(store, "fixture-v1", 0,
+                        lambda rec: rec["invocation"]["tokens"][0].update(origin=origin))
+        if readable:
+            inv = store.get("fixture-v1").tus[0].invocation
+            assert inv.origins[0] == Origin("/work/proj/opts.rsp", 0)
+            assert _verify(store, capsys)[0] == 0
+        else:
+            assert _query_fixture(store) == 3
+            assert "unreadable snapshot line 2" in capsys.readouterr().err
+
 
 class TestV2Fixture:
     def test_round_trips_byte_for_byte(self):
@@ -211,6 +230,22 @@ def test_line_of_unknown_kind_exit_3(tmp_path, capsys, line):
     assert f"unreadable snapshot line {n}" in capsys.readouterr().err
     code, doc = _verify(store, capsys)
     assert code == 3 and f"unreadable snapshot line {n}" in doc["builds"][0]["error"]
+
+
+@pytest.mark.parametrize("fixture, code", [(FIXTURE_V2, 3), (FIXTURE, 0)], ids=["v2", "v1"])
+def test_verify_compares_a_diagnostic_line_of_a_v2_file(tmp_path, capsys, fixture, code):
+    """A diagnostic line with a space after a colon decodes as written, so it reads; verify
+    compares each line of a v2 file with the line writing writes, and names it. Writing
+    never writes v1, so verify compares no v1 line."""
+    store = install_fixture(tmp_path / "store", fixture)
+    n = _fixture_file(store).read_bytes().count(b"\n")
+    _rewrite_line(store, n - 1, lambda line: line.replace(b'"kind":', b'"kind": '))
+    assert run(["--store", store.root, "query", "effective", "--build", store.list_builds()[0].build_id,
+                "--subject", "/work/proj/src/core.c"]) == 0
+    capsys.readouterr()
+    got, doc = _verify(store, capsys)
+    assert got == code
+    assert doc["builds"][0]["error"] is None if code == 0 else f"snapshot line {n} " in doc["builds"][0]["error"]
 
 
 _RSP_ORIGINS = st.builds(Origin, st.sampled_from(["/w/a.rsp", "C:\\w\\b.rsp"]), st.integers(0, 9))
@@ -1030,6 +1065,76 @@ def test_a_record_line_writing_never_writes_is_unreadable(edit):
         build = json.loads(out)["builds"][0]
         assert code == 3 and build["status"] == "corrupt"
         assert f"unreadable snapshot line {n + 2}" in build["error"]
+
+
+def _positions(line: str) -> tuple[list[int], list[int]]:
+    """The index in a compact JSON line of each `,` and `:` outside a string, and of
+    each string character written as itself."""
+    marks, chars, i, in_string = [], [], 0, False
+    while i < len(line):
+        c = line[i]
+        if in_string and c == "\\":
+            i += 6 if line[i + 1] == "u" else 2
+            continue
+        if c == '"':
+            in_string = not in_string
+        elif in_string:
+            chars.append(i)
+        elif c in ",:":
+            marks.append(i)
+        i += 1
+    return marks, chars
+
+
+@st.composite
+def _respellings(draw) -> tuple[int, bytes]:
+    """A record line of `_layout_store`'s build, by its index after the header, with one
+    edit that keeps what it decodes to, keys in order, but not its bytes: a space after
+    a `,` or `:` outside a string, a string character written as its \\u escape, or a key
+    repeated before its first position with another value, which the later one overrides."""
+    n = draw(st.integers(0, 2))
+    line = _layout_store()[1][n].decode("utf-8")
+    marks, chars = _positions(line)
+    edit = draw(st.sampled_from(["space", "escape", "repeated-key"]))
+    if edit == "space":
+        i = draw(st.sampled_from(marks)) + 1
+        edited = f"{line[:i]} {line[i:]}"
+    elif edit == "escape":
+        i = draw(st.sampled_from(chars))
+        units = line[i].encode("utf-16-be")
+        edited = line[:i] + "".join(f"\\u{int.from_bytes(units[j:j + 2], 'big'):04x}"
+                                    for j in range(0, len(units), 2)) + line[i + 1:]
+    else:
+        d = draw(st.sampled_from(list(_objects(json.loads(line)))))
+        key = draw(st.sampled_from(list(d)))
+        other = draw(st.sampled_from([v for v in ("x", 5, None, []) if v != d[key]]))
+        items = [_in_order({k: v}).decode()[1:-1] for k, v in d.items()]
+        items.insert(list(d).index(key), _in_order({key: other}).decode()[1:-1])
+        # an object's text stands in no string of the line, where every quote is escaped
+        edited = line.replace(_in_order(d).decode(), "{" + ",".join(items) + "}", 1)
+    edited = edited.encode("utf-8")
+    assert edited != _layout_store()[1][n] and _in_order(json.loads(edited)) == _layout_store()[1][n]
+    return n, edited
+
+
+@settings(max_examples=60, deadline=None)
+@given(_respellings())
+def test_verify_compares_each_line_with_the_line_writing_writes(edit):
+    """A record line that decodes to what writing wrote but is other bytes, with every
+    hash recomputed, makes verify report the build corrupt and name the line: verify
+    compares each line of a v2 file with `_encode_record` of the record read from it.
+    The unedited store verifies ok (`_layout_store`)."""
+    n, edited = edit
+    files, _ = _layout_store()
+    with tempfile.TemporaryDirectory() as tmp:
+        for rel, data in files.items():
+            (Path(tmp) / rel).parent.mkdir(parents=True, exist_ok=True)
+            (Path(tmp) / rel).write_bytes(data)
+        _rewrite_lines(Store(tmp), "b1", lambda rest: [*rest[:n], edited, *rest[n + 1:]])
+        code, out, _ = _run_quietly(tmp, ["--format", "json", "verify"])
+        build = json.loads(out)["builds"][0]
+        assert code == 3 and build["status"] == "corrupt"
+        assert f"snapshot line {n + 2} is not as written" in build["error"]
 
 
 # Text a record line must escape or keep as it is, each kind weighted above
