@@ -223,7 +223,7 @@ def _cmd_read_stamp(args) -> Report:
         lines.append(f"subject: {payload.subject}")
         lines.append(f"digest: {payload.effective_digest}")
         if payload.flags_text:
-            lines.extend("  " + ln for ln in payload.flags_text.splitlines())
+            lines.extend("  " + ln for ln in payload.flags_text.removesuffix("\n").split("\n"))
     if args.comment:
         doc["comment"] = elfnote.read_comment(args.elf)
         lines.extend(f"comment: {s}" for s in doc["comment"])
@@ -242,7 +242,7 @@ def _cmd_query(args) -> Report:
         rec = _subject_record(store, args.build, args.subject)
         text = canonical_serialize(rec.effective)
         return (EXIT_OK, {"build_id": args.build, "subject": args.subject, "effective": text},
-                text.splitlines())
+                text.removesuffix("\n").split("\n"))
     # find: TUs where a scalar group resolves to a given value
     snap = store.get(args.build)
     matches = []

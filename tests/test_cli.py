@@ -1,10 +1,14 @@
+import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import flagtrace
 from flagtrace.cli import run
 from flagtrace.store import Store
 from conftest import build_minimal_elf
@@ -68,7 +72,10 @@ class TestEvidencePath:
             [{"directory": "/w", "command": "gcc -O2 -c a.c -o a.o"}]))),
         ("spool", "spool", lambda p: (p.mkdir(), (p / "cc.jsonl").write_text(json.dumps(
             {"v": 1, "argv": ["gcc", "-O2", "-c", "a.c"], "cwd": "/w"}) + "\n"))),
-    ], ids=["raw-log", "compdb", "spool"])
+        ("compdb", "cc.json", lambda p: p.write_text(json.dumps(
+            [{"directory": "C:/w", "arguments": ["cl", "/O2", "/c", "b.c", "/Foobj\\"]},
+             {"directory": "C:/w", "arguments": ["link", "obj\\b.obj", "/OUT:app.exe"]}]))),
+    ], ids=["raw-log", "compdb", "spool", "compdb-msvc-object-directory"])
     def test_one_file_by_any_path_stores_one_hash(self, tmp_path, monkeypatch, capsys,
                                                   kind, name, write):
         """Provenance names the evidence by its absolute path, however it was given."""
@@ -308,6 +315,26 @@ class TestStampCli:
         elf = build_minimal_elf(tmp_path / "app.bin")
         assert run(["--store", seeded_store, "stamp", elf, "official-1", "nope"]) == 3
 
+    @pytest.mark.parametrize("define", ["-DNDEBUG", "-DNAME=a\u2028b"], ids=["plain", "U+2028"])
+    def test_digest_is_the_hash_of_the_query_effective_text(self, tmp_path, capsys, define):
+        """The stamped digest is the sha256 of the text `query effective` prints, and
+        read-stamp prints the stamped lines, though one holds a line break JSON leaves
+        unescaped."""
+        log, a = tmp_path / "b.log", str(tmp_path / "a.c")
+        log.write_text(f"gcc -O2 {define} -c a.c -o a.o\n", encoding="utf-8")
+        elf = build_minimal_elf(tmp_path / "a.o")
+
+        def out(*argv):
+            assert run(["--store", str(tmp_path / "store"), *argv]) == 0, argv
+            return capsys.readouterr().out
+        out("ingest", str(log), "--label", "ci", "--build-id", "b1")
+        text = out("query", "effective", "--build", "b1", "--subject", a)
+        out("stamp", elf, "b1", a)
+        payload = json.loads(out("--format", "json", "read-stamp", elf))["payload"]
+        assert payload["effective_digest"] == hashlib.sha256(text.encode()).hexdigest()
+        flags = out("read-stamp", elf).split("\n")[3:-1]
+        assert flags == [f"  {line}" for line in text.split("\n")[:-1]]
+
 
 class TestUsage:
     def test_usage_error_exit_2(self):
@@ -379,6 +406,37 @@ class TestRunState:
             assert run(["--format", "json", "lint", str(mk), *vocab]) == 4
             doc = json.loads(capsys.readouterr().out)
             assert sorted(f["name"] for f in doc["findings"]) == sorted(names)
+
+
+class TestProcess:
+    """What only a process shows: argv decoded from its bytes, the exit status that
+    `entry` raises, and stderr without a traceback."""
+
+    def test_console_entry(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(flagtrace.__file__).parents[1])}
+
+        def entry(*argv):
+            done = subprocess.run([sys.executable, "-c", "from flagtrace.cli import entry; entry()",
+                                   *argv], cwd=tmp_path, env=env, capture_output=True)
+            assert b"Traceback" not in done.stderr, argv
+            return done.returncode, done.stdout
+
+        log = "gcc -O2 -c a.c -o a.o\ngcc a.o -o app\n"
+        (tmp_path / os.fsdecode(b"d\xff")).mkdir()
+        for where in (tmp_path, tmp_path / os.fsdecode(b"d\xff")):
+            (where / "b.log").write_text(log)
+
+        def ingest(store, path, label="ci"):
+            return entry("--store", store, "ingest", path, "--label", label, "--build-id", "b1")[0]
+        assert ingest("s1", "b.log", label=b"x\xff") == 2
+        assert ingest("s2", b"d\xff/b.log") == 3
+        assert not (tmp_path / "s1").exists() and not (tmp_path / "s2").exists()
+        assert ingest("store", "b.log") == 0
+        assert entry("--store", "store", "verify")[0] == 0
+        code, out = entry("--store", "store", "--format", "json", "query", "effective",
+                          "--build", "b1", "--subject", "nope")
+        doc = json.loads(out)
+        assert code == 3 and list(doc) == ["error"] and type(doc["error"]) is str
 
 
 class _ClosedPipe(io.StringIO):

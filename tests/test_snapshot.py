@@ -207,13 +207,15 @@ def test_deeply_nested_line_exit_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("line", [
     b'{"kind":"nonsense","x":1}',
+    b'{"kind":"nonsense"}',
     b'{"kind":"diagnostic","reason":5,"x":[1,2]}',
     b'{"kind":"diagnostic","reason":5}',
     b'{"kind":"diagnostic","program":"ar","reason":"r","source":"s","x":1}',
     b'{"kind":"diagnostic","program":"ar","reason":null,"source":"s"}',
     b'{"kind":"diagnostic","source":"s","reason":"r","program":"ar"}',
-], ids=["unknown-kind", "diagnostic-number-reason-and-extra-key", "diagnostic-number-reason-alone",
-        "diagnostic-extra-key", "diagnostic-null-reason", "diagnostic-keys-reversed"])
+], ids=["unknown-kind", "unknown-kind-alone", "diagnostic-number-reason-and-extra-key",
+        "diagnostic-number-reason-alone", "diagnostic-extra-key", "diagnostic-null-reason",
+        "diagnostic-keys-reversed"])
 def test_line_of_unknown_kind_exit_3(tmp_path, capsys, line):
     """A line that is not a TU, a link target or a diagnostic is unreadable, and so is a
     diagnostic line other than writing writes: keys kind, program, reason and source, in
@@ -925,12 +927,14 @@ def _header_version_1(rec):
     *(("gcc -O2 -c a.c -o a.o\n", edit, [["diff", "b1", "b2"], ["history", "dev", "--key", "opt_level"],
                                          ["query", "find", "--build", "b1", "--group", "opt_level",
                                           "--value=-O2"]])
-      for edit in (_command_line_token_object, _header_version_1)),
+      for edit in (_command_line_token_object, _header_version_1,
+                   lambda rec: rec["invocation"].update(env="X=1"))),
 ], ids=["number-source-file", "number-in-target-inputs", "number-rsp-token-text",
         "bool-rsp-token-index", "unknown-rsp-origin-kind", "string-tokens",
         "number-token", "bool-token", "null-token",
         "record-key-never-written", "invocation-key-never-written",
-        "command-line-token-object-in-v2", "v2-line-under-a-v1-header"])
+        "command-line-token-object-in-v2", "v2-line-under-a-v1-header",
+        "invocation-key-never-written-every-read"])
 def test_mistyped_stored_field_is_unreadable(tmp_path, capsys, log, edit, commands):
     """A stored field of another JSON type, a key or an origin kind writing never
     stores, with every hash recomputed, makes its line unreadable: each read command
