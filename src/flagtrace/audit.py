@@ -54,8 +54,8 @@ def load_config(path: str) -> AuditConfig:
     """Parse the key=value audit config document; unknown rules are rejected."""
     cfg = AuditConfig()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw_lines = list(fh)
+        with open(path, "r", encoding="utf-8") as fh:  # read whole: an error's byte counts from the start
+            raw_lines = fh.read().removeprefix("\ufeff").split("\n")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     for lineno, raw in enumerate(raw_lines, start=1):

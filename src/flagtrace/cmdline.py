@@ -1,5 +1,8 @@
 """Command-line tokenization for compiler and linker invocations.
 
+Every evidence file (build log, response file, compilation database,
+spool file, makefile) becomes text by one rule, `read_text`'s.
+
 Two quoting conventions are supported: POSIX-shell word splitting for the
 GNU-ish toolchains (gcc, clang, ld, ar) and the MSVC argv rules
 (backslash-doubling before quotes) for cl/link/lib. Each is one linear
@@ -174,13 +177,20 @@ class TokenTable:
         self.files: dict[tuple, tuple[list[str], list[Origin | None]]] = {}
 
 
+def read_text(path: str) -> str:
+    """The text of an evidence file, by the one rule for every kind: UTF-8, a leading
+    byte-order mark dropped, an undecodable byte replaced, and CRLF and CR read as LF."""
+    with open(path, encoding="utf-8", errors="replace") as fh:  # text mode reads CRLF and CR as LF
+        return fh.read().removeprefix("\ufeff")
+
+
 def logical_lines(text: str):
     """Yield (first_line_number, joined_line) with backslash continuations merged.
 
-    Lines end at LF, CRLF or CR only; a vertical tab, form feed or Unicode
-    line separator stays inside its line, as it does for a shell.
+    Lines end at LF only, as `read_text` reads CRLF and CR; a vertical tab,
+    form feed or Unicode line separator stays inside its line, as it does for a shell.
     """
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
     start, pending = 1, ""
@@ -218,7 +228,7 @@ def expand_response_files(tokens: Sequence[str], cwd: str, dialect: Dialect, tab
 
     A word's origin is None on the command line, else `Origin(path, i)`, the i-th word of file `path`.
     Recursive with a cycle check and a nesting cap of MAX_RESPONSE_DEPTH.
-    Files are read as UTF-8 with lossy replacement; LF and CRLF both work.
+    A file's text is `read_text`'s.
     Without an @path word, `tokens` itself is returned; `table` keeps each file's expansion.
     """
     if len(_chain) > MAX_RESPONSE_DEPTH:
@@ -244,8 +254,7 @@ def expand_response_files(tokens: Sequence[str], cwd: str, dialect: Dialect, tab
         key = (path, dialect.family, len(_chain))
         if key not in table.files:
             try:
-                with open(path, "r", encoding="utf-8", errors="replace") as fh:
-                    body = fh.read()
+                body = read_text(path)
             except (FileNotFoundError, ValueError):  # ValueError: a NUL in the path names no file
                 raise ResponseFileNotFound(path) from None
             table.files[key] = expand_response_files(_tokens(body, dialect.family, table),

@@ -35,6 +35,7 @@ from .cmdline import (
     is_absolute,
     logical_lines,
     normalize_path,
+    read_text,
     tokenize,
 )
 from .errors import DuplicateOutput, MalformedDb, MalformedRecord, UnterminatedQuote
@@ -91,11 +92,9 @@ def parse_raw_log(path: str, skipped: list[dict] | None = None) -> list[RawInvoc
     snapshot diagnostic; a bad response file it names is an error.
     """
     path = os.path.abspath(path)
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        text = fh.read()
     home, table = os.path.dirname(path), TokenTable()
     out: list[RawInvocation] = []
-    for lineno, line in logical_lines(text):
+    for lineno, line in logical_lines(read_text(path)):
         # Not stripped: words end only at the tokenizers' spaces, which they skip.
         program = command_program(line)
         dialect = detect_dialect(program)
@@ -120,11 +119,11 @@ def parse_compilation_db(path: str) -> list[RawInvocation]:
     present, are strings. A relative directory is relative to the database's.
     """
     path = os.path.abspath(path)
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        try:
-            entries = strictjson.loads(fh.read())
-        except ValueError as exc:
-            raise MalformedDb(str(exc)) from None
+    text = read_text(path)
+    try:
+        entries = strictjson.loads(text)
+    except ValueError as exc:
+        raise MalformedDb(str(exc)) from None
     if not isinstance(entries, list):
         raise MalformedDb("top-level value is not an array")
     home, table = os.path.dirname(path), TokenTable()
@@ -167,26 +166,25 @@ def parse_wrapper_spool(dirpath: str) -> list[RawInvocation]:
         fpath = os.path.join(dirpath, name)
         if not os.path.isfile(fpath):
             continue
-        with open(fpath, "r", encoding="utf-8", errors="replace") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = strictjson.loads(line)
-                except ValueError:
-                    raise MalformedRecord(fpath, lineno, "invalid JSON") from None
-                reason = _shape_error(rec, "argv", ("cwd", "tool", "ts"), ("argv",))
-                if reason is not None:
-                    raise MalformedRecord(fpath, lineno, reason)
-                version = rec.get("v")
-                if type(version) is not int or version != SPOOL_SCHEMA_VERSION:
-                    raise MalformedRecord(fpath, lineno, f"unsupported version {version!r}")
-                argv = rec["argv"]
-                dialect = detect_dialect(rec.get("tool") or argv[0])
-                inv = _invocation(argv[0], [a for a in argv[1:] if a], dialect,
-                                  rec.get("cwd", ""), dirpath, f"spool:{fpath}:{lineno}", table)
-                keyed.append(((rec.get("ts", ""), name, lineno), inv))
+        for lineno, line in enumerate(read_text(fpath).split("\n"), start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = strictjson.loads(line)
+            except ValueError:
+                raise MalformedRecord(fpath, lineno, "invalid JSON") from None
+            reason = _shape_error(rec, "argv", ("cwd", "tool", "ts"), ("argv",))
+            if reason is not None:
+                raise MalformedRecord(fpath, lineno, reason)
+            version = rec.get("v")
+            if type(version) is not int or version != SPOOL_SCHEMA_VERSION:
+                raise MalformedRecord(fpath, lineno, f"unsupported version {version!r}")
+            argv = rec["argv"]
+            dialect = detect_dialect(rec.get("tool") or argv[0])
+            inv = _invocation(argv[0], [a for a in argv[1:] if a], dialect,
+                              rec.get("cwd", ""), dirpath, f"spool:{fpath}:{lineno}", table)
+            keyed.append(((rec.get("ts", ""), name, lineno), inv))
     keyed.sort(key=lambda kv: kv[0])
     return [inv for _, inv in keyed]
 

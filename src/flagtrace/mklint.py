@@ -7,8 +7,12 @@ near-miss is the typo signature.
 
 The scan is purely lexical: conditional branches are not evaluated, so
 a typo inside a platform conditional we cannot take on this host is
-still caught. Lines are joined by `cmdline.logical_lines`, the joiner
-build logs use, so linting needs no more of flagtrace than `cmdline`.
+still caught. A file's text is `cmdline.read_text`'s and its lines are
+joined by `cmdline.logical_lines`, as for a build log, so linting needs
+no more of flagtrace than `cmdline`. An assignment is `NAME = value`
+(or `+=`, `?=`, `:=`, `::=`), plain or after `export`/`override`, or the
+same after a rule's targets and colon (`app: CXFLAGS = -O2`), a
+target-specific assignment.
 
 A name counts as expanded where `$(NAME)` or `${NAME}` appears anywhere
 in a scanned file, recipes and comments included, or where it starts a
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 from os.path import commonprefix
 from typing import NamedTuple
 
-from .cmdline import logical_lines
+from .cmdline import logical_lines, read_text
 
 BUILTIN_VOCABULARY = frozenset({
     "CFLAGS", "CXXFLAGS", "CPPFLAGS", "LDFLAGS", "LDLIBS",
@@ -39,7 +43,12 @@ BUILTIN_VOCABULARY = frozenset({
 
 DEFAULT_THRESHOLD = 2
 
-_ASSIGN = re.compile(r"^\s*(?:export\s+|override\s+)*([^\s:#=$]+?)\s*(?:\+=|\?=|::=|:=|=)")
+_NAME_OP = r"\s*(?:export\s+|override\s+)*([^\s:#=$]+?)\s*(?:\+=|\?=|::=|:=|=)"
+_ASSIGN = re.compile("^" + _NAME_OP)
+# `targets: NAME = value`, a target-specific assignment; a colon inside `$(…)` or `${…}`
+# (one level of nesting deep) belongs to a reference, not to the rule.
+_TARGET_ASSIGN = re.compile(r"^(?:[^:$]|\$(?:\((?:[^()]|\([^()]*\))*\)|\{(?:[^{}]|\{[^{}]*\})*\}|[^({]))+:"
+                            + _NAME_OP)
 _EXPANSION = re.compile(r"\$(?:\$|[({]([A-Za-z0-9_.%-]+)[:)}])")  # `$$` gives the empty name
 _INCLUDE = re.compile(r"^\s*[-s]?include\s+(.+)$")
 
@@ -101,8 +110,7 @@ def scan_makefile(path: str, _depth: int = 0) -> tuple[list[MacroAssignment], se
     of names expanded anywhere, recipes included. Malformed lines are
     simply skipped; only I/O errors propagate.
     """
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        text = fh.read()
+    text = read_text(path)
     assignments: list[MacroAssignment] = []
     expansions = set(_EXPANSION.findall(text)) - {""}
     for lineno, line in logical_lines(text):
@@ -123,7 +131,7 @@ def scan_makefile(path: str, _depth: int = 0) -> tuple[list[MacroAssignment], se
                 assignments.extend(sub_assign)
                 expansions.update(sub_expand)
             continue
-        m = _ASSIGN.match(stripped)
+        m = _ASSIGN.match(stripped) or ":" in stripped and _TARGET_ASSIGN.match(stripped)
         if not m:
             continue
         assignments.append(MacroAssignment(m.group(1), lineno, path))

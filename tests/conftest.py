@@ -1,10 +1,7 @@
 import struct
-import sys
 from pathlib import Path
 
 import pytest
-
-sys.path.insert(0, str(Path(__file__).parent))
 
 # Makefile excerpts used as linter fixtures: a host-conditional library
 # append (Redis-style) and nested platform conditionals with filter-out

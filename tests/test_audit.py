@@ -14,7 +14,7 @@ from flagtrace.audit import (
 )
 from flagtrace.cli import run
 from flagtrace.errors import ConfigError
-from tests.test_ingest import log_snapshot
+from test_ingest import log_snapshot
 
 RELEASE = AuditConfig()
 
@@ -225,10 +225,11 @@ class TestExitCode:
 
 
 class TestConfig:
-    def test_load(self, tmp_path):
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "byte-order-mark"])
+    def test_load(self, tmp_path, bom):
         cfg = tmp_path / "audit.conf"
         cfg.write_text(
-            "config_version = 1\n"
+            bom + "config_version = 1\n"
             "rules = R1, R4\n"
             "release_labels = prod, release\n"
             "debug_markers = DEBUG, TRACE_ON\n"
@@ -251,10 +252,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(str(cfg))
 
-    def test_non_utf8_file_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("head, at", [(b"", 0), (b"\xef\xbb\xbf", 3), (b"#" * 20000 + b"\n", 20001)],
+                             ids=["first-byte", "after-byte-order-mark", "past-a-read-chunk"])
+    def test_non_utf8_file_is_config_error(self, tmp_path, capsys, head, at):
         cfg = tmp_path / "audit.conf"
-        cfg.write_bytes(b"\xff\xferules = R1\n")
-        with pytest.raises(ConfigError, match="not UTF-8"):
+        cfg.write_bytes(head + b"\xff\xferules = R1\n")
+        with pytest.raises(ConfigError, match=f"not UTF-8 text \\(invalid start byte at byte {at}\\)"):
             load_config(str(cfg))
         assert run(["--config", str(cfg), "audit", "b1"]) == 3
         assert "not UTF-8" in capsys.readouterr().err

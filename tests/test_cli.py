@@ -438,6 +438,16 @@ class TestProcess:
         doc = json.loads(out)
         assert code == 3 and list(doc) == ["error"] and type(doc["error"]) is str
 
+    @pytest.mark.parametrize("seed", ["1", "2"])
+    def test_reports_do_not_depend_on_hash_order(self, seed):
+        """The diff and report-surface tests pass under another string-hash seed; they are
+        run in a child process, as a seed is fixed when the interpreter starts."""
+        root = Path(__file__).parents[1]
+        done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                               "tests/test_diffengine.py", "tests/test_report_surface.py"],
+                              cwd=root, env={**os.environ, "PYTHONHASHSEED": seed}, capture_output=True)
+        assert done.returncode == 0, done.stdout.decode(errors="replace")[-2000:]
+
 
 class _ClosedPipe(io.StringIO):
     def write(self, s):

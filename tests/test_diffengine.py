@@ -5,7 +5,7 @@ from flagtrace.cli import run
 from flagtrace.diffengine import GROUP, DEFINE, diff, render_report
 from flagtrace.flagmodel import canonical_serialize
 from delta_oracle import apply_deltas, swapped
-from tests.test_ingest import log_snapshot
+from test_ingest import log_snapshot
 
 
 def two_snapshots(tmp_path, text_a, text_b):

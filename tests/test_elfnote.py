@@ -52,10 +52,13 @@ class TestStampRoundTrip:
         with pytest.raises(NotElf):
             read_stamp(str(f))
 
-    def test_unsupported_class(self, tmp_path):
-        f = tmp_path / "elf32.o"
-        f.write_bytes(b"\x7fELF" + bytes([1, 1, 1, 0]) + b"\x00" * 56)
-        with pytest.raises(UnsupportedClass):
+    @pytest.mark.parametrize("ident, reason", [((1, 1), "only ELF64 is supported"),
+                                               ((2, 2), "only little-endian ELF is supported")],
+                             ids=["elf32", "big-endian"])
+    def test_unsupported_class(self, tmp_path, ident, reason):
+        f = tmp_path / "odd.o"
+        f.write_bytes(b"\x7fELF" + bytes([*ident, 1, 0]) + b"\x00" * 56)
+        with pytest.raises(UnsupportedClass, match=reason):
             read_stamp(str(f))
 
     def test_preexisting_sections_preserved(self, minimal_elf):

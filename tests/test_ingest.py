@@ -1,3 +1,4 @@
+import codecs
 import hashlib
 import json
 import os
@@ -342,6 +343,30 @@ class TestTextThatIsNotUtf8:
         assert ingest_exit(tmp_path, evidence, kind) == 3
         assert capsys.readouterr().err.startswith("error: not UTF-8, cannot be stored: ")
         assert not (tmp_path / "store").exists()
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark, which Windows tools often write first, is no part of an
+    evidence file's first word: each kind, and a response file, reads as it does without one."""
+
+    @pytest.mark.parametrize("kind", ["raw-log", "compdb-command", "compdb-arguments", "spool"])
+    def test_evidence_starting_with_one_ingests(self, tmp_path, capsys, kind):
+        evidence, kind = _write_evidence(tmp_path, kind, ["gcc", "-O2", "-c", "a.c", "-o", "a.o"])
+        first = evidence / "1.jsonl" if kind == "spool" else evidence
+        first.write_bytes(codecs.BOM_UTF8 + first.read_bytes())
+        assert ingest_exit(tmp_path, evidence, kind) == 0
+        assert ": 1 TUs, " in capsys.readouterr().out
+
+    def test_response_file_starting_with_one_keeps_its_first_flag(self, tmp_path, capsys):
+        (tmp_path / "o.rsp").write_bytes(codecs.BOM_UTF8 + b"-fno-stack-protector\n")
+        (tmp_path / "b.log").write_text("gcc -O2 -fstack-protector-strong @o.rsp -c a.c -o a.o\n")
+        store = str(tmp_path / "store")
+        assert run(["--store", store, "ingest", str(tmp_path / "b.log"), "--label", "release",
+                    "--build-id", "r1"]) == 0
+        capsys.readouterr()
+        assert run(["--store", store, "audit", "r1"]) == 1
+        out = capsys.readouterr().out
+        assert "R4 [error]" in out and f"via {tmp_path / 'o.rsp'}#0: -fno-stack-protector\n" in out
 
 
 def log_snapshot(tmp_path, text, build_id="b1", label="dev", created="2026-01-01T00:00:00Z"):

@@ -1,14 +1,17 @@
+import codecs
 import json
 import random
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from flagtrace.cli import run
-from flagtrace.cmdline import logical_lines
+from flagtrace.cmdline import logical_lines, read_text
 from flagtrace.mklint import (
     _ASSIGN,
     _EXPANSION,
     _INCLUDE,
+    _TARGET_ASSIGN,
     BUILTIN_VOCABULARY,
     levenshtein,
     lint,
@@ -49,10 +52,8 @@ def dp_levenshtein(a, b):
 def per_line_scan(path, _depth=0):
     """`scan_makefile` as a scan of each logical line for expansions; oracle for
     the one scan of the whole text."""
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        text = fh.read()
     assignments, expansions = [], set()
-    for lineno, line in logical_lines(text):
+    for lineno, line in logical_lines(read_text(path)):
         expansions.update(name for name in _EXPANSION.findall(line) if name)
         if line.startswith("\t"):
             continue
@@ -71,7 +72,7 @@ def per_line_scan(path, _depth=0):
                 assignments.extend(sub_assign)
                 expansions.update(sub_expand)
             continue
-        m = _ASSIGN.match(stripped)
+        m = _ASSIGN.match(stripped) or ":" in stripped and _TARGET_ASSIGN.match(stripped)
         if m:
             assignments.append((m.group(1), lineno, path))
     return assignments, expansions
@@ -187,6 +188,25 @@ class TestScanMakefile:
         # an assignment is a named tuple, so it equals the oracle's (name, line, path)
         assert scan_makefile(str(d / "Makefile")) == per_line_scan(str(d / "Makefile"))
 
+    @pytest.mark.parametrize("line, names", [
+        ("app: CXFLAGS = -O2", ["CXFLAGS"]),
+        ("a.o b.o: CFLAGS += -g", ["CFLAGS"]),
+        ("$(SRCS:.c=.o): CXFLAGS = -g", ["CXFLAGS"]),
+        ("${OBJS:%.o=%.d} $(patsubst %,%.o,$(S:.c=)): export LDFLAG ?= -s", ["LDFLAG"]),
+        ("x := 1", ["x"]),
+        ("y ::= 2", ["y"]),
+        ("all: dep", []),
+        ("%.o: %.c", []),
+        ("$(info a: b = c)", []),
+    ], ids=["target", "targets", "substituted-target", "nested-references", "immediate",
+            "posix-immediate", "rule", "pattern-rule", "colon-in-a-reference"])
+    def test_assignment_plain_or_after_a_rule(self, tmp_path, line, names):
+        """A target-specific assignment names its variable after the rule's colon, which
+        is never inside a `$(…)` or `${…}` reference."""
+        p = tmp_path / "Makefile"
+        p.write_text(line + "\n")
+        assert [a.name for a in scan_makefile(str(p))[0]] == names
+
     def test_continuation_keeps_first_line_number(self, tmp_path):
         p = tmp_path / "Makefile"
         p.write_text("# header\nCFLAGS = -O2 \\\n  -g\n")
@@ -236,6 +256,17 @@ class TestLint:
         p.write_text("CXFLAGS = -O2\nLDFLAG = -s\nall:\n\techo $$(CXFLAGS) $$$(LDFLAG)\n")
         assert [f.name for f in lint(*scan_makefile(str(p)))] == ["CXFLAGS"]
         assert run(["lint", str(p)]) == 4
+
+    @pytest.mark.parametrize("text, code, out", [
+        (b"app: CXFLAGS = -O2\napp: app.o\n\t$(CXX) $(CXXFLAGS) -o $@ $^\n", 4,
+         "{p}:1: 'CXFLAGS' looks like a typo for 'CXXFLAGS' (distance 1) and is never expanded\n"),
+        (codecs.BOM_UTF8 + b"CFLAGS = -O2\n", 0, "no findings\n"),
+    ], ids=["target-specific-near-miss", "byte-order-mark-before-a-known-name"])
+    def test_first_line(self, tmp_path, capsys, text, code, out):
+        p = tmp_path / "Makefile"
+        p.write_bytes(text)
+        assert run(["lint", str(p)]) == code
+        assert capsys.readouterr().out == out.format(p=p)
 
     def test_distance_beyond_threshold_clean(self):
         # PLATFORM_CXXFLAGS is 9 edits from CXXFLAGS: far beyond threshold 2

@@ -28,7 +28,7 @@ from flagtrace.cmdline import (
 from flagtrace.ingest import assemble_snapshot
 from flagtrace.snapshot import BuildSnapshot, LinkTargetRecord, TranslationUnitRecord
 from flagtrace.store import Store, _snapshot_relpath
-from tests.test_ingest import DEEP_JSON, log_snapshot
+from test_ingest import DEEP_JSON, log_snapshot
 
 # One build in the v1 line format: a gcc TU, an MSVC TU whose path is not
 # ASCII, a gcc link target and one skipped `ar` invocation (a diagnostic).

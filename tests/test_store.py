@@ -12,7 +12,7 @@ from flagtrace.cli import run
 from flagtrace.errors import (CorruptSnapshot, DuplicateBuildId, FlagtraceError, MalformedIndex,
                               NotFound)
 from flagtrace.store import ABSENT, Store, _snapshot_relpath
-from tests.test_ingest import log_snapshot
+from test_ingest import log_snapshot
 
 
 def tree_digest(root):

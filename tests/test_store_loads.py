@@ -19,7 +19,7 @@ from flagtrace.cmdline import Origin, RawInvocation, detect_dialect
 from flagtrace.errors import CorruptSnapshot
 from flagtrace.snapshot import BuildSnapshot, LinkTargetRecord, TranslationUnitRecord
 from flagtrace.store import Store
-from tests.test_snapshot import _rewrite_record, _split
+from test_snapshot import _rewrite_record, _split
 
 
 def _record_view(rec) -> tuple:

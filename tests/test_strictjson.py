@@ -5,7 +5,7 @@ import json
 from hypothesis import example, given, strategies as st
 
 from flagtrace import strictjson
-from tests.test_ingest import DEEP_JSON
+from test_ingest import DEEP_JSON
 
 _SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4))
 _VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3)
