@@ -108,20 +108,23 @@ def _prov(rec: Record, origin: Origin | None = None) -> str:
 
 _UNRESOLVED = re.compile(r"\$\(|\$\{|%[A-Za-z_][A-Za-z0-9_]*%")
 
-_LIB_EXT = re.compile(r"\.(a|so|lib|dylib)(\.\d+)*$", re.IGNORECASE)
+_LIB_EXT = re.compile(r"\.(?:a|so|lib|dylib)((?:\.\d+)*)$", re.IGNORECASE)
 _VERSION_TAIL = re.compile(r"^(.*?)[-.](\d[\w.]*)$")
 
 
 def _lib_stem_version(path: str) -> tuple[str, str, str]:
-    """(stem, version, dir) via a purely lexical split at the last
-    hyphen/dot-digit boundary: libfoo-1.2 -> (libfoo, 1.2)."""
+    """(stem, version, dir) via a purely lexical split. The version is the name's own, at
+    its last hyphen/dot-digit boundary before the suffix: libfoo-1.2.a and libfoo-1.2.so.1
+    -> (libfoo, 1.2). A name without one takes the numeric tail after its suffix, as a
+    soname has it: libssl.so.1.1 -> (libssl, 1.1)."""
     norm = path.replace("\\", "/")
     directory, _, base = norm.rpartition("/")
-    base = _LIB_EXT.sub("", base)
+    ext = _LIB_EXT.search(base)
+    base, tail = (base[:ext.start()], ext[1][1:]) if ext else (base, "")
     m = _VERSION_TAIL.match(base)
     if m:
         return m.group(1), m.group(2), directory
-    return base, "", directory
+    return base, tail, directory
 
 
 def run_audit(

@@ -23,6 +23,7 @@ audit layer to flag.
 
 from __future__ import annotations
 
+import codecs
 import os
 import posixpath
 import re
@@ -178,10 +179,16 @@ class TokenTable:
 
 
 def read_text(path: str) -> str:
-    """The text of an evidence file, by the one rule for every kind: UTF-8, a leading
-    byte-order mark dropped, an undecodable byte replaced, and CRLF and CR read as LF."""
-    with open(path, encoding="utf-8", errors="replace") as fh:  # text mode reads CRLF and CR as LF
-        return fh.read().removeprefix("\ufeff")
+    """The text of an evidence file, by the one rule for every kind: UTF-8, or UTF-16 after
+    a UTF-16 byte-order mark (LE or BE), a leading byte-order mark dropped, an undecodable
+    byte replaced, and CRLF and CR read as LF, as text mode reads them."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    utf16 = data[:2] in (codecs.BOM_UTF16_LE, codecs.BOM_UTF16_BE)
+    text = data.decode("utf-16" if utf16 else "utf-8", "replace")
+    if "\r" in text:  # one scan where there is none, as in most logs
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.removeprefix("\ufeff")
 
 
 def logical_lines(text: str):

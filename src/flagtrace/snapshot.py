@@ -5,9 +5,9 @@ build of one configuration. Records serialize to line-delimited canonical
 JSON (UTF-8, LF, keys sorted) so stored snapshots stay diffable with plain
 text tools; `_encode_record` writes each line from its parts, escaping each
 string once. A record holds its invocation's tokens after `@file`
-expansion, each a str, with their origins beside them. The content hash is
-SHA-256 over the record lines. This module alone knows how tokens, origins
-and dialects are stored.
+expansion, each a str, with their origins beside them. The content hash,
+`_content_hash`, is SHA-256 over the record lines. This module alone knows
+how tokens, origins and dialects are stored.
 
 The header's `snapshot_version` says how tokens are stored. Version 2, which
 every snapshot is written in, stores a command-line token as its bare text
@@ -186,6 +186,15 @@ def _stored_token(t, words: dict[str, str], version: int) -> tuple[str, Origin |
     return text, Origin(path, index)
 
 
+def _content_hash(record_lines: list[bytes]) -> str:
+    """The content hash: SHA-256 over the `tu` and `target` lines in stored order, each ending in LF."""
+    h = hashlib.sha256()
+    for line in record_lines:
+        h.update(line)
+        h.update(b"\n")
+    return h.hexdigest()
+
+
 def _unreadable(lineno: int, exc: Exception) -> CorruptSnapshot:
     return CorruptSnapshot("a snapshot line", f"{type(exc).__name__}: {exc}",
                            f"unreadable snapshot line {lineno}")
@@ -269,15 +278,9 @@ class BuildSnapshot:
         """Encode each record once, set content_hash over those lines and return the file."""
         by_output = self.by_output()
         lines = [_encode_record(r, by_output).encode("utf-8") for r in (*self.tus, *self.targets)]
-        h = hashlib.sha256()
-        for line in lines:
-            h.update(line)
-            h.update(b"\n")
-        self.content_hash = h.hexdigest()
-        lines.insert(0, self._header(SNAPSHOT_VERSION).encode("utf-8"))
-        lines.extend(_canon({"kind": "diagnostic", **d}).encode("utf-8") for d in self.diagnostics)
-        lines.append(b"")
-        return b"\n".join(lines)
+        self.content_hash = _content_hash(lines)
+        return b"\n".join([self._header(SNAPSHOT_VERSION).encode("utf-8"), *lines, *(
+            _canon({"kind": "diagnostic", **d}).encode("utf-8") for d in self.diagnostics), b""])
 
     @classmethod
     def deserialize(cls, data: bytes, flagset_lines: dict | None = None) -> "BuildSnapshot":
@@ -288,7 +291,6 @@ class BuildSnapshot:
         surrogate is as unreadable as one that is not JSON; sets decode through `flagset_lines`.
         """
         lines = data.removesuffix(b"\n").split(b"\n")
-        h = hashlib.sha256()
         lineno = 1
         try:
             header = strictjson.loads(text := lines[0].decode("utf-8"))
@@ -299,15 +301,14 @@ class BuildSnapshot:
                        content_hash=header["content_hash"])
             if snap._header(version) != text:
                 raise ValueError("the header is not the line writing writes for its fields")
-            words, target_lines, flagset_lines = {}, [], {} if flagset_lines is None else flagset_lines
+            words, records, target_lines, flagset_lines = {}, [], [], {} if flagset_lines is None else flagset_lines
             for lineno, line in enumerate(lines[1:], start=2):
                 d = strictjson.loads(line.decode("utf-8"))
                 kind = _LINES[d["kind"]](d).pop("kind")
                 if kind == "diagnostic":
                     snap.diagnostics.append(d)
                     continue
-                h.update(line)
-                h.update(b"\n")
+                records.append(line)
                 rec = _decode_record(kind, d, words, version)
                 rec._flagset_lines, rec._line = flagset_lines, lineno
                 (snap.tus if kind == "tu" else snap.targets).append(rec)
@@ -315,8 +316,7 @@ class BuildSnapshot:
                     target_lines.append(d)
         except (AttributeError, LookupError, TypeError, ValueError) as exc:
             raise _unreadable(lineno, exc) from None
-        actual = h.hexdigest()
-        if actual != snap.content_hash:
+        if (actual := _content_hash(records)) != snap.content_hash:
             raise CorruptSnapshot(snap.content_hash, actual)
         by_output = snap.by_output()
         for rec, d in zip(snap.targets, target_lines):

@@ -86,12 +86,16 @@ class TestRules:
         assert "R2" not in rules_of(run_audit(agree, None, RELEASE))
 
     def test_r3_duplicate_dependency_versions(self, tmp_path):
-        snap = release_snap(
-            tmp_path,
-            "gcc -O2 -fstack-protector -DNDEBUG -c a.c -o a.o\n"
-            "gcc a.o libfoo-1.2.a libfoo-1.3.a -o app\n")
-        findings = run_audit(snap, None, RELEASE)
-        assert rules_of(findings) == ["R3"]
+        """A library's version is its name's own, else the numeric tail after its suffix,
+        as a soname has it: two of one stem are two versions, one linked twice is none."""
+        for libs, rules in [("libfoo-1.2.a libfoo-1.3.a", ["R3"]),
+                            ("/usr/lib/libssl.so.1.1 /usr/lib/libssl.so.3", ["R3"]),
+                            ("/usr/lib/libssl.so.3 /usr/lib/libssl.so.3", [])]:
+            snap = release_snap(
+                tmp_path,
+                "gcc -O2 -fstack-protector -DNDEBUG -c a.c -o a.o\n"
+                f"gcc a.o {libs} -o app\n")
+            assert rules_of(run_audit(snap, None, RELEASE)) == rules, libs
 
     def test_r3_same_stem_different_paths(self, tmp_path):
         snap = release_snap(

@@ -6,24 +6,25 @@ and every command that reads the store runs on the copy: query
 effective, query find, query builds, diff, audit --previous, history
 --key, verify and stamp (on a minimal ELF). A file is mutated byte-wise,
 or one value of a decoded header or record line is given another JSON
-type. A snapshot can have its content hash recomputed in the header and
-the index after the mutation, so that the damage reaches the record
-decoder instead of stopping at the hash check. Output is written through
-strict UTF-8, as to a terminal or a pipe.
+type. A snapshot can be forged after the mutation (`forge`: its content
+hash recomputed in the header and the index), so that the damage reaches
+the record decoder instead of stopping at the hash check. Output is
+written through strict UTF-8, as to a terminal or a pipe.
 """
 
 import contextlib
 import functools
-import hashlib
 import io
 import json
 import os
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import build_minimal_elf
+from forge import forge
 from flagtrace.cli import run
 
 EXIT_CODES = {0, 1, 3, 4}
@@ -60,26 +61,6 @@ def _mutate(data: bytes, edits) -> bytes:
     return data
 
 
-def _rehash(files: dict, name: str) -> None:
-    """Recompute a snapshot's content hash over its record lines, in its header and the index."""
-    lines = files[name].removesuffix(b"\n").split(b"\n")
-    try:
-        header = json.loads(lines[0])
-        old = header["content_hash"]
-        kinds = [json.loads(line)["kind"] for line in lines[1:]]
-        records = b"".join(line + b"\n" for line, kind in zip(lines[1:], kinds)
-                           if kind in ("tu", "target"))
-    except (ValueError, TypeError, KeyError):
-        return  # unreadable as it is; leave it so
-    new = hashlib.sha256(records).hexdigest()
-    header["content_hash"] = new
-    lines[0] = json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8", "surrogatepass")
-    files[name] = b"\n".join(lines) + b"\n"
-    if isinstance(old, str):
-        files["index.tsv"] = files["index.tsv"].replace(old.encode("utf-8", "surrogatepass"),
-                                                        new.encode())
-
-
 def _snapshot_of(files: dict, build_id: str) -> str:
     """The path of a build's snapshot file, as its index line names it."""
     for line in files["index.tsv"].decode().splitlines():
@@ -99,14 +80,16 @@ _EDITS = st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 4), _PIECES)
                   min_size=1, max_size=4)
 
 
-def _run_read_commands(files: dict, subject: str) -> None:
-    """Write the store's files and run every read command on them in both formats."""
+def _run_read_commands(files: dict, subject: str) -> list[tuple[str, int, str]]:
+    """Write the store's files, run every read command on them in both formats, and
+    return each command with its exit code and stdout, the directory written as $TMP."""
     with tempfile.TemporaryDirectory() as tmp:
         for rel, data in files.items():
             os.makedirs(os.path.dirname(os.path.join(tmp, rel)), exist_ok=True)
             with open(os.path.join(tmp, rel), "wb") as fh:
                 fh.write(data)
         elf = build_minimal_elf(os.path.join(tmp, "a.o.elf"))
+        results = []
         for argv in (["query", "effective", "--build", "b2", "--subject", subject],
                      ["query", "find", "--build", "b2", "--group", "opt_level", "--value=-O2"],
                      ["query", "builds"],
@@ -116,11 +99,25 @@ def _run_read_commands(files: dict, subject: str) -> None:
                      ["verify"],
                      ["stamp", elf, "b2", subject]):
             for fmt in ("text", "json"):
-                out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+                out, err = (io.TextIOWrapper(io.BytesIO(), encoding="utf-8") for _ in range(2))
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     code = run(["--store", tmp, "--format", fmt, *argv])
                     out.flush()
+                    err.flush()
                 assert code in EXIT_CODES, argv
+                results.append((" ".join([fmt, *argv]).replace(tmp, "$TMP"), code,
+                                out.buffer.getvalue().decode().replace(tmp, "$TMP")))
+        return results
+
+
+@pytest.mark.parametrize("build_id", ["b1", "b2"])
+def test_a_forged_unedited_build_reads_as_stored(build_id):
+    """Forging a build that holds no edit changes no read: each read command gives the
+    exit code and stdout it gives on the untouched store, so a forged damage is read."""
+    files, subject = template()
+    forged = dict(files)
+    forge(forged, _snapshot_of(forged, build_id))
+    assert _run_read_commands(forged, subject) == _run_read_commands(dict(files), subject)
 
 
 @settings(max_examples=60, deadline=None)
@@ -131,7 +128,7 @@ def test_read_commands_on_damaged_store(target, edits, rehash):
     name = "index.tsv" if target == "index.tsv" else _snapshot_of(files, target.split()[1])
     files[name] = _mutate(files[name], edits)
     if rehash and name != "index.tsv":
-        _rehash(files, name)
+        forge(files, name)
     _run_read_commands(files, subject)
 
 
@@ -184,5 +181,5 @@ def test_read_commands_on_mistyped_value(build_id, data):
     parent[key] = data.draw(_OF_TYPE[data.draw(st.sampled_from(other))])
     lines[n] = json.dumps(doc, ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode()
     files[name] = b"\n".join(lines)
-    _rehash(files, name)
+    forge(files, name)
     _run_read_commands(files, subject)

@@ -345,28 +345,45 @@ class TestTextThatIsNotUtf8:
         assert not (tmp_path / "store").exists()
 
 
-class TestByteOrderMark:
-    """A UTF-8 byte-order mark, which Windows tools often write first, is no part of an
-    evidence file's first word: each kind, and a response file, reads as it does without one."""
+_BOMS = {"utf-8": codecs.BOM_UTF8, "utf-16-le": codecs.BOM_UTF16_LE, "utf-16-be": codecs.BOM_UTF16_BE}
+_KINDS = ["raw-log", "compdb-command", "compdb-arguments", "spool"]
 
-    @pytest.mark.parametrize("kind", ["raw-log", "compdb-command", "compdb-arguments", "spool"])
-    def test_evidence_starting_with_one_ingests(self, tmp_path, capsys, kind):
+
+def _with_bom(encoding: str, text: str) -> bytes:
+    """`text` in `encoding` after its byte-order mark; UTF-16 with CRLF line ends, as
+    Windows PowerShell's `>` writes it."""
+    if encoding != "utf-8":
+        text = text.replace("\n", "\r\n")
+    return _BOMS[encoding] + text.encode(encoding)
+
+
+class TestByteOrderMark:
+    """A byte-order mark, which Windows tools often write first, is no part of an evidence
+    file's first word: each kind, and a response file, reads as it does without one. After
+    a UTF-16 mark, little- or big-endian, the file is read as UTF-16."""
+
+    @pytest.mark.parametrize("kind, encoding", [(k, e) for e in _BOMS for k in _KINDS],
+                             ids=[k if e == "utf-8" else f"{k}-{e}" for e in _BOMS for k in _KINDS])
+    def test_evidence_starting_with_one_ingests(self, tmp_path, capsys, kind, encoding):
         evidence, kind = _write_evidence(tmp_path, kind, ["gcc", "-O2", "-c", "a.c", "-o", "a.o"])
         first = evidence / "1.jsonl" if kind == "spool" else evidence
-        first.write_bytes(codecs.BOM_UTF8 + first.read_bytes())
+        first.write_bytes(_with_bom(encoding, first.read_text()))
         assert ingest_exit(tmp_path, evidence, kind) == 0
         assert ": 1 TUs, " in capsys.readouterr().out
 
     def test_response_file_starting_with_one_keeps_its_first_flag(self, tmp_path, capsys):
-        (tmp_path / "o.rsp").write_bytes(codecs.BOM_UTF8 + b"-fno-stack-protector\n")
-        (tmp_path / "b.log").write_text("gcc -O2 -fstack-protector-strong @o.rsp -c a.c -o a.o\n")
-        store = str(tmp_path / "store")
-        assert run(["--store", store, "ingest", str(tmp_path / "b.log"), "--label", "release",
-                    "--build-id", "r1"]) == 0
-        capsys.readouterr()
-        assert run(["--store", store, "audit", "r1"]) == 1
-        out = capsys.readouterr().out
-        assert "R4 [error]" in out and f"via {tmp_path / 'o.rsp'}#0: -fno-stack-protector\n" in out
+        for encoding in _BOMS:
+            root = tmp_path / encoding
+            root.mkdir()
+            (root / "o.rsp").write_bytes(_with_bom(encoding, "-fno-stack-protector\n"))
+            (root / "b.log").write_text("gcc -O2 -fstack-protector-strong @o.rsp -c a.c -o a.o\n")
+            store = str(root / "store")
+            assert run(["--store", store, "ingest", str(root / "b.log"), "--label", "release",
+                        "--build-id", "r1"]) == 0
+            capsys.readouterr()
+            assert run(["--store", store, "audit", "r1"]) == 1, encoding
+            out = capsys.readouterr().out
+            assert "R4 [error]" in out and f"via {root / 'o.rsp'}#0: -fno-stack-protector\n" in out
 
 
 def log_snapshot(tmp_path, text, build_id="b1", label="dev", created="2026-01-01T00:00:00Z"):

@@ -261,7 +261,9 @@ class TestLint:
         (b"app: CXFLAGS = -O2\napp: app.o\n\t$(CXX) $(CXXFLAGS) -o $@ $^\n", 4,
          "{p}:1: 'CXFLAGS' looks like a typo for 'CXXFLAGS' (distance 1) and is never expanded\n"),
         (codecs.BOM_UTF8 + b"CFLAGS = -O2\n", 0, "no findings\n"),
-    ], ids=["target-specific-near-miss", "byte-order-mark-before-a-known-name"])
+        (codecs.BOM_UTF16_BE + "CXFLAGS = -O2\r\nall:\r\n\techo $(CXXFLAGS)\r\n".encode("utf-16-be"), 4,
+         "{p}:1: 'CXFLAGS' looks like a typo for 'CXXFLAGS' (distance 1) and is never expanded\n"),
+    ], ids=["target-specific-near-miss", "byte-order-mark-before-a-known-name", "utf-16-be-near-miss"])
     def test_first_line(self, tmp_path, capsys, text, code, out):
         p = tmp_path / "Makefile"
         p.write_bytes(text)

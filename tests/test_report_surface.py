@@ -24,6 +24,7 @@ import pytest
 
 from flagtrace.cli import run
 from conftest import build_minimal_elf
+from forge import forged
 
 DATA = Path(__file__).parent / "data"
 
@@ -131,13 +132,8 @@ def _write_inputs(root: Path) -> None:
 
 def _placeholder_hashes(root: Path) -> dict[str, str]:
     """Each stored content hash -> the hash of its record lines with `root` written as $TMP."""
-    out = {}
-    for fts in (root / "store" / "snapshots").glob("*.fts"):
-        header, *rest = fts.read_bytes().removesuffix(b"\n").split(b"\n")
-        lines = b"".join(line + b"\n" for line in rest if json.loads(line)["kind"] != "diagnostic")
-        out[json.loads(header)["content_hash"]] = hashlib.sha256(
-            lines.replace(str(root).encode(), b"$TMP")).hexdigest()
-    return out
+    return dict(forged(fts.read_bytes().replace(str(root).encode(), b"$TMP"))[1:]
+                for fts in (root / "store" / "snapshots").glob("*.fts"))
 
 
 def _transcript(fmt: str, capsys, root: Path) -> str:

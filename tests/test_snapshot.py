@@ -1,7 +1,6 @@
 """Snapshot codec: stored bytes read back exactly, and damage is caught."""
 
 import functools
-import hashlib
 import io
 import json
 import shlex
@@ -16,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import canonical_oracle
 import record_oracle
 from conftest import build_minimal_elf
+from forge import forge, forged
 from flagtrace import flagmodel, snapshot
 from flagtrace.cli import run
 from flagtrace.cmdline import (
@@ -44,9 +44,8 @@ def _canon_line(d) -> bytes:
 
 def as_v1(data: bytes) -> bytes:
     """Reference v1 encoder: the v2 snapshot `data` with every token stored as an
-    object, a command-line one by its origin's kind alone, and its hashes recomputed."""
+    object, a command-line one by its origin's kind alone, and forged."""
     header, *lines = data.removesuffix(b"\n").split(b"\n")
-    h = hashlib.sha256()
     for n, line in enumerate(lines):
         rec = json.loads(line)
         if rec["kind"] != "diagnostic":
@@ -54,9 +53,7 @@ def as_v1(data: bytes) -> bytes:
                                            if type(t) is str else t
                                            for t in rec["invocation"]["tokens"]]
             lines[n] = _canon_line(rec)
-            h.update(lines[n] + b"\n")
-    head = {**json.loads(header), "snapshot_version": 1, "content_hash": h.hexdigest()}
-    return b"\n".join([_canon_line(head), *lines, b""])
+    return forged(b"\n".join([_canon_line({**json.loads(header), "snapshot_version": 1}), *lines]))[0]
 
 
 def install_fixture(root, fixture=FIXTURE) -> Store:
@@ -467,33 +464,28 @@ def test_response_file_builds_read_back(build):
 
 
 def _rewrite_lines(store: Store, build_id: str, edit, header_fields: dict | None = None) -> None:
-    """Replace a build's lines after its header with what edit returns for them, then
-    set `header_fields` in the header and recompute the header and index hashes."""
+    """Replace a build's lines after its header with what edit returns for them, set
+    `header_fields` in the header, and forge the build."""
     entry = next(e for e in store.list_builds() if e.build_id == build_id)
-    snap_file = Path(store.root) / entry.relpath
+    snap_file, index = Path(store.root) / entry.relpath, Path(store.index_path)
     header, *rest = snap_file.read_bytes().removesuffix(b"\n").split(b"\n")
-    rest = edit(rest)
-    content_hash = hashlib.sha256(b"".join(
-        line + b"\n" for line in rest if json.loads(line)["kind"] != "diagnostic")).hexdigest()
-    snap_file.write_bytes(b"\n".join(
-        [_canon_line({**json.loads(header), **(header_fields or {}), "content_hash": content_hash}),
-         *rest]) + b"\n")
-    index = Path(store.index_path)
-    lines = index.read_text(encoding="utf-8").splitlines(keepends=True)
-    index.write_text("".join(line.replace(entry.content_hash, content_hash)
-                             if line.split("\t", 1)[0] == build_id else line for line in lines),
-                     encoding="utf-8")
+    rest = edit(rest)  # before `header_fields` is read: `_rewrite_record`'s edit sets them
+    header = _canon_line({**json.loads(header), **(header_fields or {})})
+    files = {entry.relpath: b"\n".join([header, *rest]), "index.tsv": index.read_bytes()}
+    forge(files, entry.relpath)
+    snap_file.write_bytes(files[entry.relpath])
+    index.write_bytes(files["index.tsv"])
 
 
 def _rewrite_record(store: Store, build_id: str, n: int, edit) -> None:
-    """Apply edit to record n of a build, then recompute the header and index hashes.
-    The header fields that edit returns, if any, are set too."""
+    """Apply edit to record n of a build, keeping the order of its keys, and forge the
+    build. The header fields that edit returns, if any, are set too."""
     header_fields = {}
 
     def edit_line(rest: list[bytes]) -> list[bytes]:
         rec = json.loads(rest[n])
         header_fields.update(edit(rec) or {})
-        rest[n] = json.dumps(rec, sort_keys=True, separators=(",", ":")).encode()
+        rest[n] = json.dumps(rec, separators=(",", ":")).encode()
         return rest
     _rewrite_lines(store, build_id, edit_line, header_fields)
 
@@ -901,6 +893,13 @@ def _command_line_token_object(rec):
     rec["invocation"]["tokens"][0] = {"origin": {"kind": "command-line"}, "text": "-O2"}
 
 
+def _keys_reversed(rec):
+    """Every key of the line in reverse order, each with its value: writing's keys, not in its order."""
+    items = [*rec.items()][::-1]
+    rec.clear()
+    rec.update(items)
+
+
 def _header_version_1(rec):
     """The header says version 1, where every token is an object; the line is left as v2 wrote it."""
     return {"snapshot_version": 1}
@@ -929,16 +928,20 @@ def _header_version_1(rec):
                                           "--value=-O2"]])
       for edit in (_command_line_token_object, _header_version_1,
                    lambda rec: rec["invocation"].update(env="X=1"))),
+    ("gcc -O2 -c a.c -o a.o\n", _keys_reversed,
+     [["query", "effective", "--build", "b1", "--subject", "a.c"], ["audit", "b1"], ["diff", "b1", "b2"],
+      ["history", "dev", "--key", "opt_level"],
+      ["query", "find", "--build", "b1", "--group", "opt_level", "--value=-O2"]]),
 ], ids=["number-source-file", "number-in-target-inputs", "number-rsp-token-text",
         "bool-rsp-token-index", "unknown-rsp-origin-kind", "string-tokens",
         "number-token", "bool-token", "null-token",
         "record-key-never-written", "invocation-key-never-written",
         "command-line-token-object-in-v2", "v2-line-under-a-v1-header",
-        "invocation-key-never-written-every-read"])
+        "invocation-key-never-written-every-read", "tu-keys-reversed-every-read"])
 def test_mistyped_stored_field_is_unreadable(tmp_path, capsys, log, edit, commands):
     """A stored field of another JSON type, a key or an origin kind writing never
-    stores, with every hash recomputed, makes its line unreadable: each read command
-    exits 3 naming it, and verify reports the build corrupt."""
+    stores, or keys out of writing's order, with every hash recomputed, makes its line
+    unreadable: each read command exits 3 naming it, and verify reports the build corrupt."""
     (tmp_path / "opts.rsp").write_text("-O2\n")
     (tmp_path / "b.log").write_text(log)
     store = Store(str(tmp_path / "store"))

@@ -278,7 +278,8 @@ class TestIndex:
 
     def test_torn_final_line_is_ignored_and_cut(self, tmp_path, capsys):
         """Whatever prefix of its last line, less the LF, a crash during put left, the
-        index still reads, the earlier build still loads, and the next put commits after it."""
+        index still reads, the earlier build still loads, and the next put commits after
+        it: the store then verifies, each of its two builds ok."""
         template = tmp_path / "template"
         for build_id in ("b1", "b2"):
             Store(str(template)).put(log_snapshot(tmp_path, f"gcc -c {build_id}.c\n", build_id, "ci"))
@@ -300,6 +301,8 @@ class TestIndex:
             assert "-O1" in report("query", "effective", "--build", "b3",
                                    "--subject", str(tmp_path / "b3.c"))["effective"], cut
             assert [e.build_id for e in Store(str(root)).list_builds()] == ["b1", "b3"], cut
+            assert report("verify")["builds"] == [
+                {"build_id": b, "status": "ok", "error": None, "subjects": []} for b in ("b1", "b3")], cut
 
     def test_final_line_ending_in_cr_is_torn(self, tmp_path, capsys):
         """LF alone commits a line: a complete last line that ends in CR is not listed, and
