@@ -1,7 +1,8 @@
 """Command-line tokenization for compiler and linker invocations.
 
 Every evidence file (build log, response file, compilation database,
-spool file, makefile) becomes text by one rule, `read_text`'s.
+spool file, makefile) becomes text by one rule, `read_text`'s; a file that
+evidence names (response file, include, spool record) is read only if it is a regular file.
 
 Two quoting conventions are supported: POSIX-shell word splitting for the
 GNU-ish toolchains (gcc, clang, ld, ar) and the MSVC argv rules
@@ -211,22 +212,19 @@ def logical_lines(text: str):
         yield start, pending[:-1]  # less the space that stood for the last backslash
 
 
-def _tokens(line: str, family: Family, table: TokenTable) -> list[str]:
-    words = _SYNTAX[family][0](line)
-    try:  # the filter drops the empty text of a quoted-empty word
-        return list(filter(None, map(table.unquote[family], words)))
-    except UnterminatedQuote as exc:  # raised for the last word, which ends the line
-        raise UnterminatedQuote(len(line) - len(words[-1]) + exc.position) from None
-
-
 def tokenize(line: str, dialect: Dialect, table: TokenTable | None = None) -> list[str]:
-    """Split one logical command line into its words under the dialect's rules.
+    """Split one logical command line, or a response file's text, into words by the dialect's rules.
 
     Continuation backslashes must already have been joined by the caller.
     Quoted-empty arguments are dropped (a word is never empty). `table`
     unquotes each distinct raw word once, so equal words share one str.
     """
-    return _tokens(line, dialect.family, TokenTable() if table is None else table)
+    words = _SYNTAX[dialect.family][0](line)
+    unquote = (TokenTable() if table is None else table).unquote[dialect.family]
+    try:  # the filter drops the empty text of a quoted-empty word
+        return list(filter(None, map(unquote, words)))
+    except UnterminatedQuote as exc:  # raised for the last word, which ends the line
+        raise UnterminatedQuote(len(line) - len(words[-1]) + exc.position) from None
 
 
 def expand_response_files(tokens: Sequence[str], cwd: str, dialect: Dialect, table: TokenTable | None = None,
@@ -235,7 +233,7 @@ def expand_response_files(tokens: Sequence[str], cwd: str, dialect: Dialect, tab
 
     A word's origin is None on the command line, else `Origin(path, i)`, the i-th word of file `path`.
     Recursive with a cycle check and a nesting cap of MAX_RESPONSE_DEPTH.
-    A file's text is `read_text`'s.
+    A file is read only if it is a regular file; any other path is `ResponseFileNotFound`.
     Without an @path word, `tokens` itself is returned; `table` keeps each file's expansion.
     """
     if len(_chain) > MAX_RESPONSE_DEPTH:
@@ -260,11 +258,9 @@ def expand_response_files(tokens: Sequence[str], cwd: str, dialect: Dialect, tab
         # An expansion that succeeded once reaches no cycle, so only its depth can change it.
         key = (path, dialect.family, len(_chain))
         if key not in table.files:
-            try:
-                body = read_text(path)
-            except (FileNotFoundError, ValueError):  # ValueError: a NUL in the path names no file
-                raise ResponseFileNotFound(path) from None
-            table.files[key] = expand_response_files(_tokens(body, dialect.family, table),
+            if not os.path.isfile(path):  # a NUL in the path, a directory, a FIFO or a device
+                raise ResponseFileNotFound(path)
+            table.files[key] = expand_response_files(tokenize(read_text(path), dialect, table),
                                                      os.path.dirname(path) or cwd, dialect, table, _chain + (path,))
         words, where = table.files[key]
         out.extend(words)

@@ -79,6 +79,8 @@ class NotePayload:
         if not (all(type(v) is str for v in (p.build_id, p.subject, p.effective_digest))
                 and type(p.flags_text) in (str, type(None)) and type(p.version) is int):
             raise TypeError("a payload field has the wrong JSON type")
+        if p.version != PAYLOAD_VERSION:
+            raise ValueError(f"unsupported payload version {p.version}")
         return p
 
 

@@ -12,15 +12,17 @@ joined by `cmdline.logical_lines`, as for a build log, so linting needs
 no more of flagtrace than `cmdline`. An assignment is `NAME = value`
 (or `+=`, `?=`, `:=`, `::=`), plain or after `export`/`override`, or the
 same after a rule's targets and colon (`app: CXFLAGS = -O2`), a
-target-specific assignment.
+target-specific assignment. An include is found beside its makefile by
+the host's path rule, and read only if it is a regular file.
 
-A name counts as expanded where `$(NAME)` or `${NAME}` appears anywhere
-in a scanned file, recipes and comments included, or where it starts a
-substitution reference, `$(NAME:a=b)` or `${NAME:a=b}`, as GNU make
-reads one; `$$` is a literal dollar, so `$$(NAME)` is none. A name holds
-no blank, line break or backslash, the only characters the joiner
-changes, so one scan of the file's whole text finds the names a scan of
-each logical line would.
+A name counts as expanded where `$(NAME)` or `${NAME}` appears in a
+scanned file, or where it starts a substitution reference, `$(NAME:a=b)`
+or `${NAME:a=b}`, as GNU make reads one; `$$` is a literal dollar, so
+`$$(NAME)` is none. A comment, from a line's first `#` (even an escaped
+one), is not read, except on a recipe line, which make expands before the
+shell sees its `#`. No expansion holds a `#`, blank, line break or
+backslash, so one scan of the whole text, less one of each comment,
+finds the names a scan of each logical line would.
 
 The distance is the exact Levenshtein distance (insert, delete,
 substitute), computed by Myers' bit-vector algorithm (J. ACM 46(3), 1999)
@@ -29,9 +31,10 @@ in Hyyrö's form for edit distance (2001).
 
 from __future__ import annotations
 
+import os
 import re
+from collections import Counter
 from dataclasses import dataclass
-from os.path import commonprefix
 from typing import NamedTuple
 
 from .cmdline import logical_lines, read_text
@@ -107,41 +110,42 @@ def scan_makefile(path: str, _depth: int = 0) -> tuple[list[MacroAssignment], se
     """Lexically scan one makefile (plus one level of includes).
 
     Returns the macro assignments found on non-recipe lines and the set
-    of names expanded anywhere, recipes included. Malformed lines are
-    simply skipped; only I/O errors propagate.
+    of names expanded outside comments, recipes included. Malformed lines
+    are simply skipped; only the named file's I/O errors propagate.
     """
     text = read_text(path)
     assignments: list[MacroAssignment] = []
-    expansions = set(_EXPANSION.findall(text)) - {""}
+    counts = Counter(_EXPANSION.findall(text))  # a comment's expansions are taken off below
     for lineno, line in logical_lines(text):
         if line.startswith("\t"):
             continue  # recipe line: shell territory, not make macros
-        stripped = line.split("#", 1)[0]
+        stripped, _, comment = line.partition("#")
+        if comment:
+            counts.subtract(_EXPANSION.findall(comment))
         inc = _INCLUDE.match(stripped)
         if inc and _depth < 1:
-            base = path.replace("\\", "/").rsplit("/", 1)[0] if "/" in path.replace("\\", "/") else "."
             for name in inc.group(1).split():
-                if "$" in name:
+                sub = os.path.join(os.path.dirname(path) or ".", name)  # an absolute name stays itself
+                if "$" in name or not os.path.isfile(sub):  # a NUL, a directory, a FIFO or a device
                     continue
-                sub = name if name.startswith("/") else f"{base}/{name}"
                 try:
                     sub_assign, sub_expand = scan_makefile(sub, _depth + 1)
-                except (OSError, ValueError):  # ValueError: a NUL in the name names no file
+                except OSError:
                     continue
                 assignments.extend(sub_assign)
-                expansions.update(sub_expand)
+                counts.update(sub_expand)
             continue
         m = _ASSIGN.match(stripped) or ":" in stripped and _TARGET_ASSIGN.match(stripped)
         if not m:
             continue
         assignments.append(MacroAssignment(m.group(1), lineno, path))
-    return assignments, expansions
+    return assignments, {name for name, n in counts.items() if n > 0} - {""}
 
 
 def suggest(name: str, vocabulary: frozenset | set) -> tuple[str, int]:
     """Nearest vocabulary word; ties prefer the longest shared prefix,
     then lexicographic order (so CXFLAGS suggests CXXFLAGS, not CFLAGS)."""
-    distance, _, word = min((levenshtein(name, w), -len(commonprefix((name, w))), w)
+    distance, _, word = min((levenshtein(name, w), -len(os.path.commonprefix((name, w))), w)
                             for w in vocabulary)
     return word, distance
 

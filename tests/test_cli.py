@@ -415,9 +415,10 @@ class TestProcess:
     def test_console_entry(self, tmp_path):
         env = {**os.environ, "PYTHONPATH": str(Path(flagtrace.__file__).parents[1])}
 
-        def entry(*argv):
+        def entry(*argv, stdin=b""):
+            # a read that waits on a FIFO fails here instead of hanging the suite
             done = subprocess.run([sys.executable, "-c", "from flagtrace.cli import entry; entry()",
-                                   *argv], cwd=tmp_path, env=env, capture_output=True)
+                                   *argv], cwd=tmp_path, env=env, input=stdin, capture_output=True, timeout=30)
             assert b"Traceback" not in done.stderr, argv
             return done.returncode, done.stdout
 
@@ -437,6 +438,18 @@ class TestProcess:
                           "--build", "b1", "--subject", "nope")
         doc = json.loads(out)
         assert code == 3 and list(doc) == ["error"] and type(doc["error"]) is str
+
+        # a path the user names may be a pipe; a FIFO that evidence names is never opened
+        code, out = entry("--store", "s3", "--format", "json", "ingest", "/dev/stdin", "--label", "ci",
+                          "--build-id", "b1", stdin=b"gcc -O2 -c a.c -o a.o\n")
+        assert code == 0 and json.loads(out)["tus"] == 1
+        os.mkfifo(tmp_path / "x.rsp")
+        (tmp_path / "rsp.log").write_text("gcc -O2 @x.rsp -c a.c -o a.o\n")
+        assert ingest("s4", "rsp.log") == 3 and not (tmp_path / "s4").exists()
+        os.mkfifo(tmp_path / "inc.mk")
+        (tmp_path / "Makefile").write_text("include inc.mk\nCXFLAGS = -O2\n")
+        assert entry("lint", "Makefile") == (4, b"Makefile:2: 'CXFLAGS' looks like a typo for 'CXXFLAGS' "
+                                                b"(distance 1) and is never expanded\n")
 
     @pytest.mark.parametrize("seed", ["1", "2"])
     def test_reports_do_not_depend_on_hash_order(self, seed):

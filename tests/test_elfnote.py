@@ -112,7 +112,8 @@ class TestStampRoundTrip:
         (b'"subject":"ABCDEF"', b'"subject":"\\ud800"'),
         (b'"subject":"ABCDEF"', b'"subject":12345678'),
         (b'"flags_text":"x=1\\n"', b'"flags_text":5      '),
-    ], ids=["surrogate-subject", "number-subject", "number-flags"])
+        (b'"version":1', b'"version":7'),
+    ], ids=["surrogate-subject", "number-subject", "number-flags", "unknown-version"])
     def test_lying_payload_exit_3(self, minimal_elf, capsys, old, new, fmt):
         stamp(minimal_elf, payload_for(subject="ABCDEF"))
         data = Path(minimal_elf).read_bytes()

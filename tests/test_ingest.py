@@ -290,19 +290,24 @@ class TestBadResponseFile:
     exit 3 and its error, and stores nothing: unlike a garbled log line, it is not skipped."""
 
     @pytest.mark.parametrize("kind", ["raw-log", "compdb-command", "compdb-arguments", "spool"])
-    @pytest.mark.parametrize("fault", ["unterminated-quote", "missing", "includes-itself"])
+    @pytest.mark.parametrize("fault", ["unterminated-quote", "missing", "includes-itself", "directory",
+                                       "device"])
     def test_ingest_exits_3_and_stores_nothing(self, tmp_path, capsys, kind, fault):
-        rsp = tmp_path / "opts.rsp"
+        """Only a regular file is read: a directory or a device is a response file not found."""
+        rsp, word = tmp_path / "opts.rsp", "@opts.rsp"
         if fault == "unterminated-quote":
             rsp.write_text('-O2 "-DX=1\n')
             error = "unterminated quote at position 4"
-        elif fault == "missing":
-            error = f"response file not found: {rsp}"
-        else:
+        elif fault == "includes-itself":
             rsp.write_text("-O2 @opts.rsp\n")
             error = f"response file cycle: {rsp} -> {rsp}"
-        evidence, kind = _write_evidence(tmp_path, kind, ["gcc", "@opts.rsp", "-c", "a.c",
-                                                          "-o", "a.o"])
+        else:
+            if fault == "directory":
+                rsp.mkdir()
+            elif fault == "device":
+                rsp, word = os.devnull, "@" + os.devnull
+            error = f"response file not found: {rsp}"
+        evidence, kind = _write_evidence(tmp_path, kind, ["gcc", word, "-c", "a.c", "-o", "a.o"])
         assert ingest_exit(tmp_path, evidence, kind) == 3
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {error}\n")

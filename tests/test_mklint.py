@@ -1,5 +1,6 @@
 import codecs
 import json
+import os
 import random
 
 import pytest
@@ -50,24 +51,24 @@ def dp_levenshtein(a, b):
 
 
 def per_line_scan(path, _depth=0):
-    """`scan_makefile` as a scan of each logical line for expansions; oracle for
-    the one scan of the whole text."""
+    """`scan_makefile` as a scan of each logical line for expansions, a recipe line
+    whole and any other up to its first `#`; oracle for the one scan of the whole text."""
     assignments, expansions = [], set()
     for lineno, line in logical_lines(read_text(path)):
-        expansions.update(name for name in _EXPANSION.findall(line) if name)
         if line.startswith("\t"):
+            expansions.update(name for name in _EXPANSION.findall(line) if name)
             continue
         stripped = line.split("#", 1)[0]
+        expansions.update(name for name in _EXPANSION.findall(stripped) if name)
         inc = _INCLUDE.match(stripped)
         if inc and _depth < 1:
-            base = path.replace("\\", "/").rsplit("/", 1)[0] if "/" in path.replace("\\", "/") else "."
             for name in inc.group(1).split():
-                if "$" in name:
+                sub = os.path.join(os.path.dirname(path) or ".", name)
+                if "$" in name or not os.path.isfile(sub):
                     continue
-                sub = name if name.startswith("/") else f"{base}/{name}"
                 try:
                     sub_assign, sub_expand = per_line_scan(sub, _depth + 1)
-                except (OSError, ValueError):
+                except OSError:
                     continue
                 assignments.extend(sub_assign)
                 expansions.update(sub_expand)
@@ -146,8 +147,10 @@ class TestScanMakefile:
         assert [a.name for a in assignments] == ["CXFLAGS"]
 
     def test_include_naming_no_file_is_skipped(self, tmp_path):
+        """Only a regular file is read: not a name with a NUL, a missing file, a directory or a device."""
+        (tmp_path / "sub.mk").mkdir()
         p = tmp_path / "Makefile"
-        p.write_bytes(b"include a\x00b missing.mk\nCXFLAGS = -g\n")
+        p.write_bytes(b"include a\x00b missing.mk sub.mk /dev/null\nCXFLAGS = -g\n")
         assignments, _ = scan_makefile(str(p))
         assert [a.name for a in assignments] == ["CXFLAGS"]
 
@@ -181,6 +184,8 @@ class TestScanMakefile:
     @given(makefile=MAKEFILE, included=MAKEFILE)
     @example(makefile=b"X = $(CFLAGS\\\n) ${A\rB} $(C\r\n)\n", included=b"")
     @example(makefile=b"X = $$(CFLAGS) $$$(LDFLAGS) $\\\n$(A) $$\\\n(B)\n", included=b"")
+    @example(makefile=b"X = $(A) #$(B)\\\n $(C)\n# $(CFLAGS)\n\t$(D) # $(E)\ninclude common.mk # $(F)\n",
+             included=b"Y = $(G) # $(A)\n")
     def test_one_scan_equals_scan_per_line(self, tmp_path_factory, makefile, included):
         d = tmp_path_factory.mktemp("scan")
         (d / "Makefile").write_bytes(makefile)
@@ -214,6 +219,9 @@ class TestScanMakefile:
         assert assignments[0].line == 2
 
 
+_CXFLAGS_LINE_1 = "{p}:1: 'CXFLAGS' looks like a typo for 'CXXFLAGS' (distance 1) and is never expanded\n"
+
+
 class TestLint:
     def test_cxflags_suggests_cxxflags(self, tmp_path):
         p = tmp_path / "Makefile"
@@ -245,12 +253,6 @@ class TestLint:
         assert run(["lint", str(p)]) == 0
         assert capsys.readouterr().out == "no findings\n"
 
-    def test_expansion_anywhere_suppresses(self, tmp_path):
-        p = tmp_path / "Makefile"
-        p.write_text("CXFLAGS = -O2\nall:\n\techo $(CXFLAGS)\n")
-        assignments, expansions = scan_makefile(str(p))
-        assert lint(assignments, expansions) == []
-
     def test_shell_substitution_does_not_suppress(self, tmp_path):
         p = tmp_path / "Makefile"
         p.write_text("CXFLAGS = -O2\nLDFLAG = -s\nall:\n\techo $$(CXFLAGS) $$$(LDFLAG)\n")
@@ -258,12 +260,18 @@ class TestLint:
         assert run(["lint", str(p)]) == 4
 
     @pytest.mark.parametrize("text, code, out", [
-        (b"app: CXFLAGS = -O2\napp: app.o\n\t$(CXX) $(CXXFLAGS) -o $@ $^\n", 4,
-         "{p}:1: 'CXFLAGS' looks like a typo for 'CXXFLAGS' (distance 1) and is never expanded\n"),
+        (b"app: CXFLAGS = -O2\napp: app.o\n\t$(CXX) $(CXXFLAGS) -o $@ $^\n", 4, _CXFLAGS_LINE_1),
         (codecs.BOM_UTF8 + b"CFLAGS = -O2\n", 0, "no findings\n"),
         (codecs.BOM_UTF16_BE + "CXFLAGS = -O2\r\nall:\r\n\techo $(CXXFLAGS)\r\n".encode("utf-16-be"), 4,
-         "{p}:1: 'CXFLAGS' looks like a typo for 'CXXFLAGS' (distance 1) and is never expanded\n"),
-    ], ids=["target-specific-near-miss", "byte-order-mark-before-a-known-name", "utf-16-be-near-miss"])
+         _CXFLAGS_LINE_1),
+        (b"CXFLAGS = -O2\nall:\n\techo $(CXFLAGS)\n", 0, "no findings\n"),
+        (b"CXFLAGS = -O2\n# $(CXFLAGS) retired\n", 4, _CXFLAGS_LINE_1),
+        (b"CXFLAGS = -O2 # was $(CXFLAGS)\n", 4, _CXFLAGS_LINE_1),
+        # make expands a recipe line before the shell sees its `#`
+        (b"CXFLAGS = -O2\nall:\n\t$(CXX) $(CXXFLAGS) a.cc # $(CXFLAGS)\n", 0, "no findings\n"),
+    ], ids=["target-specific-near-miss", "byte-order-mark-before-a-known-name", "utf-16-be-near-miss",
+            "near-miss-used-by-a-plain-expansion", "expansion-in-a-comment-line",
+            "expansion-in-a-trailing-comment", "expansion-in-a-recipe-comment"])
     def test_first_line(self, tmp_path, capsys, text, code, out):
         p = tmp_path / "Makefile"
         p.write_bytes(text)
