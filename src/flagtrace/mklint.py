@@ -18,11 +18,12 @@ the host's path rule, and read only if it is a regular file.
 A name counts as expanded where `$(NAME)` or `${NAME}` appears in a
 scanned file, or where it starts a substitution reference, `$(NAME:a=b)`
 or `${NAME:a=b}`, as GNU make reads one; `$$` is a literal dollar, so
-`$$(NAME)` is none. A comment, from a line's first `#` (even an escaped
-one), is not read, except on a recipe line, which make expands before the
-shell sees its `#`. No expansion holds a `#`, blank, line break or
-backslash, so one scan of the whole text, less one of each comment,
-finds the names a scan of each logical line would.
+`$$(NAME)` is none. A comment is not read, except on a recipe line, which
+make expands before the shell sees its `#`. As make reads a line, its
+comment starts at the first `#` that is neither after an odd run of
+backslashes nor inside a `$(…)` or `${…}` reference or `$#`. No expansion
+holds a `#`, blank, line break or backslash, so one scan of the whole text,
+less one of each comment, finds the names a scan of each logical line would.
 
 The distance is the exact Levenshtein distance (insert, delete,
 substitute), computed by Myers' bit-vector algorithm (J. ACM 46(3), 1999)
@@ -54,6 +55,7 @@ _TARGET_ASSIGN = re.compile(r"^(?:[^:$]|\$(?:\((?:[^()]|\([^()]*\))*\)|\{(?:[^{}
                             + _NAME_OP)
 _EXPANSION = re.compile(r"\$(?:\$|[({]([A-Za-z0-9_.%-]+)[:)}])")  # `$$` gives the empty name
 _INCLUDE = re.compile(r"^\s*[-s]?include\s+(.+)$")
+_HASH_OR_REFERENCE = re.compile(r"[#$]")
 
 
 class MacroAssignment(NamedTuple):
@@ -106,6 +108,26 @@ def levenshtein(a: str, b: str) -> int:
     return score
 
 
+def split_comment(line: str) -> tuple[str, str]:
+    """A logical line before its comment, and the comment after its `#` ("" for none), as make
+    splits them: a `#` after an odd run of backslashes, or inside a reference (to its matching
+    close, counting only its own kind of parenthesis), is literal."""
+    i = 0
+    while m := _HASH_OR_REFERENCE.search(line, i):
+        i = m.end()
+        if m[0] == "#":
+            if (i - 1 - len(line[:i - 1].rstrip("\\"))) % 2 == 0:
+                return line[:i - 1], line[i:]
+            continue
+        opener, i = line[i:i + 1], i + 1  # `$` and one character, `$$` and `$#` among them
+        if opener in ("(", "{"):
+            closer, depth = ")" if opener == "(" else "}", 1
+            while depth and i < len(line):
+                depth += (line[i] == opener) - (line[i] == closer)
+                i += 1
+    return line, ""
+
+
 def scan_makefile(path: str, _depth: int = 0) -> tuple[list[MacroAssignment], set[str]]:
     """Lexically scan one makefile (plus one level of includes).
 
@@ -119,7 +141,7 @@ def scan_makefile(path: str, _depth: int = 0) -> tuple[list[MacroAssignment], se
     for lineno, line in logical_lines(text):
         if line.startswith("\t"):
             continue  # recipe line: shell territory, not make macros
-        stripped, _, comment = line.partition("#")
+        stripped, comment = split_comment(line) if "#" in line else (line, "")
         if comment:
             counts.subtract(_EXPANSION.findall(comment))
         inc = _INCLUDE.match(stripped)

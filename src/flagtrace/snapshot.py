@@ -47,8 +47,10 @@ otherwise there are none, and evidence names the source alone.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring as _q  # a string as `_canon` writes it
@@ -186,8 +188,8 @@ def _stored_token(t, words: dict[str, str], version: int) -> tuple[str, Origin |
     return text, Origin(path, index)
 
 
-def _content_hash(record_lines: list[bytes]) -> str:
-    """The content hash: SHA-256 over the `tu` and `target` lines in stored order, each ending in LF."""
+def _content_hash(record_lines: Iterable[bytes]) -> str:
+    """The content hash: SHA-256 over the `tu` and `target` lines in stored order, each given without LF, then LF."""
     h = hashlib.sha256()
     for line in record_lines:
         h.update(line)
@@ -274,26 +276,29 @@ class BuildSnapshot:
         return ('{"build_id":%s,"content_hash":%s,"created":%s,"label":%s,"snapshot_version":%d}'
                 % (_q(self.build_id), _q(self.content_hash), _q(self.created), _q(self.label), version))
 
-    def serialize(self) -> bytes:
-        """Encode each record once, set content_hash over those lines and return the file."""
+    def lines(self) -> list[bytes]:
+        """Encode each record once, set content_hash over those lines and return the file's lines, without LFs."""
         by_output = self.by_output()
-        lines = [_encode_record(r, by_output).encode("utf-8") for r in (*self.tus, *self.targets)]
-        self.content_hash = _content_hash(lines)
-        return b"\n".join([self._header(SNAPSHOT_VERSION).encode("utf-8"), *lines, *(
-            _canon({"kind": "diagnostic", **d}).encode("utf-8") for d in self.diagnostics), b""])
+        records = [_encode_record(r, by_output).encode("utf-8") for r in (*self.tus, *self.targets)]
+        self.content_hash = _content_hash(records)
+        return [self._header(SNAPSHOT_VERSION).encode("utf-8"), *records, *(
+            _canon({"kind": "diagnostic", **d}).encode("utf-8") for d in self.diagnostics)]
+
+    def serialize(self) -> bytes:
+        """The file: each of `lines` ending in LF."""
+        return b"\n".join([*self.lines(), b""])
 
     @classmethod
-    def deserialize(cls, data: bytes, flagset_lines: dict | None = None) -> "BuildSnapshot":
-        """Decode stored bytes, hashing each record line as read; check targets' member lists.
-
-        Lines split on LF only: paths may hold U+0085 or U+2028, which
-        canonical JSON leaves unescaped. A line whose JSON gives a lone
-        surrogate is as unreadable as one that is not JSON; sets decode through `flagset_lines`.
-        """
-        lines = data.removesuffix(b"\n").split(b"\n")
+    def deserialize(cls, data: bytes | Iterable[bytes], flagset_lines: dict | None = None) -> "BuildSnapshot":
+        """Decode stored bytes or an open binary file one line at a time, each line checked and hashed,
+        then dropped; check targets' member lists. Lines end at LF only, as binary line iteration
+        ends them: a CR ends none, nor does a path's U+0085 or U+2028, which canonical JSON leaves
+        unescaped. A line whose JSON gives a lone surrogate is as unreadable as one that is not JSON;
+        sets decode through `flagset_lines`."""
+        lines = io.BytesIO(data) if isinstance(data, bytes) else iter(data)
         lineno = 1
         try:
-            header = strictjson.loads(text := lines[0].decode("utf-8"))
+            header = strictjson.loads(text := next(lines, b"").removesuffix(b"\n").decode("utf-8"))
             version = header["snapshot_version"]
             if type(version) is not int or version not in (1, 2):
                 raise CorruptSnapshot("1 or 2", repr(version), "unsupported snapshot version")
@@ -301,22 +306,25 @@ class BuildSnapshot:
                        content_hash=header["content_hash"])
             if snap._header(version) != text:
                 raise ValueError("the header is not the line writing writes for its fields")
-            words, records, target_lines, flagset_lines = {}, [], [], {} if flagset_lines is None else flagset_lines
-            for lineno, line in enumerate(lines[1:], start=2):
-                d = strictjson.loads(line.decode("utf-8"))
-                kind = _LINES[d["kind"]](d).pop("kind")
-                if kind == "diagnostic":
-                    snap.diagnostics.append(d)
-                    continue
-                records.append(line)
-                rec = _decode_record(kind, d, words, version)
-                rec._flagset_lines, rec._line = flagset_lines, lineno
-                (snap.tus if kind == "tu" else snap.targets).append(rec)
-                if kind == "target":
-                    target_lines.append(d)
+            words, target_lines, flagset_lines = {}, [], {} if flagset_lines is None else flagset_lines
+            def record_lines():  # each line after the header, decoded; a record line goes on to the hash
+                nonlocal lineno
+                for lineno, line in enumerate(lines, start=2):
+                    d = strictjson.loads((line := line.removesuffix(b"\n")).decode("utf-8"))
+                    kind = _LINES[d["kind"]](d).pop("kind")
+                    if kind == "diagnostic":
+                        snap.diagnostics.append(d)
+                        continue
+                    rec = _decode_record(kind, d, words, version)
+                    rec._flagset_lines, rec._line = flagset_lines, lineno
+                    (snap.tus if kind == "tu" else snap.targets).append(rec)
+                    if kind == "target":
+                        target_lines.append(d)
+                    yield line
+            actual = _content_hash(record_lines())
         except (AttributeError, LookupError, TypeError, ValueError) as exc:
             raise _unreadable(lineno, exc) from None
-        if (actual := _content_hash(records)) != snap.content_hash:
+        if actual != snap.content_hash:
             raise CorruptSnapshot(snap.content_hash, actual)
         by_output = snap.by_output()
         for rec, d in zip(snap.targets, target_lines):
@@ -326,12 +334,14 @@ class BuildSnapshot:
         return snap
 
     def check_as_written(self, data: bytes) -> None:
-        """Raise CorruptSnapshot naming the first line of the loaded v2 file `data` not as written."""
-        header, *lines = data.removesuffix(b"\n").split(b"\n")
-        if header != self._header(SNAPSHOT_VERSION).encode():
+        """Raise CorruptSnapshot naming the first line of the loaded v2 file `data` not as written.
+        `verify` reads the file once and passes the same bytes here and to `deserialize`."""
+        lines = io.BytesIO(data)
+        if next(lines, b"").removesuffix(b"\n") != self._header(SNAPSHOT_VERSION).encode():
             return
         by_output, diagnostics = self.by_output(), iter(self.diagnostics)
         written = {r._line: _encode_record(r, by_output) for r in (*self.tus, *self.targets)}
         for lineno, line in enumerate(lines, start=2):
-            if line != (written.get(lineno) or _canon({"kind": "diagnostic", **next(diagnostics)})).encode():
+            text = written.get(lineno) or _canon({"kind": "diagnostic", **next(diagnostics)})
+            if line.removesuffix(b"\n") != text.encode():
                 raise CorruptSnapshot("writing's bytes", "other bytes", f"snapshot line {lineno} is not as written")

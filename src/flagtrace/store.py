@@ -13,11 +13,14 @@ previously stored bytes. LF alone commits an index line: readers ignore a torn
 final line (without an LF, as a crash during put leaves, or ending in CR) and
 the next put cuts it; a committed line holding a CR is malformed. Put refuses a
 TAB, CR or LF in a build id, label or created time, and text that is not UTF-8,
-before it creates anything, and a build id whose file another holds. A load
-opens only the file put names, and checks the hash, then the header's build id,
-label and created time, against the index line. It checks each record line in
-full, builds invocations when read, and shares one set-line memo among a Store's
-loads. Writes are serialized through an advisory lock file; reads take no lock.
+before it creates anything, and a build id whose file another holds; it writes
+the lines it encoded without joining them. A load opens only the file put names,
+and checks the hash, then the header's build id, label and created time, against
+the index line. It reads the file one line at a time and checks each record line
+in full, builds invocations when read, and shares one set-line memo among a
+Store's loads; only verify, which compares each line with writing's bytes, holds
+the file's bytes. Writes are serialized through an advisory lock file; reads
+take no lock.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .snapshot import BuildSnapshot
 STORE_VERSION = "flagtrace-store v1"
 
 FIELD_BREAKS = "\t\r\n"  # an index field holds none: each would end the field or its line
+_BUFFER = 1 << 20  # a snapshot file's read and write buffer: a few calls for a full-size build
 
 
 class IndexEntry(NamedTuple):
@@ -80,7 +84,7 @@ class Store:
             if any(c in getattr(snapshot, field) for c in FIELD_BREAKS):
                 raise FlagtraceError(f"{field} must not contain a tab, CR or LF")
         try:
-            data = snapshot.serialize()  # sets snapshot.content_hash over these bytes
+            lines = snapshot.lines()  # sets snapshot.content_hash over these lines
         except UnicodeEncodeError as exc:  # a lone surrogate: a word or file name not UTF-8
             raise FlagtraceError(f"not UTF-8, cannot be stored: {exc.object[:exc.end][-60:]!r}") from None
         os.makedirs(self.snap_dir, exist_ok=True)
@@ -98,8 +102,8 @@ class Store:
                     raise FlagtraceError(f"{relpath} already holds the snapshot of {e.build_id}")
             final = os.path.join(self.root, relpath)
             tmp = final + ".tmp"
-            with open(tmp, "wb") as fh:
-                fh.write(data)
+            with open(tmp, "wb", buffering=_BUFFER) as fh:
+                fh.writelines(line + b"\n" for line in lines)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.rename(tmp, final)
@@ -129,8 +133,9 @@ class Store:
         With `as_written`, which only verify sets, each line must be the line writing writes."""
         if e.relpath != (relpath := _snapshot_relpath(e.build_id)):  # before anything is opened
             raise CorruptSnapshot(relpath, e.relpath, "index line names another snapshot file")
-        with open(os.path.join(self.root, e.relpath), "rb") as fh:
-            snap = BuildSnapshot.deserialize(data := fh.read(), self._flagset_lines)
+        with open(os.path.join(self.root, e.relpath), "rb", buffering=_BUFFER) as fh:
+            data = fh.read() if as_written else fh  # only verify compares bytes, so only it holds them
+            snap = BuildSnapshot.deserialize(data, self._flagset_lines)
         if snap.content_hash != e.content_hash:
             raise CorruptSnapshot(e.content_hash, snap.content_hash)
         if (header := (snap.build_id, snap.label, snap.created)) != e[:3]:

@@ -17,6 +17,7 @@ from flagtrace.mklint import (
     levenshtein,
     lint,
     scan_makefile,
+    split_comment,
     suggest,
 )
 from test_fuzz_lint_audit import MAKEFILE
@@ -52,13 +53,13 @@ def dp_levenshtein(a, b):
 
 def per_line_scan(path, _depth=0):
     """`scan_makefile` as a scan of each logical line for expansions, a recipe line
-    whole and any other up to its first `#`; oracle for the one scan of the whole text."""
+    whole and any other up to its comment; oracle for the one scan of the whole text."""
     assignments, expansions = [], set()
     for lineno, line in logical_lines(read_text(path)):
         if line.startswith("\t"):
             expansions.update(name for name in _EXPANSION.findall(line) if name)
             continue
-        stripped = line.split("#", 1)[0]
+        stripped = split_comment(line)[0]
         expansions.update(name for name in _EXPANSION.findall(stripped) if name)
         inc = _INCLUDE.match(stripped)
         if inc and _depth < 1:
@@ -267,11 +268,17 @@ class TestLint:
         (b"CXFLAGS = -O2\nall:\n\techo $(CXFLAGS)\n", 0, "no findings\n"),
         (b"CXFLAGS = -O2\n# $(CXFLAGS) retired\n", 4, _CXFLAGS_LINE_1),
         (b"CXFLAGS = -O2 # was $(CXFLAGS)\n", 4, _CXFLAGS_LINE_1),
+        # make reads `[a # -O2]`, `-O2` and `[a \]`: a `#` after an odd run of backslashes
+        # or inside a reference is literal
+        (b"CXFLAGS = -O2\nY = a \\# $(CXFLAGS)\n", 0, "no findings\n"),
+        (b"CXFLAGS = -O2\nX := $(subst #,-,$(CXFLAGS))\n", 0, "no findings\n"),
+        (b"CXFLAGS = -O2\nY = a \\\\# $(CXFLAGS)\n", 4, _CXFLAGS_LINE_1),
         # make expands a recipe line before the shell sees its `#`
         (b"CXFLAGS = -O2\nall:\n\t$(CXX) $(CXXFLAGS) a.cc # $(CXFLAGS)\n", 0, "no findings\n"),
     ], ids=["target-specific-near-miss", "byte-order-mark-before-a-known-name", "utf-16-be-near-miss",
             "near-miss-used-by-a-plain-expansion", "expansion-in-a-comment-line",
-            "expansion-in-a-trailing-comment", "expansion-in-a-recipe-comment"])
+            "expansion-in-a-trailing-comment", "escaped-hash", "hash-in-a-reference",
+            "hash-after-an-escaped-backslash", "expansion-in-a-recipe-comment"])
     def test_first_line(self, tmp_path, capsys, text, code, out):
         p = tmp_path / "Makefile"
         p.write_bytes(text)

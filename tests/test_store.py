@@ -3,6 +3,7 @@ import json
 import os
 import shutil
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -85,6 +86,33 @@ class TestPutGet:
         before = first_file.read_bytes()
         store.put(log_snapshot(tmp_path, "gcc -c b.c\n", "a2"))
         assert first_file.read_bytes() == before
+
+
+def _peak_traced(fn) -> int:
+    """The most memory, in bytes, that Python held at once for allocations made during `fn()`."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_put_and_get_hold_no_whole_copy_of_the_file(tmp_path):
+    """A put writes the lines it encoded without joining them, and a get reads one line
+    at a time: for a 2,000-TU build (about 3 MB stored) put peaks near 1.5 times the
+    file's size and get, which builds its records, near 2.4 times. A joined copy of the
+    file, or its bytes and the lines split from them, would break the bound."""
+    include = " ".join(f"-I include/module{k}/public" for k in range(2))
+    log = "".join(f"gcc -O2 -g -Wall -Wextra -fPIC -DBUILD_ID={i} -DUNIT_{i}=1 {include} "
+                  f"-c src/part{i % 40}/unit{i}.c -o obj/part{i % 40}/unit{i}.o\n" for i in range(2000))
+    snap = log_snapshot(tmp_path, log + "gcc " + " ".join(f"obj/part{i % 40}/unit{i}.o" for i in range(2000))
+                        + " -o app\n")
+    root = str(tmp_path / "store")
+    put = _peak_traced(lambda: Store(root).put(snap))
+    size = os.path.getsize(os.path.join(root, _snapshot_relpath("b1")))
+    get = _peak_traced(lambda: Store(root).get("b1"))
+    assert put < 1.8 * size and get < 3.0 * size, (put / size, get / size)
 
 
 class TestHeaderAgainstIndex:
